@@ -18,7 +18,8 @@ class CartanData:
 
     def __post_init__(self):
         n = self.rank
-        if not isinstance(n, int) or n < 1:
+        # exact type checks: bool is an int subclass but never a valid entry
+        if type(n) is not int or n < 1:
             raise ValueError("rank must be a positive integer")
         m = self.matrix
         if len(m) != n or any(len(row) != n for row in m):
@@ -26,7 +27,7 @@ class CartanData:
         for i in range(n):
             for j in range(n):
                 a = m[i][j]
-                if not isinstance(a, int):
+                if type(a) is not int:
                     raise ValueError("matrix entries must be integers")
                 if i == j and a != 2:
                     raise ValueError("diagonal entries must equal 2")
@@ -35,7 +36,7 @@ class CartanData:
                 if (m[i][j] == 0) != (m[j][i] == 0):
                     raise ValueError("zero pattern must be symmetric")
         d = self.symmetrizers
-        if len(d) != n or any(not isinstance(x, int) or x < 1 for x in d):
+        if len(d) != n or any(type(x) is not int or x < 1 for x in d):
             raise ValueError("symmetrizers must be positive integers")
         for i in range(n):
             for j in range(n):
@@ -58,7 +59,7 @@ class CartanData:
         return self.d(i) * self.a(i, j)
 
     def _check_index(self, i: int):
-        if not isinstance(i, int) or not 1 <= i <= self.rank:
+        if type(i) is not int or not 1 <= i <= self.rank:
             raise ValueError(f"root index {i} out of range 1..{self.rank}")
 
     # ---------- serialization ----------

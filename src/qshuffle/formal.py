@@ -8,7 +8,10 @@ that products of such truncations are only meaningful when the full
 receive finitely many contributions, and all of them must come from the
 stored part of each operand.
 
-``TruncSeries`` therefore carries, besides its terms:
+A ``TruncSeries`` is the terms of a ``MultiLaurent`` (a sorted variable
+registry and a dict from exponent tuples to RatQ coefficients) restricted
+to a box; it re-slots, relabels, scales and adds those terms through
+``MultiLaurent`` and keeps only its own bookkeeping on top:
 
 * ``window``    -- the per-variable exponent box the truncation targets;
 * ``reliable``  -- the sub-box on which stored coefficients are exact;
@@ -129,21 +132,13 @@ class TruncSeries:
     __slots__ = ("vars", "terms", "window", "reliable", "support")
 
     def __init__(self, vars, terms, window: Window, reliable: Window, support: Support):
-        vs = _sorted_vars(vars)
         if not (window.lo <= reliable.lo and reliable.hi <= window.hi):
             raise ValueError("reliable window must sit inside the window")
-        box = reliable
-        clean = {}
-        for exps, c in terms.items():
-            c = RatQ.coerce(c)
-            if not c:
-                continue
-            if len(exps) != len(vs):
-                raise ValueError("exponent tuple length mismatch")
-            if all(box.contains(e) for e in exps):
-                clean[tuple(exps)] = c
-        self.vars = vs
-        self.terms = clean
+        p = MultiLaurent(vars, terms)
+        self.vars = p.vars
+        self.terms = {
+            e: c for e, c in p.terms.items() if all(reliable.contains(x) for x in e)
+        }
         self.window = window
         self.reliable = reliable
         self.support = support
@@ -157,75 +152,46 @@ class TruncSeries:
         ties = {}
         if p.vars and not p.is_zero() and deg is not None:
             ties[frozenset(p.vars)] = deg
-        return cls(p.vars, dict(p.terms), window, window, Support(bounds, ties))
+        return cls(p.vars, p.terms, window, window, Support(bounds, ties))
 
     # ---------- bookkeeping ----------
 
+    def _poly(self) -> MultiLaurent:
+        """The stored terms as a polynomial (shared, not copied)."""
+        return MultiLaurent._raw(self.vars, self.terms)
+
     def with_vars(self, extra) -> TruncSeries:
-        vs = _sorted_vars(self.vars + tuple(extra))
-        if vs == self.vars:
+        p = self._poly().with_vars(extra)
+        if p.vars == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(vs)}
-        old = [pos[v] for v in self.vars]
-        n = len(vs)
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * n
-            for slot, e in zip(old, exps):
-                new[slot] = e
-            terms[tuple(new)] = c
-        bounds = dict(self.support.bounds)
-        for v in vs:
-            bounds.setdefault(v, (0, 0))
+        bounds = dict.fromkeys(p.vars, (0, 0)) | self.support.bounds
         return TruncSeries(
-            vs, terms, self.window, self.reliable, Support(bounds, self.support.ties)
+            p.vars, p.terms, self.window, self.reliable, Support(bounds, self.support.ties)
         )
 
     def relabel(self, mapping: dict) -> TruncSeries:
-        new_of = {v: mapping.get(v, v) for v in self.vars}
-        if len(set(new_of.values())) != len(new_of):
-            raise ValueError("relabeling must be injective on the registry")
-        vs = _sorted_vars(new_of.values())
-        pos = {u: i for i, u in enumerate(vs)}
-        src = [pos[new_of[v]] for v in self.vars]
-        n = len(vs)
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * n
-            for slot, e in zip(src, exps):
-                new[slot] = e
-            terms[tuple(new)] = c
+        p = self._poly().relabel(mapping)
         return TruncSeries(
-            vs, terms, self.window, self.reliable, self.support.relabel(mapping)
+            p.vars, p.terms, self.window, self.reliable, self.support.relabel(mapping)
         )
 
     def coeff(self, exps) -> RatQ:
         return self.terms.get(tuple(exps), RatQ.zero())
 
     def scale(self, c) -> TruncSeries:
-        c = RatQ.coerce(c)
-        terms = {e: k * c for e, k in self.terms.items()} if c else {}
-        return TruncSeries(self.vars, terms, self.window, self.reliable, self.support)
+        p = self._poly().scale(c)
+        return TruncSeries(self.vars, p.terms, self.window, self.reliable, self.support)
 
     # ---------- addition ----------
 
     def __add__(self, other: TruncSeries) -> TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        a = self.with_vars(other.vars)
-        b = other.with_vars(self.vars)
-        window = a.window.intersect(b.window)
-        reliable = a.reliable.intersect(b.reliable)
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            prev = terms.get(exps)
-            s = c if prev is None else prev + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        support = _merge_supports_for_sum(a.support, b.support)
-        return TruncSeries(a.vars, terms, window, reliable, support)
+        p = self._poly() + other._poly()
+        window = self.window.intersect(other.window)
+        reliable = self.reliable.intersect(other.reliable)
+        support = _merge_supports_for_sum(self.support, other.support)
+        return TruncSeries(p.vars, p.terms, window, reliable, support)
 
     def __neg__(self) -> TruncSeries:
         return self.scale(-1)
@@ -572,10 +538,8 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     deg = num.total_degree_if_homogeneous()
     if deg is not None and vs:
         ties[frozenset(vs)] = deg - len(copies)
-    terms = {
-        e: c for e, c in partial.items() if all(window.contains(x) for x in e)
-    }
-    return TruncSeries(vs, terms, window, window, Support(box, ties))
+    # the constructor keeps only the terms inside the window
+    return TruncSeries(vs, partial, window, window, Support(box, ties))
 
 
 # ---------- comparison ----------
@@ -591,12 +555,9 @@ def compare_on_window(a: TruncSeries, b: TruncSeries, window: Window | None = No
             box = box.intersect(window)
     except ValueError:
         raise ValueError("empty reliable intersection; enlarge the windows")
-    for exps, c in a.terms.items():
+    zero = RatQ.zero()
+    for exps in a.terms.keys() | b.terms.keys():
         if all(box.contains(e) for e in exps):
-            if b.terms.get(exps, RatQ.zero()) != c:
-                return False
-    for exps, c in b.terms.items():
-        if all(box.contains(e) for e in exps):
-            if a.terms.get(exps, RatQ.zero()) != c:
+            if a.terms.get(exps, zero) != b.terms.get(exps, zero):
                 return False
     return True

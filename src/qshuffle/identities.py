@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .formal import TruncSeries, Window, delta_series, expand_ratfun, series_mul
+from .formal import TruncSeries, Window, compare_on_window, delta_series, expand_ratfun, series_mul
 from .poly import MultiLaurent, VarId, aux_var, zvar
 from .qring import LaurentQ, RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun
@@ -292,7 +292,7 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
             readings[reading] = False
             boxes[reading] = None
             continue
-        readings[reading] = _series_eq_on(lhs, rhs, rel)
+        readings[reading] = compare_on_window(lhs, rhs, rel)
         boxes[reading] = rel.as_pair()
     matched = [r for r, ok in readings.items() if ok]
     return {
@@ -303,18 +303,6 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
         "matched": matched,
         "compared": boxes,
     }
-
-
-def _series_eq_on(a: TruncSeries, b: TruncSeries, box: Window) -> bool:
-    av = a.with_vars(b.vars)
-    bv = b.with_vars(a.vars)
-    keys = set(av.terms) | set(bv.terms)
-    for exps in keys:
-        if not all(box.contains(e) for e in exps):
-            continue
-        if av.terms.get(exps, RatQ.zero()) != bv.terms.get(exps, RatQ.zero()):
-            return False
-    return True
 
 
 def progress_stderr(line: str):

@@ -132,12 +132,16 @@ class MultiLaurent:
         if vs == self.vars:
             return self
         pos = {v: i for i, v in enumerate(vs)}
-        old = [pos[v] for v in self.vars]
+        return self._reslot(vs, [pos[v] for v in self.vars])
+
+    def _reslot(self, vs: tuple[VarId, ...], src) -> MultiLaurent:
+        """Move the exponent of each old variable k to slot src[k] of the
+        registry vs; every other slot gets exponent 0."""
         n = len(vs)
         terms = {}
         for exps, c in self.terms.items():
             new = [0] * n
-            for slot, e in zip(old, exps):
+            for slot, e in zip(src, exps):
                 new[slot] = e
             terms[tuple(new)] = c
         return MultiLaurent._raw(vs, terms)
@@ -304,15 +308,7 @@ class MultiLaurent:
             raise ValueError("relabeling must be injective on the registry")
         vs = _sorted_vars(new_of.values())
         pos = {u: i for i, u in enumerate(vs)}
-        src = [pos[new_of[v]] for v in self.vars]
-        n = len(vs)
-        out = {}
-        for exps, k in self.terms.items():
-            new = [0] * n
-            for slot, e in zip(src, exps):
-                new[slot] = e
-            out[tuple(new)] = k
-        return MultiLaurent._raw(vs, out)
+        return self._reslot(vs, [pos[new_of[v]] for v in self.vars])
 
     # ---------- symmetry ----------
 
@@ -398,7 +394,14 @@ class MultiLaurent:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # equal polynomials may differ in registry, and a constant equals its
+        # scalar: hash the scalar, or the nonzero (variable, exponent) pairs
+        if not any(map(any, self.terms)):
+            return hash(next(iter(self.terms.values()), RQ_ZERO))
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)
+            for exps, c in self.terms.items()
+        ))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])

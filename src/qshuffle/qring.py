@@ -231,7 +231,11 @@ class LaurentQ:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its Fraction, so it must hash like one
+        t = self.terms
+        if not t or len(t) == 1 and 0 in t:
+            return hash(t.get(0, 0))
+        return hash(frozenset(t.items()))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -492,6 +496,10 @@ class RatQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # the canonical den is monic with lowest exponent 0, so a one-term
+        # den is 1 and the value equals (and hashes like) its numerator
+        if len(self.den.terms) == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self) -> str:

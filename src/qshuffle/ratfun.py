@@ -225,6 +225,8 @@ class RatFun:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        if not self.den:
+            return hash(self.num)  # equal to its numerator polynomial
         return hash((self.num, frozenset(self.den.items())))
 
     def sorted_den(self):

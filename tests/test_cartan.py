@@ -73,6 +73,13 @@ def test_custom_matrix_validation():
         CartanData(0, (), ())
     with pytest.raises(ValueError):
         CartanData(2, ((2, -1), (-1, 2)), (1, -1))
+    # bool is an int subclass; it is never a valid entry
+    with pytest.raises(ValueError):
+        CartanData(1, ((2,),), (True,))
+    with pytest.raises(ValueError):
+        CartanData(True, ((2,),), (1,))
+    with pytest.raises(ValueError):
+        CartanData(2, ((2, False), (False, 2)), (1, 1))
 
 
 def test_index_range_checked():
@@ -81,6 +88,10 @@ def test_index_range_checked():
         a2.a(0, 1)
     with pytest.raises(ValueError):
         a2.d(3)
+    with pytest.raises(ValueError):
+        a2.d(True)
+    with pytest.raises(ValueError):
+        a2.a(1, True)
 
 
 def test_json_roundtrip():

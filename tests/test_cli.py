@@ -101,6 +101,8 @@ def test_custom_cartan_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rank": 2, "matrix": [[2, 0], [-1, 2]], "symmetrizers": [1, 1]}))
     assert main(["product", "--cartan", str(bad), "a1:0"]) == 2
+    bad.write_text(json.dumps({"rank": 1, "matrix": [[2]], "symmetrizers": [True]}))
+    assert main(["product", "--cartan", str(bad), "a1:0"]) == 2
 
 
 def test_report_written_to_file(tmp_path, capsys):

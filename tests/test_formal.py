@@ -210,3 +210,26 @@ def test_relabel_series():
     assert r.vars == (Z2, W)
     assert r.coeff((0, -1)) == qp(-1)
     assert frozenset((Z2, W)) in r.support.ties
+
+
+def test_with_vars_adds_fixed_support():
+    d = delta_series(Z1, qp(1), W, Window(-3, 3))
+    assert d.with_vars((Z1, W)) is d
+    e = d.with_vars((Z2,))
+    assert e.vars == (Z1, Z2, W)
+    assert e.support.bound(Z2) == (0, 0)
+    assert Z2 in e.support.bounds
+    assert e.coeff((0, 0, -1)) == d.coeff((0, -1))
+    assert len(e.terms) == len(d.terms)
+
+
+def test_series_relabel_must_be_injective():
+    d = delta_series(Z1, qp(1), W, Window(-3, 3))
+    with pytest.raises(ValueError):
+        d.relabel({Z1: W})
+
+
+def test_series_scale_by_zero_and_cancelling_sum():
+    d = delta_series(Z1, qp(1), W, Window(-3, 3))
+    assert d.scale(0).terms == {}
+    assert (d + d.scale(-1)).terms == {}

@@ -5,6 +5,7 @@ import pytest
 
 from qshuffle.poly import MultiLaurent, NotDivisible, VarId, aux_var, zvar
 from qshuffle.qring import LaurentQ, RatQ
+from qshuffle.ratfun import RatFun
 
 from helpers import random_fraction, random_q_monomial, random_q_point
 
@@ -194,3 +195,22 @@ def test_homogeneity_helper():
     f = MultiLaurent((Z1, Z2), {(2, 1): RatQ.one(), (1, 2): RatQ.one()})
     assert f.total_degree_if_homogeneous() == 3
     assert (f + 1).total_degree_if_homogeneous() is None
+
+
+def test_equal_values_hash_equal():
+    p = binom(Z1, qp(2), Z2)
+    pairs = [
+        (MultiLaurent.constant(1), MultiLaurent.constant(1, (Z1,))),
+        (p, p.with_vars((Y1, W))),
+        (LaurentQ({0: 5}), 5),
+        (LaurentQ(), 0),
+        (RatQ(LaurentQ({0: 5})), LaurentQ({0: 5})),
+        (RatQ(LaurentQ({2: 1, 0: 1})), LaurentQ({2: 1, 0: 1})),
+        (MultiLaurent.constant(3), Fraction(3)),
+        (MultiLaurent.zero((Z1,)), 0),
+        (RatFun(p), p),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b), (a, b)
+    assert len({MultiLaurent.constant(1), MultiLaurent.constant(1, (Z1,))}) == 1
