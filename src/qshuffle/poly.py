@@ -9,7 +9,9 @@ allowed everywhere.
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q; ``exact_div_binomial`` implements it
 by synthetic division and raises ``NotDivisible`` when the quotient does
-not exist in the Laurent ring.
+not exist in the Laurent ring.  The divided difference (F - s F)/(z_i -
+z_j), which the shuffle product is built from, never fails and is
+computed term by term by ``divided_difference``.
 """
 
 from __future__ import annotations
@@ -287,12 +289,17 @@ class MultiLaurent:
         iv = self.vars.index(v)
         n = len(vs)
         out = {}
+        powers = {}  # c ** e, once per distinct exponent of v
         for exps, k in self.terms.items():
             new = [0] * n
             for slot, e in zip(src, exps):
                 new[slot] += e
             key = tuple(new)
-            add = k * c ** exps[iv]
+            e = exps[iv]
+            ce = powers.get(e)
+            if ce is None:
+                ce = powers[e] = c ** e
+            add = k * ce
             prev = out.get(key)
             s = add if prev is None else prev + add
             if s:
@@ -370,6 +377,34 @@ class MultiLaurent:
         if carry:
             raise NotDivisible(f"not divisible by {vi} - ({c}) {vj}")
         return MultiLaurent._raw(f.vars, quot)
+
+    def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
+        """The divided difference (F - s F) / (z_vi - z_vj), s swapping the
+        two variables.  Always a Laurent polynomial; computed term by term:
+        x^a y^b goes to sign(a - b) (x y)^lo sum_{k < |a - b|} x^k
+        y^(|a - b| - 1 - k) with lo = min(a, b), and to 0 when a = b."""
+        f = self.with_vars((vi, vj))
+        pi = f.vars.index(vi)
+        pj = f.vars.index(vj)
+        out = {}
+        for exps, co in f.terms.items():
+            a, b = exps[pi], exps[pj]
+            if a == b:
+                continue
+            if a < b:
+                a, b, co = b, a, -co
+            lst = list(exps)
+            for k in range(b, a):
+                lst[pi] = k
+                lst[pj] = a + b - 1 - k
+                key = tuple(lst)
+                prev = out.get(key)
+                s = co if prev is None else prev + co
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return MultiLaurent._raw(f.vars, out)
 
     # ---------- evaluation ----------
 

@@ -26,6 +26,9 @@ def _coerce_fraction(c) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+_ONE_TERMS = {0: Fraction(1)}
+
+
 class LaurentQ:
     """A Laurent polynomial in q over the rationals.
 
@@ -72,7 +75,8 @@ class LaurentQ:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
+        # RatQ keeps every denominator equal to one as the shared LQ_ONE
+        return self is LQ_ONE or self.terms == _ONE_TERMS
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

@@ -16,14 +16,19 @@ numerator extraction for products of generators; the "printed"
 orientation uses (q^(u,v) z_u - z_v) instead and generally fails to stay
 polynomial, which ``mul`` reports as ``ClosureViolation``.
 
-Multiplication follows the correlation-function shuffle formula: sum
-over per-color order-preserving interleavings, with the exchange factor
+Multiplication is the correlation-function shuffle formula: sum over
+per-color order-preserving interleavings, with the exchange factor
 (q^p z_u - z_v)/(z_u - q^p z_v) on inverted mixed pairs.  In the default
-orientation the whole sum times V is polynomial, so the product is
-computed without ever leaving the polynomial ring; an independent
-rational-function summation is available as ``mul_oracle_rational`` and
-can be switched on for every product with ``ShuffleAlgebra(...,
-oracle=True)``.
+orientation that sum times V is a symmetrizer over the cosets of
+S_n x S_m in S_(n+m), one per color, so by the parabolic symmetrizer
+identity (Macdonald, *Notes on Schubert Polynomials*, 1991; in shuffle
+form, Negut, arXiv:1209.3349) the product numerator is a Grassmannian
+divided difference of one polynomial: n_c m_c steps (F - s_i F)/(z_i -
+z_(i+1)) per color, see ``_mul_polynomial``.  The product never leaves
+the polynomial ring and needs no division; an independent
+rational-function summation over the interleavings is available as
+``mul_oracle_rational`` and can be switched on for every product with
+``ShuffleAlgebra(..., oracle=True)``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .cartan import CartanData
-from .poly import MultiLaurent, NotDivisible, VarId, aux_var, zvar
+from .poly import MultiLaurent, VarId, aux_var, zvar
 from .qring import LaurentQ, RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun, rat_sum
 
@@ -126,6 +131,13 @@ def parse_word(text: str) -> list[tuple[int, int]]:
 
 def format_word(word) -> str:
     return " ".join(f"a{c}:{m}" for c, m in word)
+
+
+def _grassmannian_steps(n: int, m: int) -> list[int]:
+    """The simple divided differences d_i, in the order they are applied,
+    whose product moves slots n+1..n+m past slots 1..n: d_(n+k-1), ...,
+    d_k for k = 1..m, n*m steps in all."""
+    return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
 
 
 class ShuffleAlgebra:
@@ -263,35 +275,30 @@ class ShuffleAlgebra:
         return result
 
     def _mul_polynomial(self, f, g, total):
-        """Default-orientation pipeline: the sum times the Vandermonde is
-        polynomial, so everything stays in the Laurent ring."""
-        flat = self.flat_vars(total)
-        acc = MultiLaurent.zero(flat)
-        for fmap, gmap, fset in self._interleavings(f.degree, g.degree):
-            term = f.numerator.relabel(fmap) * g.numerator.relabel(gmap)
-            for u, v in combinations(flat, 2):
-                ufirst = u in fset
-                vfirst = v in fset
-                if ufirst == vfirst:
-                    if u.color == v.color:
-                        term = term.mul_binomial(1, u, -1, v)
-                else:
-                    p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
-                    if ufirst:
-                        term = term.mul_binomial(1, u, -p, v)
-                    else:
-                        term = term.mul_binomial(p, u, -1, v)
-            acc = acc + term
-        num = acc
-        for u, v in combinations(flat, 2):
-            if u.color == v.color:
-                try:
-                    num = num.exact_div_binomial(u, v, RatQ.one())
-                except NotDivisible as exc:
-                    raise ClosureViolation(
-                        "product numerator is not divisible by the "
-                        "same-color Vandermonde"
-                    ) from exc
+        """Default-orientation product by parabolic divided differences.
+
+        With f's variables of color c in slots 1..n_c and g's in slots
+        n_c+1..n_c+m_c, the product numerator is
+
+            eps * d_(n,m) [A_f A_g prod_{a in f, b in g} (z_a - q^(a,b) z_b)],
+
+        where d_(n,m) is, per color, the divided difference of the
+        Grassmannian permutation moving g's slots past f's (n_c m_c simple
+        steps) and eps = (-1)^#{a in f, b in g : color(a) > color(b)}."""
+        n, m = f.degree, g.degree
+        left = self.flat_vars(n)
+        right = [zvar(c + 1, n[c] + k + 1) for c in range(len(m)) for k in range(m[c])]
+        gmap = dict(zip(self.flat_vars(m), right))
+        num = f.numerator * g.numerator.relabel(gmap)
+        for u in left:
+            for v in right:
+                p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
+                num = num.mul_binomial(1, u, -p, v)
+        if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
+            num = -num
+        for c, (nc, mc) in enumerate(zip(n, m), start=1):
+            for i in _grassmannian_steps(nc, mc):
+                num = num.divided_difference(zvar(c, i), zvar(c, i + 1))
         for c in range(1, self.cartan.rank + 1):
             if not num.is_symmetric(c):
                 raise ClosureViolation(f"product numerator not symmetric in color {c}")

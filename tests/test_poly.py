@@ -153,6 +153,24 @@ def test_divisible_iff_substitution_vanishes():
     assert 0 < hits < 200  # both branches exercised
 
 
+def test_divided_difference_matches_swap_and_divide():
+    rng = random.Random(44)
+    for _ in range(200):
+        vs = [Z1, Z2, Y1]
+        f = random_poly(rng, vs, max_terms=6, exp_range=4)
+        vi, vj = rng.sample(vs, 2)
+        swapped = f.relabel({vi: vj, vj: vi})
+        expect = (f - swapped).exact_div_binomial(vi, vj, RatQ.one())
+        assert f.divided_difference(vi, vj) == expect
+    # a variable outside the registry counts as exponent 0
+    assert MultiLaurent.var_power(Z1, -2).divided_difference(Z1, W) == (
+        MultiLaurent.monomial({Z1: -2, W: -1}).scale(-1)
+        + MultiLaurent.monomial({Z1: -1, W: -2}).scale(-1)
+    )
+    sym = MultiLaurent.monomial({Z1: 3, Z2: -1}) + MultiLaurent.monomial({Z1: -1, Z2: 3})
+    assert sym.divided_difference(Z1, Z2).is_zero()
+
+
 def test_eval_commutes_with_ops():
     rng = random.Random(43)
     for _ in range(200):

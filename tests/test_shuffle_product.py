@@ -1,0 +1,180 @@
+"""Differential tests for the default-orientation shuffle product.
+
+``ShuffleAlgebra.mul`` builds the product numerator by parabolic divided
+differences.  ``interleaving_product`` below is the literal definition:
+sum the per-color interleavings, each times the same-color Vandermonde and
+the mixed-pair binomials, then divide the Vandermonde back out.  Both are
+checked against each other and against the independent rational oracle
+``mul_oracle_rational`` on every builtin Cartan type.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from qshuffle.cartan import builtin_cartan
+from qshuffle.poly import MultiLaurent, NotDivisible, zvar
+from qshuffle.qring import RatQ
+from qshuffle.shuffle import (
+    ClosureViolation,
+    ShuffleAlgebra,
+    ShuffleElement,
+    _grassmannian_steps,
+    format_word,
+)
+
+TYPES = ("A1", "A2", "B2", "C3", "B3", "D4", "G2")
+
+
+def interleaving_product(alg, f, g):
+    """Reference product: sum over interleavings of the relabelled
+    numerators times every pair binomial, divided by the Vandermonde."""
+    total = tuple(a + b for a, b in zip(f.degree, g.degree))
+    flat = alg.flat_vars(total)
+    acc = MultiLaurent.zero(flat)
+    for fmap, gmap, fset in alg._interleavings(f.degree, g.degree):
+        term = f.numerator.relabel(fmap) * g.numerator.relabel(gmap)
+        for u, v in combinations(flat, 2):
+            ufirst = u in fset
+            if ufirst == (v in fset):
+                if u.color == v.color:
+                    term = term.mul_binomial(1, u, -1, v)
+            else:
+                p = RatQ.q_power(alg.cartan.pairing(u.color, v.color))
+                if ufirst:
+                    term = term.mul_binomial(1, u, -p, v)
+                else:
+                    term = term.mul_binomial(p, u, -1, v)
+        acc = acc + term
+    num = acc
+    for u, v in combinations(flat, 2):
+        if u.color == v.color:
+            try:
+                num = num.exact_div_binomial(u, v, RatQ.one())
+            except NotDivisible as exc:
+                raise ClosureViolation("not divisible by the Vandermonde") from exc
+    for c in range(1, alg.cartan.rank + 1):
+        if not num.is_symmetric(c):
+            raise ClosureViolation(f"not symmetric in color {c}")
+    return ShuffleElement(alg.cartan, total, num, check=False)
+
+
+def random_word(rng, rank, length):
+    return [(rng.randrange(1, rank + 1), rng.randrange(-2, 3)) for _ in range(length)]
+
+
+def assert_product_agrees(alg, f, g, label):
+    got = alg.mul(f, g)
+    assert got == interleaving_product(alg, f, g), label
+    assert alg.to_rational(got) == alg.mul_oracle_rational(f, g), label
+    return got
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_word_image_steps_match_reference_and_oracle(name):
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan)
+    rng = random.Random(f"word-steps-{name}")
+    for _ in range(4):
+        word = random_word(rng, cartan.rank, rng.randrange(2, 5))
+        out = alg.unit()
+        for color, mode in word:
+            out = assert_product_agrees(
+                alg, out, alg.generator(color, mode), (name, format_word(word))
+            )
+        assert out == alg.word_image(word)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_general_products_match_reference_and_oracle(name):
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan)
+    rng = random.Random(f"general-{name}")
+    for _ in range(3):
+        u = random_word(rng, cartan.rank, rng.randrange(1, 3))
+        v = random_word(rng, cartan.rank, rng.randrange(1, 3))
+        assert_product_agrees(
+            alg, alg.word_image(u), alg.word_image(v), (name, format_word(u), format_word(v))
+        )
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_two_by_two_in_one_color(name):
+    # n_c = m_c = 2: four divided-difference steps in the same color
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan)
+    rng = random.Random(f"two-by-two-{name}")
+    c = rng.randrange(1, cartan.rank + 1)
+    u = [(c, rng.randrange(-2, 3)), (c, rng.randrange(-2, 3))]
+    v = [(c, rng.randrange(-2, 3)), (c, rng.randrange(-2, 3))]
+    if cartan.rank > 1:
+        v.append((c % cartan.rank + 1, rng.randrange(-2, 3)))
+    f, g = alg.word_image(u), alg.word_image(v)
+    assert f.degree[c - 1] == 2 and g.degree[c - 1] == 2
+    assert_product_agrees(alg, f, g, (name, format_word(u), format_word(v)))
+
+
+def test_divided_difference_order_is_pinned():
+    assert _grassmannian_steps(1, 1) == [1]
+    assert _grassmannian_steps(2, 1) == [2, 1]
+    assert _grassmannian_steps(1, 2) == [1, 2]
+    assert _grassmannian_steps(2, 2) == [2, 1, 3, 2]
+    assert _grassmannian_steps(3, 0) == _grassmannian_steps(0, 3) == []
+    for n in range(4):
+        for m in range(4):
+            assert len(_grassmannian_steps(n, m)) == n * m
+
+
+def test_reversed_order_gives_another_polynomial():
+    # control: the order matters, so pinning it is meaningful
+    alg = ShuffleAlgebra(builtin_cartan("A1"))
+    f = alg.word_image([(1, 1), (1, -1)])
+    g = alg.generator(1, 2)
+    x1, x2, y = zvar(1, 1), zvar(1, 2), zvar(1, 3)
+    F = f.numerator * g.numerator.relabel({x1: y})
+    for u in (x1, x2):
+        F = F.mul_binomial(1, u, -RatQ.q_power(2), y)
+    pinned, other = F, F
+    for i in _grassmannian_steps(2, 1):
+        pinned = pinned.divided_difference(zvar(1, i), zvar(1, i + 1))
+    for i in reversed(_grassmannian_steps(2, 1)):
+        other = other.divided_difference(zvar(1, i), zvar(1, i + 1))
+    assert pinned == alg.mul(f, g).numerator
+    assert other != pinned
+
+
+def test_g2_length_four_chain():
+    g2 = builtin_cartan("G2")
+    alg = ShuffleAlgebra(g2)
+    assert 1 - g2.a(2, 1) == 4
+    word = [(2, 0), (2, 1), (1, 0), (2, -1), (2, 0)]
+    el = alg.word_image(word)
+    assert el.degree == (1, 4)
+    ref = alg.unit()
+    for color, mode in word:
+        ref = interleaving_product(alg, ref, alg.generator(color, mode))
+    assert el == ref
+    assert alg.wheel_applicable(el, 2, 1)
+    assert alg.wheel_check(el, 2, 1)
+    assert alg.wheel_check(el, 2, 1, i_indices=(4, 2, 3, 1))
+    assert alg.serre_image(2, 1, (0, 1, -1, 0), 0).is_zero()
+    assert alg.serre_image(2, 1, (1, 1, 0, 0), -1).is_zero()
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "G2"))
+def test_asymmetric_operand_violates_closure_on_either_side(name):
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan)
+    degree = (2,) + (0,) * (cartan.rank - 1)
+    bad = ShuffleElement.raw(cartan, degree, MultiLaurent.var_power(zvar(1, 1), 1))
+    partners = [
+        alg.generator(1, 0),
+        alg.generator(cartan.rank, 1),
+        alg.word_image([(1, 0), (1, 1)]),
+    ]
+    for other in partners:
+        with pytest.raises(ClosureViolation):
+            alg.mul(bad, other)
+        with pytest.raises(ClosureViolation):
+            alg.mul(other, bad)
