@@ -36,6 +36,10 @@ class UsageError(Exception):
     pass
 
 
+# each step in m has cost the pole sum 18-37x more time: --m 6 runs past 15 min
+IDENTITIES_MAX_M = 5
+
+
 @dataclass
 class RunConfig:
     cartan: CartanData
@@ -177,6 +181,8 @@ def cmd_wheel(cfg: RunConfig, word_text: str):
 def cmd_identities(cfg: RunConfig, m: int):
     if m < 1:
         raise UsageError("identities needs --m >= 1")
+    if m > IDENTITIES_MAX_M:
+        raise UsageError(f"identities supports --m up to {IDENTITIES_MAX_M}")
     progress = progress_stderr if m >= 3 else None
     rep = verify_rational_vanishing(ms=(m,), progress=progress)
     report = {"m": m, "results": rep["results"], "all_zero": rep["all_zero"]}

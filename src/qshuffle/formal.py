@@ -126,6 +126,10 @@ def _merge_supports_for_sum(a: Support, b: Support) -> Support:
     return Support(bounds, ties)
 
 
+def _in_box(terms: dict, box: Window) -> dict:
+    return {e: c for e, c in terms.items() if all(box.contains(x) for x in e)}
+
+
 class TruncSeries:
     """A windowed truncation of a formal distribution over Q(q)."""
 
@@ -135,13 +139,16 @@ class TruncSeries:
         if not (window.lo <= reliable.lo and reliable.hi <= window.hi):
             raise ValueError("reliable window must sit inside the window")
         p = MultiLaurent(vars, terms)
-        self.vars = p.vars
-        self.terms = {
-            e: c for e, c in p.terms.items() if all(reliable.contains(x) for x in e)
-        }
-        self.window = window
-        self.reliable = reliable
-        self.support = support
+        self.vars, self.terms = p.vars, _in_box(p.terms, reliable)
+        self.window, self.reliable, self.support = window, reliable, support
+
+    @classmethod
+    def _trusted(cls, vars, terms, window, reliable, support) -> TruncSeries:
+        """Wrap terms a ``MultiLaurent`` method made from stored ones, unchecked."""
+        self = cls.__new__(cls)
+        self.vars, self.terms = vars, terms
+        self.window, self.reliable, self.support = window, reliable, support
+        return self
 
     # ---------- constructors ----------
 
@@ -165,13 +172,15 @@ class TruncSeries:
         if p.vars == self.vars:
             return self
         bounds = dict.fromkeys(p.vars, (0, 0)) | self.support.bounds
-        return TruncSeries(
-            p.vars, p.terms, self.window, self.reliable, Support(bounds, self.support.ties)
+        # the new slots hold exponent 0, which the reliable box may exclude
+        return TruncSeries._trusted(
+            p.vars, _in_box(p.terms, self.reliable), self.window, self.reliable,
+            Support(bounds, self.support.ties),
         )
 
     def relabel(self, mapping: dict) -> TruncSeries:
         p = self._poly().relabel(mapping)
-        return TruncSeries(
+        return TruncSeries._trusted(
             p.vars, p.terms, self.window, self.reliable, self.support.relabel(mapping)
         )
 
@@ -180,7 +189,7 @@ class TruncSeries:
 
     def scale(self, c) -> TruncSeries:
         p = self._poly().scale(c)
-        return TruncSeries(self.vars, p.terms, self.window, self.reliable, self.support)
+        return TruncSeries._trusted(p.vars, p.terms, self.window, self.reliable, self.support)
 
     # ---------- addition ----------
 
@@ -191,7 +200,7 @@ class TruncSeries:
         window = self.window.intersect(other.window)
         reliable = self.reliable.intersect(other.reliable)
         support = _merge_supports_for_sum(self.support, other.support)
-        return TruncSeries(p.vars, p.terms, window, reliable, support)
+        return TruncSeries._trusted(p.vars, _in_box(p.terms, reliable), window, reliable, support)
 
     def __neg__(self) -> TruncSeries:
         return self.scale(-1)

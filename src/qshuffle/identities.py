@@ -10,10 +10,12 @@ The central object is the sum
           prod_{i<j} (q^2 z_{s(i)} - z_{s(j)})
 
 with k running from 0 to m+1 and s over permutations of {1..m+1}.  As a
-rational function L_m vanishes identically; ``build_pole_sum`` verifies
-this by assembling all (m+2)(m+1)! summands over one shared denominator,
-so the check reduces to a single numerator being zero.  The q -> 1/q
-mirror of the sum vanishes as well.
+rational function L_m vanishes identically: ``build_pole_sum`` writes it
+as one numerator over the summands' shared symmetric denominator, taking
+the alternating sum over s with the shuffle product's divided
+differences, so the check reduces to that numerator being zero.
+``term_value`` builds one summand as the independent reference.  The
+q -> 1/q mirror of the sum vanishes as well.
 
 As a formal distribution the story is finer: expanding each summand in
 the region dictated by its k (the first k variables dominate w, the rest
@@ -36,9 +38,10 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import factorial
 
 from .formal import TruncSeries, Window, compare_on_window, delta_series, expand_ratfun, series_mul
-from .poly import MultiLaurent, VarId, aux_var, zvar
+from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
 from .qring import LaurentQ, RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun
 
@@ -56,9 +59,8 @@ def _binom(m: int, k: int, q_inverted: bool) -> RatQ:
     return RatQ(b)
 
 
-def pole_sum_denominator(m: int, q_inverted: bool = False) -> dict[BinomialFactor, int]:
-    """All binomials any summand can use; the set is mirror-symmetric, so
-    the orientation does not change it."""
+def pole_sum_denominator(m: int) -> dict[BinomialFactor, int]:
+    """All binomials any summand can use, in either orientation."""
     zs = _zs(m)
     den = {}
     for z in zs:
@@ -75,22 +77,14 @@ def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     if not 0 <= k <= m + 1:
         raise ValueError("k runs from 0 to m+1")
     e = -1 if q_inverted else 1
-    zs = _zs(m)
+    rel = [_zs(m)[s - 1] for s in sigma]
     num = MultiLaurent.constant(_binom(m, k, q_inverted))
-    for i, j in combinations(range(m + 1), 2):
-        num = num.mul_binomial(1, zs[sigma[i] - 1], -1, zs[sigma[j] - 1])
+    for a, b in combinations(rel, 2):
+        num = num.mul_binomial(1, a, -1, b)
     out = RatFun(num)
-    for pos in range(m + 1):
-        zi = zs[sigma[pos] - 1]
-        if pos < k:
-            f, unit = BinomialFactor.make(RatQ.q_power(-e * m), zi, RatQ.one(), W)
-        else:
-            f, unit = BinomialFactor.make(RatQ.q_power(-e * m), W, RatQ.one(), zi)
-        out = (out / unit).mul_factor(f, -1)
-    for i, j in combinations(range(m + 1), 2):
-        f, unit = BinomialFactor.make(
-            RatQ.q_power(2 * e), zs[sigma[i] - 1], RatQ.one(), zs[sigma[j] - 1]
-        )
+    poles = [(-e * m, z, W) if pos < k else (-e * m, W, z) for pos, z in enumerate(rel)]
+    for p, a, b in poles + [(2 * e, a, b) for a, b in combinations(rel, 2)]:
+        f, unit = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
         out = (out / unit).mul_factor(f, -1)
     return out
 
@@ -106,10 +100,16 @@ class PoleSum:
         return self.value.is_zero()
 
 
-def build_pole_sum(
-    m: int, q_inverted: bool = False, coeff=None, progress=None
-) -> PoleSum:
+def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) -> PoleSum:
     """Assemble L_m over the common denominator.
+
+    The summand (k, s) is sgn(s) D s(c_k H_k) / E, with D = prod_{i<j}
+    (z_i - z_j), E the symmetric product of all pole factors, c_k the
+    coefficient and H_k = prod_{i<=k} (q^-m w - z_i) prod_{i>k} (q^-m z_i
+    - w) prod_{i<j} (q^2 z_j - z_i).  Summed over s this is D^2 d_w0(c_k
+    H_k) / E (Macdonald), so L_m takes one polynomial and m(m+1)/2
+    divided-difference steps.  E is ``pole_sum_denominator(m)`` multiplied
+    out, times (-1)^(n + n(n-1)/2) with n = m+1.
 
     ``coeff`` may replace the k -> [m+1 k] coefficient map (a scientific
     control; the genuine sum vanishes, a perturbed one must not).
@@ -118,47 +118,26 @@ def build_pole_sum(
     if m < 1:
         raise ValueError("the pole sum needs m >= 1")
     e = -1 if q_inverted else 1
-    zs = _zs(m)
-    den = pole_sum_denominator(m, q_inverted)
-    npairs = (m + 1) * m // 2
-
-    base = MultiLaurent.constant(1)
-    for a, b in combinations(zs, 2):
-        base = base.mul_binomial(1, a, -1, b)
-
+    zs, n = _zs(m), m + 1
+    qm = RatQ.q_power(-e * m)
     total = MultiLaurent.zero()
-    count = 0
     for k in range(m + 2):
-        ck = _binom(m, k, q_inverted) if coeff is None else RatQ.coerce(coeff(k))
-        if k % 2 != (m + 1) % 2:
-            ck = -ck
-        for sigma in permutations(range(1, m + 2)):
-            inv = sum(
-                1
-                for i, j in combinations(range(m + 1), 2)
-                if sigma[i] > sigma[j]
-            )
-            used = set()
-            for pos in range(m + 1):
-                zi = zs[sigma[pos] - 1]
-                c = RatQ.q_power(e * m if pos < k else -e * m)
-                used.add(BinomialFactor(zi, W, c))
-            for i, j in combinations(range(m + 1), 2):
-                a, b = sigma[i], sigma[j]
-                if a < b:
-                    used.add(BinomialFactor(zs[a - 1], zs[b - 1], RatQ.q_power(-2 * e)))
-                else:
-                    used.add(BinomialFactor(zs[b - 1], zs[a - 1], RatQ.q_power(2 * e)))
-            scalar = ck * RatQ.q_power(e * (m * k - 2 * (npairs - inv)))
-            part = base.scale(scalar)
-            for f in den:
-                if f not in used:
-                    part = part.mul_binomial(1, f.i, -f.c, f.j)
-            total = total + part
-            count += 1
+        h = MultiLaurent.constant(_binom(m, k, q_inverted) if coeff is None else coeff(k))
+        for i, z in enumerate(zs):
+            h = h.mul_binomial(qm, W, -1, z) if i < k else h.mul_binomial(qm, z, -1, W)
+        total = total + h
         if progress is not None:
-            progress(f"m={m} k={k}: {count} terms folded in")
-    return PoleSum(m, q_inverted, RatFun(total, den), count)
+            progress(f"m={m} k={k}: {(k + 1) * factorial(n)} terms folded in")
+    for a, b in combinations(zs, 2):
+        total = total.mul_binomial(RatQ.q_power(2 * e), b, -1, a)
+    for j in range(1, n):  # d_w0: move slot j+1 past slots 1..j, for j = 1..m
+        for i in grassmannian_steps(j, 1):
+            total = total.divided_difference(zs[i - 1], zs[i])
+    if (n + n * (n - 1) // 2) % 2:
+        total = -total
+    for a, b in combinations(zs, 2):
+        total = total.mul_binomial(1, a, -1, b).mul_binomial(1, a, -1, b)
+    return PoleSum(m, q_inverted, RatFun(total, pole_sum_denominator(m)), (m + 2) * factorial(n))
 
 
 def verify_rational_vanishing(ms=(1, 2), progress=None) -> dict:

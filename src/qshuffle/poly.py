@@ -70,6 +70,13 @@ def _sorted_vars(vs) -> tuple[VarId, ...]:
     return tuple(sorted(set(vs), key=VarId.sort_key))
 
 
+def grassmannian_steps(n: int, m: int) -> list[int]:
+    """The simple divided differences d_i, in the order they are applied,
+    whose product moves slots n+1..n+m past slots 1..n: d_(n+k-1), ...,
+    d_k for k = 1..m, n*m steps in all."""
+    return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
+
+
 class MultiLaurent:
     """A Laurent polynomial in several variables with RatQ coefficients."""
 

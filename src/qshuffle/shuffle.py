@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .cartan import CartanData
-from .poly import MultiLaurent, VarId, aux_var, zvar
+from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
 from .qring import LaurentQ, RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun, rat_sum
 
@@ -131,13 +131,6 @@ def parse_word(text: str) -> list[tuple[int, int]]:
 
 def format_word(word) -> str:
     return " ".join(f"a{c}:{m}" for c, m in word)
-
-
-def _grassmannian_steps(n: int, m: int) -> list[int]:
-    """The simple divided differences d_i, in the order they are applied,
-    whose product moves slots n+1..n+m past slots 1..n: d_(n+k-1), ...,
-    d_k for k = 1..m, n*m steps in all."""
-    return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
 
 
 class ShuffleAlgebra:
@@ -297,7 +290,7 @@ class ShuffleAlgebra:
         if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
             num = -num
         for c, (nc, mc) in enumerate(zip(n, m), start=1):
-            for i in _grassmannian_steps(nc, mc):
+            for i in grassmannian_steps(nc, mc):
                 num = num.divided_difference(zvar(c, i), zvar(c, i + 1))
         for c in range(1, self.cartan.rank + 1):
             if not num.is_symmetric(c):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qshuffle.cli import main
+from qshuffle.cli import IDENTITIES_MAX_M, main
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +86,23 @@ def test_identities_with_window(capsys):
     assert rep["all_zero"] is True
     assert rep["window_check"]["matched"] == ["qminus"]
     assert all(r["term_count"] == 6 for r in rep["results"])
+
+
+def test_identities_m4_experiment(capsys):
+    # beyond the proved range m <= 2: reported like criterion 2 does for m = 3
+    code, out = run_cli(capsys, "identities", "--m", "4")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["all_zero"] is True
+    assert [r["term_count"] for r in rep["results"]] == [720, 720]
+
+
+def test_identities_m_limit(capsys):
+    assert IDENTITIES_MAX_M == 5
+    assert main(["identities", "--m", str(IDENTITIES_MAX_M + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m up to 5" in captured.err
 
 
 def test_custom_cartan_file(tmp_path, capsys):

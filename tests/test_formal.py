@@ -221,6 +221,9 @@ def test_with_vars_adds_fixed_support():
     assert Z2 in e.support.bounds
     assert e.coeff((0, 0, -1)) == d.coeff((0, -1))
     assert len(e.terms) == len(d.terms)
+    # a new slot holds exponent 0: outside the reliable box, no term stays
+    far = TruncSeries.from_poly(MultiLaurent.monomial({Z1: 2}), Window(1, 3))
+    assert far.terms and far.with_vars((Z2,)).terms == {}
 
 
 def test_series_relabel_must_be_injective():

@@ -9,6 +9,7 @@ import pytest
 from qshuffle.formal import Window
 from qshuffle.identities import (
     PF_MUTATIONS,
+    _binom,
     build_pole_sum,
     partial_fraction_check,
     pole_sum_denominator,
@@ -63,9 +64,44 @@ def test_mutated_coefficient_breaks_vanishing():
 
 
 def test_denominator_set_is_orientation_independent():
-    assert pole_sum_denominator(2, False) == pole_sum_denominator(2, True)
-    den = pole_sum_denominator(1, False)
+    # every summand of either orientation draws its poles from the one set
+    for m in (1, 2):
+        den = pole_sum_denominator(m)
+        for qi in (False, True):
+            for k in range(m + 2):
+                for s in permutations(range(1, m + 2)):
+                    assert set(term_value(m, k, s, qi).den) <= set(den)
+    den = pole_sum_denominator(1)
     assert len(den) == 2 * 2 + 2 * 1
+
+
+COEFFS = {
+    "genuine": lambda m: None,
+    "classical": lambda m: lambda k: comb(m + 1, k),
+    "k*k+1": lambda m: lambda k: k * k + 1,
+}
+
+
+@pytest.mark.parametrize("name", COEFFS)
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize("m", (1, 2))
+def test_pole_sum_matches_summand_reference(m, qi, name):
+    # the divided-difference numerator against the (m+2)(m+1)! summands
+    # built factor by factor, rescaled to the same coefficient map
+    coeff = COEFFS[name](m)
+    ref = rat_sum(
+        term_value(m, k, s, qi).scale(1 if coeff is None else coeff(k) / _binom(m, k, qi))
+        for k in range(m + 2)
+        for s in permutations(range(1, m + 2))
+    )
+    got = build_pole_sum(m, qi, coeff).value
+    assert got == ref
+    assert got.is_zero() == (coeff is None)
+
+
+def test_m3_pole_sum_vanishes_and_classical_control_does_not():
+    assert all(build_pole_sum(3, qi).is_zero() for qi in (False, True))
+    assert not build_pole_sum(3, coeff=lambda k: comb(4, k)).is_zero()
 
 
 def test_m_validation():

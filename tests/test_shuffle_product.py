@@ -14,13 +14,12 @@ from itertools import combinations
 import pytest
 
 from qshuffle.cartan import builtin_cartan
-from qshuffle.poly import MultiLaurent, NotDivisible, zvar
+from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, zvar
 from qshuffle.qring import RatQ
 from qshuffle.shuffle import (
     ClosureViolation,
     ShuffleAlgebra,
     ShuffleElement,
-    _grassmannian_steps,
     format_word,
 )
 
@@ -116,14 +115,14 @@ def test_two_by_two_in_one_color(name):
 
 
 def test_divided_difference_order_is_pinned():
-    assert _grassmannian_steps(1, 1) == [1]
-    assert _grassmannian_steps(2, 1) == [2, 1]
-    assert _grassmannian_steps(1, 2) == [1, 2]
-    assert _grassmannian_steps(2, 2) == [2, 1, 3, 2]
-    assert _grassmannian_steps(3, 0) == _grassmannian_steps(0, 3) == []
+    assert grassmannian_steps(1, 1) == [1]
+    assert grassmannian_steps(2, 1) == [2, 1]
+    assert grassmannian_steps(1, 2) == [1, 2]
+    assert grassmannian_steps(2, 2) == [2, 1, 3, 2]
+    assert grassmannian_steps(3, 0) == grassmannian_steps(0, 3) == []
     for n in range(4):
         for m in range(4):
-            assert len(_grassmannian_steps(n, m)) == n * m
+            assert len(grassmannian_steps(n, m)) == n * m
 
 
 def test_reversed_order_gives_another_polynomial():
@@ -136,9 +135,9 @@ def test_reversed_order_gives_another_polynomial():
     for u in (x1, x2):
         F = F.mul_binomial(1, u, -RatQ.q_power(2), y)
     pinned, other = F, F
-    for i in _grassmannian_steps(2, 1):
+    for i in grassmannian_steps(2, 1):
         pinned = pinned.divided_difference(zvar(1, i), zvar(1, i + 1))
-    for i in reversed(_grassmannian_steps(2, 1)):
+    for i in reversed(grassmannian_steps(2, 1)):
         other = other.divided_difference(zvar(1, i), zvar(1, i + 1))
     assert pinned == alg.mul(f, g).numerator
     assert other != pinned
