@@ -23,7 +23,11 @@ to a box; it re-slots, relabels, scales and adds those terms through
 it cannot bound the contributing exponents it raises
 ``NonAdmissibleProduct`` instead of returning garbage; if contributions
 would come from outside an operand's reliable box it shrinks the result
-window until they cannot.  Multiplying the two opposite expansions of
+window until they cannot.  The arithmetic itself goes through
+``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
+``expand_ratfun`` multiplies by one truncated geometric series per
+denominator factor, and ``compare_on_window`` subtracts; this module only
+builds terms and filters them to boxes.  Multiplying the two opposite expansions of
 1/(z-w) fails; delta chains pass.  All series here are over Q(q) and the
 objects are immutable once built.
 """
@@ -31,8 +35,6 @@ objects are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 from .poly import MultiLaurent, VarId, _sorted_vars
 from .qring import RQ_ONE, RatQ
 from .ratfun import BinomialFactor, RatFun
@@ -128,6 +130,13 @@ def _merge_supports_for_sum(a: Support, b: Support) -> Support:
 
 def _in_box(terms: dict, box: Window) -> dict:
     return {e: c for e, c in terms.items() if all(box.contains(x) for x in e)}
+
+
+def _in_intervals(terms: dict, ivs) -> dict:
+    """The terms whose exponent in each slot lies in that slot's (lo, hi)."""
+    return {
+        e: c for e, c in terms.items() if all(lo <= x <= hi for x, (lo, hi) in zip(e, ivs))
+    }
 
 
 class TruncSeries:
@@ -382,25 +391,9 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
 
     terms = {}
     if not empty:
-        bi = [B[v] for v in vs]
-        ai = [A[v] for v in vs]
-        bterms = [
-            (eb, cb)
-            for eb, cb in b.terms.items()
-            if all(l <= e <= h for e, (l, h) in zip(eb, bi))
-        ]
-        for ea, ca in a.terms.items():
-            if not all(l <= e <= h for e, (l, h) in zip(ea, ai)):
-                continue
-            for eb, cb in bterms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                if all(cand.contains(e) for e in key):
-                    prev = terms.get(key)
-                    s = ca * cb if prev is None else prev + ca * cb
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
+        pa = MultiLaurent._raw(vs, _in_intervals(a.terms, [A[v] for v in vs]))
+        pb = MultiLaurent._raw(vs, _in_intervals(b.terms, [B[v] for v in vs]))
+        terms = _in_box((pa * pb).terms, cand)
 
     bounds = {}
     for v in vs:
@@ -408,7 +401,7 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         ivb = b.support.bound(v) if v in b.vars else (0, 0)
         bounds[v] = _iv_sum((iva, ivb))
     ties = _combine_ties(a, b)
-    return TruncSeries(vs, terms, window, cand, Support(bounds, ties))
+    return TruncSeries._trusted(vs, terms, window, cand, Support(bounds, ties))
 
 
 def _fixed_sum(s: TruncSeries, Z) -> int | None:
@@ -498,9 +491,9 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         for k in D:
             caps[k] = max(0, total)
 
-    # remaining per-variable exponent drift once some copies are still
-    # unapplied; used to prune dead partial terms early
-    def drift(start: int):
+    # exponents a partial term may hold while some copies are still
+    # unapplied and still reach the window; used to prune dead terms early
+    def live(start: int):
         lo = {v: 0 for v in vs}
         hi = {v: 0 for v in vs}
         for k in range(start, len(copies)):
@@ -508,34 +501,20 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
             lo[dom] -= 1 + caps[k]
             hi[dom] -= 1
             hi[sub] += caps[k]
-        return lo, hi
+        return [(window.lo - hi[v], window.hi - lo[v]) for v in vs]
 
-    partial = dict(num.terms)
+    partial = num
     for k, (dom, sub, base, unit) in enumerate(copies):
-        dlo, dhi = drift(k + 1)
-        di, si = idx[dom], idx[sub]
-        out = {}
-        for exps, co in partial.items():
-            coeff = co * unit
-            for t in range(caps[k] + 1):
-                lst = list(exps)
-                lst[di] -= 1 + t
-                lst[si] += t
-                dead = False
-                for v, e in zip(vs, lst):
-                    if e + dhi[v] < window.lo or e + dlo[v] > window.hi:
-                        dead = True
-                        break
-                if not dead:
-                    key = tuple(lst)
-                    prev = out.get(key)
-                    s = coeff if prev is None else prev + coeff
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                coeff = coeff * base
-        partial = out
+        # unit * sum(base^t dom^(-1-t) sub^t, t <= caps[k])
+        geo = {}
+        coeff = unit
+        for t in range(caps[k] + 1):
+            exps = [0] * len(vs)
+            exps[idx[dom]], exps[idx[sub]] = -1 - t, t
+            geo[tuple(exps)] = coeff
+            coeff = coeff * base
+        prod = partial * MultiLaurent._raw(vs, geo)
+        partial = MultiLaurent._raw(vs, _in_intervals(prod.terms, live(k + 1)))
 
     box = {}
     for v in vs:
@@ -548,7 +527,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     if deg is not None and vs:
         ties[frozenset(vs)] = deg - len(copies)
     # the constructor keeps only the terms inside the window
-    return TruncSeries(vs, partial, window, window, Support(box, ties))
+    return TruncSeries(vs, partial.terms, window, window, Support(box, ties))
 
 
 # ---------- comparison ----------
@@ -556,17 +535,10 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
 def compare_on_window(a: TruncSeries, b: TruncSeries, window: Window | None = None) -> bool:
     """Exact coefficient comparison on the common reliable box."""
-    a = a.with_vars(b.vars)
-    b = b.with_vars(a.vars)
     try:
         box = a.reliable.intersect(b.reliable)
         if window is not None:
             box = box.intersect(window)
     except ValueError:
         raise ValueError("empty reliable intersection; enlarge the windows")
-    zero = RatQ.zero()
-    for exps in a.terms.keys() | b.terms.keys():
-        if all(box.contains(e) for e in exps):
-            if a.terms.get(exps, zero) != b.terms.get(exps, zero):
-                return False
-    return True
+    return not _in_box((a._poly() - b._poly()).terms, box)

@@ -25,7 +25,9 @@ are dominated by it) leaves a one-dimensional delta chain,
 
 and ``window_identity_report`` verifies this equality coefficientwise on
 a finite exponent window, checking that the q^-m reading of the w-delta
-matches and the q^+m reading does not.
+matches and the q^+m reading does not.  Each side is built for the
+identity permutation and symmetrized once: a window is one interval for
+every variable, so relabeling commutes with expansion and products.
 
 ``partial_fraction_check`` covers the two elementary rewriting steps the
 reduction rests on, together with named mutations that must all break
@@ -113,7 +115,8 @@ def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) 
 
     ``coeff`` may replace the k -> [m+1 k] coefficient map (a scientific
     control; the genuine sum vanishes, a perturbed one must not).
-    ``progress`` is called with a status line per k block.
+    ``progress`` is called with a status line per k block and per d_w0
+    chain.
     """
     if m < 1:
         raise ValueError("the pole sum needs m >= 1")
@@ -133,6 +136,8 @@ def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) 
     for j in range(1, n):  # d_w0: move slot j+1 past slots 1..j, for j = 1..m
         for i in grassmannian_steps(j, 1):
             total = total.divided_difference(zs[i - 1], zs[i])
+        if progress is not None:
+            progress(f"m={m} d_w0 chain {j}/{m}: {len(total.terms)} terms")
     if (n + n * (n - 1) // 2) % 2:
         total = -total
     for a, b in combinations(zs, 2):
@@ -221,17 +226,23 @@ def partial_fraction_check(perturb: str | None = None) -> bool:
 # ---------- the windowed distribution identity ----------
 
 
+def _sum_over_perms(series: TruncSeries, zs) -> TruncSeries:
+    """Sum of the relabelings of series by every permutation of zs."""
+    total = None
+    for perm in permutations(zs):
+        part = series.relabel(dict(zip(zs, perm)))
+        total = part if total is None else total + part
+    return total
+
+
 def _lhs_series(m: int, window: Window, q_inverted: bool) -> TruncSeries:
     zs = _zs(m)
     total = None
     for k in range(m + 2):
         order = zs[:k] + [W] + zs[k:]
-        base = expand_ratfun(term_value(m, k, tuple(range(1, m + 2)), q_inverted), order, window)
-        for sigma in permutations(range(1, m + 2)):
-            mapping = {zs[i]: zs[s - 1] for i, s in enumerate(sigma)}
-            part = base.relabel(mapping)
-            total = part if total is None else total + part
-    return total
+        part = expand_ratfun(term_value(m, k, tuple(range(1, m + 2)), q_inverted), order, window)
+        total = part if total is None else total + part
+    return _sum_over_perms(total, zs)
 
 
 def _rhs_series(m: int, window: Window, reading: str, q_inverted: bool) -> TruncSeries:
@@ -240,16 +251,10 @@ def _rhs_series(m: int, window: Window, reading: str, q_inverted: bool) -> Trunc
     shift = -e * m if reading == "qminus" else e * m
     pad = 2 * (m + 2)
     wide = Window(window.lo - pad, window.hi + pad)
-    total = None
-    for sigma in permutations(range(1, m + 2)):
-        rel = [zs[s - 1] for s in sigma]
-        chain = delta_series(W, RatQ.q_power(shift), rel[0], wide)
-        for i in range(m):
-            chain = series_mul(
-                chain, delta_series(rel[i], RatQ.q_power(2 * e), rel[i + 1], wide)
-            )
-        total = chain if total is None else total + chain
-    return total.scale(RatQ.q_power(e * m))
+    chain = delta_series(W, RatQ.q_power(shift), zs[0], wide)
+    for i in range(m):
+        chain = series_mul(chain, delta_series(zs[i], RatQ.q_power(2 * e), zs[i + 1], wide))
+    return _sum_over_perms(chain, zs).scale(RatQ.q_power(e * m))
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:

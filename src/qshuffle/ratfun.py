@@ -245,20 +245,19 @@ class RatFun:
 
 
 def _reduce(num: MultiLaurent, den: dict):
+    # distinct canonical binomials z_i - c z_j are pairwise coprime primes,
+    # so a factor that does not divide num still does not once another
+    # factor is divided out: one pass over the factors is enough
     den = dict(den)
-    changed = True
-    while changed and den:
-        changed = False
-        for f in list(den):
-            while den.get(f, 0) > 0:
-                try:
-                    num = num.exact_div_binomial(f.i, f.j, f.c)
-                except NotDivisible:
-                    break
-                den[f] -= 1
-                if den[f] == 0:
-                    del den[f]
-                changed = True
+    for f in list(den):
+        while den.get(f, 0) > 0:
+            try:
+                num = num.exact_div_binomial(f.i, f.j, f.c)
+            except NotDivisible:
+                break
+            den[f] -= 1
+            if den[f] == 0:
+                del den[f]
     return num, den
 
 

@@ -1,3 +1,12 @@
+"""Truncated series: elementary expansions, verified products, comparison.
+
+``series_mul`` and ``expand_ratfun`` do their coefficient arithmetic with
+``MultiLaurent.__mul__``.  ``reference_series_mul`` and
+``reference_expand_ratfun`` below keep the direct term-by-term loops they
+replaced, and the differential tests check that both give the same terms,
+reliable window and support.
+"""
+
 import random
 
 import pytest
@@ -7,6 +16,9 @@ from qshuffle.formal import (
     Support,
     TruncSeries,
     Window,
+    _combine_ties,
+    _iv_sum,
+    _propagate,
     compare_on_window,
     delta_series,
     expand_binomial_inverse,
@@ -14,8 +26,9 @@ from qshuffle.formal import (
     expand_ratfun,
     series_mul,
 )
-from qshuffle.poly import MultiLaurent, aux_var, zvar
-from qshuffle.qring import RatQ
+from qshuffle.identities import term_value
+from qshuffle.poly import MultiLaurent, _sorted_vars, aux_var, zvar
+from qshuffle.qring import RQ_ONE, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
 
 from helpers import random_q_monomial
@@ -236,3 +249,232 @@ def test_series_scale_by_zero_and_cancelling_sum():
     d = delta_series(Z1, qp(1), W, Window(-3, 3))
     assert d.scale(0).terms == {}
     assert (d + d.scale(-1)).terms == {}
+
+
+# ---------- references: the direct term loops ----------
+
+
+def reference_series_mul(a, b):
+    """``series_mul`` with a pair loop that adds only products landing in
+    the result box."""
+    a = a.with_vars(b.vars)
+    b = b.with_vars(a.vars)
+    vs = a.vars
+    window = a.window.intersect(b.window)
+    cand = a.reliable.intersect(b.reliable)
+    while True:
+        got = _propagate(a, b, vs, cand)
+        if got == "empty":
+            break
+        if got is None:
+            raise NonAdmissibleProduct("cannot certify local finiteness")
+        A, B = got
+        lo_bump = hi_bump = False
+        for side, s in ((A, a), (B, b)):
+            for v in vs:
+                lo, hi = side[v]
+                if v in s.vars:
+                    lo_bump |= lo < s.reliable.lo
+                    hi_bump |= hi > s.reliable.hi
+                elif lo < 0 or hi > 0:
+                    raise NonAdmissibleProduct("escapes an absent variable")
+        if not (lo_bump or hi_bump):
+            break
+        if cand.lo + lo_bump > cand.hi - hi_bump:
+            raise NonAdmissibleProduct("no reliable result window left")
+        cand = Window(cand.lo + lo_bump, cand.hi - hi_bump)
+
+    terms = {}
+    if got != "empty":
+        ai = [A[v] for v in vs]
+        bi = [B[v] for v in vs]
+        bterms = [
+            (eb, cb) for eb, cb in b.terms.items()
+            if all(lo <= e <= hi for e, (lo, hi) in zip(eb, bi))
+        ]
+        for ea, ca in a.terms.items():
+            if not all(lo <= e <= hi for e, (lo, hi) in zip(ea, ai)):
+                continue
+            for eb, cb in bterms:
+                key = tuple(x + y for x, y in zip(ea, eb))
+                if all(cand.contains(e) for e in key):
+                    s = terms.get(key, RatQ.zero()) + ca * cb
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
+    bounds = {
+        v: _iv_sum((
+            a.support.bound(v) if v in a.vars else (0, 0),
+            b.support.bound(v) if v in b.vars else (0, 0),
+        ))
+        for v in vs
+    }
+    return TruncSeries(vs, terms, window, cand, Support(bounds, _combine_ties(a, b)))
+
+
+def reference_expand_ratfun(f, order, window):
+    """``expand_ratfun`` applying each geometric series term by term and
+    dropping a term as soon as it can no longer reach the window."""
+    if f.is_zero():
+        vs = _sorted_vars(order)
+        return TruncSeries(vs, {}, window, window, Support({v: (0, 0) for v in vs}, {}))
+    pos = {v: k for k, v in enumerate(order)}
+    num = f.num.with_vars(order)
+    vs = num.vars
+    idx = {v: i for i, v in enumerate(vs)}
+    copies = []
+    for fac, mult in f.den.items():
+        if pos[fac.i] < pos[fac.j]:
+            cp = (fac.i, fac.j, fac.c, RQ_ONE)
+        else:
+            cp = (fac.j, fac.i, RQ_ONE / fac.c, -(RQ_ONE / fac.c))
+        copies += [cp] * mult
+    nmax = {v: num.exp_range(v)[1] for v in vs}
+    caps = [0] * len(copies)
+    for v in order:
+        D = [k for k, cp in enumerate(copies) if cp[0] == v]
+        S = [k for k, cp in enumerate(copies) if cp[1] == v]
+        total = nmax[v] - len(D) - window.lo + sum(caps[k] for k in S)
+        for k in D:
+            caps[k] = max(0, total)
+
+    partial = dict(num.terms)
+    for k, (dom, sub, base, unit) in enumerate(copies):
+        dlo = {v: 0 for v in vs}
+        dhi = {v: 0 for v in vs}
+        for j in range(k + 1, len(copies)):
+            d, s = copies[j][:2]
+            dlo[d] -= 1 + caps[j]
+            dhi[d] -= 1
+            dhi[s] += caps[j]
+        out = {}
+        for exps, co in partial.items():
+            coeff = co * unit
+            for t in range(caps[k] + 1):
+                lst = list(exps)
+                lst[idx[dom]] -= 1 + t
+                lst[idx[sub]] += t
+                if all(window.lo <= e + dhi[v] and e + dlo[v] <= window.hi for v, e in zip(vs, lst)):
+                    key = tuple(lst)
+                    s = out.get(key, RatQ.zero()) + coeff
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+                coeff = coeff * base
+        partial = out
+
+    box = {}
+    for v in vs:
+        D = sum(1 for cp in copies if cp[0] == v)
+        S = sum(1 for cp in copies if cp[1] == v)
+        lo, hi = num.exp_range(v)
+        box[v] = (None if D else lo, (hi - D) if not S else None)
+    deg = num.total_degree_if_homogeneous()
+    ties = {frozenset(vs): deg - len(copies)} if deg is not None and vs else {}
+    return TruncSeries(vs, partial, window, window, Support(box, ties))
+
+
+def assert_same_series(x, y):
+    assert x.vars == y.vars
+    assert x.terms == y.terms
+    assert (x.window, x.reliable) == (y.window, y.reliable)
+    assert x.support == y.support
+
+
+def assert_same_product(a, b):
+    """``series_mul`` and the reference agree, raising included."""
+    try:
+        ref = reference_series_mul(a, b)
+    except NonAdmissibleProduct:
+        with pytest.raises(NonAdmissibleProduct):
+            series_mul(a, b)
+        return False
+    assert_same_series(series_mul(a, b), ref)
+    return True
+
+
+def delta_chain(zs, shift, step, window):
+    chain = delta_series(W, qp(shift), zs[0], window)
+    for x, y in zip(zs, zs[1:]):
+        chain = series_mul(chain, delta_series(x, qp(step), y, window))
+    return chain
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_series_mul_matches_reference_on_delta_chains(n):
+    zs = [zvar(1, i) for i in range(1, n + 1)]
+    for shift, step in ((-n, 2), (n, -2)):
+        for win in (Window(-6, 6), Window(-3, 2)):
+            chain = delta_series(W, qp(shift), zs[0], win)
+            for x, y in zip(zs, zs[1:]):
+                d = delta_series(x, qp(step), y, win)
+                assert_same_series(series_mul(chain, d), reference_series_mul(chain, d))
+                chain = series_mul(chain, d)
+
+
+def test_series_mul_matches_reference_polynomial_times_series():
+    rng = random.Random(5)
+    chain = delta_chain([Z1, Z2], -1, 2, Window(-6, 6))
+    inv = expand_inverse(BinomialFactor(Z1, Z2, qp(2)), Z1, Window(-6, 6))
+    for _ in range(20):
+        terms = {
+            tuple(rng.randint(-2, 2) for _ in range(3)): random_q_monomial(rng)
+            for _ in range(rng.randint(1, 4))
+        }
+        p = TruncSeries.from_poly(MultiLaurent((Z1, Z2, W), terms), Window(-5, 5))
+        for s in (chain, inv):
+            assert_same_series(series_mul(p, s), reference_series_mul(p, s))
+            assert_same_series(series_mul(s, p), reference_series_mul(s, p))
+
+
+def test_series_mul_matches_reference_on_squared_poles():
+    win = Window(-5, 5)
+    f = BinomialFactor(Z1, W, qp(1))
+    sq = RatFun(V(Z1, 2) + V(W, 2, qp(3)), {f: 2})
+    for order in ([Z1, W], [W, Z1]):
+        s = expand_ratfun(sq, order, win)
+        assert_same_series(s, reference_expand_ratfun(sq, order, win))
+        p = TruncSeries.from_poly(V(Z1, -1) + V(W, -1, qp(2)), win)
+        assert assert_same_product(p, s)
+        assert assert_same_product(s, delta_series(W, qp(-1), Z2, win))
+        assert assert_same_product(s, s)
+
+
+def test_opposite_expansions_raise_in_both():
+    win = Window(-5, 5)
+    f = BinomialFactor(Z1, W, RatQ.one())
+    a, b = expand_inverse(f, Z1, win), expand_inverse(f, W, win)
+    for mul in (series_mul, reference_series_mul):
+        with pytest.raises(NonAdmissibleProduct):
+            mul(a, b)
+
+
+@pytest.mark.parametrize("m, win", ((1, Window(-6, 6)), (1, Window(-2, 3)), (2, Window(-3, 3))))
+def test_expand_ratfun_matches_reference_on_pole_sum_terms(m, win):
+    zs = [zvar(1, i) for i in range(1, m + 2)]
+    for qi in (False, True):
+        for k in range(m + 2):
+            f = term_value(m, k, tuple(range(1, m + 2)), qi)
+            order = zs[:k] + [W] + zs[k:]
+            assert_same_series(expand_ratfun(f, order, win), reference_expand_ratfun(f, order, win))
+
+
+def test_expand_ratfun_matches_reference_on_random_functions():
+    rng = random.Random(17)
+    order = [Z2, W, Z1]
+    pool = [
+        BinomialFactor(Z1, Z2, qp(2)),
+        BinomialFactor(Z1, W, qp(-1)),
+        BinomialFactor(Z2, W, qp(1)),
+    ]
+    for _ in range(30):
+        terms = {
+            tuple(rng.randint(-2, 2) for _ in range(3)): random_q_monomial(rng)
+            for _ in range(rng.randint(1, 3))
+        }
+        den = {fac: rng.randint(1, 2) for fac in rng.sample(pool, rng.randint(0, 3))}
+        f = RatFun(MultiLaurent((Z1, Z2, W), terms), den)
+        for win in (Window(-4, 4), Window(-2, 1)):
+            assert_same_series(expand_ratfun(f, order, win), reference_expand_ratfun(f, order, win))

@@ -6,10 +6,14 @@ from math import comb, factorial
 
 import pytest
 
-from qshuffle.formal import Window
+from qshuffle.formal import Window, delta_series, expand_ratfun, series_mul
 from qshuffle.identities import (
     PF_MUTATIONS,
+    W,
     _binom,
+    _lhs_series,
+    _rhs_series,
+    _zs,
     build_pole_sum,
     partial_fraction_check,
     pole_sum_denominator,
@@ -18,6 +22,7 @@ from qshuffle.identities import (
     window_identity_report,
 )
 from qshuffle.poly import aux_var, zvar
+from qshuffle.qring import RatQ
 from qshuffle.ratfun import rat_sum
 
 
@@ -149,3 +154,59 @@ def test_window_identity_m2():
     # the delta chain gives up a little of the requested box; what is
     # compared must still be a real two-sided range
     assert lo <= -3 and hi >= 3
+
+
+def per_permutation_lhs(m, window, q_inverted):
+    """Every relabeled summand expansion, added one by one."""
+    zs = _zs(m)
+    total = None
+    for k in range(m + 2):
+        order = zs[:k] + [W] + zs[k:]
+        base = expand_ratfun(term_value(m, k, tuple(range(1, m + 2)), q_inverted), order, window)
+        for sigma in permutations(range(1, m + 2)):
+            part = base.relabel({zs[i]: zs[s - 1] for i, s in enumerate(sigma)})
+            total = part if total is None else total + part
+    return total
+
+
+def per_permutation_rhs(m, window, reading, q_inverted):
+    """One delta chain per permutation, each built by its own products."""
+    e = -1 if q_inverted else 1
+    zs = _zs(m)
+    shift = -e * m if reading == "qminus" else e * m
+    wide = Window(window.lo - 2 * (m + 2), window.hi + 2 * (m + 2))
+    total = None
+    for sigma in permutations(range(1, m + 2)):
+        rel = [zs[s - 1] for s in sigma]
+        chain = delta_series(W, RatQ.q_power(shift), rel[0], wide)
+        for i in range(m):
+            chain = series_mul(chain, delta_series(rel[i], RatQ.q_power(2 * e), rel[i + 1], wide))
+        total = chain if total is None else total + chain
+    return total.scale(RatQ.q_power(e * m))
+
+
+def same_series(x, y):
+    return (x.vars, x.terms, x.window, x.reliable, x.support) == (
+        y.vars, y.terms, y.window, y.reliable, y.support
+    )
+
+
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize("m, win", ((1, Window(-6, 6)), (1, Window(-3, 2)), (2, Window(-3, 3))))
+def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
+    # relabeling commutes with expansion and with series_mul, so each side
+    # may be built once and symmetrized afterwards
+    assert same_series(_lhs_series(m, win, qi), per_permutation_lhs(m, win, qi))
+    for reading in ("qminus", "qplus"):
+        assert same_series(_rhs_series(m, win, reading, qi), per_permutation_rhs(m, win, reading, qi))
+
+
+def test_pole_sum_progress_lines():
+    # one line per k block, then one per d_w0 chain
+    lines = []
+    build_pole_sum(3, progress=lines.append)
+    assert len(lines) == (3 + 2) + 3
+    assert all(" k=" in line for line in lines[:5])
+    assert [line.split(":")[0] for line in lines[5:]] == [
+        f"m=3 d_w0 chain {j}/3" for j in (1, 2, 3)
+    ]

@@ -7,7 +7,7 @@ import pytest
 from qshuffle.cartan import builtin_cartan
 from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
-from qshuffle.ratfun import BinomialFactor, RatFun
+from qshuffle.ratfun import BinomialFactor, RatFun, factor_product
 from qshuffle.shuffle import (
     ClosureViolation,
     ShuffleAlgebra,
@@ -107,6 +107,24 @@ def test_printed_orientation_cross_color_still_works():
     assert alg.to_rational(f) == RatFun(
         MultiLaurent.monomial({zvar(1, 1): 2, zvar(2, 1): 1})
     )
+
+
+def test_printed_orientation_closure_depends_on_operand_order():
+    # f = z11 + z12 closes on the left of a generator and not on the right.
+    # Its product-orientation numerator (z11 + z12)(z11 - q^2 z12)/(q^2 z11
+    # - z12) is not a polynomial, so a printed product routed through the
+    # product orientation would turn the closing product into a violation.
+    alg = ShuffleAlgebra(A2, orientation="printed", oracle=True)
+    z11, z12 = zvar(1, 1), zvar(1, 2)
+    f = ShuffleElement(A2, (2, 0), MultiLaurent.var_power(z11, 1) + MultiLaurent.var_power(z12, 1))
+    g = alg.generator(2, 0)
+    assert alg.mul(f, g).degree == (2, 1)
+    with pytest.raises(ClosureViolation):
+        alg.mul(g, f)
+    converted = alg.to_rational(f) * RatFun(
+        factor_product(ShuffleAlgebra(A2).canonical_denominator((2, 0)))
+    )
+    assert not converted.div_factor(BinomialFactor(z11, z12, RatQ.one())).is_polynomial()
 
 
 def test_interleaving_count():
