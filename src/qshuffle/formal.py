@@ -26,10 +26,14 @@ would come from outside an operand's reliable box it shrinks the result
 window until they cannot.  The arithmetic itself goes through
 ``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
 ``expand_ratfun`` multiplies by one truncated geometric series per
-denominator factor, and ``compare_on_window`` subtracts; this module only
-builds terms and filters them to boxes.  Multiplying the two opposite expansions of
-1/(z-w) fails; delta chains pass.  All series here are over Q(q) and the
-objects are immutable once built.
+denominator factor, and ``compare_on_window`` subtracts.  Every series
+starts as an ``expand_ratfun`` expansion: a polynomial is one with no
+denominator, a pole 1/(z-w) one with a single factor, and the formal
+delta the difference of a pole's two expansions.  Only the geometric
+series there writes coefficients; everything else filters terms to
+boxes.  Multiplying the two opposite expansions of 1/(z-w) fails; delta
+chains pass.  All series here are over Q(q) and the objects are immutable
+once built.
 """
 
 from __future__ import annotations
@@ -64,9 +68,6 @@ class Window:
 
 
 # intervals are (lo, hi) pairs with None meaning unbounded on that side
-_FULL = (None, None)
-
-
 def _iv_meet(a, b):
     lo = b[0] if a[0] is None else a[0] if b[0] is None else max(a[0], b[0])
     hi = b[1] if a[1] is None else a[1] if b[1] is None else min(a[1], b[1])
@@ -83,12 +84,6 @@ def _iv_sum(ivs):
     for a, b in ivs:
         lo = None if (lo is None or a is None) else lo + a
         hi = None if (hi is None or b is None) else hi + b
-    return (lo, hi)
-
-
-def _iv_const_minus(c: int, iv):
-    lo = None if iv[1] is None else c - iv[1]
-    hi = None if iv[0] is None else c - iv[0]
     return (lo, hi)
 
 
@@ -163,12 +158,7 @@ class TruncSeries:
 
     @classmethod
     def from_poly(cls, p: MultiLaurent, window: Window) -> TruncSeries:
-        bounds = {v: p.exp_range(v) for v in p.vars}
-        deg = p.total_degree_if_homogeneous()
-        ties = {}
-        if p.vars and not p.is_zero() and deg is not None:
-            ties[frozenset(p.vars)] = deg
-        return cls(p.vars, p.terms, window, window, Support(bounds, ties))
+        return expand_ratfun(RatFun(p), p.vars, window)
 
     # ---------- bookkeeping ----------
 
@@ -247,31 +237,13 @@ def expand_inverse(
     Dominant z_i gives sum(c^t z_j^t z_i^(-1-t), t >= 0); dominant z_j
     gives the negative of the mirrored sum.
     """
-    i, j, c = factor.i, factor.j, factor.c
-    if dominant == i:
-        big, small, base, k0 = i, j, c, RQ_ONE
-    elif dominant == j:
-        big, small, base, k0 = j, i, RQ_ONE / c, -(RQ_ONE / c)
+    if dominant == factor.i:
+        order = (factor.i, factor.j)
+    elif dominant == factor.j:
+        order = (factor.j, factor.i)
     else:
         raise ValueError("dominant variable must belong to the factor")
-    vs = _sorted_vars((i, j))
-    bi, si = vs.index(big), vs.index(small)
-    terms = {}
-    coeff = k0
-    t = 0
-    while True:
-        eb, es = -1 - t, t
-        if eb < window.lo and es > window.hi:
-            break
-        if window.contains(eb) and window.contains(es):
-            exps = [0, 0]
-            exps[bi], exps[si] = eb, es
-            terms[tuple(exps)] = coeff
-        coeff = coeff * base
-        t += 1
-    bounds = {big: (None, -1), small: (0, None)}
-    ties = {frozenset((i, j)): -1}
-    return TruncSeries(vs, terms, window, window, Support(bounds, ties))
+    return expand_ratfun(RatFun.inverse_factor(factor), order, window)
 
 
 def expand_binomial_inverse(a, vi, b, vj, dominant, window: Window) -> TruncSeries:
@@ -281,20 +253,14 @@ def expand_binomial_inverse(a, vi, b, vj, dominant, window: Window) -> TruncSeri
 
 
 def delta_series(x: VarId, c, y: VarId, window: Window) -> TruncSeries:
-    """The formal delta at x = c y: sum(c^(-i-1) x^i y^(-i-1)) over all i."""
+    """The formal delta at x = c y: sum(c^(-i-1) x^i y^(-i-1)) over all i,
+    the difference of the two expansions of 1/(x - c y)."""
     c = RatQ.coerce(c)
     if not c.is_q_monomial():
         raise ValueError("delta scalar must be a nonzero q-monomial")
-    vs = _sorted_vars((x, y))
-    xi, yi = vs.index(x), vs.index(y)
-    terms = {}
-    for i in range(max(window.lo, -1 - window.hi), min(window.hi, -1 - window.lo) + 1):
-        exps = [0, 0]
-        exps[xi], exps[yi] = i, -1 - i
-        terms[tuple(exps)] = c ** (-i - 1)
-    bounds = {x: _FULL, y: _FULL}
-    ties = {frozenset((x, y)): -1}
-    return TruncSeries(vs, terms, window, window, Support(bounds, ties))
+    return expand_binomial_inverse(1, x, c, y, x, window) - expand_binomial_inverse(
+        1, x, c, y, y, window
+    )
 
 
 # ---------- verified multiplication ----------
@@ -326,7 +292,7 @@ def _propagate(a: TruncSeries, b: TruncSeries, vs, cand: Window):
                     if v not in side:
                         continue
                     rest = _iv_sum(side[u] for u in Z if u != v and u in side)
-                    nv = _iv_meet(side[v], _iv_const_minus(c, rest))
+                    nv = _iv_meet(side[v], _iv_window_minus(Window(c, c), rest))
                     if nv != side[v]:
                         side[v] = nv
                         changed = True

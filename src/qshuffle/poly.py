@@ -353,6 +353,8 @@ class MultiLaurent:
         c = RatQ.coerce(c)
         if not c:
             raise ValueError("binomial scalar must be nonzero")
+        if vi == vj:
+            raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
         f = self.with_vars((vi, vj))
@@ -390,6 +392,8 @@ class MultiLaurent:
         two variables.  Always a Laurent polynomial; computed term by term:
         x^a y^b goes to sign(a - b) (x y)^lo sum_{k < |a - b|} x^k
         y^(|a - b| - 1 - k) with lo = min(a, b), and to 0 when a = b."""
+        if vi == vj:
+            raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
         pi = f.vars.index(vi)
         pj = f.vars.index(vj)

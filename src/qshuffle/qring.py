@@ -62,10 +62,6 @@ class LaurentQ:
         """The monomial c*q^e."""
         return cls({e: c})
 
-    @classmethod
-    def from_int(cls, n: int) -> LaurentQ:
-        return cls({0: n})
-
     # ---------- predicates ----------
 
     def is_zero(self) -> bool:

@@ -45,11 +45,6 @@ class BinomialFactor:
             return BinomialFactor(vi, vj, b / a), a
         return BinomialFactor(vj, vi, a / b), -b
 
-    def as_poly(self) -> MultiLaurent:
-        return MultiLaurent.var_power(self.i, 1) - MultiLaurent.var_power(
-            self.j, 1
-        ).scale(self.c)
-
     def relabel(self, mapping: dict):
         """Rename variables; returns (factor, unit) since the orientation
         may flip."""
@@ -152,10 +147,14 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        den = dict(self.den)
-        for f, m in other.den.items():
+        # both operands are reduced and distinct binomials are coprime
+        # primes, so a factor can only cancel against the other operand's
+        # numerator (the rule of fractions.Fraction)
+        num, oden = _reduce(self.num, other.den)
+        onum, den = _reduce(other.num, self.den)
+        for f, m in oden.items():
             den[f] = den.get(f, 0) + m
-        return RatFun(self.num * other.num, den)
+        return RatFun(num * onum, den, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -173,14 +172,12 @@ class RatFun:
     def mul_factor(self, f: BinomialFactor, mult: int = 1) -> RatFun:
         if mult < 0:
             return self.div_factor(f, -mult)
-        return RatFun(self.num * factor_product({f: mult}), self.den)
+        return self * RatFun(factor_product({f: mult}))
 
     def div_factor(self, f: BinomialFactor, mult: int = 1) -> RatFun:
         if mult < 0:
             return self.mul_factor(f, -mult)
-        den = dict(self.den)
-        den[f] = den.get(f, 0) + mult
-        return RatFun(self.num, den)
+        return self * RatFun(MultiLaurent.constant(1), {f: mult}, _reduced=True)
 
     # ---------- relabeling and symmetry ----------
 

@@ -33,7 +33,7 @@ rational-function summation over the interleavings is available as
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
@@ -225,30 +225,16 @@ class ShuffleAlgebra:
     def _interleavings(self, n, m):
         """Per-color choices of which positions receive the left factor's
         variables; yields (fmap, gmap, fset) with relabel dicts."""
-        per_color = []
-        for c in range(1, self.cartan.rank + 1):
-            nc, mc = n[c - 1], m[c - 1]
-            per_color.append(
-                list(combinations(range(1, nc + mc + 1), nc))
-            )
-        def rec(c, fmap, gmap, fset):
-            if c > len(per_color):
-                yield dict(fmap), dict(gmap), frozenset(fset)
-                return
-            nc = n[c - 1]
-            mc = m[c - 1]
-            for picks in per_color[c - 1]:
-                rest = [i for i in range(1, nc + mc + 1) if i not in picks]
-                for k, i in enumerate(picks, start=1):
-                    fmap[zvar(c, k)] = zvar(c, i)
-                    fset.add(zvar(c, i))
-                for k, i in enumerate(rest, start=1):
-                    gmap[zvar(c, k)] = zvar(c, i)
-                yield from rec(c + 1, fmap, gmap, fset)
-                for i in picks:
-                    fset.discard(zvar(c, i))
-            return
-        yield from rec(1, {}, {}, set())
+        per_color = [
+            combinations(range(1, n[c] + m[c] + 1), n[c]) for c in range(self.cartan.rank)
+        ]
+        for choice in product(*per_color):
+            fmap, gmap = {}, {}
+            for c, picks in enumerate(choice, start=1):
+                rest = [i for i in range(1, n[c - 1] + m[c - 1] + 1) if i not in picks]
+                fmap.update((zvar(c, k), zvar(c, i)) for k, i in enumerate(picks, start=1))
+                gmap.update((zvar(c, k), zvar(c, i)) for k, i in enumerate(rest, start=1))
+            yield fmap, gmap, frozenset(fmap.values())
 
     def mul(self, f: ShuffleElement, g: ShuffleElement) -> ShuffleElement:
         if f.cartan != self.cartan or g.cartan != self.cartan:

@@ -1,8 +1,10 @@
 """CLI behavior: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,10 +159,15 @@ def test_selftest_deterministic_modulo_timing(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess finds the package from a bare checkout too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "qshuffle.cli", "product", "--cartan", "A1", "a1:2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

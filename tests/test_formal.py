@@ -1,8 +1,9 @@
 """Truncated series: elementary expansions, verified products, comparison.
 
 ``series_mul`` and ``expand_ratfun`` do their coefficient arithmetic with
-``MultiLaurent.__mul__``.  ``reference_series_mul`` and
-``reference_expand_ratfun`` below keep the direct term-by-term loops they
+``MultiLaurent.__mul__``, and ``expand_inverse``, ``delta_series`` and
+``TruncSeries.from_poly`` are ``expand_ratfun`` expansions.  The
+``reference_*`` functions below keep the direct term-by-term loops they
 replaced, and the differential tests check that both give the same terms,
 reliable window and support.
 """
@@ -161,11 +162,11 @@ def test_expand_ratfun_matches_expand_inverse():
     f = BinomialFactor(Z1, W, qp(0))
     assert compare_on_window(
         expand_ratfun(RatFun.inverse_factor(f), [Z1, W], win),
-        expand_inverse(f, Z1, win),
+        reference_expand_inverse(f, Z1, win),
     )
     assert compare_on_window(
         expand_ratfun(RatFun.inverse_factor(f), [W, Z1], win),
-        expand_inverse(f, W, win),
+        reference_expand_inverse(f, W, win),
     )
 
 
@@ -252,6 +253,55 @@ def test_series_scale_by_zero_and_cancelling_sum():
 
 
 # ---------- references: the direct term loops ----------
+
+
+def reference_expand_inverse(factor, dominant, window):
+    """``expand_inverse`` writing the geometric series of 1/(z_i - c z_j)
+    term by term until both exponents have left the window."""
+    i, j, c = factor.i, factor.j, factor.c
+    if dominant == i:
+        big, small, base, k0 = i, j, c, RQ_ONE
+    else:
+        big, small, base, k0 = j, i, RQ_ONE / c, -(RQ_ONE / c)
+    vs = _sorted_vars((i, j))
+    bi, si = vs.index(big), vs.index(small)
+    terms = {}
+    coeff = k0
+    t = 0
+    while not (-1 - t < window.lo and t > window.hi):
+        if window.contains(-1 - t) and window.contains(t):
+            exps = [0, 0]
+            exps[bi], exps[si] = -1 - t, t
+            terms[tuple(exps)] = coeff
+        coeff = coeff * base
+        t += 1
+    support = Support({big: (None, -1), small: (0, None)}, {frozenset((i, j)): -1})
+    return TruncSeries(vs, terms, window, window, support)
+
+
+def reference_delta_series(x, c, y, window):
+    """``delta_series`` writing c^(-i-1) x^i y^(-i-1) for each i that
+    keeps both exponents inside the window."""
+    c = RatQ.coerce(c)
+    vs = _sorted_vars((x, y))
+    xi, yi = vs.index(x), vs.index(y)
+    terms = {}
+    for i in range(max(window.lo, -1 - window.hi), min(window.hi, -1 - window.lo) + 1):
+        exps = [0, 0]
+        exps[xi], exps[yi] = i, -1 - i
+        terms[tuple(exps)] = c ** (-i - 1)
+    support = Support({x: (None, None), y: (None, None)}, {frozenset((x, y)): -1})
+    return TruncSeries(vs, terms, window, window, support)
+
+
+def reference_from_poly(p, window):
+    """``TruncSeries.from_poly`` reading the support off the polynomial."""
+    bounds = {v: p.exp_range(v) for v in p.vars}
+    deg = p.total_degree_if_homogeneous()
+    ties = {}
+    if p.vars and not p.is_zero() and deg is not None:
+        ties[frozenset(p.vars)] = deg
+    return TruncSeries(p.vars, p.terms, window, window, Support(bounds, ties))
 
 
 def reference_series_mul(a, b):
@@ -478,3 +528,36 @@ def test_expand_ratfun_matches_reference_on_random_functions():
         f = RatFun(MultiLaurent((Z1, Z2, W), terms), den)
         for win in (Window(-4, 4), Window(-2, 1)):
             assert_same_series(expand_ratfun(f, order, win), reference_expand_ratfun(f, order, win))
+
+
+ELEMENTARY_WINDOWS = (Window(-6, 6), Window(-3, 2), Window(1, 3), Window(-4, -1), Window(0, 0))
+
+
+def test_elementary_series_match_term_loops():
+    rng = random.Random(29)
+    scalars = [qp(-2), RatQ.one(), qp(1), qp(3), random_q_monomial(rng), random_q_monomial(rng)]
+    for win in ELEMENTARY_WINDOWS:
+        for x, y in ((Z1, W), (W, Z1), (Z1, Z2), (Z2, Z1)):
+            for c in scalars:
+                assert_same_series(delta_series(x, c, y, win), reference_delta_series(x, c, y, win))
+                f, _ = BinomialFactor.make(1, x, c, y)
+                for dominant in (x, y):
+                    assert_same_series(
+                        expand_inverse(f, dominant, win), reference_expand_inverse(f, dominant, win)
+                    )
+
+
+def test_from_poly_matches_reference():
+    rng = random.Random(31)
+    polys = [MultiLaurent.zero(), MultiLaurent.zero((Z1, W)), MultiLaurent.constant(qp(2))]
+    for vs in ((Z1,), (Z1, W), (Z1, Z2, W)):
+        for _ in range(8):
+            terms = {
+                tuple(rng.randint(-3, 3) for _ in vs): random_q_monomial(rng)
+                for _ in range(rng.randint(1, 4))
+            }
+            polys.append(MultiLaurent(vs, terms))
+    polys.append(V(Z1, 2) - V(W, 2, qp(1)))  # homogeneous: carries a tie
+    for win in ELEMENTARY_WINDOWS:
+        for p in polys:
+            assert_same_series(TruncSeries.from_poly(p, win), reference_from_poly(p, win))

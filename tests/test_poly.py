@@ -171,6 +171,15 @@ def test_divided_difference_matches_swap_and_divide():
     assert sym.divided_difference(Z1, Z2).is_zero()
 
 
+def test_same_variable_binomial_rejected():
+    # (F - sF)/(z - z) is undefined, and z - c z is a monomial, not a binomial
+    z = MultiLaurent.var_power(Z1, 1)
+    with pytest.raises(ValueError):
+        z.divided_difference(Z1, Z1)
+    with pytest.raises(ValueError):
+        z.exact_div_binomial(Z1, Z1, 2)
+
+
 def test_eval_commutes_with_ops():
     rng = random.Random(43)
     for _ in range(200):

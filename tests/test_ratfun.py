@@ -131,6 +131,36 @@ def test_mul_div_factor_roundtrip():
         assert a.div_factor(f, 2).mul_factor(f, 2) == a
 
 
+def merged(*dens):
+    out = {}
+    for den in dens:
+        for f, m in den.items():
+            out[f] = out.get(f, 0) + m
+    return out
+
+
+def test_products_match_full_reduction():
+    # each numerator carries some of the other operand's denominator
+    # factors; the reference reduces over the merged denominator
+    rng = random.Random(74)
+    pool = factor_pool()
+    cancelled = 0
+    for _ in range(100):
+        a = random_ratfun(rng, [Z1, Z2, Z3], pool)
+        b = random_ratfun(rng, [Z1, Z2, Z3], pool)
+        a, b = (
+            RatFun(a.num * factor_product({f: rng.randint(0, 2) for f in b.den}), a.den),
+            RatFun(b.num * factor_product({f: rng.randint(0, 2) for f in a.den}), b.den),
+        )
+        ref = RatFun(a.num * b.num, merged(a.den, b.den))
+        assert a * b == ref and str(a * b) == str(ref)
+        cancelled += sum(merged(a.den, b.den).values()) > sum(ref.den.values())
+        f, m = rng.choice(pool), rng.randint(1, 2)
+        assert a.mul_factor(f, m) == RatFun(a.num * factor_product({f: m}), a.den)
+        assert a.div_factor(f, m) == RatFun(a.num, merged(a.den, {f: m}))
+    assert cancelled > 50
+
+
 def test_eval_matches_symbolic():
     rng = random.Random(73)
     pool = factor_pool()
