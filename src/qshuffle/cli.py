@@ -38,6 +38,9 @@ class UsageError(Exception):
 
 # each step in m has cost the pole sum 18-37x more time: --m 6 runs past 15 min
 IDENTITIES_MAX_M = 5
+# the widest --window (hi - lo) per m; window_identity_report at these
+# widths takes at most about 30 s (README has the measured times)
+IDENTITIES_MAX_WINDOW = {1: 100, 2: 30, 3: 12, 4: 6, 5: 4}
 
 
 @dataclass
@@ -183,6 +186,9 @@ def cmd_identities(cfg: RunConfig, m: int):
         raise UsageError("identities needs --m >= 1")
     if m > IDENTITIES_MAX_M:
         raise UsageError(f"identities supports --m up to {IDENTITIES_MAX_M}")
+    width = IDENTITIES_MAX_WINDOW[m]
+    if cfg.window is not None and cfg.window.hi - cfg.window.lo > width:
+        raise UsageError(f"identities --m {m} supports --window widths hi - lo up to {width}")
     progress = progress_stderr if m >= 3 else None
     rep = verify_rational_vanishing(ms=(m,), progress=progress)
     report = {"m": m, "results": rep["results"], "all_zero": rep["all_zero"]}

@@ -9,9 +9,10 @@ receive finitely many contributions, and all of them must come from the
 stored part of each operand.
 
 A ``TruncSeries`` is the terms of a ``MultiLaurent`` (a sorted variable
-registry and a dict from exponent tuples to RatQ coefficients) restricted
-to a box; it re-slots, relabels, scales and adds those terms through
-``MultiLaurent`` and keeps only its own bookkeeping on top:
+registry and a dict from exponent keys (e_1, ..., e_n, e_q) to int or
+Fraction coefficients, q being the last slot) restricted to a box in the
+variables' exponents; it re-slots, relabels, scales and adds those terms
+through ``MultiLaurent`` and keeps only its own bookkeeping on top:
 
 * ``window``    -- the per-variable exponent box the truncation targets;
 * ``reliable``  -- the sub-box on which stored coefficients are exact;
@@ -31,16 +32,19 @@ starts as an ``expand_ratfun`` expansion: a polynomial is one with no
 denominator, a pole 1/(z-w) one with a single factor, and the formal
 delta the difference of a pole's two expansions.  Only the geometric
 series there writes coefficients; everything else filters terms to
-boxes.  Multiplying the two opposite expansions of 1/(z-w) fails; delta
-chains pass.  All series here are over Q(q) and the objects are immutable
-once built.
+boxes, skipping the q slot.  Multiplying the two opposite expansions of
+1/(z-w) fails; delta chains pass.  Coefficients lie in Q[q, q^-1]: every
+pole scalar is a q-monomial, and scaling by a scalar outside that ring
+raises ``ValueError``.  The objects are immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .poly import MultiLaurent, VarId, _sorted_vars
-from .qring import RQ_ONE, RatQ
+from operator import ge, le
+
+from .poly import MultiLaurent, VarId, _q_monomial, _sorted_vars
+from .qring import RQ_ONE, LaurentQ, RatQ
 from .ratfun import BinomialFactor, RatFun
 
 
@@ -124,14 +128,17 @@ def _merge_supports_for_sum(a: Support, b: Support) -> Support:
 
 
 def _in_box(terms: dict, box: Window) -> dict:
-    return {e: c for e, c in terms.items() if all(box.contains(x) for x in e)}
+    """The terms whose exponent in every variable (not q) lies in the box."""
+    n = len(next(iter(terms), (0,))) - 1
+    return _in_intervals(terms, [(box.lo, box.hi)] * n)
 
 
 def _in_intervals(terms: dict, ivs) -> dict:
-    """The terms whose exponent in each slot lies in that slot's (lo, hi)."""
-    return {
-        e: c for e, c in terms.items() if all(lo <= x <= hi for x, (lo, hi) in zip(e, ivs))
-    }
+    """The terms whose exponent in each variable slot lies in that slot's
+    (lo, hi); ``ivs`` has one interval per variable, so q is not tested."""
+    los = [lo for lo, _ in ivs]
+    his = [hi for _, hi in ivs]
+    return {e: c for e, c in terms.items() if all(map(le, los, e)) and all(map(ge, his, e))}
 
 
 class TruncSeries:
@@ -184,7 +191,9 @@ class TruncSeries:
         )
 
     def coeff(self, exps) -> RatQ:
-        return self.terms.get(tuple(exps), RatQ.zero())
+        """The coefficient of the monomial with these variable exponents."""
+        exps = tuple(exps)
+        return RatQ(LaurentQ({e[-1]: c for e, c in self.terms.items() if e[:-1] == exps}))
 
     def scale(self, c) -> TruncSeries:
         p = self._poly().scale(c)
@@ -199,7 +208,11 @@ class TruncSeries:
         window = self.window.intersect(other.window)
         reliable = self.reliable.intersect(other.reliable)
         support = _merge_supports_for_sum(self.support, other.support)
-        return TruncSeries._trusted(p.vars, _in_box(p.terms, reliable), window, reliable, support)
+        # both operands' terms lie in their reliable boxes; only a smaller
+        # box or a new registry slot (holding exponent 0) can drop any
+        if (self.vars, self.reliable) != (other.vars, other.reliable):
+            p = MultiLaurent._raw(p.vars, _in_box(p.terms, reliable))
+        return TruncSeries._trusted(p.vars, p.terms, window, reliable, support)
 
     def __neg__(self) -> TruncSeries:
         return self.scale(-1)
@@ -471,14 +484,15 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
     partial = num
     for k, (dom, sub, base, unit) in enumerate(copies):
-        # unit * sum(base^t dom^(-1-t) sub^t, t <= caps[k])
+        # unit * sum(base^t dom^(-1-t) sub^t, t <= caps[k]), with the
+        # q-monomials base = b q^s and unit = u q^r
+        (b, s), (u, r) = _q_monomial(base), _q_monomial(unit)
         geo = {}
-        coeff = unit
         for t in range(caps[k] + 1):
-            exps = [0] * len(vs)
-            exps[idx[dom]], exps[idx[sub]] = -1 - t, t
-            geo[tuple(exps)] = coeff
-            coeff = coeff * base
+            exps = [0] * (len(vs) + 1)
+            exps[idx[dom]], exps[idx[sub]], exps[-1] = -1 - t, t, r + s * t
+            geo[tuple(exps)] = u
+            u = u * b
         prod = partial * MultiLaurent._raw(vs, geo)
         partial = MultiLaurent._raw(vs, _in_intervals(prod.terms, live(k + 1)))
 
@@ -492,8 +506,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     deg = num.total_degree_if_homogeneous()
     if deg is not None and vs:
         ties[frozenset(vs)] = deg - len(copies)
-    # the constructor keeps only the terms inside the window
-    return TruncSeries(vs, partial.terms, window, window, Support(box, ties))
+    return TruncSeries._trusted(vs, _in_box(partial.terms, window), window, window, Support(box, ties))
 
 
 # ---------- comparison ----------

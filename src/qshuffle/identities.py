@@ -177,7 +177,11 @@ PF_MUTATIONS = (
 
 
 def _pf_pair(perturb):
-    """(lhs, rhs) for both rewriting steps, optionally perturbed."""
+    """(lhs, rhs) for both rewriting steps, optionally perturbed.
+
+    The split constants are c/(q^2 + 1), outside the Laurent coefficient
+    ring, so both sides of each step come multiplied by q^2 + 1: a side
+    vanishes iff it does times that nonzero scalar."""
     z1, z2 = zvar(1, 1), zvar(1, 2)
     one = RatQ.one()
     q2 = RatQ.q_power(2)
@@ -185,18 +189,17 @@ def _pf_pair(perturb):
     if perturb == "numerator-flip":
         num = MultiLaurent.var_power(z1, 1) + MultiLaurent.var_power(z2, 1)
 
-    # the split constants live in RatQ's fraction field: c/(q^2 + 1)
     q2p1 = LaurentQ({2: 1, 0: 1})
 
     def inv(a, vi, b, vj):
         f, unit = BinomialFactor.make(a, vi, b, vj)
         return RatFun.inverse_factor(f) / unit
 
-    # step one: split (z1 - z2)/((q^2 z2 - z1)(q^-1 z2 - q z1))
-    lhs1 = RatFun(num) * inv(q2, z2, one, z1) * inv(
+    # step one: split (q^2 + 1)(z1 - z2)/((q^2 z2 - z1)(q^-1 z2 - q z1))
+    lhs1 = (RatFun(num) * inv(q2, z2, one, z1) * inv(
         RatQ.q_power(-1), z2, RatQ.q_power(1), z1
-    )
-    c1 = -RatQ(LaurentQ.q_power(1), q2p1)
+    )).scale(q2p1)
+    c1 = -RatQ.q_power(1)
     if perturb == "scale-sign":
         c1 = -c1
     if perturb == "scale-shift":
@@ -207,11 +210,10 @@ def _pf_pair(perturb):
         p1a = inv(one, z2, q2, z1)
     rhs1 = (p1a + p1b).scale(c1)
 
-    # step two: split (z1 - z2)/((q^2 z1 - z2)(q^-2 z1 - z2))
+    # step two: split (q^2 + 1)(z1 - z2)/((q^2 z1 - z2)(q^-2 z1 - z2))
     e = 3 if perturb == "exponent-bump" else 2
-    lhs2 = RatFun(num) * inv(q2, z1, one, z2) * inv(RatQ.q_power(-e), z1, one, z2)
-    c2 = RatQ(LaurentQ.q_power(2), q2p1)
-    rhs2 = (inv(q2, z1, one, z2) + inv(one, z1, q2, z2)).scale(c2)
+    lhs2 = (RatFun(num) * inv(q2, z1, one, z2) * inv(RatQ.q_power(-e), z1, one, z2)).scale(q2p1)
+    rhs2 = (inv(q2, z1, one, z2) + inv(one, z1, q2, z2)).scale(q2)
     return [(lhs1, rhs1), (lhs2, rhs2)]
 
 

@@ -1,10 +1,18 @@
-"""Sparse multivariate Laurent polynomials over Q(q).
+"""Sparse multivariate Laurent polynomials over Q[q, q^-1].
 
 Variables are ``VarId`` records: either color variables z[c,i] attached
 to a root color c, or named auxiliary variables (w, t, ...).  A
 ``MultiLaurent`` keeps a sorted variable registry and a dict mapping
-exponent tuples to nonzero RatQ coefficients.  Negative exponents are
-allowed everywhere.
+exponent keys (e_1, ..., e_n, e_q) to nonzero int or Fraction
+coefficients: q is one more exponent slot, the last one, so a term is a
+rational number times a monomial in z_1..z_n and q.  Negative exponents
+are allowed everywhere.
+
+Scalars enter as int, Fraction, ``LaurentQ`` or ``RatQ`` and are
+converted once, where they enter: a q-monomial a q^s becomes the pair
+(a, s), a Laurent scalar a short constant polynomial.  A scalar outside
+Q[q, q^-1] (a ``RatQ`` with a nontrivial denominator) raises
+``ValueError``.  Every per-term loop is int and tuple work.
 
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q; ``exact_div_binomial`` implements it
@@ -19,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add, itemgetter, mul
 
-from .qring import RQ_ONE, RQ_ZERO, RatQ
+from .qring import LaurentQ, RatQ
 
 
 class NotDivisible(ArithmeticError):
@@ -77,32 +86,99 @@ def grassmannian_steps(n: int, m: int) -> list[int]:
     return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
 
 
+# ---------- scalars ----------
+
+
+def _rational(c):
+    """An int or Fraction coefficient, integral Fractions as int."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qterms(c) -> dict:
+    """The scalar c as {q exponent: nonzero int or Fraction}.
+
+    ValueError when c lies outside Q[q, q^-1]; TypeError when it is no
+    scalar at all."""
+    if isinstance(c, (int, Fraction)):
+        return {0: _rational(c)} if c else {}
+    if isinstance(c, RatQ):
+        if not c.den.is_one():
+            raise ValueError(f"scalar {c} lies outside Q[q, q^-1]")
+        c = c.num
+    if isinstance(c, LaurentQ):
+        return {e: _rational(a) for e, a in c.terms.items()}
+    raise TypeError(f"cannot use {type(c).__name__} as a scalar")
+
+
+def _q_monomial(c, what="scalar") -> tuple:
+    """The nonzero q-monomial c = a q^s as the pair (a, s)."""
+    qt = _qterms(c)
+    if len(qt) != 1:
+        raise ValueError(f"{what} must be a nonzero q-monomial")
+    ((s, a),) = qt.items()
+    return a, s
+
+
+def _unit(n: int, slot: int | None, e: int = 1, qe: int = 0) -> tuple:
+    """The exponent key of z_slot^e q^qe in a registry of n variables."""
+    key = [0] * (n + 1)
+    if slot is not None:
+        key[slot] = e
+    key[n] += qe
+    return tuple(key)
+
+
+def _picker(idx):
+    """A function returning the tuple (key[i] for i in idx)."""
+    idx = tuple(idx)
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda key: (key[i],)
+    return itemgetter(*idx)
+
+
+def _add_into(out: dict, terms) -> dict:
+    """Add (key, coefficient) pairs into out, dropping cancelled keys."""
+    get = out.get
+    for key, c in terms:
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _shifted(terms: dict, off: tuple, a) -> dict:
+    """a * x^off * terms for a nonzero rational a: a bijection on keys."""
+    if a == 1:
+        return {tuple(map(add, key, off)): c for key, c in terms.items()}
+    return {tuple(map(add, key, off)): c * a for key, c in terms.items()}
+
+
 class MultiLaurent:
-    """A Laurent polynomial in several variables with RatQ coefficients."""
+    """A Laurent polynomial in several variables over Q[q, q^-1]."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars=(), terms=None):
+        """Build from {z-exponent tuple: scalar}; each scalar is expanded
+        into its q-powers."""
         vs = _sorted_vars(vars)
         clean = {}
         if terms:
             nv = len(vs)
             for exps, c in terms.items():
-                c = RatQ.coerce(c)
-                if not c:
-                    continue
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nv:
                     raise ValueError("exponent tuple length mismatch")
-                prev = clean.get(exps)
-                clean[exps] = c if prev is None else prev + c
-                if not clean[exps]:
-                    del clean[exps]
+                _add_into(clean, ((exps + (s,), a) for s, a in _qterms(c).items()))
         self.vars = vs
         self.terms = clean
 
     @classmethod
     def _raw(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
+        """Trusted constructor: terms already in the stored key format."""
         self = cls.__new__(cls)
         self.vars = vs
         self.terms = terms
@@ -116,22 +192,19 @@ class MultiLaurent:
 
     @classmethod
     def constant(cls, c, vars=()) -> MultiLaurent:
-        c = RatQ.coerce(c)
         vs = _sorted_vars(vars)
-        if not c:
-            return cls._raw(vs, {})
-        return cls._raw(vs, {(0,) * len(vs): c})
+        z = (0,) * len(vs)
+        return cls._raw(vs, {z + (s,): a for s, a in _qterms(c).items()})
 
     @classmethod
     def var_power(cls, v: VarId, e: int, c=1) -> MultiLaurent:
-        return cls((v,), {(e,): RatQ.coerce(c)})
+        return cls.constant(c, (v,)).var_shift(v, e)
 
     @classmethod
     def monomial(cls, exps: dict, c=1) -> MultiLaurent:
         """Monomial from a {VarId: exponent} dict."""
         vs = _sorted_vars(exps)
-        key = tuple(exps[v] for v in vs)
-        return cls(vs, {key: RatQ.coerce(c)})
+        return cls(vs, {tuple(exps[v] for v in vs): c})
 
     # ---------- registry helpers ----------
 
@@ -143,16 +216,35 @@ class MultiLaurent:
         pos = {v: i for i, v in enumerate(vs)}
         return self._reslot(vs, [pos[v] for v in self.vars])
 
+    def without_vars(self, drop) -> MultiLaurent:
+        """Remove variables that no term uses from the registry; ValueError
+        if a term has a nonzero exponent in one of them."""
+        drop = set(drop)
+        idx = [i for i, v in enumerate(self.vars) if v in drop]
+        if not idx:
+            return self
+        if any(key[i] for key in self.terms for i in idx):
+            raise ValueError("cannot drop a variable the polynomial uses")
+        keep = [i for i, v in enumerate(self.vars) if v not in drop]
+        pick = _picker(keep + [len(self.vars)])
+        return MultiLaurent._raw(
+            tuple(self.vars[i] for i in keep),
+            {pick(key): c for key, c in self.terms.items()},
+        )
+
     def _reslot(self, vs: tuple[VarId, ...], src) -> MultiLaurent:
         """Move the exponent of each old variable k to slot src[k] of the
         registry vs; every other slot gets exponent 0."""
-        n = len(vs)
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * n
-            for slot, e in zip(src, exps):
-                new[slot] = e
-            terms[tuple(new)] = c
+        n, old = len(vs), len(src)
+        # read each new slot from its old slot, or from a 0 appended after q
+        idx = [old + 1] * n + [old]
+        for k, slot in enumerate(src):
+            idx[slot] = k
+        pick = _picker(idx)
+        if old + 1 in idx:
+            terms = {pick(key + (0,)): c for key, c in self.terms.items()}
+        else:
+            terms = {pick(key): c for key, c in self.terms.items()}
         return MultiLaurent._raw(vs, terms)
 
     def _align(self, other: MultiLaurent):
@@ -181,8 +273,9 @@ class MultiLaurent:
         return (min(es), max(es))
 
     def total_degree_if_homogeneous(self):
-        """The common total degree of all terms, or None."""
-        degs = {sum(exps) for exps in self.terms}
+        """The common total degree in the variables (q not counted) of all
+        terms, or None."""
+        degs = {sum(exps) - exps[-1] for exps in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -194,15 +287,7 @@ class MultiLaurent:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._align(other)
-        out = dict(a.terms)
-        for exps, c in b.terms.items():
-            prev = out.get(exps)
-            s = c if prev is None else prev + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MultiLaurent._raw(a.vars, out)
+        return MultiLaurent._raw(a.vars, _add_into(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -219,22 +304,21 @@ class MultiLaurent:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> MultiLaurent:
-        if isinstance(other, (int, Fraction, RatQ)) or not isinstance(
-            other, MultiLaurent
-        ):
-            other = _as_poly(other)
-            if other is NotImplemented:
+        if not isinstance(other, MultiLaurent):
+            try:
+                return self.scale(other)
+            except TypeError:
                 return NotImplemented
         a, b = self._align(other)
         ta, tb = a.terms, b.terms
         if len(ta) > len(tb):
             ta, tb = tb, ta
         out = {}
+        get = out.get
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(key)
-                s = ca * cb if prev is None else prev + ca * cb
+                key = tuple(map(add, ea, eb))
+                s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
@@ -244,12 +328,21 @@ class MultiLaurent:
     __rmul__ = __mul__
 
     def scale(self, c) -> MultiLaurent:
-        c = RatQ.coerce(c)
-        if not c:
-            return MultiLaurent._raw(self.vars, {})
-        return MultiLaurent._raw(
-            self.vars, {e: k * c for e, k in self.terms.items()}
-        )
+        return self._times(None, 0, _qterms(c))
+
+    def _times(self, v, delta, qt: dict) -> MultiLaurent:
+        """Multiply by v^delta (v None for no variable) times the scalar
+        with q-terms qt."""
+        p = self if v is None or v in self.vars else self.with_vars((v,))
+        n = len(p.vars)
+        slot = None if v is None else p.vars.index(v)
+        parts = [_shifted(p.terms, _unit(n, slot, delta, s), a) for s, a in qt.items()]
+        if len(parts) == 1:
+            return MultiLaurent._raw(p.vars, parts[0])
+        out = {}
+        for part in parts:
+            _add_into(out, part.items())
+        return MultiLaurent._raw(p.vars, out)
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
@@ -265,54 +358,57 @@ class MultiLaurent:
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""
-        p = self if v in self.vars else self.with_vars((v,))
-        i = p.vars.index(v)
-        out = {}
-        for exps, k in p.terms.items():
-            key = exps[:i] + (exps[i] + delta,) + exps[i + 1 :]
-            out[key] = k if c is None else k * c
-        return MultiLaurent._raw(p.vars, out)
+        return self._times(v, delta, {0: 1} if c is None else _qterms(c))
 
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""
-        return self.var_shift(vi, 1, RatQ.coerce(a)) + self.var_shift(
-            vj, 1, RatQ.coerce(b)
-        )
+        p = self.with_vars((vi, vj))
+        return p.var_shift(vi, 1, a) + p.var_shift(vj, 1, b)
 
     # ---------- substitution and relabeling ----------
 
-    def substitute(self, v: VarId, c: RatQ, target: VarId) -> MultiLaurent:
-        """Substitute z_v -> c * z_target with c an invertible scalar."""
-        c = RatQ.coerce(c)
-        if not c:
-            raise ValueError("substitution scalar must be nonzero")
-        if v not in self.vars:
+    def substitute(self, v, c, target: VarId) -> MultiLaurent:
+        """Substitute z_v -> c * z_target with c a nonzero q-monomial.
+
+        ``v`` may also be a tuple of variables and ``c`` the tuple of
+        their scalars: all of them are substituted in one pass, so the
+        exponent of z_target is the sum of theirs and the q shift of a
+        term is the dot product of their exponents with the scalars'
+        q-exponents."""
+        if isinstance(v, VarId):
+            v, c = (v,), (c,)
+        if len(v) != len(c) or len(set(v)) != len(v):
+            raise ValueError("substitute needs distinct variables, one scalar each")
+        mono = [_q_monomial(x, "substitution scalar") for x in c]
+        pos = {u: i for i, u in enumerate(self.vars)}
+        subs = {pos[u]: am for u, am in zip(v, mono) if u in pos}
+        if not subs:
             return self.with_vars((target,))
-        vs = _sorted_vars([u for u in self.vars if u != v] + [target])
-        pos = {u: i for i, u in enumerate(vs)}
-        src = [
-            pos[u if u != v else target] for u in self.vars
-        ]  # slot in the new tuple receiving each old exponent
-        iv = self.vars.index(v)
-        n = len(vs)
+        if target in pos and target not in v:  # its own exponent joins the sum
+            subs[pos[target]] = (1, 0)
+        vs = _sorted_vars([u for u in self.vars if u not in v] + [target])
+        n = len(self.vars)
+        # the new key reads each kept slot from the old key, the target
+        # slot from the appended exponent sum and q from the appended q
+        pick = _picker([n + 1 if u == target else pos[u] for u in vs] + [n + 2])
+        exponents = _picker(list(subs))
+        scales = [Fraction(a) for a, _ in subs.values()]  # powers may be negative
+        shifts = [s for _, s in subs.values()]
+        plain = all(a == 1 for a in scales)
         out = {}
-        powers = {}  # c ** e, once per distinct exponent of v
-        for exps, k in self.terms.items():
-            new = [0] * n
-            for slot, e in zip(src, exps):
-                new[slot] += e
-            key = tuple(new)
-            e = exps[iv]
-            ce = powers.get(e)
-            if ce is None:
-                ce = powers[e] = c ** e
-            add = k * ce
-            prev = out.get(key)
-            s = add if prev is None else prev + add
+        get = out.get
+        for key, k in self.terms.items():
+            es = exponents(key)
+            new = pick(key + (sum(es), key[n] + sum(map(mul, es, shifts))))
+            if not plain:
+                for a, e in zip(scales, es):
+                    if e:
+                        k = _rational(k * a**e)
+            s = get(new, 0) + k
             if s:
-                out[key] = s
+                out[new] = s
             else:
-                del out[key]
+                del out[new]
         return MultiLaurent._raw(vs, out)
 
     def relabel(self, mapping: dict) -> MultiLaurent:
@@ -338,49 +434,52 @@ class MultiLaurent:
         return total
 
     def is_symmetric(self, color: int) -> bool:
-        """Invariance under all adjacent swaps of the color's variables."""
-        cv = self.color_vars(color)
-        for k in range(len(cv) - 1):
-            swap = {cv[k]: cv[k + 1], cv[k + 1]: cv[k]}
-            if self.relabel(swap) != self:
-                return False
+        """Invariance under all adjacent swaps of the color's variables:
+        each swap is a bijection on keys, so every swapped key must carry
+        the same coefficient."""
+        slots = [i for i, v in enumerate(self.vars) if not v.aux and v.color == color]
+        terms = self.terms
+        get = terms.get
+        for i, j in zip(slots, slots[1:]):
+            idx = list(range(len(self.vars) + 1))
+            idx[i], idx[j] = j, i
+            pick = _picker(idx)
+            for key, c in terms.items():
+                if key[i] != key[j] and get(pick(key)) != c:
+                    return False
         return True
 
     # ---------- division ----------
 
-    def exact_div_binomial(self, vi: VarId, vj: VarId, c: RatQ) -> MultiLaurent:
+    def exact_div_binomial(self, vi: VarId, vj: VarId, c) -> MultiLaurent:
         """Exact quotient by (z_vi - c * z_vj); NotDivisible on failure."""
-        c = RatQ.coerce(c)
-        if not c:
+        qc = _qterms(c)
+        if not qc:
             raise ValueError("binomial scalar must be nonzero")
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
         f = self.with_vars((vi, vj))
+        n = len(f.vars)
         pi = f.vars.index(vi)
         pj = f.vars.index(vj)
+        down = _unit(n, pi, -1)
+        # c * z_j * h_k contributes one layer down
+        steps = [(tuple(map(add, down, _unit(n, pj, 1, s))), a) for s, a in qc.items()]
         layers = {}
         for exps, k in f.terms.items():
-            layers.setdefault(exps[pi], {})[exps] = k
+            layers.setdefault(exps[pi], []).append((tuple(map(add, exps, down)), k))
         kmax = max(layers)
         kmin = min(layers)
         quot = {}
         # f = h (z_i - c z_j): peel h layer by layer from the top
-        carry = {}  # h at the current layer, keyed by full exponent tuples
+        carry = {}  # h at the current layer, keyed by full exponent keys
         for k in range(kmax, kmin - 1, -1):
-            nxt = {}
-            for exps, co in layers.get(k, {}).items():
-                key = exps[:pi] + (exps[pi] - 1,) + exps[pi + 1 :]
-                nxt[key] = nxt.get(key, RQ_ZERO) + co
-            for exps, co in carry.items():
-                # c * z_j * h_k contributes one layer down
-                lst = list(exps)
-                lst[pi] -= 1
-                lst[pj] += 1
-                key = tuple(lst)
-                nxt[key] = nxt.get(key, RQ_ZERO) + co * c
-            carry = {e: co for e, co in nxt.items() if co}
+            nxt = _add_into({}, layers.get(k, ()))
+            for off, a in steps:
+                _add_into(nxt, ((tuple(map(add, e, off)), co * a) for e, co in carry.items()))
+            carry = nxt
             if k > kmin:
                 quot.update(carry)
         if carry:
@@ -398,6 +497,7 @@ class MultiLaurent:
         pi = f.vars.index(vi)
         pj = f.vars.index(vj)
         out = {}
+        get = out.get
         for exps, co in f.terms.items():
             a, b = exps[pi], exps[pj]
             if a == b:
@@ -409,8 +509,7 @@ class MultiLaurent:
                 lst[pi] = k
                 lst[pj] = a + b - 1 - k
                 key = tuple(lst)
-                prev = out.get(key)
-                s = co if prev is None else prev + co
+                s = get(key, 0) + co
                 if s:
                     out[key] = s
                 else:
@@ -420,20 +519,24 @@ class MultiLaurent:
     # ---------- evaluation ----------
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
+        q0 = Fraction(q0)
         total = Fraction(0)
-        vals = [assignment[v] for v in self.vars]
+        vals = [Fraction(assignment[v]) for v in self.vars] + [q0]
         for exps, c in self.terms.items():
-            prod = c.eval_at(q0)
+            prod = Fraction(c)
             for val, e in zip(vals, exps):
                 if e:
-                    prod *= Fraction(val) ** e
+                    prod *= val**e
             total += prod
         return total
 
     # ---------- comparison and display ----------
 
     def __eq__(self, other) -> bool:
-        other = _as_poly(other)
+        try:
+            other = _as_poly(other)
+        except ValueError:  # a scalar outside Q[q, q^-1] is no polynomial
+            return False
         if other is NotImplemented:
             return NotImplemented
         a, b = self._align(other)
@@ -441,33 +544,30 @@ class MultiLaurent:
 
     def __hash__(self):
         # equal polynomials may differ in registry, and a constant equals its
-        # scalar: hash the scalar, or the nonzero (variable, exponent) pairs
-        if not any(map(any, self.terms)):
-            return hash(next(iter(self.terms.values()), RQ_ZERO))
+        # scalar: hash like the LaurentQ of its q-terms, or hash the nonzero
+        # (variable, exponent) pairs with the q exponent
+        if not any(any(key[:-1]) for key in self.terms):
+            return hash(LaurentQ({key[-1]: c for key, c in self.terms.items()}))
         return hash(frozenset(
-            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), exps[-1], c)
             for exps, c in self.terms.items()
         ))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def term_lines(self) -> list[str]:
         """Canonical text rendering, one line per (coefficient, monomial).
 
-        Laurent coefficients are flattened to one line per q-power so the
-        output is a stable term list like ``(1) q^0 | z[1,1]^2``.
+        Terms come sorted by their z-exponents and then by the power of q,
+        as a stable term list like ``(1) q^0 | z[1,1]^2``.
         """
+        names = [str(v) for v in self.vars]
+        n = len(names)
         lines = []
-        for exps, c in self.sorted_terms():
-            mono = " ".join(
-                f"{v}^{e}" for v, e in zip(self.vars, exps) if e
-            ) or "1"
-            if c.is_laurent():
-                for qe in sorted(c.num.terms):
-                    lines.append(f"({c.num.terms[qe]}) q^{qe} | {mono}")
-            else:
-                lines.append(f"({c}) | {mono}")
+        prev = None
+        for exps in sorted(self.terms):
+            if exps[:n] != prev:  # the q-powers of one monomial are adjacent
+                prev = exps[:n]
+                mono = " ".join(f"{v}^{e}" for v, e in zip(names, prev) if e) or "1"
+            lines.append(f"({self.terms[exps]}) q^{exps[n]} | {mono}")
         return lines
 
     def __str__(self) -> str:
@@ -482,9 +582,7 @@ class MultiLaurent:
 def _as_poly(x):
     if isinstance(x, MultiLaurent):
         return x
-    if isinstance(x, (int, Fraction, RatQ)):
-        return MultiLaurent.constant(x)
     try:
-        return MultiLaurent.constant(RatQ.coerce(x))
+        return MultiLaurent.constant(x)
     except TypeError:
         return NotImplemented

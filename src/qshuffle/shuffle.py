@@ -37,7 +37,7 @@ from itertools import combinations, permutations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
-from .qring import LaurentQ, RatQ, q_binomial
+from .qring import RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun, rat_sum
 
 
@@ -60,20 +60,11 @@ class ShuffleElement:
         allowed = {
             zvar(c + 1, i + 1) for c, n in enumerate(degree) for i in range(n)
         }
-        bad = [v for v in numerator.vars if v not in allowed and numerator.exp_range(v) != (0, 0)]
+        extra = [v for v in numerator.vars if v not in allowed]
+        bad = [v for v in extra if numerator.exp_range(v) != (0, 0)]
         if bad:
             raise ValueError(f"numerator uses variables outside the degree: {bad}")
-        extra = [v for v in numerator.vars if v not in allowed]
-        if extra:
-            keep = [i for i, v in enumerate(numerator.vars) if v in allowed]
-            numerator = MultiLaurent(
-                tuple(numerator.vars[i] for i in keep),
-                {
-                    tuple(e[i] for i in keep): c
-                    for e, c in numerator.terms.items()
-                },
-            )
-        numerator = numerator.with_vars(allowed)
+        numerator = numerator.without_vars(extra).with_vars(allowed)
         if check:
             for c in range(1, cartan.rank + 1):
                 if not numerator.is_symmetric(c):
@@ -401,12 +392,10 @@ class ShuffleAlgebra:
         if not 1 <= j_index <= f.degree[beta - 1]:
             raise ValueError(f"witness index {j_index} out of range")
         d = self.cartan.d(alpha)
-        t = aux_var("t")
-        out = f.numerator
-        for k, i in enumerate(i_indices):
-            out = out.substitute(zvar(alpha, i), RatQ.q_power(-2 * d * k), t)
-        out = out.substitute(zvar(beta, j_index), RatQ.q_power(d * a), t)
-        return out.is_zero()
+        # one substitution pass for the whole chain
+        wheel = tuple(zvar(alpha, i) for i in i_indices) + (zvar(beta, j_index),)
+        scalars = tuple(RatQ.q_power(-2 * d * k) for k in range(chain)) + (RatQ.q_power(d * a),)
+        return f.numerator.substitute(wheel, scalars, aux_var("t")).is_zero()
 
     def serre_image(self, alpha: int, beta: int, modes, s: int) -> ShuffleElement:
         """The quantum Serre alternator applied to the given modes.

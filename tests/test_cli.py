@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qshuffle.cli import IDENTITIES_MAX_M, main
+from qshuffle.cli import IDENTITIES_MAX_M, IDENTITIES_MAX_WINDOW, main
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,20 @@ def test_identities_m_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--m up to 5" in captured.err
+
+
+def test_identities_window_limit(capsys):
+    # every m the CLI accepts has a window bound; past it, exit 2 before any work
+    assert set(IDENTITIES_MAX_WINDOW) == set(range(1, IDENTITIES_MAX_M + 1))
+    for m, width in IDENTITIES_MAX_WINDOW.items():
+        assert main(["identities", "--m", str(m), f"--window=-{width}:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--m {m} supports --window widths hi - lo up to {width}" in captured.err
+    half = IDENTITIES_MAX_WINDOW[1] // 2
+    code, out = run_cli(capsys, "identities", "--m", "1", f"--window=-{half}:{half}")
+    assert code == 0
+    assert json.loads(out)["window_check"]["matched"] == ["qminus"]
 
 
 def test_custom_cartan_file(tmp_path, capsys):

@@ -32,7 +32,7 @@ from qshuffle.poly import MultiLaurent, _sorted_vars, aux_var, zvar
 from qshuffle.qring import RQ_ONE, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
 
-from helpers import random_q_monomial
+from helpers import coefficients, random_q_monomial
 
 Z1 = zvar(1, 1)
 Z2 = zvar(1, 2)
@@ -57,7 +57,7 @@ def test_expand_inverse_example():
     # q^-2 z1^-1 + q^-4 z2 z1^-2 (higher tails leave the window)
     s = expand_binomial_inverse(qp(2), Z1, 1, Z2, Z1, Window(-2, 2))
     assert s.vars == (Z1, Z2)
-    assert s.terms == {(-1, 0): qp(-2), (-2, 1): qp(-4)}
+    assert s.terms == MultiLaurent((Z1, Z2), {(-1, 0): qp(-2), (-2, 1): qp(-4)}).terms
     assert s.reliable == Window(-2, 2)
 
 
@@ -65,16 +65,14 @@ def test_expand_inverse_subordinate_side():
     # 1/(z1 - c z2) with z2 dominant: -c^-1 sum (c^-t z1^t z2^-1-t)
     c = qp(2)
     s = expand_inverse(BinomialFactor(Z1, Z2, c), Z2, Window(-2, 2))
-    assert s.terms == {(0, -1): qp(-2, -1), (1, -2): qp(-4, -1)}
+    assert s.terms == MultiLaurent((Z1, Z2), {(0, -1): qp(-2, -1), (1, -2): qp(-4, -1)}).terms
     with pytest.raises(ValueError):
         expand_inverse(BinomialFactor(Z1, Z2, c), Z3, Window(-2, 2))
 
 
 def test_delta_series_terms():
     d = delta_series(Z1, 1, W, Window(-2, 2))
-    assert d.terms == {
-        (i, -1 - i): RatQ.one() for i in (-2, -1, 0, 1)
-    }
+    assert d.terms == MultiLaurent((Z1, W), {(i, -1 - i): 1 for i in (-2, -1, 0, 1)}).terms
     # scalar deltas scale the coefficients
     d2 = delta_series(Z1, qp(1), W, Window(-2, 2))
     assert d2.coeff((0, -1)) == qp(-1)
@@ -112,12 +110,15 @@ def test_delta_times_delta_chain():
         delta_series(W, qp(-1), Z1, win), delta_series(Z1, qp(2), Z2, win)
     )
     # direct bilateral formula: coefficient of z1^(b-a-1) z2^(-b-1) w^a
-    # is q^(a+1) q^(-2b-2)
-    for (e1, e2, ew), c in ch.terms.items():
-        a = ew
-        b = -1 - e2
-        assert e1 == b - a - 1
-        assert c == qp(a + 1) * qp(-2 * b - 2)
+    # is q^(a+1) q^(-2b-2), for every such monomial in the reliable box
+    box = ch.reliable
+    expect = {
+        (b - a - 1, -b - 1, a): qp(a + 1) * qp(-2 * b - 2)
+        for a in range(box.lo, box.hi + 1)
+        for b in range(-box.hi - 1, -box.lo)
+        if box.contains(b - a - 1)
+    }
+    assert ch.terms == MultiLaurent((Z1, Z2, W), expect).terms
     # spot value inside the reliable box
     assert ch.coeff((0, -2, 0)) == qp(-3)
     assert frozenset((Z1, Z2, W)) in ch.support.ties
@@ -155,6 +156,18 @@ def test_series_sum_intersects_windows():
     assert s.window == Window(-2, 2)
     assert s.coeff((1,)) == RatQ.one()
     assert s.coeff((-1,)) == RatQ.one()
+
+
+def test_series_sum_keeps_only_the_common_reliable_box():
+    a = TruncSeries.from_poly(V(Z1, 3) + V(Z1, -1), Window(-4, 4))
+    b = TruncSeries.from_poly(V(Z1, 1), Window(-2, 2))
+    s = a + b
+    assert s.reliable == Window(-2, 2)
+    assert s.terms == MultiLaurent((Z1,), {(-1,): 1, (1,): 1}).terms
+    # a registry slot new to an operand holds exponent 0, outside this box
+    c = TruncSeries.from_poly(V(Z1, 2), Window(1, 3))
+    d = TruncSeries.from_poly(V(W, 2), Window(1, 3))
+    assert (c + d).vars == (Z1, W) and not (c + d).terms
 
 
 def test_expand_ratfun_matches_expand_inverse():
@@ -301,7 +314,7 @@ def reference_from_poly(p, window):
     ties = {}
     if p.vars and not p.is_zero() and deg is not None:
         ties[frozenset(p.vars)] = deg
-    return TruncSeries(p.vars, p.terms, window, window, Support(bounds, ties))
+    return TruncSeries(p.vars, coefficients(p.terms), window, window, Support(bounds, ties))
 
 
 def reference_series_mul(a, b):
@@ -339,10 +352,10 @@ def reference_series_mul(a, b):
         ai = [A[v] for v in vs]
         bi = [B[v] for v in vs]
         bterms = [
-            (eb, cb) for eb, cb in b.terms.items()
+            (eb, cb) for eb, cb in coefficients(b.terms).items()
             if all(lo <= e <= hi for e, (lo, hi) in zip(eb, bi))
         ]
-        for ea, ca in a.terms.items():
+        for ea, ca in coefficients(a.terms).items():
             if not all(lo <= e <= hi for e, (lo, hi) in zip(ea, ai)):
                 continue
             for eb, cb in bterms:
@@ -389,7 +402,7 @@ def reference_expand_ratfun(f, order, window):
         for k in D:
             caps[k] = max(0, total)
 
-    partial = dict(num.terms)
+    partial = coefficients(num.terms)
     for k, (dom, sub, base, unit) in enumerate(copies):
         dlo = {v: 0 for v in vs}
         dhi = {v: 0 for v in vs}

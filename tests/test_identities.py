@@ -92,15 +92,21 @@ COEFFS = {
 @pytest.mark.parametrize("m", (1, 2))
 def test_pole_sum_matches_summand_reference(m, qi, name):
     # the divided-difference numerator against the (m+2)(m+1)! summands
-    # built factor by factor, rescaled to the same coefficient map
+    # built factor by factor, rescaled to the same coefficient map; both
+    # sides carry the factor B = prod_k [m+1 k], which keeps the rescaling
+    # c_k B / [m+1 k] inside the Laurent coefficient ring
     coeff = COEFFS[name](m)
+    binoms = [_binom(m, k, qi) for k in range(m + 2)]
+    B = RatQ.one()
+    for b in binoms:
+        B = B * b
     ref = rat_sum(
-        term_value(m, k, s, qi).scale(1 if coeff is None else coeff(k) / _binom(m, k, qi))
+        term_value(m, k, s, qi).scale(B if coeff is None else coeff(k) * B / binoms[k])
         for k in range(m + 2)
         for s in permutations(range(1, m + 2))
     )
     got = build_pole_sum(m, qi, coeff).value
-    assert got == ref
+    assert got.scale(B) == ref
     assert got.is_zero() == (coeff is None)
 
 

@@ -7,7 +7,7 @@ from qshuffle.poly import MultiLaurent, NotDivisible, VarId, aux_var, zvar
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.ratfun import RatFun
 
-from helpers import random_fraction, random_q_monomial, random_q_point
+from helpers import random_fraction, random_laurent, random_q_monomial, random_q_point
 
 Z1 = zvar(1, 1)
 Z2 = zvar(1, 2)
@@ -54,9 +54,15 @@ def test_alignment_across_registries():
     g = MultiLaurent.var_power(Y1, -1)
     h = f * g
     assert h.vars == (Z1, Y1)
-    assert h.terms == {(2, -1): RatQ.one()}
+    assert h.terms == MultiLaurent((Z1, Y1), {(2, -1): 1}).terms
     assert f + 0 == f
     assert (f - f).is_zero()
+    # a registry slot every term leaves at 0 can be dropped, a used one not
+    wide = h.with_vars((W,))
+    assert wide.without_vars((W,)).vars == h.vars
+    assert wide.without_vars((W,)).terms == h.terms
+    with pytest.raises(ValueError):
+        wide.without_vars((Y1,))
 
 
 def test_symmetrize_and_is_symmetric():
@@ -204,7 +210,7 @@ def test_relabel_injective_required():
     with pytest.raises(ValueError):
         f.relabel({Z1: Z2})
     g = f.relabel({Z1: Z2, Z2: Z1})
-    assert g.terms == {(2, 1): RatQ.one()}
+    assert g.terms == MultiLaurent((Z1, Z2), {(2, 1): 1}).terms
 
 
 def test_term_lines_canonical():
@@ -241,3 +247,140 @@ def test_equal_values_hash_equal():
         assert a == b
         assert hash(a) == hash(b), (a, b)
     assert len({MultiLaurent.constant(1), MultiLaurent.constant(1, (Z1,))}) == 1
+
+
+# ---------- the integer kernel against exact evaluation ----------
+
+KERNEL_VARS = (Z1, Z2, Y1, W)
+
+
+def random_kernel_poly(rng, vs):
+    """Old-format terms {z-exponents: RatQ}: Fraction coefficients, z and
+    q exponents in -4..4, up to two q-powers per monomial."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = tuple(rng.randint(-4, 4) for _ in vs)
+        qt = {rng.randint(-4, 4): random_fraction(rng, nonzero=True) for _ in range(rng.randint(1, 2))}
+        terms[key] = RatQ(LaurentQ(qt))
+    return MultiLaurent(vs, terms), terms
+
+
+def old_format_value(vs, terms, q0, pt):
+    """Value of {z-exponents: RatQ} terms, computed through RatQ."""
+    total = Fraction(0)
+    for key, c in terms.items():
+        v = c.eval_at(q0)
+        for var, e in zip(vs, key):
+            v *= pt[var] ** e
+        total += v
+    return total
+
+
+def random_point(rng):
+    q0 = random_q_point(rng)
+    vals = set()
+    while len(vals) < len(KERNEL_VARS):
+        vals.add(random_fraction(rng, nonzero=True))
+    return q0, dict(zip(KERNEL_VARS, sorted(vals)))
+
+
+def test_kernel_matches_exact_evaluation():
+    rng = random.Random(4242)
+    for _ in range(200):
+        vs = tuple(rng.sample(KERNEL_VARS, rng.randint(2, 4)))
+        f, fterms = random_kernel_poly(rng, vs)
+        g, _ = random_kernel_poly(rng, tuple(rng.sample(KERNEL_VARS, 2)))
+        q0, pt = random_point(rng)
+        val = lambda p, point=pt: p.eval_at(q0, point)  # noqa: E731
+        fv = val(f)
+        assert fv == old_format_value(f.vars, fterms, q0, pt)
+        assert val(f * g) == fv * val(g)
+        assert val(f + g) == fv + val(g)
+        lq = random_laurent(rng, nonzero=True)
+        assert val(f.scale(lq)) == lq.eval_at(q0) * fv
+        vi, vj = rng.sample(KERNEL_VARS, 2)
+        a, b = random_q_monomial(rng), RatQ(random_laurent(rng, nonzero=True))
+        assert val(f.mul_binomial(a, vi, b, vj)) == (a.eval_at(q0) * pt[vi] + b.eval_at(q0) * pt[vj]) * fv
+        d = rng.randint(-3, 3)
+        assert val(f.var_shift(vi, d, a)) == a.eval_at(q0) * pt[vi] ** d * fv
+        swapped = dict(pt)
+        swapped[vi], swapped[vj] = pt[vj], pt[vi]
+        assert val(f.divided_difference(vi, vj)) == (fv - val(f, swapped)) / (pt[vi] - pt[vj])
+        # exact division: a product comes back, a product plus a monomial cannot
+        c = random_q_monomial(rng)
+        prod = f.mul_binomial(1, vi, -c, vj)
+        assert val(prod.exact_div_binomial(vi, vj, c)) == fv
+        with pytest.raises(NotDivisible):
+            (prod + MultiLaurent.monomial({vi: rng.randint(-2, 2)})).exact_div_binomial(vi, vj, c)
+        # substitution of one and of several variables into a fresh t
+        t = aux_var("t")
+        moved = dict(pt)
+        moved[t] = random_fraction(rng, nonzero=True)
+        picks = rng.sample(f.vars, rng.randint(1, len(f.vars)))
+        scalars = [random_q_monomial(rng) for _ in picks]
+        at_t = dict(moved)
+        for v, s in zip(picks, scalars):
+            at_t[v] = s.eval_at(q0) * moved[t]
+        assert val(f.substitute(tuple(picks), tuple(scalars), t), moved) == val(f, at_t)
+        one = dict(moved)
+        one[picks[0]] = scalars[0].eval_at(q0) * moved[t]
+        assert val(f.substitute(picks[0], scalars[0], t), moved) == val(f, one)
+        # relabeling by a permutation of the registry, and extending it
+        perm = dict(zip(f.vars, rng.sample(f.vars, len(f.vars))))
+        assert val(f.relabel(perm)) == val(f, {v: pt[perm.get(v, v)] for v in KERNEL_VARS})
+        wider = f.with_vars(KERNEL_VARS)
+        assert wider.vars == KERNEL_VARS and val(wider) == fv
+
+
+def test_substitute_into_a_registry_variable():
+    # z1 -> q z2 where z2 is already present: the exponents of z2 add up
+    f = MultiLaurent.monomial({Z1: 2, Z2: -1}) + MultiLaurent.var_power(Z2, 3)
+    g = f.substitute(Z1, qp(1), Z2)
+    assert g == MultiLaurent.var_power(Z2, 1, qp(2)) + MultiLaurent.var_power(Z2, 3)
+    # several variables at once, one of them the target itself
+    h = MultiLaurent.monomial({Z1: 1, Z2: 1})
+    assert h.substitute((Z1, Z2), (qp(1), qp(-3)), Z2) == MultiLaurent.var_power(Z2, 2, qp(-2))
+    with pytest.raises(ValueError):
+        h.substitute(Z1, RatQ(LaurentQ({0: 1, 1: 1})), W)
+    with pytest.raises(ValueError):
+        h.substitute((Z1, Z1), (qp(1), qp(1)), W)
+
+
+def test_term_lines_from_constructor_format():
+    f = MultiLaurent(
+        (Z1, Y1),
+        {
+            (2, -1): RatQ(LaurentQ({0: Fraction(-3, 2), 2: 1})),
+            (0, 0): RatQ(LaurentQ({-1: -1})),
+            (0, 1): Fraction(4, 2),
+        },
+    )
+    assert f.term_lines() == [
+        "(-1) q^-1 | 1",
+        "(2) q^0 | z[2,1]^1",
+        "(-3/2) q^0 | z[1,1]^2 z[2,1]^-1",
+        "(1) q^2 | z[1,1]^2 z[2,1]^-1",
+    ]
+    # equal keys add up: 1/3 + 2/3 renders as 1
+    g = MultiLaurent((Z1,), {(1,): qp(1, Fraction(1, 3))}) + MultiLaurent((Z1,), {(1,): qp(1, Fraction(2, 3))})
+    assert g.term_lines() == ["(1) q^1 | z[1,1]^1"]
+
+
+def test_scalars_outside_the_laurent_ring_raise():
+    from qshuffle.formal import Window, delta_series
+
+    bad = RatQ(1, LaurentQ({2: 1, 0: 1}))
+    p = binom(Z1, qp(2), Z2)
+    with pytest.raises(ValueError):
+        MultiLaurent.constant(bad)
+    with pytest.raises(ValueError):
+        p.scale(bad)
+    with pytest.raises(ValueError):
+        RatFun(p).scale(bad)
+    with pytest.raises(ValueError):
+        delta_series(Z1, 1, W, Window(-2, 2)).scale(bad)
+    # a Laurent scalar with several q-powers is fine
+    assert p.scale(RatQ(LaurentQ({2: 1, 0: 1}))) == p * (
+        MultiLaurent.constant(qp(2)) + MultiLaurent.constant(1)
+    )
+    assert p != bad

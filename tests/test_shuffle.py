@@ -194,6 +194,83 @@ def test_wheel_detects_nonvanishing_numerator():
     assert not alg.wheel_check(fake, 1, 2)
 
 
+def chained_wheel_reference(alg, f, alpha, beta, i_indices, j_index):
+    """The wheel substitution one variable at a time, each pass through
+    ``MultiLaurent.substitute``: the chained form ``wheel_check`` had
+    before it substituted the whole chain in one pass."""
+    d, a = alg.cartan.d(alpha), alg.cartan.a(alpha, beta)
+    t = aux_var("t")
+    out = f.numerator
+    for k, i in enumerate(i_indices):
+        out = out.substitute(zvar(alpha, i), RatQ.q_power(-2 * d * k), t)
+    return out.substitute(zvar(beta, j_index), RatQ.q_power(d * a), t)
+
+
+def one_pass_wheel(alg, f, alpha, beta, i_indices, j_index):
+    d, a = alg.cartan.d(alpha), alg.cartan.a(alpha, beta)
+    chain = tuple(zvar(alpha, i) for i in i_indices) + (zvar(beta, j_index),)
+    scalars = tuple(qp(-2 * d * k) for k in range(len(i_indices))) + (qp(d * a),)
+    return f.numerator.substitute(chain, scalars, aux_var("t"))
+
+
+def classical_serre_element(alg, alpha, beta, modes, s):
+    """The Serre alternator with ordinary binomials: a nonzero element."""
+    from itertools import permutations
+    from math import comb
+
+    n = len(modes)
+    acc = MultiLaurent.zero()
+    for r in range(n + 1):
+        for perm in permutations(modes):
+            word = [(alpha, x) for x in perm[:r]] + [(beta, s)] + [(alpha, x) for x in perm[r:]]
+            acc = acc + alg.word_image(word).numerator.scale((-1) ** r * comb(n, r))
+    degree = tuple(n if c == alpha else 1 if c == beta else 0 for c in range(1, alg.cartan.rank + 1))
+    return ShuffleElement.raw(alg.cartan, degree, acc)
+
+
+def test_one_pass_wheel_matches_chained_substitution():
+    rng = random.Random(7117)
+    cases = []
+    for tag in ("A2", "B2", "G2", "B3", "D4"):
+        alg = ShuffleAlgebra(builtin_cartan(tag))
+        rank = alg.cartan.rank
+        for _ in range(10):
+            # two colors per word, so that most color pairs can host a wheel
+            colors = rng.sample(range(1, rank + 1), 2)
+            word = [(rng.choice(colors), rng.randrange(-1, 2)) for _ in range(rng.randint(2, 4))]
+            cases.append((alg, alg.word_image(word)))
+    a2, b2, g2 = ShuffleAlgebra(A2), ShuffleAlgebra(B2), ShuffleAlgebra(G2)
+    sym = MultiLaurent.var_power(zvar(1, 1), 1) + MultiLaurent.var_power(zvar(1, 2), 1)
+    cases += [
+        # nonvanishing controls: numerators that are no image of a word
+        (a2, ShuffleElement(A2, (2, 1), MultiLaurent.constant(1))),
+        (a2, ShuffleElement(A2, (2, 2), sym)),
+        (b2, ShuffleElement.raw(B2, (3, 3), sym)),
+        (g2, ShuffleElement(G2, (4, 4), MultiLaurent.constant(1))),
+        (a2, classical_serre_element(a2, 1, 2, (1, -1), 0)),
+        (b2, classical_serre_element(b2, 2, 1, (0, 1, 1), 1)),
+        (b2, classical_serre_element(b2, 1, 2, (0, 1), 0)),
+    ]
+    applicable = nonvanishing = 0
+    for alg, f in cases:
+        rank = alg.cartan.rank
+        for alpha in range(1, rank + 1):
+            for beta in range(1, rank + 1):
+                if alpha == beta or not alg.wheel_applicable(f, alpha, beta):
+                    continue
+                chain = 1 - alg.cartan.a(alpha, beta)
+                picks = [tuple(range(1, chain + 1))]
+                picks.append(tuple(rng.sample(range(1, f.degree[alpha - 1] + 1), chain)))
+                for i_indices in picks:
+                    j_index = rng.randint(1, f.degree[beta - 1])
+                    ref = chained_wheel_reference(alg, f, alpha, beta, i_indices, j_index)
+                    assert one_pass_wheel(alg, f, alpha, beta, i_indices, j_index) == ref
+                    assert alg.wheel_check(f, alpha, beta, i_indices, j_index) == ref.is_zero()
+                    applicable += 1
+                    nonvanishing += not ref.is_zero()
+    assert applicable > 60 and nonvanishing >= 8, (applicable, nonvanishing)
+
+
 def test_wheel_argument_validation():
     alg = ShuffleAlgebra(A2)
     w = alg.word_image(parse_word("a1:0 a1:0 a2:0"))
