@@ -156,6 +156,21 @@ def _shifted(terms: dict, off: tuple, a) -> dict:
     return {tuple(map(add, key, off)): c * a for key, c in terms.items()}
 
 
+def _shifted_sum(terms: dict, shifts) -> dict:
+    """sum of a * x^off * terms over the (off, a) pairs: the first shift
+    is a fresh dict, every later one is added straight into it."""
+    if not shifts:
+        return {}
+    off, a = shifts[0]
+    out = _shifted(terms, off, a)
+    for off, a in shifts[1:]:
+        if a == 1:
+            _add_into(out, ((tuple(map(add, key, off)), c) for key, c in terms.items()))
+        else:
+            _add_into(out, ((tuple(map(add, key, off)), c * a) for key, c in terms.items()))
+    return out
+
+
 class MultiLaurent:
     """A Laurent polynomial in several variables over Q[q, q^-1]."""
 
@@ -336,13 +351,8 @@ class MultiLaurent:
         p = self if v is None or v in self.vars else self.with_vars((v,))
         n = len(p.vars)
         slot = None if v is None else p.vars.index(v)
-        parts = [_shifted(p.terms, _unit(n, slot, delta, s), a) for s, a in qt.items()]
-        if len(parts) == 1:
-            return MultiLaurent._raw(p.vars, parts[0])
-        out = {}
-        for part in parts:
-            _add_into(out, part.items())
-        return MultiLaurent._raw(p.vars, out)
+        shifts = [(_unit(n, slot, delta, s), a) for s, a in qt.items()]
+        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts))
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
@@ -363,7 +373,13 @@ class MultiLaurent:
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""
         p = self.with_vars((vi, vj))
-        return p.var_shift(vi, 1, a) + p.var_shift(vj, 1, b)
+        n = len(p.vars)
+        shifts = [
+            (_unit(n, p.vars.index(v), 1, s), k)
+            for v, c in ((vi, a), (vj, b))
+            for s, k in _qterms(c).items()
+        ]
+        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts))
 
     # ---------- substitution and relabeling ----------
 

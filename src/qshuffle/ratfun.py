@@ -5,7 +5,9 @@ This family is closed under the operations the shuffle product and the
 pole-sum identities need: sums, products, variable relabelings and
 symmetrizations.  A ``RatFun`` is kept fully reduced (no denominator
 factor divides the numerator), which makes equality structural and
-``is_zero`` a plain numerator check.
+``is_zero`` a plain numerator check.  ``relabel_fraction`` and
+``fraction_sum`` work on unreduced (numerator, denominator) pairs instead,
+for callers that compare fractions by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ class BinomialFactor:
             raise ValueError("factor stored against the variable order")
         if not self.c.is_q_monomial():
             raise ValueError("binomial scalar must be a nonzero q-monomial")
+        # factors key every denominator dict: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.i, self.j, self.c)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(a, vi: VarId, b, vj: VarId):
@@ -50,6 +57,8 @@ class BinomialFactor:
         may flip."""
         ni = mapping.get(self.i, self.i)
         nj = mapping.get(self.j, self.j)
+        if ni.sort_key() < nj.sort_key():
+            return BinomialFactor(ni, nj, self.c), RQ_ONE
         return BinomialFactor.make(RQ_ONE, ni, self.c, nj)
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
@@ -182,17 +191,7 @@ class RatFun:
     # ---------- relabeling and symmetry ----------
 
     def relabel(self, mapping: dict) -> RatFun:
-        num = self.num.relabel(mapping)
-        den = {}
-        unit = RQ_ONE
-        for f, m in self.den.items():
-            nf, u = f.relabel(mapping)
-            den[nf] = den.get(nf, 0) + m
-            if not u.is_one():
-                unit = unit * u**m
-        if not unit.is_one():
-            num = num.scale(RQ_ONE / unit)
-        return RatFun(num, den, _reduced=True)
+        return RatFun(*relabel_fraction(self.num, self.den, mapping), _reduced=True)
 
     def vars(self) -> tuple[VarId, ...]:
         seen = set(self.num.vars)
@@ -268,6 +267,49 @@ def _as_ratfun(x):
     return NotImplemented
 
 
+def relabel_fraction(num: MultiLaurent, den: dict, mapping: dict):
+    """Rename the variables of num / prod(den); returns (num, den) with
+    the units of reoriented factors moved into the numerator."""
+    out = {}
+    unit = RQ_ONE
+    for f, m in den.items():
+        nf, u = f.relabel(mapping)
+        out[nf] = out.get(nf, 0) + m
+        if not u.is_one():
+            unit = unit * u**m
+    num = num.relabel(mapping)
+    if not unit.is_one():
+        num = num.scale(RQ_ONE / unit)
+    return num, out
+
+
+def den_lcm(dens) -> dict[BinomialFactor, int]:
+    """Least common multiple of {factor: multiplicity} denominators."""
+    lcm: dict[BinomialFactor, int] = {}
+    for den in dens:
+        for f, m in den.items():
+            if lcm.get(f, 0) < m:
+                lcm[f] = m
+    return lcm
+
+
+def cofactor(full: dict, part: dict) -> list:
+    """The factors of prod(full) / prod(part), for part dividing full, as
+    (factor, multiplicity) pairs for ``factor_product``."""
+    return [(f, m - part.get(f, 0)) for f, m in full.items() if m > part.get(f, 0)]
+
+
+def fraction_sum(terms) -> tuple[MultiLaurent, dict]:
+    """Sum of (numerator, denominator) pairs over their lcm, unreduced:
+    returns (N, lcd) with N / prod(lcd) the sum."""
+    terms = list(terms)
+    lcd = den_lcm(den for _, den in terms)
+    total = MultiLaurent.zero()
+    for num, den in terms:
+        total = total + factor_product(cofactor(lcd, den), start=num)
+    return total, lcd
+
+
 def rat_sum(terms) -> RatFun:
     """Sum of RatFuns over one common denominator (single reduction)."""
     terms = [t for t in terms if not t.is_zero()]
@@ -275,18 +317,7 @@ def rat_sum(terms) -> RatFun:
         return RatFun.zero()
     if len(terms) == 1:
         return terms[0]
-    lcd: dict[BinomialFactor, int] = {}
-    for t in terms:
-        for f, m in t.den.items():
-            if lcd.get(f, 0) < m:
-                lcd[f] = m
-    total = MultiLaurent.zero()
-    for t in terms:
-        comp = [(f, m - t.den.get(f, 0)) for f, m in lcd.items()]
-        total = total + factor_product(
-            [(f, m) for f, m in comp if m > 0], start=t.num
-        )
-    return RatFun(total, lcd)
+    return RatFun(*fraction_sum((t.num, t.den) for t in terms))
 
 
 def sym_group(f: RatFun, vs) -> RatFun:

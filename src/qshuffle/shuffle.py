@@ -28,7 +28,10 @@ z_(i+1)) per color, see ``_mul_polynomial``.  The product never leaves
 the polynomial ring and needs no division; an independent
 rational-function summation over the interleavings is available as
 ``mul_oracle_rational`` and can be switched on for every product with
-``ShuffleAlgebra(..., oracle=True)``.
+``ShuffleAlgebra(..., oracle=True)``.  The oracle check sums the
+interleaving terms over their common denominator lcd without reducing
+anything, and compares the sum N / lcd with V A / D by cross-multiplying
+over the lcm of lcd and D, so it divides nothing either.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ from itertools import combinations, permutations, product
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
 from .qring import RatQ, q_binomial
-from .ratfun import BinomialFactor, RatFun, rat_sum
+from .ratfun import (
+    BinomialFactor,
+    RatFun,
+    cofactor,
+    den_lcm,
+    factor_product,
+    fraction_sum,
+    relabel_fraction,
+)
 
 
 class ClosureViolation(Exception):
@@ -134,6 +145,7 @@ class ShuffleAlgebra:
         self.orientation = orientation
         self.oracle = oracle
         self.oracle_checks = 0
+        self._forms: dict[tuple, tuple] = {}
 
     # ---------- basic elements ----------
 
@@ -160,6 +172,29 @@ class ShuffleAlgebra:
 
     # ---------- canonical rational form ----------
 
+    def _form(self, degree) -> tuple[dict[BinomialFactor, int], MultiLaurent, RatQ]:
+        """(canonical denominator, Vandermonde, unit) of a degree, computed
+        once per algebra; the unit is the product of the q^p absorbed while
+        canonicalizing the printed orientation's raw factors (q^p z_u - z_v),
+        1 in the default orientation."""
+        degree = tuple(degree)
+        form = self._forms.get(degree)
+        if form is None:
+            flat = self.flat_vars(degree)
+            den, vand, unit = {}, MultiLaurent.constant(1, flat), RatQ.one()
+            for u, v in combinations(flat, 2):
+                p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
+                if self.orientation == "product":
+                    f = BinomialFactor(u, v, p)
+                else:
+                    f, _ = BinomialFactor.make(p, u, RatQ.one(), v)
+                    unit = unit * p
+                den[f] = den.get(f, 0) + 1
+                if u.color == v.color:
+                    vand = vand.mul_binomial(1, u, -1, v)
+            form = self._forms[degree] = (den, vand, unit)
+        return form
+
     def canonical_denominator(self, degree) -> dict[BinomialFactor, int]:
         """One binomial per flattened pair, oriented per the convention.
 
@@ -167,39 +202,22 @@ class ShuffleAlgebra:
         raw factor (q^p z_u - z_v) also contributes a unit q^p, which
         ``to_rational`` folds into the numerator.
         """
-        den = {}
-        for u, v in combinations(self.flat_vars(degree), 2):
-            p = self.cartan.pairing(u.color, v.color)
-            if self.orientation == "product":
-                f = BinomialFactor(u, v, RatQ.q_power(p))
-            else:
-                f, _ = BinomialFactor.make(RatQ.q_power(p), u, RatQ.one(), v)
-            den[f] = den.get(f, 0) + 1
-        return den
-
-    def _den_unit(self, degree) -> RatQ:
-        """Product of the units absorbed while canonicalizing the
-        denominator (1 in the default orientation)."""
-        unit = RatQ.one()
-        if self.orientation == "printed":
-            for u, v in combinations(self.flat_vars(degree), 2):
-                p = self.cartan.pairing(u.color, v.color)
-                unit = unit * RatQ.q_power(p)
-        return unit
+        return dict(self._form(degree)[0])
 
     def vandermonde(self, degree) -> MultiLaurent:
-        out = MultiLaurent.constant(1, self.flat_vars(degree))
-        for u, v in combinations(self.flat_vars(degree), 2):
-            if u.color == v.color:
-                out = out.mul_binomial(1, u, -1, v)
-        return out
+        return self._form(degree)[1]
 
-    def to_rational(self, f: ShuffleElement) -> RatFun:
-        num = self.vandermonde(f.degree) * f.numerator
-        unit = self._den_unit(f.degree)
+    def _canonical_numerator(self, f: ShuffleElement) -> MultiLaurent:
+        """V * A / unit: the numerator of f over its canonical denominator,
+        unreduced."""
+        _, vand, unit = self._form(f.degree)
+        num = vand * f.numerator
         if not unit.is_one():
             num = num.scale(RatQ.one() / unit)
-        return RatFun(num, self.canonical_denominator(f.degree))
+        return num
+
+    def to_rational(self, f: ShuffleElement) -> RatFun:
+        return RatFun(self._canonical_numerator(f), self._form(f.degree)[0])
 
     def to_symmetric_rational(self, f: ShuffleElement) -> RatFun:
         """Image under the twist sending the canonical form to a fully
@@ -236,8 +254,14 @@ class ShuffleAlgebra:
         else:
             result = self._mul_rational(f, g, total)
         if self.oracle:
-            expect = self.mul_oracle_rational(f, g)
-            if self.to_rational(result) != expect:
+            # N / lcd == V A / (unit D), cross-multiplied over L = lcm(lcd, D):
+            # exact in the integral domain Q[q, 1/q][z, 1/z], and no division
+            num, lcd = self._oracle_fraction(f, g)
+            den = self._form(total)[0]
+            lcm = den_lcm((lcd, den))
+            lhs = factor_product(cofactor(lcm, lcd), start=num)
+            rhs = factor_product(cofactor(lcm, den), start=self._canonical_numerator(result))
+            if lhs != rhs:
                 raise ArithmeticError(
                     "shuffle product disagrees with the direct rational sum"
                 )
@@ -278,11 +302,11 @@ class ShuffleAlgebra:
         """Orientation-agnostic fallback through rational functions."""
         r = self.mul_oracle_rational(f, g)
         num = r.num
-        unit = self._den_unit(total)
+        unit = self._form(total)[2]
         if not unit.is_one():
             num = num.scale(unit)
         a = RatFun(num, r.den)
-        for fac, m in self.canonical_denominator(total).items():
+        for fac, m in self._form(total)[0].items():
             a = a.mul_factor(fac, m)
         flat = self.flat_vars(total)
         for u, v in combinations(flat, 2):
@@ -302,26 +326,40 @@ class ShuffleAlgebra:
     def mul_oracle_rational(self, f: ShuffleElement, g: ShuffleElement) -> RatFun:
         """Direct rational-function shuffle sum: relabel both factors into
         the combined variables and weight inverted mixed pairs by the
-        exchange ratio."""
+        exchange ratio.  The sum is formed unreduced and reduced once, at
+        the end; ``mul`` with the oracle on skips even that reduction and
+        compares the unreduced sum by cross-multiplying over the lcm of the
+        two denominators."""
+        return RatFun(*self._oracle_fraction(f, g))
+
+    def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement):
+        """The interleaving sum of ``mul_oracle_rational`` as (N, lcd), N
+        over the product of the lcd factors, with no reduction.
+
+        Each term is the product of the relabelled canonical forms V A / D
+        of f and g and, per inverted mixed pair (u from g before v from f),
+        of (q^p z_u - z_v) / (z_u - q^p z_v); the terms are summed over the
+        lcm of their denominators."""
         total = tuple(a + b for a, b in zip(f.degree, g.degree))
         flat = self.flat_vars(total)
-        fr = self.to_rational(f)
-        gr = self.to_rational(g)
-        parts = []
+        sides = [(self._canonical_numerator(x), self._form(x.degree)[0]) for x in (f, g)]
+        terms = []
         for fmap, gmap, fset in self._interleavings(f.degree, g.degree):
-            term = fr.relabel(fmap) * gr.relabel(gmap)
+            (fnum, fden), (gnum, gden) = (
+                relabel_fraction(*side, mapping) for side, mapping in zip(sides, (fmap, gmap))
+            )
+            # disjoint: every factor pairs two variables of the same operand
+            num, den = fnum * gnum, {**fden, **gden}
             for u, v in combinations(flat, 2):
                 if (u in fset) or (v not in fset):
                     continue
                 # u from the right factor precedes v from the left: inverted
                 p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
-                term = term * RatFun(
-                    MultiLaurent.var_power(u, 1, p)
-                    - MultiLaurent.var_power(v, 1),
-                    {BinomialFactor(u, v, p): 1},
-                )
-            parts.append(term)
-        return rat_sum(parts)
+                num = num.mul_binomial(p, u, -1, v)
+                fac = BinomialFactor(u, v, p)
+                den[fac] = den.get(fac, 0) + 1
+            terms.append((num, den))
+        return fraction_sum(terms)
 
     # ---------- words ----------
 

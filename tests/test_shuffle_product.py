@@ -1,4 +1,5 @@
-"""Differential tests for the default-orientation shuffle product.
+"""Differential tests for the default-orientation shuffle product and
+for the rational oracle that checks it.
 
 ``ShuffleAlgebra.mul`` builds the product numerator by parabolic divided
 differences.  ``interleaving_product`` below is the literal definition:
@@ -6,6 +7,13 @@ sum the per-color interleavings, each times the same-color Vandermonde and
 the mixed-pair binomials, then divide the Vandermonde back out.  Both are
 checked against each other and against the independent rational oracle
 ``mul_oracle_rational`` on every builtin Cartan type.
+
+The oracle sums its interleaving terms unreduced and reduces once;
+``reference_oracle_rational`` is the same sum with every term product
+reduced and the sum closed by ``rat_sum``, and both are compared in both
+orientations.  With the oracle on, ``mul`` compares the two sides by
+cross-multiplying, so it needs no exact division; the mutation controls
+show that the comparison still catches a wrong product.
 """
 
 import random
@@ -14,13 +22,17 @@ from itertools import combinations
 import pytest
 
 from qshuffle.cartan import builtin_cartan
+from qshuffle.cli import main
 from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, zvar
 from qshuffle.qring import RatQ
+from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
 from qshuffle.shuffle import (
+    ORIENTATIONS,
     ClosureViolation,
     ShuffleAlgebra,
     ShuffleElement,
     format_word,
+    parse_word,
 )
 
 TYPES = ("A1", "A2", "B2", "C3", "B3", "D4", "G2")
@@ -57,6 +69,28 @@ def interleaving_product(alg, f, g):
         if not num.is_symmetric(c):
             raise ClosureViolation(f"not symmetric in color {c}")
     return ShuffleElement(alg.cartan, total, num, check=False)
+
+
+def reference_oracle_rational(alg, f, g):
+    """Reference oracle: the interleaving sum with every term product
+    reduced as it is formed and the terms added by ``rat_sum``."""
+    total = tuple(a + b for a, b in zip(f.degree, g.degree))
+    flat = alg.flat_vars(total)
+    fr = alg.to_rational(f)
+    gr = alg.to_rational(g)
+    parts = []
+    for fmap, gmap, fset in alg._interleavings(f.degree, g.degree):
+        term = fr.relabel(fmap) * gr.relabel(gmap)
+        for u, v in combinations(flat, 2):
+            if (u in fset) or (v not in fset):
+                continue
+            p = RatQ.q_power(alg.cartan.pairing(u.color, v.color))
+            term = term * RatFun(
+                MultiLaurent.var_power(u, 1, p) - MultiLaurent.var_power(v, 1),
+                {BinomialFactor(u, v, p): 1},
+            )
+        parts.append(term)
+    return rat_sum(parts)
 
 
 def random_word(rng, rank, length):
@@ -177,3 +211,92 @@ def test_asymmetric_operand_violates_closure_on_either_side(name):
             alg.mul(bad, other)
         with pytest.raises(ClosureViolation):
             alg.mul(other, bad)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("name", TYPES)
+def test_oracle_matches_reduced_reference(name, orientation):
+    # the operands are symmetric numerators built on the default
+    # orientation, so printed products that would not close are covered too
+    cartan = builtin_cartan(name)
+    build = ShuffleAlgebra(cartan)
+    alg = ShuffleAlgebra(cartan, orientation=orientation)
+    rng = random.Random(f"oracle-reference-{name}-{orientation}")
+    # word lengths up to 3, at most four letters in all: a printed A1
+    # product of lengths 3 and 2 already takes seconds on either side
+    for lf, lg in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)):
+        u = random_word(rng, cartan.rank, lf)
+        v = random_word(rng, cartan.rank, lg)
+        f, g = build.word_image(u), build.word_image(v)
+        assert alg.mul_oracle_rational(f, g) == reference_oracle_rational(alg, f, g), (
+            format_word(u),
+            format_word(v),
+        )
+
+
+def _scaled(num):
+    return num.scale(2)
+
+
+def _one_term_dropped(num):
+    terms = dict(num.terms)
+    del terms[min(terms)]
+    return MultiLaurent._raw(num.vars, terms)
+
+
+def _q_inverted(num):
+    return MultiLaurent._raw(
+        num.vars, {key[:-1] + (-key[-1],): c for key, c in num.terms.items()}
+    )
+
+
+@pytest.mark.parametrize("mutate", (_scaled, _one_term_dropped, _q_inverted))
+@pytest.mark.parametrize("name", ("A2", "B2", "G2"))
+def test_oracle_check_catches_mutated_products(name, mutate, monkeypatch):
+    cartan = builtin_cartan(name)
+    plain = ShuffleAlgebra(cartan)
+    f = plain.word_image([(1, 0), (2, 1)])
+    g = plain.word_image([(2, -1), (1, 1)])
+    true = plain.mul(f, g)
+    exact = plain._mul_polynomial
+
+    def mutated(f, g, total):
+        out = exact(f, g, total)
+        return ShuffleElement.raw(cartan, total, mutate(out.numerator))
+
+    monkeypatch.setattr(plain, "_mul_polynomial", mutated)
+    assert plain.mul(f, g) != true  # the mutation changes the product
+    alg = ShuffleAlgebra(cartan, oracle=True)
+    monkeypatch.setattr(alg, "_mul_polynomial", mutated)
+    with pytest.raises(ArithmeticError):
+        alg.mul(f, g)
+    assert alg.oracle_checks == 0
+
+
+def test_oracle_mode_product_needs_no_exact_division(monkeypatch):
+    calls = []
+    divide = MultiLaurent.exact_div_binomial
+
+    def counted(self, *args):
+        calls.append(args)
+        return divide(self, *args)
+
+    monkeypatch.setattr(MultiLaurent, "exact_div_binomial", counted)
+    alg = ShuffleAlgebra(builtin_cartan("B2"), oracle=True)
+    word = parse_word("a1:0 a2:1 a2:-1 a1:1")
+    el = alg.word_image(word)
+    assert alg.oracle_checks == 4
+    assert calls == []
+    # control: the counter sees the divisions of the public oracle's reduction
+    f, g = alg.word_image(word[:3]), alg.generator(1, 1)
+    got = alg.mul_oracle_rational(f, g)
+    assert calls
+    assert got == alg.to_rational(el)
+
+
+def test_printed_orientation_still_violates_closure(capsys):
+    alg = ShuffleAlgebra(builtin_cartan("A2"), orientation="printed", oracle=True)
+    with pytest.raises(ClosureViolation):
+        alg.word_image(parse_word("a2:0 a1:0"))
+    assert alg.word_image(parse_word("a1:0 a2:0")).degree == (1, 1)
+    assert main(["product", "--cartan", "A2", "--orientation", "printed", "a2:0 a1:0"]) == 3
