@@ -433,13 +433,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         raise ValueError(f"expansion order misses variables: {missing}")
     if f.is_zero():
         vs = _sorted_vars(order)
-        return TruncSeries(
-            vs,
-            {},
-            window,
-            window,
-            Support({v: (0, 0) for v in vs}, {}),
-        )
+        return TruncSeries._trusted(vs, {}, window, window, Support(dict.fromkeys(vs, (0, 0)), {}))
 
     pos = {v: k for k, v in enumerate(order)}
     num = f.num.with_vars(order)

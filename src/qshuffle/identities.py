@@ -75,7 +75,9 @@ def pole_sum_denominator(m: int) -> dict[BinomialFactor, int]:
 
 
 def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
-    """One summand, built factor by factor (the slow reference form)."""
+    """One summand as a single fraction, the reference ``build_pole_sum``
+    is checked against: its numerator, its canonical pole factors and the
+    q-monomial unit they absorb go into one ``RatFun``."""
     if not 0 <= k <= m + 1:
         raise ValueError("k runs from 0 to m+1")
     e = -1 if q_inverted else 1
@@ -83,12 +85,13 @@ def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     num = MultiLaurent.constant(_binom(m, k, q_inverted))
     for a, b in combinations(rel, 2):
         num = num.mul_binomial(1, a, -1, b)
-    out = RatFun(num)
+    den, unit = {}, RatQ.one()
     poles = [(-e * m, z, W) if pos < k else (-e * m, W, z) for pos, z in enumerate(rel)]
     for p, a, b in poles + [(2 * e, a, b) for a, b in combinations(rel, 2)]:
-        f, unit = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
-        out = (out / unit).mul_factor(f, -1)
-    return out
+        f, u = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
+        den[f] = den.get(f, 0) + 1
+        unit = unit * u
+    return RatFun(num.scale(RatQ.one() / unit), den)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import add, itemgetter, mul
 
-from .qring import LaurentQ, RatQ
+from .qring import LaurentQ, RatQ, int_exponent
 
 
 class NotDivisible(ArithmeticError):
@@ -184,7 +184,7 @@ class MultiLaurent:
         if terms:
             nv = len(vs)
             for exps, c in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(int_exponent, exps))
                 if len(exps) != nv:
                     raise ValueError("exponent tuple length mismatch")
                 _add_into(clean, ((exps + (s,), a) for s, a in _qterms(c).items()))
@@ -368,7 +368,7 @@ class MultiLaurent:
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""
-        return self._times(v, delta, {0: 1} if c is None else _qterms(c))
+        return self._times(v, int_exponent(delta), {0: 1} if c is None else _qterms(c))
 
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""

@@ -26,6 +26,13 @@ def _coerce_fraction(c) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def int_exponent(e) -> int:
+    """e as an exponent: ValueError unless an int (1.5 must not become 1)."""
+    if type(e) is int:
+        return e
+    raise ValueError(f"exponent {e!r} is not an integer")
+
+
 _ONE_TERMS = {0: Fraction(1)}
 
 
@@ -44,7 +51,7 @@ class LaurentQ:
             for e, c in terms.items():
                 c = _coerce_fraction(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[int_exponent(e)] = c
         self.terms = clean
 
     # ---------- constructors ----------
@@ -269,14 +276,17 @@ def _as_laurent(x):
     return NotImplemented
 
 
+def _trimmed(coeffs) -> list:
+    """A coefficient list (ascending degree) without its trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_divmod(num, den):
     """Long division of Fraction coefficient lists (ascending degree)."""
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
+    num, den = _trimmed(num), _trimmed(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if len(num) < len(den):
@@ -289,24 +299,14 @@ def _poly_divmod(num, den):
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    while num and not num[-1]:
-        num.pop()
-    return quo, num
+    return quo, _trimmed(num)
 
 
 def _poly_gcd(a, b):
     """Monic gcd of Fraction coefficient lists; [1] when coprime."""
-    a = list(a)
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    while a and not a[-1]:
-        a.pop()
+    a, b = _trimmed(a), _trimmed(b)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-        while b and not b[-1]:
-            b.pop()
+        a, b = b, _poly_divmod(a, b)[1]
     if not a:
         return []
     lead = a[-1]

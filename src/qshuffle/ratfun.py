@@ -5,15 +5,16 @@ This family is closed under the operations the shuffle product and the
 pole-sum identities need: sums, products, variable relabelings and
 symmetrizations.  A ``RatFun`` is kept fully reduced (no denominator
 factor divides the numerator), which makes equality structural and
-``is_zero`` a plain numerator check.  ``relabel_fraction`` and
-``fraction_sum`` work on unreduced (numerator, denominator) pairs instead,
-for callers that compare fractions by cross-multiplying.
+``is_zero`` a plain numerator check.  ``relabel_fraction``,
+``fraction_sum`` and ``fractions_equal`` work on unreduced (numerator,
+denominator) pairs instead, and divide nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .poly import MultiLaurent, NotDivisible, VarId
 from .qring import RQ_ONE, RatQ
@@ -299,6 +300,13 @@ def cofactor(full: dict, part: dict) -> list:
     return [(f, m - part.get(f, 0)) for f, m in full.items() if m > part.get(f, 0)]
 
 
+def cancel_common(a: dict, b: dict):
+    """What is left of two {factor: multiplicity} mappings once the
+    factors they share are cancelled by count."""
+    common = {f: min(m, b[f]) for f, m in a.items() if f in b}
+    return dict(cofactor(a, common)), dict(cofactor(b, common))
+
+
 def fraction_sum(terms) -> tuple[MultiLaurent, dict]:
     """Sum of (numerator, denominator) pairs over their lcm, unreduced:
     returns (N, lcd) with N / prod(lcd) the sum."""
@@ -308,6 +316,15 @@ def fraction_sum(terms) -> tuple[MultiLaurent, dict]:
     for num, den in terms:
         total = total + factor_product(cofactor(lcd, den), start=num)
     return total, lcd
+
+
+def fractions_equal(a, b) -> bool:
+    """Whether the unreduced fractions a = (num, den) and b = (num, den)
+    are equal, cross-multiplied over the lcm of their denominators: exact,
+    since Q[q, 1/q][z, 1/z] is an integral domain, and division-free."""
+    (na, da), (nb, db) = a, b
+    da, db = cancel_common(da, db)
+    return factor_product(db, start=na) == factor_product(da, start=nb)
 
 
 def rat_sum(terms) -> RatFun:
@@ -322,10 +339,5 @@ def rat_sum(terms) -> RatFun:
 
 def sym_group(f: RatFun, vs) -> RatFun:
     """Sum of all relabelings of f permuting the given variables."""
-    from itertools import permutations
-
     vs = tuple(vs)
-    out = []
-    for perm in permutations(vs):
-        out.append(f.relabel(dict(zip(vs, perm))))
-    return rat_sum(out)
+    return rat_sum(f.relabel(dict(zip(vs, perm))) for perm in permutations(vs))

@@ -14,7 +14,9 @@ Under the default "product" orientation the pair (u, v) contributes
 (z_u - q^(u,v) z_v), which is the convention compatible with polynomial
 numerator extraction for products of generators; the "printed"
 orientation uses (q^(u,v) z_u - z_v) instead and generally fails to stay
-polynomial, which ``mul`` reports as ``ClosureViolation``.
+polynomial, which ``mul`` reports as ``ClosureViolation``: its product is
+read off the oracle sum N / lcd, with D cancelled against lcd and the
+same-color differences by count and one reduction of what is left.
 
 Multiplication is the correlation-function shuffle formula: sum over
 per-color order-preserving interleavings, with the exchange factor
@@ -30,8 +32,9 @@ rational-function summation over the interleavings is available as
 ``mul_oracle_rational`` and can be switched on for every product with
 ``ShuffleAlgebra(..., oracle=True)``.  The oracle check sums the
 interleaving terms over their common denominator lcd without reducing
-anything, and compares the sum N / lcd with V A / D by cross-multiplying
-over the lcm of lcd and D, so it divides nothing either.
+anything, and compares the sum N / lcd with V A / D by
+``ratfun.fractions_equal``, cross-multiplying over the lcm of lcd and D,
+so it divides nothing either.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ from itertools import combinations, permutations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
-from .qring import RatQ, q_binomial
+from .qring import RQ_ONE, RatQ, int_exponent, q_binomial
 from .ratfun import (
     BinomialFactor,
     RatFun,
-    cofactor,
-    den_lcm,
+    cancel_common,
     factor_product,
     fraction_sum,
+    fractions_equal,
     relabel_fraction,
 )
 
@@ -196,12 +199,8 @@ class ShuffleAlgebra:
         return form
 
     def canonical_denominator(self, degree) -> dict[BinomialFactor, int]:
-        """One binomial per flattened pair, oriented per the convention.
-
-        Returns the canonical factors; under the printed orientation each
-        raw factor (q^p z_u - z_v) also contributes a unit q^p, which
-        ``to_rational`` folds into the numerator.
-        """
+        """One binomial per flattened pair, oriented per the convention;
+        the printed orientation's units q^p go into the numerator."""
         return dict(self._form(degree)[0])
 
     def vandermonde(self, degree) -> MultiLaurent:
@@ -221,13 +220,15 @@ class ShuffleAlgebra:
 
     def to_symmetric_rational(self, f: ShuffleElement) -> RatFun:
         """Image under the twist sending the canonical form to a fully
-        symmetric rational function (denominator of plain differences)."""
-        r = self.to_rational(f)
+        symmetric rational function (denominator of plain differences):
+        the canonical form times (z_u - q^(u,v) z_v) / (z_u - z_v) for
+        every flattened pair, built as one fraction."""
+        num, den = self._canonical_numerator(f), dict(self._form(f.degree)[0])
         for u, v in combinations(self.flat_vars(f.degree), 2):
-            p = self.cartan.pairing(u.color, v.color)
-            r = r.mul_factor(BinomialFactor(u, v, RatQ.q_power(p)))
-            r = r.div_factor(BinomialFactor(u, v, RatQ.one()))
-        return r
+            num = num.mul_binomial(1, u, -RatQ.q_power(self.cartan.pairing(u.color, v.color)), v)
+            plain = BinomialFactor(u, v, RQ_ONE)
+            den[plain] = den.get(plain, 0) + 1
+        return RatFun(num, den)
 
     # ---------- the shuffle product ----------
 
@@ -254,14 +255,9 @@ class ShuffleAlgebra:
         else:
             result = self._mul_rational(f, g, total)
         if self.oracle:
-            # N / lcd == V A / (unit D), cross-multiplied over L = lcm(lcd, D):
-            # exact in the integral domain Q[q, 1/q][z, 1/z], and no division
-            num, lcd = self._oracle_fraction(f, g)
-            den = self._form(total)[0]
-            lcm = den_lcm((lcd, den))
-            lhs = factor_product(cofactor(lcm, lcd), start=num)
-            rhs = factor_product(cofactor(lcm, den), start=self._canonical_numerator(result))
-            if lhs != rhs:
+            # N / lcd == V A / (unit D), cross-multiplied: no division
+            canonical = (self._canonical_numerator(result), self._form(total)[0])
+            if not fractions_equal(self._oracle_fraction(f, g), canonical):
                 raise ArithmeticError(
                     "shuffle product disagrees with the direct rational sum"
                 )
@@ -299,25 +295,25 @@ class ShuffleAlgebra:
         return ShuffleElement(self.cartan, total, num, check=False)
 
     def _mul_rational(self, f, g, total):
-        """Orientation-agnostic fallback through rational functions."""
-        r = self.mul_oracle_rational(f, g)
-        num = r.num
-        unit = self._form(total)[2]
-        if not unit.is_one():
-            num = num.scale(unit)
-        a = RatFun(num, r.den)
-        for fac, m in self._form(total)[0].items():
-            a = a.mul_factor(fac, m)
-        flat = self.flat_vars(total)
-        for u, v in combinations(flat, 2):
+        """Orientation-agnostic product A = N unit D / (lcd V) from the
+        oracle sum N / lcd.  D cancels against lcd and V's same-color
+        differences by count, the rest of the denominator is reduced once
+        (a surviving factor is a ClosureViolation), and the D factors that
+        did not cancel are multiplied in last."""
+        num, den = self._oracle_fraction(f, g)
+        canon, _, unit = self._form(total)
+        for u, v in combinations(self.flat_vars(total), 2):
             if u.color == v.color:
-                a = a.div_factor(BinomialFactor(u, v, RatQ.one()))
-        if not a.is_polynomial():
+                plain = BinomialFactor(u, v, RQ_ONE)
+                den[plain] = den.get(plain, 0) + 1
+        extra, den = cancel_common(canon, den)
+        r = RatFun(num.scale(unit), den)
+        if not r.is_polynomial():
             raise ClosureViolation(
                 "extracted numerator keeps denominator factors "
-                f"{[str(x) for x in a.den]}"
+                f"{[str(x) for x in sorted(r.den, key=BinomialFactor.sort_key)]}"
             )
-        num = a.num
+        num = factor_product(extra, start=r.num)
         for c in range(1, self.cartan.rank + 1):
             if not num.is_symmetric(c):
                 raise ClosureViolation(f"product numerator not symmetric in color {c}")
@@ -325,11 +321,8 @@ class ShuffleAlgebra:
 
     def mul_oracle_rational(self, f: ShuffleElement, g: ShuffleElement) -> RatFun:
         """Direct rational-function shuffle sum: relabel both factors into
-        the combined variables and weight inverted mixed pairs by the
-        exchange ratio.  The sum is formed unreduced and reduced once, at
-        the end; ``mul`` with the oracle on skips even that reduction and
-        compares the unreduced sum by cross-multiplying over the lcm of the
-        two denominators."""
+        the combined variables, weight inverted mixed pairs by the exchange
+        ratio, and reduce the sum once."""
         return RatFun(*self._oracle_fraction(f, g))
 
     def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement):
@@ -380,23 +373,20 @@ class ShuffleAlgebra:
     # ---------- structure checks ----------
 
     def twisted_symmetry_check(self, f: ShuffleElement) -> bool:
-        """Exchange identity of the canonical form: swapping adjacent
-        same-color variables multiplies the rational form by
-        (z_i - q^(c,c) z_j)/(q^(c,c) z_i - z_j)."""
-        r = self.to_rational(f)
+        """Exchange identity of the canonical form r: swapping adjacent
+        same-color variables u, v gives s(r) (q^(c,c) z_u - z_v) = r (z_u -
+        q^(c,c) z_v) in the product orientation and s(r) (z_u - q^(c,c)
+        z_v) = r (q^(c,c) z_u - z_v) in the printed one.  Both sides are
+        compared unreduced, by cross-multiplying."""
+        num, den = self._canonical_numerator(f), self._form(f.degree)[0]
         for c in range(1, self.cartan.rank + 1):
             cv = [v for v in self.flat_vars(f.degree) if v.color == c]
             qq = RatQ.q_power(self.cartan.pairing(c, c))
-            for i in range(len(cv) - 1):
-                u, v = cv[i], cv[i + 1]
-                swapped = r.relabel({u: v, v: u})
-                lhs = swapped * (
-                    MultiLaurent.var_power(u, 1, qq) - MultiLaurent.var_power(v, 1)
-                )
-                rhs = r * (
-                    MultiLaurent.var_power(u, 1) - MultiLaurent.var_power(v, 1, qq)
-                )
-                if lhs != rhs:
+            a, b = (qq, 1) if self.orientation == "product" else (1, qq)
+            for u, v in zip(cv, cv[1:]):
+                snum, sden = relabel_fraction(num, den, {u: v, v: u})
+                lhs = (snum.mul_binomial(a, u, -b, v), sden)
+                if not fractions_equal(lhs, (num.mul_binomial(b, u, -a, v), den)):
                     return False
         return True
 
@@ -444,7 +434,7 @@ class ShuffleAlgebra:
             raise ValueError("Serre relation needs two distinct colors")
         a = self.cartan.a(alpha, beta)
         N = 1 - a
-        modes = tuple(int(x) for x in modes)
+        modes = tuple(int_exponent(x) for x in modes)
         if len(modes) != N:
             raise ValueError(f"expected {N} modes for colors ({alpha},{beta})")
         d = self.cartan.d(alpha)

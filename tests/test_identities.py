@@ -1,7 +1,7 @@
 """Pole-sum identities: rational vanishing, partial fractions, windows."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -21,9 +21,25 @@ from qshuffle.identities import (
     verify_rational_vanishing,
     window_identity_report,
 )
-from qshuffle.poly import aux_var, zvar
+from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
-from qshuffle.ratfun import rat_sum
+from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
+
+
+def reference_term_value(m, k, sigma, q_inverted=False):
+    """Reference summand, built factor by factor: each pole is divided in
+    with ``RatFun.div_factor``, one reduction per factor."""
+    e = -1 if q_inverted else 1
+    rel = [_zs(m)[s - 1] for s in sigma]
+    num = MultiLaurent.constant(_binom(m, k, q_inverted))
+    for a, b in combinations(rel, 2):
+        num = num.mul_binomial(1, a, -1, b)
+    out = RatFun(num)
+    poles = [(-e * m, z, W) if pos < k else (-e * m, W, z) for pos, z in enumerate(rel)]
+    for p, a, b in poles + [(2 * e, a, b) for a, b in combinations(rel, 2)]:
+        f, unit = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
+        out = (out / unit).div_factor(f)
+    return out
 
 
 def test_pole_sum_vanishes_low_orders():
@@ -45,6 +61,14 @@ def test_naive_term_sum_agrees():
             term_value(1, k, s, qi) for k in range(3) for s in permutations((1, 2))
         )
         assert naive.is_zero()
+
+
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_term_value_matches_factor_by_factor_reference(m, qi):
+    for k in range(m + 2):
+        for s in permutations(range(1, m + 2)):
+            assert term_value(m, k, s, qi) == reference_term_value(m, k, s, qi), (k, s)
 
 
 def test_single_term_numeric_value():
@@ -92,7 +116,7 @@ COEFFS = {
 @pytest.mark.parametrize("m", (1, 2))
 def test_pole_sum_matches_summand_reference(m, qi, name):
     # the divided-difference numerator against the (m+2)(m+1)! summands
-    # built factor by factor, rescaled to the same coefficient map; both
+    # of term_value, rescaled to the same coefficient map; both
     # sides carry the factor B = prod_k [m+1 k], which keeps the rescaling
     # c_k B / [m+1 k] inside the Laurent coefficient ring
     coeff = COEFFS[name](m)

@@ -384,3 +384,15 @@ def test_scalars_outside_the_laurent_ring_raise():
         MultiLaurent.constant(qp(2)) + MultiLaurent.constant(1)
     )
     assert p != bad
+
+
+def test_non_integer_exponents_raise():
+    # 1.5 used to truncate to 1 in the constructor and to be stored as a
+    # float exponent by var_power
+    with pytest.raises(ValueError):
+        MultiLaurent([Z1], {(1.5,): 1})
+    with pytest.raises(ValueError):
+        MultiLaurent.var_power(Z1, 1.5)
+    with pytest.raises(ValueError):
+        MultiLaurent.monomial({Z1: 2, Z2: 0.5})
+    assert MultiLaurent([Z1], {(2,): 1}) == MultiLaurent.var_power(Z1, 2)

@@ -98,6 +98,14 @@ def oint_binomial(n, p):
 # ---------- LaurentQ ring structure ----------
 
 
+def test_laurent_non_integer_exponent_raises():
+    with pytest.raises(ValueError):
+        LQ({1.5: 1})
+    with pytest.raises(ValueError):
+        LaurentQ.q_power(0.5)
+    assert LQ({2: 1}) == LaurentQ.q_power(2)
+
+
 def test_laurent_basic_arithmetic():
     a = LQ({2: 1, 0: -3})
     b = LQ({0: 3, -1: Fraction(1, 2)})

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from itertools import combinations
+
 from qshuffle.cartan import builtin_cartan
 from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
@@ -361,6 +363,52 @@ def test_twisted_symmetry_rejects_asymmetric_numerator():
     alg = ShuffleAlgebra(A2)
     bad = ShuffleElement.raw(A2, (2, 0), MultiLaurent.var_power(zvar(1, 1), 1))
     assert not alg.twisted_symmetry_check(bad)
+
+
+@pytest.mark.parametrize("orientation", ("product", "printed"))
+def test_twisted_symmetry_in_both_orientations(orientation):
+    # the exchange factor follows the orientation: symmetric numerators
+    # pass and an asymmetric one fails in either
+    alg = ShuffleAlgebra(A2, orientation=orientation)
+    z11, z12 = zvar(1, 1), zvar(1, 2)
+    one = ShuffleElement(A2, (2, 1), MultiLaurent.constant(1))
+    pair = ShuffleElement(A2, (2, 1), MultiLaurent.var_power(z11, 1) + MultiLaurent.var_power(z12, 1))
+    triple = ShuffleAlgebra(B2).word_image(parse_word("a2:0 a2:1 a2:0"))
+    assert alg.twisted_symmetry_check(one)
+    assert alg.twisted_symmetry_check(pair)
+    assert ShuffleAlgebra(B2, orientation=orientation).twisted_symmetry_check(triple)
+    bad = ShuffleElement.raw(A2, (2, 0), MultiLaurent.var_power(z11, 1))
+    assert not alg.twisted_symmetry_check(bad)
+
+
+def reference_symmetric_rational(alg, f):
+    """The twist of ``to_symmetric_rational``, one factor at a time."""
+    r = alg.to_rational(f)
+    for u, v in combinations(alg.flat_vars(f.degree), 2):
+        r = r.mul_factor(BinomialFactor(u, v, qp(alg.cartan.pairing(u.color, v.color))))
+        r = r.div_factor(BinomialFactor(u, v, RatQ.one()))
+    return r
+
+
+@pytest.mark.parametrize("orientation", ("product", "printed"))
+def test_symmetric_rational_matches_factor_by_factor_reference(orientation):
+    rng = random.Random(f"symmetric-{orientation}")
+    for cartan in (A2, B2, builtin_cartan("D4")):
+        build = ShuffleAlgebra(cartan)
+        alg = ShuffleAlgebra(cartan, orientation=orientation)
+        for _ in range(3):
+            f = build.word_image(random_word(rng, cartan.rank, rng.randrange(1, 4)))
+            assert alg.to_symmetric_rational(f) == reference_symmetric_rational(alg, f)
+
+
+def test_non_integer_modes_raise():
+    alg = ShuffleAlgebra(A2)
+    with pytest.raises(ValueError):
+        alg.word_image([(1, 0.5), (1, 1)])
+    with pytest.raises(ValueError):
+        alg.generator(1, 1.5)
+    with pytest.raises(ValueError):
+        alg.serre_image(1, 2, (0, 0.5), 0)
 
 
 def test_element_validation():

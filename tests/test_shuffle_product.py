@@ -14,6 +14,12 @@ reduced and the sum closed by ``rat_sum``, and both are compared in both
 orientations.  With the oracle on, ``mul`` compares the two sides by
 cross-multiplying, so it needs no exact division; the mutation controls
 show that the comparison still catches a wrong product.
+
+The printed orientation multiplies by cancelling the canonical
+denominator against the oracle sum's by factor count and reducing once.
+``reference_mul_rational`` is the older chain: reduce the oracle sum,
+multiply the canonical denominator in and divide the Vandermonde out one
+factor at a time.  Both must give the same verdict and numerator.
 """
 
 import random
@@ -91,6 +97,30 @@ def reference_oracle_rational(alg, f, g):
             )
         parts.append(term)
     return rat_sum(parts)
+
+
+def reference_mul_rational(alg, f, g):
+    """Reference printed-orientation product: the reduced oracle sum times
+    the unit and the canonical denominator, over the Vandermonde, with one
+    reduction per factor (``RatFun.mul_factor``/``div_factor``)."""
+    total = tuple(a + b for a, b in zip(f.degree, g.degree))
+    den, _, unit = alg._form(total)
+    r = alg.mul_oracle_rational(f, g)
+    a = RatFun(r.num.scale(unit), r.den)
+    for fac, m in den.items():
+        a = a.mul_factor(fac, m)
+    for u, v in combinations(alg.flat_vars(total), 2):
+        if u.color == v.color:
+            a = a.div_factor(BinomialFactor(u, v, RatQ.one()))
+    if not a.is_polynomial():
+        raise ClosureViolation(
+            "extracted numerator keeps denominator factors "
+            f"{[str(x) for x in sorted(a.den, key=BinomialFactor.sort_key)]}"
+        )
+    for c in range(1, alg.cartan.rank + 1):
+        if not a.num.is_symmetric(c):
+            raise ClosureViolation(f"product numerator not symmetric in color {c}")
+    return ShuffleElement(alg.cartan, total, a.num, check=False)
 
 
 def random_word(rng, rank, length):
@@ -300,3 +330,63 @@ def test_printed_orientation_still_violates_closure(capsys):
         alg.word_image(parse_word("a2:0 a1:0"))
     assert alg.word_image(parse_word("a1:0 a2:0")).degree == (1, 1)
     assert main(["product", "--cartan", "A2", "--orientation", "printed", "a2:0 a1:0"]) == 3
+
+
+def _outcome(mul, alg, f, g):
+    """The product numerator, or the ClosureViolation message when the
+    product does not close."""
+    try:
+        return mul(alg, f, g).numerator
+    except ClosureViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "B2", "G2", "C3", "D4"))
+def test_printed_product_matches_reference_chain(name):
+    # same verdict, same numerator, and a violation names the same factors
+    cartan = builtin_cartan(name)
+    build = ShuffleAlgebra(cartan)
+    alg = ShuffleAlgebra(cartan, orientation="printed")
+    rng = random.Random(f"printed-reference-{name}")
+    pairs = []
+    for lf, lg in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        u = random_word(rng, cartan.rank, lf)
+        v = random_word(rng, cartan.rank, lg)
+        pairs.append((build.word_image(u), build.word_image(v)))
+    if cartan.rank > 1:  # an ordered cross-colour product closes
+        pairs.append((alg.generator(1, 0), alg.generator(cartan.rank, 1)))
+    closed = []
+    for f, g in pairs:
+        got = _outcome(ShuffleAlgebra.mul, alg, f, g)
+        assert got == _outcome(reference_mul_rational, alg, f, g), (f, g)
+        closed.append(not isinstance(got, str))
+    if cartan.rank == 1:
+        assert not any(closed)  # in one colour no printed product here closes
+    else:
+        assert closed[-1]
+
+
+def test_printed_product_reduces_once(monkeypatch):
+    # D cancels against the oracle denominator by count, so only what is
+    # left is divided: each same-colour difference once that succeeds and
+    # once that fails
+    build = ShuffleAlgebra(builtin_cartan("A1"))
+    alg = ShuffleAlgebra(builtin_cartan("A1"), orientation="printed")
+    f = build.word_image(parse_word("a1:-2 a1:1"))
+    g = build.word_image(parse_word("a1:2 a1:2"))
+    calls = []
+    divide = MultiLaurent.exact_div_binomial
+
+    def counted(self, *args):
+        calls.append(args)
+        return divide(self, *args)
+
+    monkeypatch.setattr(MultiLaurent, "exact_div_binomial", counted)
+    with pytest.raises(ClosureViolation):
+        alg.mul(f, g)
+    assert len(calls) < 20
+    # control: the reference chain divides again after every factor it adds
+    count = len(calls)
+    with pytest.raises(ClosureViolation):
+        reference_mul_rational(alg, f, g)
+    assert len(calls) - count > 100
