@@ -8,11 +8,11 @@ that products of such truncations are only meaningful when the full
 receive finitely many contributions, and all of them must come from the
 stored part of each operand.
 
-A ``TruncSeries`` is the terms of a ``MultiLaurent`` (a sorted variable
-registry and a dict from exponent keys (e_1, ..., e_n, e_q) to int or
-Fraction coefficients, q being the last slot) restricted to a box in the
-variables' exponents; it re-slots, relabels, scales and adds those terms
-through ``MultiLaurent`` and keeps only its own bookkeeping on top:
+A ``TruncSeries`` is the terms of a ``MultiLaurent`` restricted to a box
+in the variables' exponents.  It never reads or builds a term key: it
+re-slots, relabels, scales, adds, filters (``MultiLaurent.within``) and
+reads coefficients (``MultiLaurent.coeff``) through ``MultiLaurent``,
+and keeps only its own bookkeeping on top:
 
 * ``window``    -- the per-variable exponent box the truncation targets;
 * ``reliable``  -- the sub-box on which stored coefficients are exact;
@@ -26,25 +26,24 @@ it cannot bound the contributing exponents it raises
 would come from outside an operand's reliable box it shrinks the result
 window until they cannot.  The arithmetic itself goes through
 ``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
-``expand_ratfun`` multiplies by one truncated geometric series per
-denominator factor, and ``compare_on_window`` subtracts.  Every series
-starts as an ``expand_ratfun`` expansion: a polynomial is one with no
-denominator, a pole 1/(z-w) one with a single factor, and the formal
-delta the difference of a pole's two expansions.  Only the geometric
-series there writes coefficients; everything else filters terms to
-boxes, skipping the q slot.  Multiplying the two opposite expansions of
-1/(z-w) fails; delta chains pass.  Coefficients lie in Q[q, q^-1]: every
-pole scalar is a q-monomial, and scaling by a scalar outside that ring
-raises ``ValueError``.  The objects are immutable once built.
+``expand_ratfun`` multiplies by one truncated geometric series
+(``MultiLaurent.binomial_inverse``) per denominator factor, and
+``compare_on_window`` subtracts.  Every series starts as an
+``expand_ratfun`` expansion: a polynomial is one with no denominator, a
+pole 1/(z-w) one with a single factor, and the formal delta the
+difference of a pole's two expansions.  Multiplying the two opposite
+expansions of 1/(z-w) fails; delta chains pass.  Coefficients lie in
+Q[q, q^-1]: every pole scalar is a q-monomial, and scaling by a scalar
+outside that ring raises ``ValueError``.  The objects are immutable
+once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, le
 
-from .poly import MultiLaurent, VarId, _q_monomial, _sorted_vars
-from .qring import RQ_ONE, LaurentQ, RatQ
+from .poly import MultiLaurent, VarId
+from .qring import RQ_ONE, RatQ
 from .ratfun import BinomialFactor, RatFun
 
 
@@ -127,18 +126,9 @@ def _merge_supports_for_sum(a: Support, b: Support) -> Support:
     return Support(bounds, ties)
 
 
-def _in_box(terms: dict, box: Window) -> dict:
-    """The terms whose exponent in every variable (not q) lies in the box."""
-    n = len(next(iter(terms), (0,))) - 1
-    return _in_intervals(terms, [(box.lo, box.hi)] * n)
-
-
-def _in_intervals(terms: dict, ivs) -> dict:
-    """The terms whose exponent in each variable slot lies in that slot's
-    (lo, hi); ``ivs`` has one interval per variable, so q is not tested."""
-    los = [lo for lo, _ in ivs]
-    his = [hi for _, hi in ivs]
-    return {e: c for e, c in terms.items() if all(map(le, los, e)) and all(map(ge, his, e))}
+def _in_box(p: MultiLaurent, box: Window) -> MultiLaurent:
+    """The terms of p whose exponent in every variable lies in the box."""
+    return p.within(dict.fromkeys(p.vars, box.as_pair()))
 
 
 class TruncSeries:
@@ -149,15 +139,15 @@ class TruncSeries:
     def __init__(self, vars, terms, window: Window, reliable: Window, support: Support):
         if not (window.lo <= reliable.lo and reliable.hi <= window.hi):
             raise ValueError("reliable window must sit inside the window")
-        p = MultiLaurent(vars, terms)
-        self.vars, self.terms = p.vars, _in_box(p.terms, reliable)
+        p = _in_box(MultiLaurent(vars, terms), reliable)
+        self.vars, self.terms = p.vars, p.terms
         self.window, self.reliable, self.support = window, reliable, support
 
     @classmethod
-    def _trusted(cls, vars, terms, window, reliable, support) -> TruncSeries:
-        """Wrap terms a ``MultiLaurent`` method made from stored ones, unchecked."""
+    def _trusted(cls, p: MultiLaurent, window, reliable, support) -> TruncSeries:
+        """Wrap a polynomial a ``MultiLaurent`` method made from stored terms, unchecked."""
         self = cls.__new__(cls)
-        self.vars, self.terms = vars, terms
+        self.vars, self.terms = p.vars, p.terms
         self.window, self.reliable, self.support = window, reliable, support
         return self
 
@@ -180,24 +170,19 @@ class TruncSeries:
         bounds = dict.fromkeys(p.vars, (0, 0)) | self.support.bounds
         # the new slots hold exponent 0, which the reliable box may exclude
         return TruncSeries._trusted(
-            p.vars, _in_box(p.terms, self.reliable), self.window, self.reliable,
-            Support(bounds, self.support.ties),
+            _in_box(p, self.reliable), self.window, self.reliable, Support(bounds, self.support.ties)
         )
 
     def relabel(self, mapping: dict) -> TruncSeries:
         p = self._poly().relabel(mapping)
-        return TruncSeries._trusted(
-            p.vars, p.terms, self.window, self.reliable, self.support.relabel(mapping)
-        )
+        return TruncSeries._trusted(p, self.window, self.reliable, self.support.relabel(mapping))
 
     def coeff(self, exps) -> RatQ:
         """The coefficient of the monomial with these variable exponents."""
-        exps = tuple(exps)
-        return RatQ(LaurentQ({e[-1]: c for e, c in self.terms.items() if e[:-1] == exps}))
+        return RatQ(self._poly().coeff(exps))
 
     def scale(self, c) -> TruncSeries:
-        p = self._poly().scale(c)
-        return TruncSeries._trusted(p.vars, p.terms, self.window, self.reliable, self.support)
+        return TruncSeries._trusted(self._poly().scale(c), self.window, self.reliable, self.support)
 
     # ---------- addition ----------
 
@@ -211,8 +196,8 @@ class TruncSeries:
         # both operands' terms lie in their reliable boxes; only a smaller
         # box or a new registry slot (holding exponent 0) can drop any
         if (self.vars, self.reliable) != (other.vars, other.reliable):
-            p = MultiLaurent._raw(p.vars, _in_box(p.terms, reliable))
-        return TruncSeries._trusted(p.vars, p.terms, window, reliable, support)
+            p = _in_box(p, reliable)
+        return TruncSeries._trusted(p, window, reliable, support)
 
     def __neg__(self) -> TruncSeries:
         return self.scale(-1)
@@ -368,11 +353,7 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
             )
         cand = Window(lo, hi)
 
-    terms = {}
-    if not empty:
-        pa = MultiLaurent._raw(vs, _in_intervals(a.terms, [A[v] for v in vs]))
-        pb = MultiLaurent._raw(vs, _in_intervals(b.terms, [B[v] for v in vs]))
-        terms = _in_box((pa * pb).terms, cand)
+    p = MultiLaurent.zero(vs) if empty else _in_box(a._poly().within(A) * b._poly().within(B), cand)
 
     bounds = {}
     for v in vs:
@@ -380,7 +361,7 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         ivb = b.support.bound(v) if v in b.vars else (0, 0)
         bounds[v] = _iv_sum((iva, ivb))
     ties = _combine_ties(a, b)
-    return TruncSeries._trusted(vs, terms, window, cand, Support(bounds, ties))
+    return TruncSeries._trusted(p, window, cand, Support(bounds, ties))
 
 
 def _fixed_sum(s: TruncSeries, Z) -> int | None:
@@ -432,23 +413,18 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     if missing:
         raise ValueError(f"expansion order misses variables: {missing}")
     if f.is_zero():
-        vs = _sorted_vars(order)
-        return TruncSeries._trusted(vs, {}, window, window, Support(dict.fromkeys(vs, (0, 0)), {}))
+        p = MultiLaurent.zero(order)
+        return TruncSeries._trusted(p, window, window, Support(dict.fromkeys(p.vars, (0, 0)), {}))
 
     pos = {v: k for k, v in enumerate(order)}
     num = f.num.with_vars(order)
     vs = num.vars
-    idx = {v: i for i, v in enumerate(vs)}
 
-    # one entry per denominator copy: (dominant, subordinate, scalar)
+    # one entry per denominator copy: (dominant, subordinate, factor)
     copies = []
     for fac, mult in f.den.items():
-        if pos[fac.i] < pos[fac.j]:
-            dom, sub, base, unit = fac.i, fac.j, fac.c, RQ_ONE
-        else:
-            dom, sub, base, unit = fac.j, fac.i, RQ_ONE / fac.c, -(RQ_ONE / fac.c)
-        for _ in range(mult):
-            copies.append((dom, sub, base, unit))
+        dom, sub = (fac.i, fac.j) if pos[fac.i] < pos[fac.j] else (fac.j, fac.i)
+        copies += [(dom, sub, fac)] * mult
 
     # cap the geometric index of each copy by walking down the dominance
     # order: contributions below window.lo in the dominant variable of a
@@ -470,25 +446,16 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         lo = {v: 0 for v in vs}
         hi = {v: 0 for v in vs}
         for k in range(start, len(copies)):
-            dom, sub, _, _ = copies[k]
+            dom, sub, _ = copies[k]
             lo[dom] -= 1 + caps[k]
             hi[dom] -= 1
             hi[sub] += caps[k]
-        return [(window.lo - hi[v], window.hi - lo[v]) for v in vs]
+        return {v: (window.lo - hi[v], window.hi - lo[v]) for v in vs}
 
     partial = num
-    for k, (dom, sub, base, unit) in enumerate(copies):
-        # unit * sum(base^t dom^(-1-t) sub^t, t <= caps[k]), with the
-        # q-monomials base = b q^s and unit = u q^r
-        (b, s), (u, r) = _q_monomial(base), _q_monomial(unit)
-        geo = {}
-        for t in range(caps[k] + 1):
-            exps = [0] * (len(vs) + 1)
-            exps[idx[dom]], exps[idx[sub]], exps[-1] = -1 - t, t, r + s * t
-            geo[tuple(exps)] = u
-            u = u * b
-        prod = partial * MultiLaurent._raw(vs, geo)
-        partial = MultiLaurent._raw(vs, _in_intervals(prod.terms, live(k + 1)))
+    for k, (dom, _, fac) in enumerate(copies):
+        geo = MultiLaurent.binomial_inverse(fac.i, fac.j, fac.c, caps[k], dom)
+        partial = (partial * geo).within(live(k + 1))
 
     box = {}
     for v in vs:
@@ -500,7 +467,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     deg = num.total_degree_if_homogeneous()
     if deg is not None and vs:
         ties[frozenset(vs)] = deg - len(copies)
-    return TruncSeries._trusted(vs, _in_box(partial.terms, window), window, window, Support(box, ties))
+    return TruncSeries._trusted(_in_box(partial, window), window, window, Support(box, ties))
 
 
 # ---------- comparison ----------
@@ -514,4 +481,4 @@ def compare_on_window(a: TruncSeries, b: TruncSeries, window: Window | None = No
             box = box.intersect(window)
     except ValueError:
         raise ValueError("empty reliable intersection; enlarge the windows")
-    return not _in_box((a._poly() - b._poly()).terms, box)
+    return not _in_box(a._poly() - b._poly(), box)

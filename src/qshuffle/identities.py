@@ -54,11 +54,9 @@ def _zs(m: int) -> list[VarId]:
     return [zvar(1, i) for i in range(1, m + 2)]
 
 
-def _binom(m: int, k: int, q_inverted: bool) -> RatQ:
+def _binom(m: int, k: int, q_inverted: bool) -> LaurentQ:
     b = q_binomial(m + 1, k)
-    if q_inverted:
-        b = b.bar()
-    return RatQ(b)
+    return b.bar() if q_inverted else b
 
 
 def pole_sum_denominator(m: int) -> dict[BinomialFactor, int]:

@@ -3,16 +3,18 @@
 Variables are ``VarId`` records: either color variables z[c,i] attached
 to a root color c, or named auxiliary variables (w, t, ...).  A
 ``MultiLaurent`` keeps a sorted variable registry and a dict mapping
-exponent keys (e_1, ..., e_n, e_q) to nonzero int or Fraction
-coefficients: q is one more exponent slot, the last one, so a term is a
-rational number times a monomial in z_1..z_n and q.  Negative exponents
-are allowed everywhere.
+exponent keys (e_1, ..., e_n, e_q) to nonzero coefficients in the
+``qring.coefficient`` format: q is one more exponent slot, the last one,
+so a term is a rational number times a monomial in z_1..z_n and q.
+Negative exponents are allowed everywhere.  Only this module reads or
+builds those keys; ``within`` (a box filter), ``coeff`` and
+``binomial_inverse`` serve the modules above it.
 
-Scalars enter as int, Fraction, ``LaurentQ`` or ``RatQ`` and are
-converted once, where they enter: a q-monomial a q^s becomes the pair
-(a, s), a Laurent scalar a short constant polynomial.  A scalar outside
-Q[q, q^-1] (a ``RatQ`` with a nontrivial denominator) raises
-``ValueError``.  Every per-term loop is int and tuple work.
+Scalars enter as int, Fraction, ``LaurentQ`` or ``RatQ``: a
+``LaurentQ``'s terms already are {q exponent: coefficient} and are taken
+over unchanged.  A scalar outside Q[q, q^-1] (a ``RatQ`` with a
+nontrivial denominator) raises ``ValueError``, a non-scalar such as a
+float ``TypeError``.  Every per-term loop is int and tuple work.
 
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q; ``exact_div_binomial`` implements it
@@ -27,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import add, itemgetter, mul
+from operator import add, ge, itemgetter, le, mul
 
-from .qring import LaurentQ, RatQ, int_exponent
+from .qring import LaurentQ, RatQ, coefficient, int_exponent
 
 
 class NotDivisible(ArithmeticError):
@@ -89,25 +91,20 @@ def grassmannian_steps(n: int, m: int) -> list[int]:
 # ---------- scalars ----------
 
 
-def _rational(c):
-    """An int or Fraction coefficient, integral Fractions as int."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _qterms(c) -> dict:
-    """The scalar c as {q exponent: nonzero int or Fraction}.
+    """The scalar c as {q exponent: coefficient}, shared with c when c is
+    Laurent: callers only read it.
 
     ValueError when c lies outside Q[q, q^-1]; TypeError when it is no
     scalar at all."""
-    if isinstance(c, (int, Fraction)):
-        return {0: _rational(c)} if c else {}
     if isinstance(c, RatQ):
         if not c.den.is_one():
             raise ValueError(f"scalar {c} lies outside Q[q, q^-1]")
         c = c.num
     if isinstance(c, LaurentQ):
-        return {e: _rational(a) for e, a in c.terms.items()}
-    raise TypeError(f"cannot use {type(c).__name__} as a scalar")
+        return c.terms
+    c = coefficient(c)
+    return {0: c} if c else {}
 
 
 def _q_monomial(c, what="scalar") -> tuple:
@@ -221,6 +218,23 @@ class MultiLaurent:
         vs = _sorted_vars(exps)
         return cls(vs, {tuple(exps[v] for v in vs): c})
 
+    @classmethod
+    def binomial_inverse(cls, vi: VarId, vj: VarId, c, n: int, dominant: VarId) -> MultiLaurent:
+        """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
+        where ``dominant`` is the larger variable: sum(c^t z_vi^(-1-t) z_vj^t)
+        for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n."""
+        if vi == vj or dominant not in (vi, vj):
+            raise ValueError("binomial inverse needs two distinct variables, one dominant")
+        a, s = _q_monomial(c, "binomial scalar")
+        sign, o = 1, 0
+        if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
+            vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
+        first = vi.sort_key() < vj.sort_key()
+        return cls._raw(_sorted_vars((vi, vj)), {
+            ((-1 - t, t) if first else (t, -1 - t)) + (s * (t + o),): coefficient(sign * a ** (t + o))
+            for t in range(n + 1)
+        })
+
     # ---------- registry helpers ----------
 
     def with_vars(self, extra) -> MultiLaurent:
@@ -286,6 +300,21 @@ class MultiLaurent:
         i = self.vars.index(v)
         es = [exps[i] for exps in self.terms]
         return (min(es), max(es))
+
+    def coeff(self, exps) -> LaurentQ:
+        """The q-coefficient of the monomial with these variable exponents."""
+        exps, n = tuple(exps), len(self.vars)
+        return LaurentQ({key[n]: c for key, c in self.terms.items() if key[:n] == exps})
+
+    def within(self, bounds: dict) -> MultiLaurent:
+        """The terms whose exponent of every variable v lies in bounds[v] =
+        (lo, hi); q is not tested."""
+        los = [bounds[v][0] for v in self.vars]
+        his = [bounds[v][1] for v in self.vars]
+        # map stops at the shorter sequence, before the q slot
+        return MultiLaurent._raw(self.vars, {
+            key: c for key, c in self.terms.items() if all(map(le, los, key)) and all(map(ge, his, key))
+        })
 
     def total_degree_if_homogeneous(self):
         """The common total degree in the variables (q not counted) of all
@@ -419,7 +448,7 @@ class MultiLaurent:
             if not plain:
                 for a, e in zip(scales, es):
                     if e:
-                        k = _rational(k * a**e)
+                        k = coefficient(k * a**e)
             s = get(new, 0) + k
             if s:
                 out[new] = s
@@ -535,9 +564,8 @@ class MultiLaurent:
     # ---------- evaluation ----------
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
-        q0 = Fraction(q0)
+        vals = [Fraction(coefficient(x)) for x in [assignment[v] for v in self.vars] + [q0]]
         total = Fraction(0)
-        vals = [Fraction(assignment[v]) for v in self.vars] + [q0]
         for exps, c in self.terms.items():
             prod = Fraction(c)
             for val, e in zip(vals, exps):
@@ -563,7 +591,7 @@ class MultiLaurent:
         # scalar: hash like the LaurentQ of its q-terms, or hash the nonzero
         # (variable, exponent) pairs with the q exponent
         if not any(any(key[:-1]) for key in self.terms):
-            return hash(LaurentQ({key[-1]: c for key, c in self.terms.items()}))
+            return hash(self.coeff((0,) * len(self.vars)))
         return hash(frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), exps[-1], c)
             for exps, c in self.terms.items()

@@ -3,10 +3,15 @@
 Two coefficient rings are provided:
 
 * ``LaurentQ`` -- Laurent polynomials in q with rational coefficients,
-  stored sparsely as {exponent: Fraction}.  This is the ring where all
+  stored sparsely as {exponent: coefficient}.  This is the ring where all
   q-integers, q-factorials and q-binomial coefficients live.
 * ``RatQ`` -- the fraction field, kept in a canonical num/den form so
   that equality is plain structural equality.
+
+The package's one coefficient format is defined here: a rational number
+stored as an ``int`` when integral, as a ``Fraction`` otherwise, and
+normalised only by ``coefficient``, which refuses floats (``TypeError``).
+``LaurentQ`` terms are kept in it; ``poly`` takes them over unchanged.
 
 Everything is immutable in spirit: operations return new objects and no
 method mutates ``self``.  All arithmetic is exact; there is no floating
@@ -18,29 +23,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _coerce_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def coefficient(c):
+    """c in the stored coefficient format: an int, or a Fraction that is
+    not integral; TypeError unless c is an int or a Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
-def int_exponent(e) -> int:
+def int_exponent(e, what="exponent") -> int:
     """e as an exponent: ValueError unless an int (1.5 must not become 1)."""
     if type(e) is int:
         return e
-    raise ValueError(f"exponent {e!r} is not an integer")
+    raise ValueError(f"{what} {e!r} is not an integer")
 
 
-_ONE_TERMS = {0: Fraction(1)}
+_ONE_TERMS = {0: 1}
 
 
 class LaurentQ:
     """A Laurent polynomial in q over the rationals.
 
     Terms are held in a dict mapping integer exponents to nonzero
-    Fractions; the zero polynomial has an empty dict.
+    coefficients; the zero polynomial has an empty dict.
     """
 
     __slots__ = ("terms",)
@@ -49,10 +56,17 @@ class LaurentQ:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_fraction(c)
+                c = coefficient(c)
                 if c:
                     clean[int_exponent(e)] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict) -> LaurentQ:
+        """Trusted constructor for int exponents and nonzero values; integral Fractions become ints."""
+        self = cls.__new__(cls)
+        self.terms = {e: c if type(c) is int else coefficient(c) for e, c in terms.items()}
+        return self
 
     # ---------- constructors ----------
 
@@ -94,8 +108,8 @@ class LaurentQ:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
-    def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+    def coeff(self, e: int):
+        return self.terms.get(e, 0)
 
     # ---------- ring operations ----------
 
@@ -105,21 +119,17 @@ class LaurentQ:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = out
-        return res
+                del out[e]
+        return LaurentQ._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentQ:
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentQ._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> LaurentQ:
         other = _as_laurent(other)
@@ -128,10 +138,7 @@ class LaurentQ:
         return self + (-other)
 
     def __rsub__(self, other) -> LaurentQ:
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> LaurentQ:
         other = _as_laurent(other)
@@ -144,14 +151,12 @@ class LaurentQ:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = ea + eb
-                s = out.get(e, Fraction(0)) + ca * cb
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = out
-        return res
+        return LaurentQ._raw(out)
 
     __rmul__ = __mul__
 
@@ -171,21 +176,17 @@ class LaurentQ:
 
     def bar(self) -> LaurentQ:
         """The bar involution q -> q^-1."""
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
+        return LaurentQ._raw({-e: c for e, c in self.terms.items()})
 
     def stretch(self, d: int) -> LaurentQ:
         """Substitute q -> q^d for a nonzero integer d."""
-        if d == 0:
+        if int_exponent(d, "stretch") == 0:
             raise ValueError("stretch by 0 is not invertible")
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = {d * e: c for e, c in self.terms.items()}
-        return res
+        return LaurentQ._raw({d * e: c for e, c in self.terms.items()})
 
     def eval_at(self, q0: Fraction) -> Fraction:
         """Evaluate at a nonzero rational point."""
-        q0 = _coerce_fraction(q0)
+        q0 = Fraction(coefficient(q0))
         if q0 == 0 and self.terms and min(self.terms) < 0:
             raise ZeroDivisionError("evaluation at q=0 hits a pole")
         total = Fraction(0)
@@ -200,12 +201,12 @@ class LaurentQ:
         if not self.terms:
             return [], 0
         lo, hi = min(self.terms), max(self.terms)
-        return [self.terms.get(e, Fraction(0)) for e in range(lo, hi + 1)], lo
+        return [Fraction(self.terms.get(e, 0)) for e in range(lo, hi + 1)], lo
 
     def exact_div(self, other: LaurentQ) -> LaurentQ:
         """Exact quotient self/other; raises ArithmeticError on remainder."""
         if not isinstance(other, LaurentQ):
-            other = _as_laurent(other)
+            other = LaurentQ({0: other})
         if other.is_zero():
             raise ZeroDivisionError("division by zero LaurentQ")
         if self.is_zero():
@@ -215,19 +216,14 @@ class LaurentQ:
         quo, rem = _poly_divmod(fa, fb)
         if any(rem):
             raise ArithmeticError("LaurentQ division left a remainder")
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = {i + sa - sb: c for i, c in enumerate(quo) if c}
-        return res
+        return LaurentQ._raw({i + sa - sb: c for i, c in enumerate(quo) if c})
 
     @staticmethod
     def gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         """Monic gcd in Q[q] after clearing q-power units."""
         fa, _ = a._shifted_coeffs()
         fb, _ = b._shifted_coeffs()
-        g = _poly_gcd(fa, fb)
-        res = LaurentQ.__new__(LaurentQ)
-        res.terms = {i: c for i, c in enumerate(g) if c}
-        return res
+        return LaurentQ._raw({i: c for i, c in enumerate(_poly_gcd(fa, fb)) if c})
 
     # ---------- comparisons, hashing, display ----------
 
@@ -316,7 +312,6 @@ def _poly_gcd(a, b):
 # module-level constants used throughout the package
 LQ_ZERO = LaurentQ.zero()
 LQ_ONE = LaurentQ.one()
-LQ_Q = LaurentQ.q_power(1)
 
 
 class RatQ:
@@ -511,7 +506,6 @@ class RatQ:
         return f"RatQ({self})"
 
 
-RQ_ZERO = RatQ.zero()
 RQ_ONE = RatQ.one()
 
 

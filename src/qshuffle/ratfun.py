@@ -5,7 +5,9 @@ This family is closed under the operations the shuffle product and the
 pole-sum identities need: sums, products, variable relabelings and
 symmetrizations.  A ``RatFun`` is kept fully reduced (no denominator
 factor divides the numerator), which makes equality structural and
-``is_zero`` a plain numerator check.  ``relabel_fraction``,
+``is_zero`` a plain numerator check.  It takes the scalars
+``MultiLaurent`` takes (int, Fraction, ``LaurentQ`` and Laurent
+``RatQ``) wherever it takes a scalar.  ``relabel_fraction``,
 ``fraction_sum`` and ``fractions_equal`` work on unreduced (numerator,
 denominator) pairs instead, and divide nothing.
 """
@@ -94,7 +96,7 @@ class RatFun:
 
     def __init__(self, num: MultiLaurent, den=None, _reduced=False):
         if not isinstance(num, MultiLaurent):
-            num = MultiLaurent.constant(RatQ.coerce(num))
+            num = MultiLaurent.constant(num)
         den = dict(den) if den else {}
         for f, m in den.items():
             if not isinstance(f, BinomialFactor) or m < 1:
@@ -108,7 +110,7 @@ class RatFun:
 
     @classmethod
     def from_scalar(cls, c) -> RatFun:
-        return cls(MultiLaurent.constant(RatQ.coerce(c)))
+        return cls(MultiLaurent.constant(c))
 
     @classmethod
     def zero(cls) -> RatFun:
@@ -152,11 +154,12 @@ class RatFun:
         return _as_ratfun(other) + (-self)
 
     def __mul__(self, other) -> RatFun:
-        if isinstance(other, (int, Fraction, RatQ)):
-            return self.scale(other)
+        if not isinstance(other, (RatFun, MultiLaurent)):
+            try:
+                return self.scale(other)
+            except TypeError:
+                return NotImplemented
         other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         # both operands are reduced and distinct binomials are coprime
         # primes, so a factor can only cancel against the other operand's
         # numerator (the rule of fractions.Fraction)
@@ -169,15 +172,13 @@ class RatFun:
     __rmul__ = __mul__
 
     def scale(self, c) -> RatFun:
-        c = RatQ.coerce(c)
-        if not c:
-            return RatFun.zero()
         return RatFun(self.num.scale(c), self.den, _reduced=True)
 
     def __truediv__(self, other) -> RatFun:
-        if isinstance(other, (int, Fraction, RatQ)):
-            return self.scale(RQ_ONE / RatQ.coerce(other))
-        return NotImplemented
+        try:
+            return self.scale(RQ_ONE / other)
+        except TypeError:
+            return NotImplemented
 
     def mul_factor(self, f: BinomialFactor, mult: int = 1) -> RatFun:
         if mult < 0:
@@ -215,7 +216,10 @@ class RatFun:
     # ---------- comparison and display ----------
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfun(other)
+        try:
+            other = _as_ratfun(other)
+        except ValueError:  # a scalar outside Q[q, q^-1] is no RatFun value
+            return False
         if other is NotImplemented:
             return NotImplemented
         # both sides are reduced, so equality is structural
@@ -261,11 +265,10 @@ def _reduce(num: MultiLaurent, den: dict):
 def _as_ratfun(x):
     if isinstance(x, RatFun):
         return x
-    if isinstance(x, MultiLaurent):
+    try:
         return RatFun(x)
-    if isinstance(x, (int, Fraction, RatQ)):
-        return RatFun.from_scalar(x)
-    return NotImplemented
+    except TypeError:
+        return NotImplemented
 
 
 def relabel_fraction(num: MultiLaurent, den: dict, mapping: dict):

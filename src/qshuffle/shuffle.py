@@ -34,7 +34,9 @@ rational-function summation over the interleavings is available as
 interleaving terms over their common denominator lcd without reducing
 anything, and compares the sum N / lcd with V A / D by
 ``ratfun.fractions_equal``, cross-multiplying over the lcm of lcd and D,
-so it divides nothing either.
+so it divides nothing either.  A printed-orientation product is read off
+that same sum, built once, so there the check verifies the read-off and
+not the sum.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class ShuffleElement:
     __slots__ = ("cartan", "degree", "numerator")
 
     def __init__(self, cartan: CartanData, degree, numerator: MultiLaurent, check=True):
-        degree = tuple(int(n) for n in degree)
+        degree = tuple(int_exponent(n, "count") for n in degree)
         if len(degree) != cartan.rank or any(n < 0 for n in degree):
             raise ValueError("degree must list one count per color")
         allowed = {
@@ -250,14 +252,16 @@ class ShuffleAlgebra:
         if f.cartan != self.cartan or g.cartan != self.cartan:
             raise ValueError("operands belong to a different Cartan datum")
         total = tuple(a + b for a, b in zip(f.degree, g.degree))
+        # one oracle sum per product: the printed product is read off it
+        oracle = self._oracle_fraction(f, g) if self.oracle or self.orientation == "printed" else None
         if self.orientation == "product":
             result = self._mul_polynomial(f, g, total)
         else:
-            result = self._mul_rational(f, g, total)
+            result = self._mul_rational(oracle, total)
         if self.oracle:
             # N / lcd == V A / (unit D), cross-multiplied: no division
             canonical = (self._canonical_numerator(result), self._form(total)[0])
-            if not fractions_equal(self._oracle_fraction(f, g), canonical):
+            if not fractions_equal(oracle, canonical):
                 raise ArithmeticError(
                     "shuffle product disagrees with the direct rational sum"
                 )
@@ -294,13 +298,13 @@ class ShuffleAlgebra:
                 raise ClosureViolation(f"product numerator not symmetric in color {c}")
         return ShuffleElement(self.cartan, total, num, check=False)
 
-    def _mul_rational(self, f, g, total):
+    def _mul_rational(self, oracle, total):
         """Orientation-agnostic product A = N unit D / (lcd V) from the
-        oracle sum N / lcd.  D cancels against lcd and V's same-color
+        oracle sum (N, lcd).  D cancels against lcd and V's same-color
         differences by count, the rest of the denominator is reduced once
         (a surviving factor is a ClosureViolation), and the D factors that
         did not cancel are multiplied in last."""
-        num, den = self._oracle_fraction(f, g)
+        num, den = oracle[0], dict(oracle[1])
         canon, _, unit = self._form(total)
         for u, v in combinations(self.flat_vars(total), 2):
             if u.color == v.color:

@@ -384,6 +384,7 @@ def test_scalars_outside_the_laurent_ring_raise():
         MultiLaurent.constant(qp(2)) + MultiLaurent.constant(1)
     )
     assert p != bad
+    assert RatFun(p) != bad and bad != RatFun(p) and RatFun.from_scalar(1) != bad
 
 
 def test_non_integer_exponents_raise():
@@ -396,3 +397,42 @@ def test_non_integer_exponents_raise():
     with pytest.raises(ValueError):
         MultiLaurent.monomial({Z1: 2, Z2: 0.5})
     assert MultiLaurent([Z1], {(2,): 1}) == MultiLaurent.var_power(Z1, 2)
+
+
+def test_coeff_and_within_read_the_variable_slots_only():
+    # (2 + q^-1) z1^2 z2^-1 + (3/2) q^5 z1 + w: the q exponent is neither a
+    # variable exponent for coeff nor a bounded slot for within
+    p = MultiLaurent.monomial({Z1: 2, Z2: -1}, LaurentQ({0: 2, -1: 1}))
+    p = p + MultiLaurent.monomial({Z1: 1}, qp(5, Fraction(3, 2))) + MultiLaurent.var_power(W, 1)
+    assert p.coeff((2, -1, 0)) == LaurentQ({0: 2, -1: 1})
+    assert p.coeff((1, 0, 0)) == LaurentQ({5: Fraction(3, 2)})
+    assert p.coeff((0, 0, 0)).is_zero()
+    wide = dict.fromkeys(p.vars, (-1, 2))
+    assert p.within(wide) == p
+    assert p.within({**wide, Z2: (0, 0)}) == p - p.within({**wide, Z2: (-1, -1)})
+    assert p.within(dict.fromkeys(p.vars, (0, 1))) == MultiLaurent.var_power(W, 1) + p.within(
+        {Z1: (1, 1), Z2: (0, 0), W: (0, 0)}
+    )
+    with pytest.raises(KeyError):  # every variable needs its bounds
+        p.within({Z1: (0, 1)})
+
+
+def test_binomial_inverse_is_a_truncated_geometric_series():
+    # with x = c z_j / z_i (z_i dominant) or z_i / (c z_j) (z_j dominant),
+    # (z_i - c z_j) times the expansion's first n + 1 terms is 1 - x^(n+1)
+    for vi, vj in ((Z1, Z2), (Z2, Z1), (W, Y1)):
+        for c in (qp(2), qp(-3, Fraction(2, 5)), RatQ(-1)):
+            for n in (0, 1, 4):
+                for dom, tail in (
+                    (vi, MultiLaurent.monomial({vi: -1 - n, vj: n + 1}, c ** (n + 1))),
+                    (vj, MultiLaurent.monomial({vi: n + 1, vj: -1 - n}, c ** (-1 - n))),
+                ):
+                    inv = MultiLaurent.binomial_inverse(vi, vj, c, n, dom)
+                    assert len(inv.terms) == n + 1
+                    assert inv * binom(vi, c, vj) == MultiLaurent.constant(1) - tail
+    with pytest.raises(ValueError):
+        MultiLaurent.binomial_inverse(Z1, Z2, LaurentQ({0: 1, 1: 1}), 2, Z1)
+    with pytest.raises(ValueError):
+        MultiLaurent.binomial_inverse(Z1, Z1, qp(1), 2, Z1)
+    with pytest.raises(ValueError):
+        MultiLaurent.binomial_inverse(Z1, Z2, qp(1), 2, W)

@@ -418,6 +418,9 @@ def test_element_validation():
         ShuffleElement(A2, (1, 0), MultiLaurent.var_power(zvar(2, 1), 1))
     with pytest.raises(ValueError):
         ShuffleElement(A2, (2, 0), MultiLaurent.var_power(zvar(1, 1), 1))
+    # a count must be an int: 1.5 must not become 1
+    with pytest.raises(ValueError):
+        ShuffleElement(A2, (1.5, 0), MultiLaurent.var_power(zvar(1, 1), 1))
     # zero-exponent stray registry entries are harmlessly dropped
     padded = MultiLaurent.constant(1, [zvar(1, 1), aux_var("t")])
     el = ShuffleElement(A2, (1, 0), padded)

@@ -27,6 +27,7 @@ from itertools import combinations
 
 import pytest
 
+from qshuffle import shuffle
 from qshuffle.cartan import builtin_cartan
 from qshuffle.cli import main
 from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, zvar
@@ -390,3 +391,23 @@ def test_printed_product_reduces_once(monkeypatch):
     with pytest.raises(ClosureViolation):
         reference_mul_rational(alg, f, g)
     assert len(calls) - count > 100
+
+
+def test_printed_oracle_product_sums_once(monkeypatch):
+    # the printed product is read off the oracle sum and checked against
+    # that same sum: one interleaving sum per product, not two
+    sums = []
+    summed = shuffle.fraction_sum
+
+    def counted(terms):
+        sums.append(1)
+        return summed(terms)
+
+    monkeypatch.setattr(shuffle, "fraction_sum", counted)
+    alg = ShuffleAlgebra(builtin_cartan("A2"), "printed", oracle=True)
+    el = alg.word_image([(1, 0), (2, 0)])
+    assert len(sums) == 2
+    assert alg.oracle_checks == 2
+    # the shared sum is left as it was: the check still passes and the
+    # public oracle agrees with the product
+    assert alg.to_rational(el) == alg.mul_oracle_rational(alg.generator(1, 0), alg.generator(2, 0))
