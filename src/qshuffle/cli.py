@@ -50,9 +50,9 @@ class RunConfig:
     window: Window | None
     seed: int
 
-    def algebra(self, oracle=False) -> ShuffleAlgebra:
+    def algebra(self) -> ShuffleAlgebra:
         internal = "product" if self.orientation == "default" else "printed"
-        return ShuffleAlgebra(self.cartan, orientation=internal, oracle=oracle)
+        return ShuffleAlgebra(self.cartan, orientation=internal)
 
 
 def load_cartan(text: str) -> CartanData:

@@ -17,11 +17,11 @@ nontrivial denominator) raises ``ValueError``, a non-scalar such as a
 float ``TypeError``.  Every per-term loop is int and tuple work.
 
 The only division ever needed higher up is by two-variable binomials
-z_i - c z_j with c a monomial in q; ``exact_div_binomial`` implements it
-by synthetic division and raises ``NotDivisible`` when the quotient does
-not exist in the Laurent ring.  The divided difference (F - s F)/(z_i -
-z_j), which the shuffle product is built from, never fails and is
-computed term by term by ``divided_difference``.
+z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
+by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
+``NotDivisible`` otherwise and reads the quotient off term by term, as
+``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
+product is built from and which never fails.
 """
 
 from __future__ import annotations
@@ -467,12 +467,9 @@ class MultiLaurent:
 
     # ---------- symmetry ----------
 
-    def color_vars(self, color: int) -> tuple[VarId, ...]:
-        return tuple(v for v in self.vars if not v.aux and v.color == color)
-
     def symmetrize(self, color: int) -> MultiLaurent:
         """Sum of all k! relabelings permuting the color's variables."""
-        cv = self.color_vars(color)
+        cv = [v for v in self.vars if not v.aux and v.color == color]
         total = MultiLaurent.zero(self.vars)
         for perm in permutations(cv):
             total = total + self.relabel(dict(zip(cv, perm)))
@@ -497,39 +494,32 @@ class MultiLaurent:
     # ---------- division ----------
 
     def exact_div_binomial(self, vi: VarId, vj: VarId, c) -> MultiLaurent:
-        """Exact quotient by (z_vi - c * z_vj); NotDivisible on failure."""
-        qc = _qterms(c)
-        if not qc:
-            raise ValueError("binomial scalar must be nonzero")
+        """Exact quotient by (z_vi - c z_vj), c = a q^s a nonzero q-monomial
+        (ValueError otherwise); NotDivisible when it is no Laurent polynomial.
+
+        The binomial divides F iff F(z_vi = c z_vj) = 0.  Then, with x = z_vi,
+        y = z_vj and b the lowest exponent of x, F = sum x^b y^f (x^e - (c y)^e)
+        over its terms x^(b + e) y^f, so each term contributes x^b y^f
+        sum_{t < e} x^(e - 1 - t) (c y)^t to the quotient."""
+        a, s = _q_monomial(c, "binomial scalar")
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
-        f = self.with_vars((vi, vj))
-        n = len(f.vars)
-        pi = f.vars.index(vi)
-        pj = f.vars.index(vj)
-        down = _unit(n, pi, -1)
-        # c * z_j * h_k contributes one layer down
-        steps = [(tuple(map(add, down, _unit(n, pj, 1, s))), a) for s, a in qc.items()]
-        layers = {}
-        for exps, k in f.terms.items():
-            layers.setdefault(exps[pi], []).append((tuple(map(add, exps, down)), k))
-        kmax = max(layers)
-        kmin = min(layers)
-        quot = {}
-        # f = h (z_i - c z_j): peel h layer by layer from the top
-        carry = {}  # h at the current layer, keyed by full exponent keys
-        for k in range(kmax, kmin - 1, -1):
-            nxt = _add_into({}, layers.get(k, ()))
-            for off, a in steps:
-                _add_into(nxt, ((tuple(map(add, e, off)), co * a) for e, co in carry.items()))
-            carry = nxt
-            if k > kmin:
-                quot.update(carry)
-        if carry:
+        if self.substitute(vi, c, vj):
             raise NotDivisible(f"not divisible by {vi} - ({c}) {vj}")
-        return MultiLaurent._raw(f.vars, quot)
+        f = self.with_vars((vi, vj))
+        n, pi, pj = len(f.vars), f.vars.index(vi), f.vars.index(vj)
+        b = min(key[pi] for key in f.terms)
+        # the offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and a^t
+        steps = [
+            (tuple(map(add, _unit(n, pi, -1 - t, s * t), _unit(n, pj, t))), a**t)
+            for t in range(max(key[pi] for key in f.terms) - b)
+        ]
+        return MultiLaurent._raw(f.vars, _add_into({}, (
+            (tuple(map(add, key, off)), co if a == 1 else coefficient(co * at))
+            for key, co in f.terms.items() for off, at in steps[: key[pi] - b]
+        )))
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
         """The divided difference (F - s F) / (z_vi - z_vj), s swapping the

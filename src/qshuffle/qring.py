@@ -328,6 +328,10 @@ class RatQ:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        if isinstance(num, RatQ) or isinstance(den, RatQ):  # num / den in Q(q)
+            r = RatQ.coerce(num) if den is None else RatQ.coerce(num) / RatQ.coerce(den)
+            self.num, self.den = r.num, r.den
+            return
         num = _as_laurent(num)
         den = LQ_ONE if den is None else _as_laurent(den)
         if num is NotImplemented or den is NotImplemented:

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qshuffle.cartan import builtin_cartan
 from qshuffle.poly import MultiLaurent, NotDivisible, VarId, aux_var, zvar
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.ratfun import RatFun
+from qshuffle.shuffle import ClosureViolation, ShuffleAlgebra, parse_word
 
 from helpers import random_fraction, random_laurent, random_q_monomial, random_q_point
 
@@ -134,6 +136,119 @@ def test_division_roundtrip_random():
         vi, vj = rng.sample(vs, 2)
         d = MultiLaurent.var_power(vi, 1) - MultiLaurent.var_power(vj, 1).scale(c)
         assert (f * d).exact_div_binomial(vi, vj, c) == f
+
+
+def reference_exact_div_binomial(f, vi, vj, c):
+    """Layered synthetic division by (z_vi - c z_vj), c any nonzero scalar
+    of Q[q, q^-1]: peel the quotient h of f = h (z_vi - c z_vj) off one
+    z_vi-layer at a time from the top, carrying c z_vj h one layer down; a
+    carry left below the lowest layer is a remainder."""
+    if f.is_zero():
+        return f
+    qc = RatQ.coerce(c).num.terms
+    f = f.with_vars((vi, vj))
+    pi, pj, pq = f.vars.index(vi), f.vars.index(vj), len(f.vars)
+
+    def down(key, ej, eq):  # z_vi^-1 z_vj^ej q^eq times the monomial key
+        key = list(key)
+        key[pi] -= 1
+        key[pj] += ej
+        key[pq] += eq
+        return tuple(key)
+
+    def add(terms, key, co):
+        co += terms.get(key, 0)
+        if co:
+            terms[key] = co
+        else:
+            del terms[key]
+
+    layers = {}
+    for key, co in f.terms.items():
+        layers.setdefault(key[pi], []).append((down(key, 0, 0), co))
+    lo, hi = min(layers), max(layers)
+    quot, carry = {}, {}
+    for k in range(hi, lo - 1, -1):
+        nxt = {}
+        for key, co in layers.get(k, ()):
+            add(nxt, key, co)
+        for s, a in qc.items():
+            for key, co in carry.items():
+                add(nxt, down(key, 1, s), co * a)
+        carry = nxt
+        if k > lo:
+            quot.update(carry)
+    if carry:
+        raise NotDivisible("remainder")
+    return MultiLaurent._raw(f.vars, quot)
+
+
+def division_matches_reference(f, vi, vj, c) -> bool:
+    """Assert that exact_div_binomial and the synthetic division agree on
+    divisibility, registry and terms; return whether f was divisible."""
+    try:
+        want = reference_exact_div_binomial(f, vi, vj, c)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            f.exact_div_binomial(vi, vj, c)
+        return False
+    got = f.exact_div_binomial(vi, vj, c)
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    return True
+
+
+def test_exact_division_matches_synthetic_division():
+    # Laurent exponents, rational q-monomials, both variable orders, a
+    # variable outside the registry, divisible and non-divisible inputs
+    rng = random.Random(45)
+    pool = [Z1, Z2, Y1, W]
+    seen = set()
+    for _ in range(300):
+        vs = rng.sample(pool, rng.randint(1, 3))
+        f = random_poly(rng, vs, max_terms=5, exp_range=3)
+        c = random_q_monomial(rng)
+        vi, vj = rng.sample(pool, 2)
+        if rng.random() < 0.5:
+            f = f * binom(vi, c, vj).scale(random_q_monomial(rng))
+        absent = (vi not in f.vars, vj not in f.vars)
+        divisible = division_matches_reference(f, vi, vj, c)
+        seen.add(("divisible", divisible))
+        seen.add(("vi first", vi.sort_key() < vj.sort_key()))
+        seen.update(("absent", k) for k, gone in enumerate(absent) if gone)
+        seen.add(("rational", any(isinstance(a, Fraction) for a in c.num.terms.values())))
+    assert seen == {
+        ("divisible", True), ("divisible", False), ("vi first", True), ("vi first", False),
+        ("absent", 0), ("absent", 1), ("rational", True), ("rational", False),
+    }
+    assert division_matches_reference(MultiLaurent.zero((Z1,)), Z1, Z2, qp(1))
+
+
+def test_exact_division_matches_synthetic_division_on_printed_product(monkeypatch):
+    # every numerator the reduction of a printed A1 product divides
+    build = ShuffleAlgebra(builtin_cartan("A1"))
+    alg = ShuffleAlgebra(builtin_cartan("A1"), orientation="printed")
+    f = build.word_image(parse_word("a1:-2 a1:1"))
+    g = build.word_image(parse_word("a1:2 a1:2"))
+    calls = []
+    divide = MultiLaurent.exact_div_binomial
+
+    def recorded(self, *args):
+        calls.append((self, args))
+        return divide(self, *args)
+
+    monkeypatch.setattr(MultiLaurent, "exact_div_binomial", recorded)
+    with pytest.raises(ClosureViolation):
+        alg.mul(f, g)
+    monkeypatch.undo()
+    outcomes = [division_matches_reference(num, *args) for num, args in calls]
+    assert True in outcomes and False in outcomes
+
+
+def test_exact_division_needs_a_q_monomial():
+    f = binom(Z1, qp(1), Z2) * binom(Z1, qp(0), Z2)
+    for c in (LaurentQ({0: 1, 1: 1}), RatQ(LaurentQ({0: 1, 1: 1})), 0):
+        with pytest.raises(ValueError):
+            f.exact_div_binomial(Z1, Z2, c)
 
 
 def test_divisible_iff_substitution_vanishes():

@@ -151,6 +151,18 @@ def test_laurent_div_roundtrip_random():
         assert (a * b).exact_div(b) == a
 
 
+def test_laurent_gcd_values():
+    # the monic gcd in Q[q], q-power units cleared from either side
+    q_minus_1 = LQ({1: 1, 0: -1})
+    a = q_minus_1 * LQ({1: 1, 0: 2})
+    b = q_minus_1 * LQ({1: 1, 0: 3})
+    assert LaurentQ.gcd(a, b) == q_minus_1
+    assert LaurentQ.gcd(a * LQ({-3: 1}), b) == q_minus_1
+    assert LaurentQ.gcd(b, a * LQ({-3: 1})) == q_minus_1
+    assert LaurentQ.gcd(LQ({1: 2, 0: -2}), LQ({1: 4, 0: -4})) == q_minus_1
+    assert LaurentQ.gcd(LQ({1: 1, 0: 2}), LQ({1: 1, 0: 3})) == LQ_ONE
+
+
 def test_laurent_eval_hom():
     rng = random.Random(5)
     for _ in range(100):
@@ -188,6 +200,23 @@ def test_ratq_den_normalization():
     # denominator is monic with lowest exponent 0
     assert r.den.min_exp() == 0
     assert r.den.coeff(r.den.max_exp()) == 1
+
+
+def test_ratq_accepts_ratq_parts():
+    # RatQ(num, den) is num / den for any coercible parts, RatQ ones included
+    rng = random.Random(19)
+    for _ in range(40):
+        a = random_ratq(rng)
+        b = random_ratq(rng, nonzero=True)
+        assert RatQ(a) == a
+        assert RatQ(a, b) == a / b
+        assert RatQ(a, b.num) == a / b.num
+        assert RatQ(b.num, b) == b.num / b
+        assert RatQ(RatQ(a.num, a.den)) == a
+    with pytest.raises(ZeroDivisionError):
+        RatQ(RatQ.one(), RatQ.zero())
+    with pytest.raises(TypeError):
+        RatQ(RatQ.one(), 1.5)
 
 
 def test_ratq_field_ops():
