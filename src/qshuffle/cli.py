@@ -47,8 +47,6 @@ IDENTITIES_MAX_WINDOW = {1: 100, 2: 30, 3: 12, 4: 6, 5: 4}
 class RunConfig:
     cartan: CartanData
     orientation: str  # "default" | "printed", as spelled on the command line
-    window: Window | None
-    seed: int
 
     def algebra(self) -> ShuffleAlgebra:
         internal = "product" if self.orientation == "default" else "printed"
@@ -181,13 +179,13 @@ def cmd_wheel(cfg: RunConfig, word_text: str):
     return report, 0 if ok else 4
 
 
-def cmd_identities(cfg: RunConfig, m: int):
+def cmd_identities(m: int, window: Window | None):
     if m < 1:
         raise UsageError("identities needs --m >= 1")
     if m > IDENTITIES_MAX_M:
         raise UsageError(f"identities supports --m up to {IDENTITIES_MAX_M}")
     width = IDENTITIES_MAX_WINDOW[m]
-    if cfg.window is not None and cfg.window.hi - cfg.window.lo > width:
+    if window is not None and window.hi - window.lo > width:
         raise UsageError(f"identities --m {m} supports --window widths hi - lo up to {width}")
     progress = progress_stderr if m >= 3 else None
     rep = verify_rational_vanishing(ms=(m,), progress=progress)
@@ -195,16 +193,16 @@ def cmd_identities(cfg: RunConfig, m: int):
     code = 0
     if m <= 2 and not rep["all_zero"]:
         code = 4
-    if cfg.window is not None:
-        wrep = window_identity_report(m, cfg.window)
+    if window is not None:
+        wrep = window_identity_report(m, window)
         report["window_check"] = wrep
         if not wrep["matched"]:
             code = 4
     return report, code
 
 
-def cmd_selftest(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
+def cmd_selftest(cfg: RunConfig, seed: int):
+    rng = random.Random(seed)
     checks = []
 
     def run(name, fn):
@@ -310,7 +308,7 @@ def cmd_selftest(cfg: RunConfig):
     run("identities", identities)
     run("partial-fractions", partial_fractions)
     ok = all(c["ok"] for c in checks)
-    return {"seed": cfg.seed, "checks": checks, "all_ok": ok}, 0 if ok else 4
+    return {"seed": seed, "checks": checks, "all_ok": ok}, 0 if ok else 4
 
 
 # ---------- entry point ----------
@@ -329,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="denominator orientation of the canonical form",
     )
-    common.add_argument(
-        "--window",
-        default=None,
-        help="exponent window lo:hi (write --window=-6:6 for a negative lo)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
     common.add_argument("--json", default=None, help="also write the report here")
 
     parser = argparse.ArgumentParser(
@@ -357,8 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", parents=[common], help="pole-sum identity checks")
     p.add_argument("--m", type=int, required=True)
+    p.add_argument(
+        "--window",
+        default=None,
+        help="exponent window lo:hi (write --window=-6:6 for a negative lo)",
+    )
 
-    sub.add_parser("selftest", parents=[common], help="seeded random verification suite")
+    p = sub.add_parser("selftest", parents=[common], help="seeded random verification suite")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     return parser
 
 
@@ -366,12 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            cartan=load_cartan(args.cartan),
-            orientation=args.orientation,
-            window=parse_window(args.window) if args.window else None,
-            seed=args.seed,
-        )
+        cfg = RunConfig(load_cartan(args.cartan), args.orientation)
         if args.command == "product":
             report, code = cmd_product(cfg, args.word)
         elif args.command == "serre":
@@ -380,9 +373,10 @@ def main(argv=None) -> int:
         elif args.command == "wheel":
             report, code = cmd_wheel(cfg, args.word)
         elif args.command == "identities":
-            report, code = cmd_identities(cfg, args.m)
+            window = parse_window(args.window) if args.window else None
+            report, code = cmd_identities(args.m, window)
         else:
-            report, code = cmd_selftest(cfg)
+            report, code = cmd_selftest(cfg, args.seed)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,9 +63,6 @@ class Window:
     def intersect(self, other: Window) -> Window:
         return Window(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def contains(self, e: int) -> bool:
-        return self.lo <= e <= self.hi
-
     def as_pair(self):
         return (self.lo, self.hi)
 

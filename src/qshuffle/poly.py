@@ -1,14 +1,16 @@
 """Sparse multivariate Laurent polynomials over Q[q, q^-1].
 
-Variables are ``VarId`` records: either color variables z[c,i] attached
-to a root color c, or named auxiliary variables (w, t, ...).  A
-``MultiLaurent`` keeps a sorted variable registry and a dict mapping
-exponent keys (e_1, ..., e_n, e_q) to nonzero coefficients in the
-``qring.coefficient`` format: q is one more exponent slot, the last one,
-so a term is a rational number times a monomial in z_1..z_n and q.
-Negative exponents are allowed everywhere.  Only this module reads or
-builds those keys; ``within`` (a box filter), ``coeff`` and
-``binomial_inverse`` serve the modules above it.
+Variables are ``VarId`` tuples (aux, color, index): either color
+variables z[c,i] attached to a root color c (aux ""), or named auxiliary
+variables (w, t, ...).  Their tuple order is the variable order: color
+variables by (c, i), then auxiliary ones by (name, index).  A
+``MultiLaurent`` keeps a registry of its variables sorted in that order,
+and a dict mapping exponent keys (e_1, ..., e_n, e_q) to nonzero
+coefficients in the ``qring.coefficient`` format: q is one more exponent
+slot, the last one, so a term is a rational number times a monomial in
+z_1..z_n and q.  Negative exponents are allowed everywhere.  Only this
+module reads or builds those keys; ``within`` (a box filter), ``coeff``
+and ``binomial_inverse`` serve the modules above it.
 
 Scalars enter as int, Fraction, ``LaurentQ`` or ``RatQ``: a
 ``LaurentQ``'s terms already are {q exponent: coefficient} and are taken
@@ -26,7 +28,7 @@ product is built from and which never fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from operator import add, ge, itemgetter, le, mul
@@ -38,30 +40,27 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division has a remainder."""
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(namedtuple("VarId", "aux color index")):
     """A polynomial variable: z[color, index], or an auxiliary name.
 
-    Auxiliary variables carry color 0 and a nonempty ``aux`` name; they
-    sort after every color variable.
+    Auxiliary variables carry color 0 and a nonempty ``aux`` name.  The
+    fields are stored as (aux, color, index), so the tuple order is the
+    variable order: color variables (aux "") by (color, index), then
+    auxiliary ones by (name, index).
     """
 
-    color: int
-    index: int
-    aux: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.aux:
-            if self.color != 0:
+    def __new__(cls, color: int, index: int, aux: str = ""):
+        if aux:
+            if color != 0:
                 raise ValueError("auxiliary variables must have color 0")
-        else:
-            if self.color < 1 or self.index < 1:
-                raise ValueError("color and index are 1-based positive")
+        elif color < 1 or index < 1:
+            raise ValueError("color and index are 1-based positive")
+        return super().__new__(cls, aux, color, index)
 
-    def sort_key(self):
-        if self.aux:
-            return (1, self.aux, self.index)
-        return (0, self.color, self.index)
+    def __getnewargs__(self):
+        return (self.color, self.index, self.aux)
 
     def __str__(self) -> str:
         if self.aux:
@@ -78,7 +77,7 @@ def aux_var(name: str, index: int = 1) -> VarId:
 
 
 def _sorted_vars(vs) -> tuple[VarId, ...]:
-    return tuple(sorted(set(vs), key=VarId.sort_key))
+    return tuple(sorted(set(vs)))
 
 
 def grassmannian_steps(n: int, m: int) -> list[int]:
@@ -140,7 +139,7 @@ def _add_into(out: dict, terms) -> dict:
     for key, c in terms:
         s = get(key, 0) + c
         if s:
-            out[key] = s
+            out[key] = s if type(s) is int else coefficient(s)
         else:
             del out[key]
     return out
@@ -150,7 +149,10 @@ def _shifted(terms: dict, off: tuple, a) -> dict:
     """a * x^off * terms for a nonzero rational a: a bijection on keys."""
     if a == 1:
         return {tuple(map(add, key, off)): c for key, c in terms.items()}
-    return {tuple(map(add, key, off)): c * a for key, c in terms.items()}
+    return {
+        tuple(map(add, key, off)): p if type(p := c * a) is int else coefficient(p)
+        for key, c in terms.items()
+    }
 
 
 def _shifted_sum(terms: dict, shifts) -> dict:
@@ -229,7 +231,7 @@ class MultiLaurent:
         sign, o = 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
-        first = vi.sort_key() < vj.sort_key()
+        first = vi < vj
         return cls._raw(_sorted_vars((vi, vj)), {
             ((-1 - t, t) if first else (t, -1 - t)) + (s * (t + o),): coefficient(sign * a ** (t + o))
             for t in range(n + 1)
@@ -364,7 +366,7 @@ class MultiLaurent:
                 key = tuple(map(add, ea, eb))
                 s = get(key, 0) + ca * cb
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else coefficient(s)
                 else:
                     del out[key]
         return MultiLaurent._raw(a.vars, out)
@@ -451,7 +453,7 @@ class MultiLaurent:
                         k = coefficient(k * a**e)
             s = get(new, 0) + k
             if s:
-                out[new] = s
+                out[new] = s if type(s) is int else coefficient(s)
             else:
                 del out[new]
         return MultiLaurent._raw(vs, out)
@@ -469,7 +471,7 @@ class MultiLaurent:
 
     def symmetrize(self, color: int) -> MultiLaurent:
         """Sum of all k! relabelings permuting the color's variables."""
-        cv = [v for v in self.vars if not v.aux and v.color == color]
+        cv = [v for v in self.vars if v.color == color]
         total = MultiLaurent.zero(self.vars)
         for perm in permutations(cv):
             total = total + self.relabel(dict(zip(cv, perm)))
@@ -479,7 +481,7 @@ class MultiLaurent:
         """Invariance under all adjacent swaps of the color's variables:
         each swap is a bijection on keys, so every swapped key must carry
         the same coefficient."""
-        slots = [i for i, v in enumerate(self.vars) if not v.aux and v.color == color]
+        slots = [i for i, v in enumerate(self.vars) if v.color == color]
         terms = self.terms
         get = terms.get
         for i, j in zip(slots, slots[1:]):
@@ -546,7 +548,7 @@ class MultiLaurent:
                 key = tuple(lst)
                 s = get(key, 0) + co
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else coefficient(s)
                 else:
                     del out[key]
         return MultiLaurent._raw(f.vars, out)

@@ -33,7 +33,7 @@ class BinomialFactor:
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("binomial needs two distinct variables")
-        if self.i.sort_key() > self.j.sort_key():
+        if self.i > self.j:
             raise ValueError("factor stored against the variable order")
         if not self.c.is_q_monomial():
             raise ValueError("binomial scalar must be a nonzero q-monomial")
@@ -51,7 +51,7 @@ class BinomialFactor:
         b = RatQ.coerce(b)
         if not (a.is_q_monomial() and b.is_q_monomial()):
             raise ValueError("binomial coefficients must be nonzero q-monomials")
-        if vi.sort_key() < vj.sort_key():
+        if vi < vj:
             return BinomialFactor(vi, vj, b / a), a
         return BinomialFactor(vj, vi, a / b), -b
 
@@ -60,7 +60,7 @@ class BinomialFactor:
         may flip."""
         ni = mapping.get(self.i, self.i)
         nj = mapping.get(self.j, self.j)
-        if ni.sort_key() < nj.sort_key():
+        if ni < nj:
             return BinomialFactor(ni, nj, self.c), RQ_ONE
         return BinomialFactor.make(RQ_ONE, ni, self.c, nj)
 
@@ -72,7 +72,7 @@ class BinomialFactor:
     def sort_key(self):
         cm = self.c.num
         e = cm.min_exp()
-        return (self.i.sort_key(), self.j.sort_key(), e, cm.coeff(e))
+        return (self.i, self.j, e, cm.coeff(e))
 
     def __str__(self) -> str:
         return f"({self.i} - ({self.c}) {self.j})"
@@ -200,7 +200,7 @@ class RatFun:
         for f in self.den:
             seen.add(f.i)
             seen.add(f.j)
-        return tuple(sorted(seen, key=VarId.sort_key))
+        return tuple(sorted(seen))
 
     # ---------- evaluation ----------
 

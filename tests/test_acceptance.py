@@ -26,7 +26,7 @@ from qshuffle.identities import (
     term_value,
     window_identity_report,
 )
-from qshuffle.poly import MultiLaurent, VarId, aux_var, zvar
+from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ, q_binomial
 from qshuffle.ratfun import BinomialFactor, RatFun
 from qshuffle.shuffle import ClosureViolation, ShuffleAlgebra, ShuffleElement
@@ -54,7 +54,7 @@ def entry(name, vars_, fn):
 
 
 def rat_diff_entry(name, a: RatFun, b: RatFun):
-    vs = sorted(set(a.vars()) | set(b.vars()), key=VarId.sort_key)
+    vs = sorted(set(a.vars()) | set(b.vars()))
     return entry(
         name, vs, lambda q0, pt: a.eval_at(q0, pt) - b.eval_at(q0, pt)
     )
@@ -220,7 +220,7 @@ def serre_numeric_entry(alg, alpha, beta, modes, s):
             )
             pieces.append((c, alg.word_image(word).numerator))
     vs = sorted(
-        set().union(*(p.vars for _, p in pieces)), key=VarId.sort_key
+        set().union(*(p.vars for _, p in pieces))
     )
     return entry(
         f"serre alternator ({alpha},{beta}) modes={modes} s={s}",
@@ -271,7 +271,7 @@ def test_criterion_5_serre_vanishing(pool, oalgebras):
     pool["nonzeros"].append(
         entry(
             "serre alternator with classical binomials",
-            sorted(control.vars, key=VarId.sort_key),
+            sorted(control.vars),
             lambda q0, pt: control.eval_at(q0, pt),
         )
     )

@@ -61,6 +61,25 @@ def test_parse_errors_exit_two(capsys):
     assert main(["identities", "--m", "1", "--window", "6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--window=1:2", "a1:0"],
+        ["product", "--seed", "9", "a1:0"],
+        ["wheel", "--window=1:2", "a1:0"],
+        ["serre", "--seed", "1", "--alpha", "1", "--beta", "2", "--modes", "0,0", "--s", "0"],
+        ["identities", "--m", "1", "--seed", "1"],
+        ["selftest", "--window=1:2"],
+    ],
+)
+def test_options_outside_their_command_exit_two(capsys, argv):
+    # --window belongs to identities and --seed to selftest only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_serre_report(capsys):
     code, out = run_cli(
         capsys, "serre", "--cartan", "B2", "--alpha", "2", "--beta", "1",

@@ -116,7 +116,7 @@ def test_delta_times_delta_chain():
         (b - a - 1, -b - 1, a): qp(a + 1) * qp(-2 * b - 2)
         for a in range(box.lo, box.hi + 1)
         for b in range(-box.hi - 1, -box.lo)
-        if box.contains(b - a - 1)
+        if box.lo <= b - a - 1 <= box.hi
     }
     assert ch.terms == MultiLaurent((Z1, Z2, W), expect).terms
     # spot value inside the reliable box
@@ -282,7 +282,7 @@ def reference_expand_inverse(factor, dominant, window):
     coeff = k0
     t = 0
     while not (-1 - t < window.lo and t > window.hi):
-        if window.contains(-1 - t) and window.contains(t):
+        if window.lo <= -1 - t <= window.hi and window.lo <= t <= window.hi:
             exps = [0, 0]
             exps[bi], exps[si] = -1 - t, t
             terms[tuple(exps)] = coeff
@@ -360,7 +360,7 @@ def reference_series_mul(a, b):
                 continue
             for eb, cb in bterms:
                 key = tuple(x + y for x, y in zip(ea, eb))
-                if all(cand.contains(e) for e in key):
+                if all(cand.lo <= e <= cand.hi for e in key):
                     s = terms.get(key, RatQ.zero()) + ca * cb
                     if s:
                         terms[key] = s

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,10 +32,50 @@ def binom(vi, c, vj):
 def test_var_ordering_and_display():
     assert str(Z1) == "z[1,1]"
     assert str(W) == "w"
-    vs = sorted([W, Y1, Z2, Z1], key=VarId.sort_key)
+    vs = sorted([W, Y1, Z2, Z1])
     assert vs == [Z1, Z2, Y1, W]
     with pytest.raises(ValueError):
         zvar(0, 1)
+
+
+def reference_sort_key(v: VarId):
+    # the variable order as an explicit key: color variables by (color,
+    # index), then auxiliary variables by (name, index)
+    if v.aux:
+        return (1, v.aux, v.index)
+    return (0, v.color, v.index)
+
+
+def test_varid_order_is_the_reference_order():
+    rng = random.Random(12)
+    for _ in range(50):
+        pool = [
+            zvar(rng.randint(1, 4), rng.randint(1, 5)) if rng.random() < 0.6
+            else aux_var(rng.choice("stwxy"), rng.randint(1, 5))
+            for _ in range(rng.randint(2, 12))
+        ]
+        assert sorted(pool) == sorted(pool, key=reference_sort_key)
+        assert MultiLaurent.zero(pool).vars == tuple(sorted(set(pool), key=reference_sort_key))
+
+
+@pytest.mark.parametrize("args", [(0, 1), (1, 0), (1, 1, "w")])
+def test_varid_rejects_bad_fields(args):
+    with pytest.raises(ValueError):
+        VarId(*args)
+
+
+def test_varid_round_trips_and_hashes():
+    f = MultiLaurent.var_power(Z1, 2, qp(1)) + MultiLaurent.var_power(aux_var("w", 3), -1)
+    for v in (Z1, W, aux_var("w", 3)):
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert back == v and type(back) is VarId
+            assert (back.color, back.index, back.aux) == (v.color, v.index, v.aux)
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert back.vars == f.vars and back.terms == f.terms
+    assert hash(zvar(1, 1)) == hash(VarId(1, 1)) and zvar(1, 1) == VarId(1, 1)
+    assert hash(aux_var("w")) == hash(VarId(0, 1, "w"))
+    assert zvar(1, 1) != aux_var("w")
+    assert len({zvar(1, 1), VarId(1, 1), aux_var("w"), aux_var("w", 1)}) == 2
 
 
 def test_product_example():
@@ -213,7 +255,7 @@ def test_exact_division_matches_synthetic_division():
         absent = (vi not in f.vars, vj not in f.vars)
         divisible = division_matches_reference(f, vi, vj, c)
         seen.add(("divisible", divisible))
-        seen.add(("vi first", vi.sort_key() < vj.sort_key()))
+        seen.add(("vi first", vi < vj))
         seen.update(("absent", k) for k, gone in enumerate(absent) if gone)
         seen.add(("rational", any(isinstance(a, Fraction) for a in c.num.terms.values())))
     assert seen == {

@@ -80,9 +80,16 @@ def test_every_coefficient_is_int_or_fraction():
     polys += [p.scale(RatQ(rng.choice(pool))) for p in polys[:10]]
     polys += [p.substitute(Z1, RatQ.q_power(1, Fraction(2, 3)), Z2) for p in polys[:10]]
     polys += [MultiLaurent([Z1], {(1,): Fraction(4, 2), (2,): 3})]
+    # halves that multiply or add up to integers
+    half = MultiLaurent.var_power(Z1, 1, Fraction(1, 2))
+    polys += [half * MultiLaurent.var_power(Z2, 1, 2), half + half, half.scale(2)]
+    halves = MultiLaurent([Z1, Z2], {(2, 0): Fraction(1, 2), (0, 2): Fraction(-1, 2)})
+    polys += [halves.divided_difference(Z1, Z2)]
+    polys += [(half + MultiLaurent.var_power(Z2, 1, Fraction(1, 2))).substitute(Z1, 1, Z2)]
     for p in polys:
         for c in p.terms.values():
             assert type(c) in (int, Fraction), p
+            assert type(c) is int or c.denominator != 1, p
         assert all(type(c) is int or c.denominator != 1 for c in p.coeff((0, 0)).terms.values())
 
 
