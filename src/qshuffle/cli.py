@@ -119,10 +119,7 @@ def cmd_product(cfg: RunConfig, word_text: str):
     report["word"] = format_word(word)
     report["denominator"] = [
         factor_json(f, m)
-        for f, m in sorted(
-            alg.canonical_denominator(el.degree).items(),
-            key=lambda fm: fm[0].sort_key(),
-        )
+        for f, m in sorted(alg.canonical_denominator(el.degree).items())
     ]
     return report, 0
 

@@ -17,8 +17,12 @@ and keeps only its own bookkeeping on top:
 * ``window``    -- the per-variable exponent box the truncation targets;
 * ``reliable``  -- the sub-box on which stored coefficients are exact;
 * ``support``   -- a structural description of the *true* support:
-  per-variable exponent bounds (possibly infinite) plus "ties", linear
-  relations sum(e_v for v in Z) = c that every true term satisfies.
+  per-variable exponent bounds (possibly infinite) plus a degree, the
+  exponent sum every true term shares (absent variables count 0), or
+  None when that sum is not fixed.  One degree suffices because every
+  series starts as an ``expand_ratfun`` expansion, which has one exactly
+  when its fraction is homogeneous, and relabelings, sums and products
+  keep or lose it as a whole.
 
 ``series_mul`` runs an interval-propagation argument over this data.  If
 it cannot bound the contributing exponents it raises
@@ -43,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import MultiLaurent, VarId
-from .qring import RQ_ONE, RatQ
+from .qring import RQ_ONE, RatQ, int_exponent
 from .ratfun import BinomialFactor, RatFun
 
 
@@ -57,6 +61,8 @@ class Window:
     hi: int
 
     def __post_init__(self):
+        int_exponent(self.lo, "window bound")
+        int_exponent(self.hi, "window bound")
         if self.lo > self.hi:
             raise ValueError("empty window")
 
@@ -87,10 +93,9 @@ def _iv_sum(ivs):
     return (lo, hi)
 
 
-def _iv_window_minus(w: Window, iv):
-    lo = None if iv[1] is None else w.lo - iv[1]
-    hi = None if iv[0] is None else w.hi - iv[0]
-    return (lo, hi)
+def _iv_minus(lo: int, hi: int, iv):
+    """The interval [lo, hi] minus iv."""
+    return (None if iv[1] is None else lo - iv[1], None if iv[0] is None else hi - iv[0])
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,13 @@ class Support:
     """Structural over-approximation of a series' true support."""
 
     bounds: dict  # VarId -> (lo|None, hi|None)
-    ties: dict  # frozenset[VarId] -> int
+    degree: int | None  # exponent sum of every true term, absent variables 0
 
     def bound(self, v: VarId):
         return self.bounds.get(v, (0, 0))
 
     def relabel(self, mapping: dict) -> Support:
-        nb = {mapping.get(v, v): iv for v, iv in self.bounds.items()}
-        nt = {
-            frozenset(mapping.get(v, v) for v in Z): c
-            for Z, c in self.ties.items()
-        }
-        return Support(nb, nt)
+        return Support({mapping.get(v, v): iv for v, iv in self.bounds.items()}, self.degree)
 
 
 def _merge_supports_for_sum(a: Support, b: Support) -> Support:
@@ -119,8 +119,7 @@ def _merge_supports_for_sum(a: Support, b: Support) -> Support:
         lo = None if ia[0] is None or ib[0] is None else min(ia[0], ib[0])
         hi = None if ia[1] is None or ib[1] is None else max(ia[1], ib[1])
         bounds[v] = (lo, hi)
-    ties = {Z: c for Z, c in a.ties.items() if b.ties.get(Z) == c}
-    return Support(bounds, ties)
+    return Support(bounds, a.degree if a.degree == b.degree else None)
 
 
 def _in_box(p: MultiLaurent, box: Window) -> MultiLaurent:
@@ -167,7 +166,7 @@ class TruncSeries:
         bounds = dict.fromkeys(p.vars, (0, 0)) | self.support.bounds
         # the new slots hold exponent 0, which the reliable box may exclude
         return TruncSeries._trusted(
-            _in_box(p, self.reliable), self.window, self.reliable, Support(bounds, self.support.ties)
+            _in_box(p, self.reliable), self.window, self.reliable, Support(bounds, self.support.degree)
         )
 
     def relabel(self, mapping: dict) -> TruncSeries:
@@ -268,29 +267,28 @@ def _propagate(a: TruncSeries, b: TruncSeries, vs, cand: Window):
     a result exponent inside ``cand``.  Returns (A, B) interval dicts,
     "empty" when no contribution is possible, or None when some interval
     stays unbounded (the structural check fails)."""
-    A = {v: a.support.bound(v) if v in a.vars else (0, 0) for v in vs}
-    B = {v: b.support.bound(v) if v in b.vars else (0, 0) for v in vs}
+    A = {v: a.support.bound(v) for v in vs}
+    B = {v: b.support.bound(v) for v in vs}
     for _ in range(_MAX_ROUNDS):
         changed = False
         for v in vs:
-            na = _iv_meet(A[v], _iv_window_minus(cand, B[v]))
-            nb = _iv_meet(B[v], _iv_window_minus(cand, A[v]))
+            na = _iv_meet(A[v], _iv_minus(cand.lo, cand.hi, B[v]))
+            nb = _iv_meet(B[v], _iv_minus(cand.lo, cand.hi, A[v]))
             if na != A[v]:
                 A[v] = na
                 changed = True
             if nb != B[v]:
                 B[v] = nb
                 changed = True
-        for side, ties in ((A, a.support.ties), (B, b.support.ties)):
-            for Z, c in ties.items():
-                for v in Z:
-                    if v not in side:
-                        continue
-                    rest = _iv_sum(side[u] for u in Z if u != v and u in side)
-                    nv = _iv_meet(side[v], _iv_window_minus(Window(c, c), rest))
-                    if nv != side[v]:
-                        side[v] = nv
-                        changed = True
+        for side, deg in ((A, a.support.degree), (B, b.support.degree)):
+            if deg is None:
+                continue
+            for v in vs:
+                rest = _iv_sum(side[u] for u in vs if u != v)
+                nv = _iv_meet(side[v], _iv_minus(deg, deg, rest))
+                if nv != side[v]:
+                    side[v] = nv
+                    changed = True
         if any(_iv_empty(iv) for iv in list(A.values()) + list(B.values())):
             return "empty"
         if not changed:
@@ -327,19 +325,11 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         lo_bump = False
         hi_bump = False
         for side, s in ((A, a), (B, b)):
-            for v in vs:
-                iv = side[v]
-                if v in s.vars:
-                    if iv[0] < s.reliable.lo:
-                        lo_bump = True
-                    if iv[1] > s.reliable.hi:
-                        hi_bump = True
-                else:
-                    # absent variables only ever contribute exponent 0
-                    if iv[0] < 0 or iv[1] > 0:
-                        raise NonAdmissibleProduct(
-                            "contribution bound escapes an absent variable"
-                        )
+            for lo, hi in side.values():
+                if lo < s.reliable.lo:
+                    lo_bump = True
+                if hi > s.reliable.hi:
+                    hi_bump = True
         if not (lo_bump or hi_bump):
             break
         lo = cand.lo + (1 if lo_bump else 0)
@@ -352,44 +342,10 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
 
     p = MultiLaurent.zero(vs) if empty else _in_box(a._poly().within(A) * b._poly().within(B), cand)
 
-    bounds = {}
-    for v in vs:
-        iva = a.support.bound(v) if v in a.vars else (0, 0)
-        ivb = b.support.bound(v) if v in b.vars else (0, 0)
-        bounds[v] = _iv_sum((iva, ivb))
-    ties = _combine_ties(a, b)
-    return TruncSeries._trusted(p, window, cand, Support(bounds, ties))
-
-
-def _fixed_sum(s: TruncSeries, Z) -> int | None:
-    """Sum of the forced exponents of Z on s, or None if not forced."""
-    total = 0
-    for v in Z:
-        iv = s.support.bound(v) if v in s.vars else (0, 0)
-        if iv[0] is None or iv[0] != iv[1]:
-            return None
-        total += iv[0]
-    return total
-
-
-def _combine_ties(a: TruncSeries, b: TruncSeries) -> dict:
-    ties = {}
-    for Z, c in a.support.ties.items():
-        k = _fixed_sum(b, Z)
-        if k is not None:
-            ties[Z] = c + k
-    for Z, c in b.support.ties.items():
-        k = _fixed_sum(a, Z)
-        if k is not None and Z not in ties:
-            ties[Z] = c + k
-    for Za, ca in a.support.ties.items():
-        for Zb, cb in b.support.ties.items():
-            Z = Za | Zb
-            ka = _fixed_sum(a, Zb - Za)
-            kb = _fixed_sum(b, Za - Zb)
-            if ka is not None and kb is not None and Z not in ties:
-                ties[Z] = ca + cb + ka + kb
-    return ties
+    bounds = {v: _iv_sum((a.support.bound(v), b.support.bound(v))) for v in vs}
+    da, db = a.support.degree, b.support.degree
+    degree = None if da is None or db is None else da + db
+    return TruncSeries._trusted(p, window, cand, Support(bounds, degree))
 
 
 # ---------- rational-function expansion ----------
@@ -411,7 +367,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         raise ValueError(f"expansion order misses variables: {missing}")
     if f.is_zero():
         p = MultiLaurent.zero(order)
-        return TruncSeries._trusted(p, window, window, Support(dict.fromkeys(p.vars, (0, 0)), {}))
+        return TruncSeries._trusted(p, window, window, Support(dict.fromkeys(p.vars, (0, 0)), None))
 
     pos = {v: k for k, v in enumerate(order)}
     num = f.num.with_vars(order)
@@ -460,11 +416,9 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         S = sum(1 for cp in copies if cp[1] == v)
         lo, hi = num.exp_range(v)
         box[v] = (None if D else lo, (hi - D) if not S else None)
-    ties = {}
     deg = num.total_degree_if_homogeneous()
-    if deg is not None and vs:
-        ties[frozenset(vs)] = deg - len(copies)
-    return TruncSeries._trusted(_in_box(partial, window), window, window, Support(box, ties))
+    degree = deg - len(copies) if deg is not None and vs else None
+    return TruncSeries._trusted(_in_box(partial, window), window, window, Support(box, degree))
 
 
 # ---------- comparison ----------

@@ -69,10 +69,11 @@ class BinomialFactor:
             assignment[self.j]
         )
 
-    def sort_key(self):
-        cm = self.c.num
-        e = cm.min_exp()
-        return (self.i, self.j, e, cm.coeff(e))
+    def __lt__(self, other: BinomialFactor) -> bool:
+        # variable order first, then the scalar's q-exponent and coefficient
+        a, b = self.c.num, other.c.num
+        ea, eb = a.min_exp(), b.min_exp()
+        return (self.i, self.j, ea, a.coeff(ea)) < (other.i, other.j, eb, b.coeff(eb))
 
     def __str__(self) -> str:
         return f"({self.i} - ({self.c}) {self.j})"
@@ -99,7 +100,7 @@ class RatFun:
             num = MultiLaurent.constant(num)
         den = dict(den) if den else {}
         for f, m in den.items():
-            if not isinstance(f, BinomialFactor) or m < 1:
+            if not isinstance(f, BinomialFactor) or type(m) is not int or m < 1:
                 raise ValueError("denominator must map factors to positive counts")
         if num.is_zero():
             den = {}
@@ -231,7 +232,7 @@ class RatFun:
         return hash((self.num, frozenset(self.den.items())))
 
     def sorted_den(self):
-        return sorted(self.den.items(), key=lambda fm: fm[0].sort_key())
+        return sorted(self.den.items())
 
     def __str__(self) -> str:
         if not self.den:

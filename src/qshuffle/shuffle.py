@@ -315,7 +315,7 @@ class ShuffleAlgebra:
         if not r.is_polynomial():
             raise ClosureViolation(
                 "extracted numerator keeps denominator factors "
-                f"{[str(x) for x in sorted(r.den, key=BinomialFactor.sort_key)]}"
+                f"{[str(x) for x in sorted(r.den)]}"
             )
         num = factor_product(extra, start=r.num)
         for c in range(1, self.cartan.rank + 1):

@@ -17,7 +17,6 @@ from qshuffle.formal import (
     Support,
     TruncSeries,
     Window,
-    _combine_ties,
     _iv_sum,
     _propagate,
     compare_on_window,
@@ -27,7 +26,7 @@ from qshuffle.formal import (
     expand_ratfun,
     series_mul,
 )
-from qshuffle.identities import term_value
+from qshuffle.identities import _rhs_series, term_value, window_identity_report
 from qshuffle.poly import MultiLaurent, _sorted_vars, aux_var, zvar
 from qshuffle.qring import RQ_ONE, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
@@ -121,8 +120,7 @@ def test_delta_times_delta_chain():
     assert ch.terms == MultiLaurent((Z1, Z2, W), expect).terms
     # spot value inside the reliable box
     assert ch.coeff((0, -2, 0)) == qp(-3)
-    assert frozenset((Z1, Z2, W)) in ch.support.ties
-    assert ch.support.ties[frozenset((Z1, Z2, W))] == -2
+    assert ch.support.degree == -2
 
 
 def test_delta_eats_polynomial_argument():
@@ -236,7 +234,7 @@ def test_relabel_series():
     r = d.relabel({Z1: Z2})
     assert r.vars == (Z2, W)
     assert r.coeff((0, -1)) == qp(-1)
-    assert frozenset((Z2, W)) in r.support.ties
+    assert r.support.degree == -1
 
 
 def test_with_vars_adds_fixed_support():
@@ -288,7 +286,7 @@ def reference_expand_inverse(factor, dominant, window):
             terms[tuple(exps)] = coeff
         coeff = coeff * base
         t += 1
-    support = Support({big: (None, -1), small: (0, None)}, {frozenset((i, j)): -1})
+    support = Support({big: (None, -1), small: (0, None)}, -1)
     return TruncSeries(vs, terms, window, window, support)
 
 
@@ -303,7 +301,7 @@ def reference_delta_series(x, c, y, window):
         exps = [0, 0]
         exps[xi], exps[yi] = i, -1 - i
         terms[tuple(exps)] = c ** (-i - 1)
-    support = Support({x: (None, None), y: (None, None)}, {frozenset((x, y)): -1})
+    support = Support({x: (None, None), y: (None, None)}, -1)
     return TruncSeries(vs, terms, window, window, support)
 
 
@@ -311,10 +309,8 @@ def reference_from_poly(p, window):
     """``TruncSeries.from_poly`` reading the support off the polynomial."""
     bounds = {v: p.exp_range(v) for v in p.vars}
     deg = p.total_degree_if_homogeneous()
-    ties = {}
-    if p.vars and not p.is_zero() and deg is not None:
-        ties[frozenset(p.vars)] = deg
-    return TruncSeries(p.vars, coefficients(p.terms), window, window, Support(bounds, ties))
+    degree = deg if p.vars and not p.is_zero() and deg is not None else None
+    return TruncSeries(p.vars, coefficients(p.terms), window, window, Support(bounds, degree))
 
 
 def reference_series_mul(a, b):
@@ -373,7 +369,9 @@ def reference_series_mul(a, b):
         ))
         for v in vs
     }
-    return TruncSeries(vs, terms, window, cand, Support(bounds, _combine_ties(a, b)))
+    da, db = a.support.degree, b.support.degree
+    degree = da + db if da is not None and db is not None else None
+    return TruncSeries(vs, terms, window, cand, Support(bounds, degree))
 
 
 def reference_expand_ratfun(f, order, window):
@@ -381,7 +379,7 @@ def reference_expand_ratfun(f, order, window):
     dropping a term as soon as it can no longer reach the window."""
     if f.is_zero():
         vs = _sorted_vars(order)
-        return TruncSeries(vs, {}, window, window, Support({v: (0, 0) for v in vs}, {}))
+        return TruncSeries(vs, {}, window, window, Support({v: (0, 0) for v in vs}, None))
     pos = {v: k for k, v in enumerate(order)}
     num = f.num.with_vars(order)
     vs = num.vars
@@ -435,8 +433,8 @@ def reference_expand_ratfun(f, order, window):
         lo, hi = num.exp_range(v)
         box[v] = (None if D else lo, (hi - D) if not S else None)
     deg = num.total_degree_if_homogeneous()
-    ties = {frozenset(vs): deg - len(copies)} if deg is not None and vs else {}
-    return TruncSeries(vs, partial, window, window, Support(box, ties))
+    degree = deg - len(copies) if deg is not None and vs else None
+    return TruncSeries(vs, partial, window, window, Support(box, degree))
 
 
 def assert_same_series(x, y):
@@ -570,7 +568,70 @@ def test_from_poly_matches_reference():
                 for _ in range(rng.randint(1, 4))
             }
             polys.append(MultiLaurent(vs, terms))
-    polys.append(V(Z1, 2) - V(W, 2, qp(1)))  # homogeneous: carries a tie
+    polys.append(V(Z1, 2) - V(W, 2, qp(1)))  # homogeneous: carries a degree
     for win in ELEMENTARY_WINDOWS:
         for p in polys:
             assert_same_series(TruncSeries.from_poly(p, win), reference_from_poly(p, win))
+
+
+def test_window_bounds_are_integers():
+    for lo, hi in ((1.5, 3), (-2, 2.0), (True, 3)):
+        with pytest.raises(ValueError, match="window bound"):
+            Window(lo, hi)
+    with pytest.raises(ValueError, match="window bound"):
+        window_identity_report(1, Window(-2.5, 2.5))
+
+
+# ---------- the support degree ----------
+
+
+def test_expand_ratfun_degree():
+    f = BinomialFactor(Z1, W, qp(1))
+    hom = RatFun(V(Z1, 2) + V(W, 2, qp(3)), {f: 2})
+    assert expand_ratfun(hom, [Z1, W], Window(-3, 3)).support.degree == 0
+    assert expand_ratfun(RatFun(V(Z1, 2), {f: 1}), [W, Z1], Window(-3, 3)).support.degree == 1
+    mixed = RatFun(V(Z1, 2) + V(W, 1), {f: 1})
+    assert expand_ratfun(mixed, [Z1, W], Window(-3, 3)).support.degree is None
+    assert expand_ratfun(RatFun.zero(), [Z1], Window(-3, 3)).support.degree is None
+
+
+def test_degree_through_relabel_with_vars_sums_and_products():
+    win = Window(-4, 4)
+    d = delta_series(Z1, qp(1), W, win)
+    assert d.support.degree == -1
+    assert d.relabel({Z1: Z2}).support.degree == -1
+    assert d.with_vars((Z2,)).support.degree == -1
+    # equal degrees survive a sum, also across different registries
+    e = delta_series(Z2, qp(1), W, win)
+    assert (d + e).vars == (Z1, Z2, W)
+    assert (d + e).support.degree == -1
+    p = TruncSeries.from_poly(V(Z1, 1), win)
+    assert p.support.degree == 1
+    assert (d + p).support.degree is None
+    # a product adds the degrees, and a missing degree stays missing
+    assert series_mul(d, p).support.degree == 0
+    assert series_mul(d, e).support.degree == -2
+    mixed = TruncSeries.from_poly(V(Z1, 1) + V(W, 2), win)
+    assert series_mul(d, mixed).support.degree is None
+
+
+# (window, reliable) of the right-hand side delta chains on the window
+# -3..3, the same for both readings and orientations; every variable's
+# support bound is unbounded on both sides
+RHS_BOXES = {
+    1: ((-9, 9), (-5, 9)),
+    2: ((-11, 11), (-3, 11)),
+    3: ((-13, 13), (-2, 13)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(RHS_BOXES))
+def test_rhs_series_boxes_are_pinned(m):
+    window, reliable = RHS_BOXES[m]
+    for reading in ("qminus", "qplus"):
+        for q_inverted in (False, True):
+            s = _rhs_series(m, Window(-3, 3), reading, q_inverted)
+            assert (s.window.as_pair(), s.reliable.as_pair()) == (window, reliable)
+            assert s.vars == tuple(zvar(1, i) for i in range(1, m + 2)) + (W,)
+            assert s.support.bounds == dict.fromkeys(s.vars, (None, None))
+            assert s.support.degree == -1 - m

@@ -51,6 +51,30 @@ def test_constructor_cancels():
     assert r.num == V(Z1) + V(Z2, 1, qp(2))
 
 
+def test_denominator_multiplicities_are_positive_ints():
+    f = BinomialFactor(Z1, Z2, qp(2))
+    num = (V(Z1) - V(Z2, 1, qp(2))) * (V(Z1) - V(Z2, 1, qp(2)))
+    for m in (1.5, 2.0, True, 0, -1):
+        with pytest.raises(ValueError):
+            RatFun(num, {f: m})
+    assert RatFun(num, {f: 2}).is_polynomial()
+
+
+def test_factor_order():
+    # variable order first, then the q-exponent and coefficient of the scalar
+    fs = [
+        BinomialFactor(Z2, Z3, qp(0)),
+        BinomialFactor(Z1, Z3, qp(1)),
+        BinomialFactor(Z1, Z2, qp(1, 2)),
+        BinomialFactor(Z1, Z2, qp(1)),
+        BinomialFactor(Z1, Z2, qp(-1)),
+        BinomialFactor(Z1, Z2, qp(1, -1)),
+    ]
+    assert sorted(fs) == [fs[4], fs[5], fs[3], fs[2], fs[1], fs[0]]
+    r = RatFun(MultiLaurent.constant(1), {f: k + 1 for k, f in enumerate(fs)})
+    assert r.sorted_den() == [(f, r.den[f]) for f in sorted(fs)]
+
+
 def test_opposite_orientations_cancel():
     # 1/(z1-z2) + 1/(z2-z1) = 0
     a = RatFun.inverse_factor(BinomialFactor(Z1, Z2, qp(0)))
