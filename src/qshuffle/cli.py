@@ -4,8 +4,8 @@ Subcommands: ``product``, ``serre``, ``wheel``, ``identities``,
 ``selftest``.  Every run emits one deterministic JSON report on stdout
 (and to ``--json PATH`` when given); progress chatter goes to stderr.
 
-Exit codes: 0 success, 2 usage or parse error, 3 closure violation
-during a product, 4 a verification reported failure.
+Exit codes: 0 success, 2 usage, parse or ``--json`` write error, 3
+closure violation during a product, 4 a verification reported failure.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def ratfun_json(r) -> dict:
 
 def emit(report: dict, json_path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 # ---------- commands ----------
@@ -387,7 +387,11 @@ def main(argv=None) -> int:
         "orientation": cfg.orientation,
         **report,
     }
-    emit(report, args.json)
+    try:
+        emit(report, args.json)
+    except OSError as exc:  # emit writes the file first: stdout is still empty
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -24,6 +24,9 @@ by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 ``NotDivisible`` otherwise and reads the quotient off term by term, as
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
 product is built from and which never fails.
+
+Every product is ``_shifted_sum``: the larger operand shifted by each
+term of the smaller one, the shifted copies summed.
 """
 
 from __future__ import annotations
@@ -115,12 +118,11 @@ def _q_monomial(c, what="scalar") -> tuple:
     return a, s
 
 
-def _unit(n: int, slot: int | None, e: int = 1, qe: int = 0) -> tuple:
-    """The exponent key of z_slot^e q^qe in a registry of n variables."""
-    key = [0] * (n + 1)
-    if slot is not None:
-        key[slot] = e
-    key[n] += qe
+def _offset(n: int, qe: int, exps=()) -> tuple:
+    """The key of q^qe prod z_slot^e over (slot, e) pairs, n variables."""
+    key = [0] * n + [qe]
+    for slot, e in exps:
+        key[slot] += e
     return tuple(key)
 
 
@@ -162,11 +164,15 @@ def _shifted_sum(terms: dict, shifts) -> dict:
         return {}
     off, a = shifts[0]
     out = _shifted(terms, off, a)
+    get = out.get
     for off, a in shifts[1:]:
-        if a == 1:
-            _add_into(out, ((tuple(map(add, key, off)), c) for key, c in terms.items()))
-        else:
-            _add_into(out, ((tuple(map(add, key, off)), c * a) for key, c in terms.items()))
+        for key, c in terms.items():
+            key = tuple(map(add, key, off))
+            s = get(key, 0) + c * a
+            if s:
+                out[key] = s if type(s) is int else coefficient(s)
+            else:
+                del out[key]
     return out
 
 
@@ -212,7 +218,8 @@ class MultiLaurent:
 
     @classmethod
     def var_power(cls, v: VarId, e: int, c=1) -> MultiLaurent:
-        return cls.constant(c, (v,)).var_shift(v, e)
+        e = int_exponent(e)
+        return cls._raw((v,), {(e, s): a for s, a in _qterms(c).items()})
 
     @classmethod
     def monomial(cls, exps: dict, c=1) -> MultiLaurent:
@@ -356,34 +363,17 @@ class MultiLaurent:
             except TypeError:
                 return NotImplemented
         a, b = self._align(other)
-        ta, tb = a.terms, b.terms
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        out = {}
-        get = out.get
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                key = tuple(map(add, ea, eb))
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s if type(s) is int else coefficient(s)
-                else:
-                    del out[key]
-        return MultiLaurent._raw(a.vars, out)
+        small, big = a.terms, b.terms
+        if len(small) > len(big):
+            small, big = big, small
+        return MultiLaurent._raw(a.vars, _shifted_sum(big, list(small.items())))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> MultiLaurent:
-        return self._times(None, 0, _qterms(c))
-
-    def _times(self, v, delta, qt: dict) -> MultiLaurent:
-        """Multiply by v^delta (v None for no variable) times the scalar
-        with q-terms qt."""
-        p = self if v is None or v in self.vars else self.with_vars((v,))
-        n = len(p.vars)
-        slot = None if v is None else p.vars.index(v)
-        shifts = [(_unit(n, slot, delta, s), a) for s, a in qt.items()]
-        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts))
+        n = len(self.vars)
+        shifts = [(_offset(n, s), a) for s, a in _qterms(c).items()]
+        return MultiLaurent._raw(self.vars, _shifted_sum(self.terms, shifts))
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
@@ -399,14 +389,14 @@ class MultiLaurent:
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""
-        return self._times(v, int_exponent(delta), {0: 1} if c is None else _qterms(c))
+        return self * MultiLaurent.var_power(v, delta, 1 if c is None else c)
 
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""
         p = self.with_vars((vi, vj))
         n = len(p.vars)
         shifts = [
-            (_unit(n, p.vars.index(v), 1, s), k)
+            (_offset(n, s, ((p.vars.index(v), 1),)), k)
             for v, c in ((vi, a), (vj, b))
             for s, k in _qterms(c).items()
         ]
@@ -515,7 +505,7 @@ class MultiLaurent:
         b = min(key[pi] for key in f.terms)
         # the offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and a^t
         steps = [
-            (tuple(map(add, _unit(n, pi, -1 - t, s * t), _unit(n, pj, t))), a**t)
+            (_offset(n, s * t, ((pi, -1 - t), (pj, t))), a**t)
             for t in range(max(key[pi] for key in f.terms) - b)
         ]
         return MultiLaurent._raw(f.vars, _add_into({}, (

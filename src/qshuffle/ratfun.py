@@ -31,6 +31,7 @@ class BinomialFactor:
     c: RatQ
 
     def __post_init__(self):
+        object.__setattr__(self, "c", RatQ.coerce(self.c))
         if self.i == self.j:
             raise ValueError("binomial needs two distinct variables")
         if self.i > self.j:

@@ -151,6 +151,9 @@ class ShuffleAlgebra:
         self.oracle = oracle
         self.oracle_checks = 0
         self._forms: dict[tuple, tuple] = {}
+        # q^(a,b) for every pair of colors, the scalar of every exchange factor
+        pairs = product(range(1, cartan.rank + 1), repeat=2)
+        self._q_pairing = {(a, b): RatQ.q_power(cartan.pairing(a, b)) for a, b in pairs}
 
     # ---------- basic elements ----------
 
@@ -188,7 +191,7 @@ class ShuffleAlgebra:
             flat = self.flat_vars(degree)
             den, vand, unit = {}, MultiLaurent.constant(1, flat), RatQ.one()
             for u, v in combinations(flat, 2):
-                p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
+                p = self._q_pairing[u.color, v.color]
                 if self.orientation == "product":
                     f = BinomialFactor(u, v, p)
                 else:
@@ -227,7 +230,7 @@ class ShuffleAlgebra:
         every flattened pair, built as one fraction."""
         num, den = self._canonical_numerator(f), dict(self._form(f.degree)[0])
         for u, v in combinations(self.flat_vars(f.degree), 2):
-            num = num.mul_binomial(1, u, -RatQ.q_power(self.cartan.pairing(u.color, v.color)), v)
+            num = num.mul_binomial(1, u, -self._q_pairing[u.color, v.color], v)
             plain = BinomialFactor(u, v, RQ_ONE)
             den[plain] = den.get(plain, 0) + 1
         return RatFun(num, den)
@@ -286,7 +289,7 @@ class ShuffleAlgebra:
         num = f.numerator * g.numerator.relabel(gmap)
         for u in left:
             for v in right:
-                p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
+                p = self._q_pairing[u.color, v.color]
                 num = num.mul_binomial(1, u, -p, v)
         if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
             num = -num
@@ -351,7 +354,7 @@ class ShuffleAlgebra:
                 if (u in fset) or (v not in fset):
                     continue
                 # u from the right factor precedes v from the left: inverted
-                p = RatQ.q_power(self.cartan.pairing(u.color, v.color))
+                p = self._q_pairing[u.color, v.color]
                 num = num.mul_binomial(p, u, -1, v)
                 fac = BinomialFactor(u, v, p)
                 den[fac] = den.get(fac, 0) + 1
@@ -385,7 +388,7 @@ class ShuffleAlgebra:
         num, den = self._canonical_numerator(f), self._form(f.degree)[0]
         for c in range(1, self.cartan.rank + 1):
             cv = [v for v in self.flat_vars(f.degree) if v.color == c]
-            qq = RatQ.q_power(self.cartan.pairing(c, c))
+            qq = self._q_pairing[c, c]
             a, b = (qq, 1) if self.orientation == "product" else (1, qq)
             for u, v in zip(cv, cv[1:]):
                 snum, sden = relabel_fraction(num, den, {u: v, v: u})

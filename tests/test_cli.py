@@ -166,6 +166,19 @@ def test_report_written_to_file(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, where):
+    # the report file is written before stdout: a failure leaves stdout
+    # empty and prints one error line
+    path = tmp_path / "absent" / "out.json" if where == "missing directory" else tmp_path
+    code = main(["product", "--cartan", "A1", "--json", str(path), "a1:0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
 def test_byte_identical_reports(capsys):
     runs = []
     for _ in range(2):

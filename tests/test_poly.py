@@ -2,12 +2,13 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from qshuffle.cartan import builtin_cartan
 from qshuffle.poly import MultiLaurent, NotDivisible, VarId, aux_var, zvar
-from qshuffle.qring import LaurentQ, RatQ
+from qshuffle.qring import LaurentQ, RatQ, coefficient
 from qshuffle.ratfun import RatFun
 from qshuffle.shuffle import ClosureViolation, ShuffleAlgebra, parse_word
 
@@ -593,3 +594,165 @@ def test_binomial_inverse_is_a_truncated_geometric_series():
         MultiLaurent.binomial_inverse(Z1, Z1, qp(1), 2, Z1)
     with pytest.raises(ValueError):
         MultiLaurent.binomial_inverse(Z1, Z2, qp(1), 2, W)
+
+
+# ---------- every product against the two-loop references ----------
+
+
+def reference_mul(f, g):
+    """Product by a double loop over the smaller operand's terms and the
+    larger one's, after aligning the registries."""
+    a, b = f._align(g)
+    ta, tb = a.terms, b.terms
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            key = tuple(map(add, ea, eb))
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = coefficient(s)
+            else:
+                del out[key]
+    return MultiLaurent._raw(a.vars, out)
+
+
+def q_terms(c) -> dict:
+    return RatQ.coerce(c).num.terms
+
+
+def reference_times(f, v, delta, c):
+    """f times v^delta (v None for no variable) times the scalar c, one
+    q-power of c after the other, v joining the registry."""
+    p = f if v is None else f.with_vars((v,))
+    n = len(p.vars)
+    out = {}
+    for s, a in q_terms(c).items():
+        off = [0] * (n + 1)
+        if v is not None:
+            off[p.vars.index(v)] = delta
+        off[n] = s
+        for key, co in p.terms.items():
+            key = tuple(map(add, key, off))
+            t = out.get(key, 0) + co * a
+            if t:
+                out[key] = coefficient(t)
+            else:
+                del out[key]
+    return MultiLaurent._raw(p.vars, out)
+
+
+def reference_var_power(v, e, c=1):
+    return reference_times(MultiLaurent.constant(c, (v,)), v, e, 1)
+
+
+def reference_mul_binomial(f, a, vi, b, vj):
+    return (reference_times(f, vi, 1, a) + reference_times(f, vj, 1, b)).with_vars((vi, vj))
+
+
+DIFF_VARS = (Z1, Z2, Z3, Y1, W, aux_var("t", 2))
+
+
+def random_scalar(rng):
+    """A nonzero int, Fraction, LaurentQ or Laurent RatQ."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice([-2, -1, 1, 2, 3])
+    if kind == 1:
+        return random_fraction(rng, nonzero=True)
+    lq = random_laurent(rng, max_terms=3, exp_range=2, nonzero=True)
+    return lq if kind == 2 else RatQ(lq)
+
+
+def product_pool(seed):
+    """Random polynomials over random registries (empty ones and auxiliary
+    variables included), the zero polynomial, constants, and pairs whose
+    product cancels terms or whose half-integral coefficients multiply to
+    integers."""
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(24):
+        vs = tuple(rng.sample(DIFF_VARS, rng.randint(0, 4)))
+        terms = {
+            tuple(rng.randint(-2, 2) for _ in vs): random_scalar(rng)
+            for _ in range(rng.randint(1, 5))
+        }
+        pool.append(MultiLaurent(vs, terms))
+    x, y = MultiLaurent.var_power(Z1, 1), MultiLaurent.var_power(W, 1, qp(1))
+    half = MultiLaurent.var_power(Z2, 1, Fraction(1, 2))
+    pool += [
+        MultiLaurent.zero(),
+        MultiLaurent.zero((Z1, W)),
+        MultiLaurent.constant(Fraction(3, 2)),
+        MultiLaurent.constant(LaurentQ({-1: 2, 1: Fraction(1, 2)}), (Y1,)),
+        x + y,
+        x - y,
+        half + x.scale(Fraction(1, 2)),
+        half - x.scale(Fraction(1, 2)),
+        MultiLaurent.var_power(Y1, -1, 2),
+    ]
+    return pool
+
+
+def assert_same(got, want):
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    # stored coefficients are nonzero, and int whenever integral
+    for c in got.terms.values():
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1)), c
+
+
+def test_mul_matches_the_double_loop():
+    pool = product_pool(1401)
+    cancelled = zero = 0
+    for f in pool:
+        for g in pool:
+            got, want = f * g, reference_mul(f, g)
+            assert_same(got, want)
+            cancelled += len(got.terms) < len(f.terms) * len(g.terms)
+            zero += not got.terms
+    # the pool reaches products whose terms merge or cancel, and zero ones
+    assert cancelled > 0 and zero > 0
+
+
+def test_scalar_products_match_the_reference_on_either_side():
+    pool = product_pool(1402)
+    scalars = [0, 1, -3, Fraction(2, 3), Fraction(-1, 2), LaurentQ({-2: 1, 3: Fraction(5, 4)}),
+               RatQ.q_power(1, -2), RatQ(LaurentQ({0: 2, 1: Fraction(1, 2)}))]
+    for f in pool:
+        for c in scalars:
+            want = reference_times(f, None, 0, c)
+            one = MultiLaurent.constant(c)
+            for got in (f.scale(c), f * c, c * f, f * one, one * f):
+                assert_same(got, want)
+
+
+def test_var_shift_and_var_power_match_the_reference():
+    rng = random.Random(1403)
+    pool = product_pool(1403)
+    for f in pool:
+        for _ in range(4):
+            v, d = rng.choice(DIFF_VARS), rng.randint(-3, 3)
+            c = rng.choice([None, 0, random_scalar(rng)])
+            want = reference_times(f, v, d, 1 if c is None else c)
+            assert_same(f.var_shift(v, d) if c is None else f.var_shift(v, d, c), want)
+            if c is not None:
+                assert_same(MultiLaurent.var_power(v, d, c), reference_var_power(v, d, c))
+    for v in DIFF_VARS:
+        assert_same(MultiLaurent.var_power(v, -2), reference_var_power(v, -2))
+
+
+def test_mul_binomial_matches_the_reference():
+    rng = random.Random(1404)
+    pool = product_pool(1404)
+    for f in pool:
+        for _ in range(4):
+            vi, vj = rng.sample(DIFF_VARS, 2)
+            a, b = random_scalar(rng), rng.choice([0, random_scalar(rng)])
+            assert_same(f.mul_binomial(a, vi, b, vj), reference_mul_binomial(f, a, vi, b, vj))
+        # one variable twice: a z + b z, cancelling to zero when b = -a
+        v, a = rng.choice(DIFF_VARS), random_scalar(rng)
+        for b in (a, -a):
+            got = f.mul_binomial(a, v, b, v)
+            assert_same(got, reference_mul_binomial(f, a, v, b, v))
+        assert not got.terms

@@ -22,6 +22,24 @@ def V(v, e=1, c=1):
     return MultiLaurent.var_power(v, e, c)
 
 
+def test_factor_takes_every_scalar_type():
+    # the scalar is coerced to RatQ before the checks, as in make and RatFun
+    for scalar, want in [
+        (LaurentQ.q_power(2), qp(2)),
+        (1, RatQ.one()),
+        (Fraction(1, 2), qp(0, Fraction(1, 2))),
+        (qp(-1, 3), qp(-1, 3)),
+    ]:
+        f, g = BinomialFactor(Z1, Z2, scalar), BinomialFactor(Z1, Z2, want)
+        assert f == g and hash(f) == hash(g) and str(f) == str(g)
+        assert type(f.c) is RatQ
+    for bad in (2.5, "x"):
+        with pytest.raises(TypeError):
+            BinomialFactor(Z1, Z2, bad)
+    with pytest.raises(ValueError):
+        BinomialFactor(Z1, Z2, LaurentQ({0: 1, 1: 1}))
+
+
 def test_factor_canonicalization():
     f, unit = BinomialFactor.make(1, Z1, qp(2), Z2)
     assert (f.i, f.j, f.c) == (Z1, Z2, qp(2))
