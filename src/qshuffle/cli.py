@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .cartan import CartanData, builtin_cartan
@@ -41,16 +40,6 @@ IDENTITIES_MAX_M = 5
 # the widest --window (hi - lo) per m; window_identity_report at these
 # widths takes at most about 30 s (README has the measured times)
 IDENTITIES_MAX_WINDOW = {1: 100, 2: 30, 3: 12, 4: 6, 5: 4}
-
-
-@dataclass
-class RunConfig:
-    cartan: CartanData
-    orientation: str  # "default" | "printed", as spelled on the command line
-
-    def algebra(self) -> ShuffleAlgebra:
-        internal = "product" if self.orientation == "default" else "printed"
-        return ShuffleAlgebra(self.cartan, orientation=internal)
 
 
 def load_cartan(text: str) -> CartanData:
@@ -111,9 +100,8 @@ def emit(report: dict, json_path: str | None):
 # ---------- commands ----------
 
 
-def cmd_product(cfg: RunConfig, word_text: str):
+def cmd_product(alg: ShuffleAlgebra, word_text: str):
     word = parse_word(word_text)
-    alg = cfg.algebra()
     el = alg.word_image(word)
     report = element_json(el)
     report["word"] = format_word(word)
@@ -124,12 +112,8 @@ def cmd_product(cfg: RunConfig, word_text: str):
     return report, 0
 
 
-def cmd_serre(cfg: RunConfig, alpha: int, beta: int, modes, s: int):
-    alg = cfg.algebra()
-    try:
-        el = alg.serre_image(alpha, beta, modes, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_serre(alg: ShuffleAlgebra, alpha: int, beta: int, modes, s: int):
+    el = alg.serre_image(alpha, beta, modes, s)
     ok = el.is_zero()
     report = {
         "alpha": alpha,
@@ -144,13 +128,12 @@ def cmd_serre(cfg: RunConfig, alpha: int, beta: int, modes, s: int):
     return report, 0 if ok else 4
 
 
-def cmd_wheel(cfg: RunConfig, word_text: str):
+def cmd_wheel(alg: ShuffleAlgebra, word_text: str):
     word = parse_word(word_text)
-    alg = cfg.algebra()
     el = alg.word_image(word)
     pairs = []
     ok = True
-    rank = cfg.cartan.rank
+    rank = alg.cartan.rank
     for alpha in range(1, rank + 1):
         for beta in range(1, rank + 1):
             if alpha == beta:
@@ -162,7 +145,7 @@ def cmd_wheel(cfg: RunConfig, word_text: str):
                 {
                     "alpha": alpha,
                     "beta": beta,
-                    "chain_length": 1 - cfg.cartan.a(alpha, beta),
+                    "chain_length": 1 - alg.cartan.a(alpha, beta),
                     "applicable": applicable,
                     "vanishes": vanishes,
                 }
@@ -198,7 +181,7 @@ def cmd_identities(m: int, window: Window | None):
     return report, code
 
 
-def cmd_selftest(cfg: RunConfig, seed: int):
+def cmd_selftest(alg: ShuffleAlgebra, seed: int):
     rng = random.Random(seed)
     checks = []
 
@@ -226,8 +209,7 @@ def cmd_selftest(cfg: RunConfig, seed: int):
         return True, "bar-invariance and symmetry to n = 6"
 
     def closure():
-        alg = cfg.algebra()
-        rank = cfg.cartan.rank
+        rank = alg.cartan.rank
         n = 0
         for _ in range(8):
             word = [
@@ -241,8 +223,7 @@ def cmd_selftest(cfg: RunConfig, seed: int):
         return True, f"{n} random words stayed in canonical form"
 
     def associativity():
-        alg = cfg.algebra()
-        rank = cfg.cartan.rank
+        rank = alg.cartan.rank
         for _ in range(5):
             f, g, h = (
                 alg.generator(rng.randrange(1, rank + 1), rng.randrange(-1, 2))
@@ -253,8 +234,7 @@ def cmd_selftest(cfg: RunConfig, seed: int):
         return True, "5 random generator triples"
 
     def oracle():
-        alg = cfg.algebra()
-        rank = cfg.cartan.rank
+        rank = alg.cartan.rank
         for _ in range(3):
             f = alg.generator(rng.randrange(1, rank + 1), rng.randrange(-1, 2))
             g = alg.generator(rng.randrange(1, rank + 1), rng.randrange(-1, 2))
@@ -263,8 +243,7 @@ def cmd_selftest(cfg: RunConfig, seed: int):
         return True, "3 products cross-checked against the rational sum"
 
     def wheel():
-        alg = cfg.algebra()
-        rank = cfg.cartan.rank
+        rank = alg.cartan.rank
         hits = 0
         for _ in range(6):
             word = [
@@ -283,10 +262,9 @@ def cmd_selftest(cfg: RunConfig, seed: int):
         return True, f"{hits} applicable wheel substitutions vanished"
 
     def serre():
-        alg = cfg.algebra()
-        if cfg.cartan.rank < 2:
+        if alg.cartan.rank < 2:
             return True, "skipped (rank 1 has no Serre pair)"
-        el = alg.serre_image(1, 2, [0] * (1 - cfg.cartan.a(1, 2)), 0)
+        el = alg.serre_image(1, 2, [0] * (1 - alg.cartan.a(1, 2)), 0)
         return el.is_zero(), "modes all zero, s = 0"
 
     def identities():
@@ -361,19 +339,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(load_cartan(args.cartan), args.orientation)
+        orientation = "product" if args.orientation == "default" else "printed"
+        alg = ShuffleAlgebra(load_cartan(args.cartan), orientation=orientation)
         if args.command == "product":
-            report, code = cmd_product(cfg, args.word)
+            report, code = cmd_product(alg, args.word)
         elif args.command == "serre":
             modes = [int(x) for x in args.modes.split(",") if x.strip() != ""]
-            report, code = cmd_serre(cfg, args.alpha, args.beta, modes, args.s)
+            report, code = cmd_serre(alg, args.alpha, args.beta, modes, args.s)
         elif args.command == "wheel":
-            report, code = cmd_wheel(cfg, args.word)
+            report, code = cmd_wheel(alg, args.word)
         elif args.command == "identities":
             window = parse_window(args.window) if args.window else None
             report, code = cmd_identities(args.m, window)
         else:
-            report, code = cmd_selftest(cfg, args.seed)
+            report, code = cmd_selftest(alg, args.seed)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -383,8 +362,8 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "version": __version__,
-        "cartan": cfg.cartan.to_json_dict(),
-        "orientation": cfg.orientation,
+        "cartan": alg.cartan.to_json_dict(),
+        "orientation": args.orientation,
         **report,
     }
     try:

@@ -248,10 +248,8 @@ def expand_binomial_inverse(a, vi, b, vj, dominant, window: Window) -> TruncSeri
 
 def delta_series(x: VarId, c, y: VarId, window: Window) -> TruncSeries:
     """The formal delta at x = c y: sum(c^(-i-1) x^i y^(-i-1)) over all i,
-    the difference of the two expansions of 1/(x - c y)."""
-    c = RatQ.coerce(c)
-    if not c.is_q_monomial():
-        raise ValueError("delta scalar must be a nonzero q-monomial")
+    the difference of the two expansions of 1/(x - c y); the factor
+    checks that c is a nonzero q-monomial."""
     return expand_binomial_inverse(1, x, c, y, x, window) - expand_binomial_inverse(
         1, x, c, y, y, window
     )

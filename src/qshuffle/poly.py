@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import add, ge, itemgetter, le, mul
 
-from .qring import LaurentQ, RatQ, coefficient, int_exponent
+from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 
 
 class NotDivisible(ArithmeticError):
@@ -88,34 +88,6 @@ def grassmannian_steps(n: int, m: int) -> list[int]:
     whose product moves slots n+1..n+m past slots 1..n: d_(n+k-1), ...,
     d_k for k = 1..m, n*m steps in all."""
     return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
-
-
-# ---------- scalars ----------
-
-
-def _qterms(c) -> dict:
-    """The scalar c as {q exponent: coefficient}, shared with c when c is
-    Laurent: callers only read it.
-
-    ValueError when c lies outside Q[q, q^-1]; TypeError when it is no
-    scalar at all."""
-    if isinstance(c, RatQ):
-        if not c.den.is_one():
-            raise ValueError(f"scalar {c} lies outside Q[q, q^-1]")
-        c = c.num
-    if isinstance(c, LaurentQ):
-        return c.terms
-    c = coefficient(c)
-    return {0: c} if c else {}
-
-
-def _q_monomial(c, what="scalar") -> tuple:
-    """The nonzero q-monomial c = a q^s as the pair (a, s)."""
-    qt = _qterms(c)
-    if len(qt) != 1:
-        raise ValueError(f"{what} must be a nonzero q-monomial")
-    ((s, a),) = qt.items()
-    return a, s
 
 
 def _offset(n: int, qe: int, exps=()) -> tuple:

@@ -12,6 +12,13 @@ The package's one coefficient format is defined here: a rational number
 stored as an ``int`` when integral, as a ``Fraction`` otherwise, and
 normalised only by ``coefficient``, which refuses floats (``TypeError``).
 ``LaurentQ`` terms are kept in it; ``poly`` takes them over unchanged.
+The q-monomial decomposition c = a q^s of a scalar (``_q_monomial``) is
+here too, for ``poly`` and ``ratfun``.  Dividing by a q-monomial is
+exponent arithmetic: a one-term ``RatQ`` denominator a q^s shifts the
+numerator by -s and divides it by a; only a denominator of two or more
+terms takes the polynomial gcd.  ``ratfun`` stores a binomial factor
+z_i - a q^s z_j as the tuple (i, j, s, a), whose order is the factor
+order.
 
 Everything is immutable in spirit: operations return new objects and no
 method mutates ``self``.  All arithmetic is exact; there is no floating
@@ -94,9 +101,6 @@ class LaurentQ:
     def is_one(self) -> bool:
         # RatQ keeps every denominator equal to one as the shared LQ_ONE
         return self is LQ_ONE or self.terms == _ONE_TERMS
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -342,7 +346,10 @@ class RatQ:
             self.num = LQ_ZERO
             self.den = LQ_ONE
             return
-        if den.is_one():
+        if len(den.terms) == 1:  # den = c q^s: shift by -s, divide by c
+            ((s, c),) = den.terms.items()
+            if s or c != 1:
+                num = LaurentQ._raw({e - s: Fraction(a, c) for e, a in num.terms.items()})
             self.num = num
             self.den = LQ_ONE
             return
@@ -401,9 +408,6 @@ class RatQ:
 
     def is_laurent(self) -> bool:
         return self.den.is_one()
-
-    def is_q_monomial(self) -> bool:
-        return self.den.is_one() and self.num.is_monomial()
 
     # ---------- field operations ----------
 
@@ -511,6 +515,34 @@ class RatQ:
 
 
 RQ_ONE = RatQ.one()
+
+
+# ---------- scalars in Q[q, q^-1] ----------
+
+
+def _qterms(c) -> dict:
+    """The scalar c as {q exponent: coefficient}, shared with c when c is
+    Laurent: callers only read it.
+
+    ValueError when c lies outside Q[q, q^-1]; TypeError when it is no
+    scalar at all."""
+    if isinstance(c, RatQ):
+        if not c.den.is_one():
+            raise ValueError(f"scalar {c} lies outside Q[q, q^-1]")
+        c = c.num
+    if isinstance(c, LaurentQ):
+        return c.terms
+    c = coefficient(c)
+    return {0: c} if c else {}
+
+
+def _q_monomial(c, what="scalar") -> tuple:
+    """The nonzero q-monomial c = a q^s as the pair (a, s)."""
+    qt = _qterms(c)
+    if len(qt) != 1:
+        raise ValueError(f"{what} must be a nonzero q-monomial")
+    ((s, a),) = qt.items()
+    return a, s
 
 
 # ---------- q-combinatorics ----------

@@ -1,6 +1,12 @@
 """Rational functions whose denominators are products of two-variable
 binomials z_i - c z_j with c a monomial in q.
 
+A factor is a ``BinomialFactor``, the tuple (i, j, s, a) for
+z_i - a q^s z_j with i before j in variable order; its tuple order is
+the factor order.  Dividing by a q-monomial is exponent arithmetic, so
+``BinomialFactor.make`` and ``relabel`` canonicalize and flip factors
+without any ``RatQ`` division.
+
 This family is closed under the operations the shuffle product and the
 pole-sum identities need: sums, products, variable relabelings and
 symmetrizations.  A ``RatFun`` is kept fully reduced (no denominator
@@ -14,67 +20,63 @@ denominator) pairs instead, and divide nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
 from .poly import MultiLaurent, NotDivisible, VarId
-from .qring import RQ_ONE, RatQ
+from .qring import RQ_ONE, RatQ, _q_monomial, coefficient
 
 
-@dataclass(frozen=True)
-class BinomialFactor:
-    """The canonical binomial z_i - c z_j with i before j in variable order."""
+class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
+    """The canonical binomial z_i - a q^s z_j with i before j in variable
+    order, stored as the tuple (i, j, s, a): the tuple order is the
+    factor order."""
 
-    i: VarId
-    j: VarId
-    c: RatQ
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", RatQ.coerce(self.c))
-        if self.i == self.j:
+    def __new__(cls, i: VarId, j: VarId, c):
+        a, s = _q_monomial(c, "binomial scalar")
+        return cls._checked(i, j, s, a)
+
+    @classmethod
+    def _checked(cls, i, j, s, a):
+        if i == j:
             raise ValueError("binomial needs two distinct variables")
-        if self.i > self.j:
+        if i > j:
             raise ValueError("factor stored against the variable order")
-        if not self.c.is_q_monomial():
-            raise ValueError("binomial scalar must be a nonzero q-monomial")
-        # factors key every denominator dict: hash the fields once
-        object.__setattr__(self, "_hash", hash((self.i, self.j, self.c)))
+        return tuple.__new__(cls, (i, j, s, a))
 
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return (self.i, self.j, self.c)
 
-    @staticmethod
-    def make(a, vi: VarId, b, vj: VarId):
+    @property
+    def c(self) -> RatQ:
+        """The scalar a q^s."""
+        return RatQ.q_power(self.s, self.a)
+
+    @classmethod
+    def make(cls, a, vi: VarId, b, vj: VarId):
         """Canonicalize a*z_vi - b*z_vj; returns (factor, unit) with
         a*z_vi - b*z_vj = unit * (z_i - c z_j)."""
-        a = RatQ.coerce(a)
-        b = RatQ.coerce(b)
-        if not (a.is_q_monomial() and b.is_q_monomial()):
-            raise ValueError("binomial coefficients must be nonzero q-monomials")
+        (x, s), (y, t) = (_q_monomial(v, "binomial coefficient") for v in (a, b))
         if vi < vj:
-            return BinomialFactor(vi, vj, b / a), a
-        return BinomialFactor(vj, vi, a / b), -b
+            return cls._checked(vi, vj, t - s, coefficient(Fraction(y, x))), RatQ.q_power(s, x)
+        return cls._checked(vj, vi, s - t, coefficient(Fraction(x, y))), RatQ.q_power(t, -y)
 
     def relabel(self, mapping: dict):
         """Rename variables; returns (factor, unit) since the orientation
-        may flip."""
-        ni = mapping.get(self.i, self.i)
-        nj = mapping.get(self.j, self.j)
+        may flip: z_j - a q^s z_i = -a q^s (z_i - a^-1 q^-s z_j)."""
+        i, j, s, a = self
+        ni, nj = mapping.get(i, i), mapping.get(j, j)
         if ni < nj:
-            return BinomialFactor(ni, nj, self.c), RQ_ONE
-        return BinomialFactor.make(RQ_ONE, ni, self.c, nj)
+            return self._checked(ni, nj, s, a), RQ_ONE
+        return self._checked(nj, ni, -s, coefficient(Fraction(1, a))), RatQ.q_power(s, -a)
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
         return Fraction(assignment[self.i]) - self.c.eval_at(q0) * Fraction(
             assignment[self.j]
         )
-
-    def __lt__(self, other: BinomialFactor) -> bool:
-        # variable order first, then the scalar's q-exponent and coefficient
-        a, b = self.c.num, other.c.num
-        ea, eb = a.min_exp(), b.min_exp()
-        return (self.i, self.j, ea, a.coeff(ea)) < (other.i, other.j, eb, b.coeff(eb))
 
     def __str__(self) -> str:
         return f"({self.i} - ({self.c}) {self.j})"

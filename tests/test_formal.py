@@ -28,7 +28,7 @@ from qshuffle.formal import (
 )
 from qshuffle.identities import _rhs_series, term_value, window_identity_report
 from qshuffle.poly import MultiLaurent, _sorted_vars, aux_var, zvar
-from qshuffle.qring import RQ_ONE, RatQ
+from qshuffle.qring import RQ_ONE, LaurentQ, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
 
 from helpers import coefficients, random_q_monomial
@@ -75,6 +75,12 @@ def test_delta_series_terms():
     # scalar deltas scale the coefficients
     d2 = delta_series(Z1, qp(1), W, Window(-2, 2))
     assert d2.coeff((0, -1)) == qp(-1)
+
+
+def test_delta_series_needs_a_nonzero_q_monomial():
+    for bad in (LaurentQ({0: 1, 1: 1}), 0):
+        with pytest.raises(ValueError):
+            delta_series(Z1, bad, W, Window(-2, 2))
 
 
 def test_delta_symmetry_in_arguments():

@@ -1,19 +1,26 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from qshuffle import qring
+from qshuffle.cartan import builtin_cartan
+from qshuffle.identities import term_value
 from qshuffle.qring import (
     LQ_ONE,
     LQ_ZERO,
     LaurentQ,
     RatQ,
+    _poly_divmod,
+    _poly_gcd,
     q_binomial,
     q_factorial,
     q_int,
 )
+from qshuffle.shuffle import ShuffleAlgebra, parse_word
 
-from helpers import random_laurent, random_q_point, random_ratq
+from helpers import random_fraction, random_laurent, random_q_point, random_ratq
 
 
 def LQ(terms):
@@ -200,6 +207,56 @@ def test_ratq_den_normalization():
     # denominator is monic with lowest exponent 0
     assert r.den.min_exp() == 0
     assert r.den.coeff(r.den.max_exp()) == 1
+
+
+def reference_ratq(num: LaurentQ, den: LaurentQ) -> RatQ:
+    """num / den by the general path: divide out the polynomial gcd, put
+    the q-shift on the numerator, make the denominator monic."""
+    fn, sn = num._shifted_coeffs()
+    fd, sd = den._shifted_coeffs()
+    g = _poly_gcd(fn, fd)
+    if len(g) > 1:
+        fn, _ = _poly_divmod(fn, g)
+        fd, _ = _poly_divmod(fd, g)
+    lead = fd[-1]
+    return RatQ._raw(
+        LaurentQ({i + sn - sd: c / lead for i, c in enumerate(fn) if c}),
+        LaurentQ({i: c / lead for i, c in enumerate(fd) if c}),
+    )
+
+
+def test_one_term_denominator_matches_the_gcd_path():
+    rng = random.Random(43)
+    nums = [LQ_ZERO, LQ_ONE] + [random_laurent(rng) for _ in range(200)]
+    for num in nums:
+        den = LaurentQ.q_power(rng.randint(-5, 5), random_fraction(rng, nonzero=True))
+        got, want = RatQ(num, den), reference_ratq(num, den)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+        assert all(type(c) is int or c.denominator != 1 for c in got.num.terms.values())
+        assert got * den == num
+
+
+def test_q_monomial_division_takes_no_gcd(monkeypatch):
+    calls = []
+    gcd = qring._poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(qring, "_poly_gcd", counted)
+    for k in range(4):
+        for sigma in permutations((1, 2, 3)):
+            term_value(2, k, sigma)
+    printed = ShuffleAlgebra(builtin_cartan("A2"), orientation="printed")
+    assert printed.word_image(parse_word("a1:0 a2:1")).degree == (1, 1)
+    checked = ShuffleAlgebra(builtin_cartan("B2"), oracle=True)
+    checked.word_image(parse_word("a1:0 a2:1 a2:-1"))
+    assert checked.oracle_checks == 3
+    assert calls == []
+    # control: a denominator of two terms still takes the gcd
+    assert RatQ(LQ({2: 1, 0: -1}), LQ({1: 1, 0: -1})) == RatQ(LQ({1: 1, 0: 1}))
+    assert calls
 
 
 def test_ratq_accepts_ratq_parts():

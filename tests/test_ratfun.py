@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from qshuffle.poly import MultiLaurent, VarId, zvar
+from qshuffle.poly import MultiLaurent, VarId, aux_var, zvar
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, factor_product, rat_sum, sym_group
 
@@ -23,12 +25,15 @@ def V(v, e=1, c=1):
 
 
 def test_factor_takes_every_scalar_type():
-    # the scalar is coerced to RatQ before the checks, as in make and RatFun
+    # every scalar type is split into a q^s before the checks, as in make
     for scalar, want in [
         (LaurentQ.q_power(2), qp(2)),
         (1, RatQ.one()),
         (Fraction(1, 2), qp(0, Fraction(1, 2))),
         (qp(-1, 3), qp(-1, 3)),
+        (-3, qp(0, -3)),
+        (Fraction(4, 2), qp(0, 2)),
+        (RatQ(LaurentQ.q_power(1, 3), LaurentQ.q_power(3, 2)), qp(-2, Fraction(3, 2))),
     ]:
         f, g = BinomialFactor(Z1, Z2, scalar), BinomialFactor(Z1, Z2, want)
         assert f == g and hash(f) == hash(g) and str(f) == str(g)
@@ -36,8 +41,9 @@ def test_factor_takes_every_scalar_type():
     for bad in (2.5, "x"):
         with pytest.raises(TypeError):
             BinomialFactor(Z1, Z2, bad)
-    with pytest.raises(ValueError):
-        BinomialFactor(Z1, Z2, LaurentQ({0: 1, 1: 1}))
+    for bad in (LaurentQ({0: 1, 1: 1}), 0, RatQ(1, LaurentQ({0: 1, 2: 1}))):
+        with pytest.raises(ValueError):
+            BinomialFactor(Z1, Z2, bad)
 
 
 def test_factor_canonicalization():
@@ -91,6 +97,90 @@ def test_factor_order():
     assert sorted(fs) == [fs[4], fs[5], fs[3], fs[2], fs[1], fs[0]]
     r = RatFun(MultiLaurent.constant(1), {f: k + 1 for k, f in enumerate(fs)})
     assert r.sorted_den() == [(f, r.den[f]) for f in sorted(fs)]
+
+
+# the factor as it was: a RatQ scalar ordered by a hand-written __lt__,
+# canonicalized and flipped by RatQ division
+def reference_factor_key(f):
+    a = f.c.num
+    e = a.min_exp()
+    return (f.i, f.j, e, a.coeff(e))
+
+
+def reference_make(a, vi, b, vj):
+    a, b = RatQ.coerce(a), RatQ.coerce(b)
+    if vi < vj:
+        return BinomialFactor(vi, vj, b / a), a
+    return BinomialFactor(vj, vi, a / b), -b
+
+
+def reference_relabel(f, mapping):
+    ni, nj = mapping.get(f.i, f.i), mapping.get(f.j, f.j)
+    if ni < nj:
+        return BinomialFactor(ni, nj, f.c), RatQ.one()
+    return reference_make(RatQ.one(), ni, f.c, nj)
+
+
+POOL_VARS = [Z1, Z2, zvar(2, 1), zvar(3, 2), aux_var("w"), aux_var("t"), aux_var("w", 2)]
+
+
+def random_scalar(rng):
+    """A nonzero q-monomial as int, Fraction, LaurentQ or RatQ, with
+    negative coefficients and exponents."""
+    c = random_fraction(rng, nonzero=True)
+    e = rng.randint(-4, 4)
+    return rng.choice([c.numerator, c, LaurentQ.q_power(e, c), qp(e, c)])
+
+
+def random_factor(rng):
+    vi, vj = sorted(rng.sample(POOL_VARS, 2))
+    return BinomialFactor(vi, vj, random_scalar(rng))
+
+
+def test_factor_order_is_the_old_key():
+    rng = random.Random(59)
+    pool = [random_factor(rng) for _ in range(120)]
+    for f in pool:
+        assert isinstance(f, tuple) and f == (f.i, f.j, f.s, f.a)
+        assert type(f.a) is int or f.a.denominator != 1
+    assert sorted(pool) == sorted(pool, key=reference_factor_key)
+    for f, g in zip(pool, pool[1:] + pool[:1]):
+        assert (f < g) == (reference_factor_key(f) < reference_factor_key(g))
+
+
+def test_make_and_relabel_match_the_ratq_division_reference():
+    rng = random.Random(61)
+    for _ in range(150):
+        vi, vj = rng.sample(POOL_VARS, 2)
+        a, b = random_scalar(rng), random_scalar(rng)
+        f, unit = BinomialFactor.make(a, vi, b, vj)
+        assert (f, unit) == reference_make(a, vi, b, vj)
+        assert type(unit) is RatQ and (type(f.a) is int or f.a.denominator != 1)
+        lhs = V(vi, 1, a) - V(vj, 1, b)
+        assert lhs == (V(f.i) - V(f.j, 1, f.c)).scale(unit)
+        shuffled = rng.sample(POOL_VARS, len(POOL_VARS))
+        for mapping in (dict(zip(POOL_VARS, shuffled)), {f.i: f.j, f.j: f.i}, {f.i: rng.choice(shuffled)}):
+            if mapping.get(f.i, f.i) == mapping.get(f.j, f.j):
+                with pytest.raises(ValueError):
+                    f.relabel(mapping)
+                continue
+            got = f.relabel(mapping)
+            assert got == reference_relabel(f, mapping) and type(got[1]) is RatQ
+    with pytest.raises(ValueError):
+        BinomialFactor.make(1, Z1, 1, Z1)
+    with pytest.raises(ValueError):
+        BinomialFactor.make(0, Z1, 1, Z2)
+
+
+def test_factor_and_ratfun_survive_pickle_and_copy():
+    f = BinomialFactor(Z1, aux_var("w"), qp(-2, Fraction(-3, 4)))
+    g = BinomialFactor(Z1, Z2, qp(2))
+    r = RatFun(V(Z1, 2) - V(Z2, 1, qp(1, 5)), {f: 2, g: 1})
+    for x in (f, r):
+        copies = [pickle.loads(pickle.dumps(x, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies + [copy.copy(x), copy.deepcopy(x)]:
+            assert type(y) is type(x) and y == x and hash(y) == hash(x) and str(y) == str(x)
+    assert copy.deepcopy(r).sorted_den() == r.sorted_den()
 
 
 def test_opposite_orientations_cancel():
