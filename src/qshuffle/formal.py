@@ -130,22 +130,29 @@ def _in_box(p: MultiLaurent, box: Window) -> MultiLaurent:
 class TruncSeries:
     """A windowed truncation of a formal distribution over Q(q)."""
 
-    __slots__ = ("vars", "terms", "window", "reliable", "support")
+    __slots__ = ("poly", "window", "reliable", "support")
 
     def __init__(self, vars, terms, window: Window, reliable: Window, support: Support):
         if not (window.lo <= reliable.lo and reliable.hi <= window.hi):
             raise ValueError("reliable window must sit inside the window")
-        p = _in_box(MultiLaurent(vars, terms), reliable)
-        self.vars, self.terms = p.vars, p.terms
+        self.poly = _in_box(MultiLaurent(vars, terms), reliable)
         self.window, self.reliable, self.support = window, reliable, support
 
     @classmethod
     def _trusted(cls, p: MultiLaurent, window, reliable, support) -> TruncSeries:
         """Wrap a polynomial a ``MultiLaurent`` method made from stored terms, unchecked."""
         self = cls.__new__(cls)
-        self.vars, self.terms = p.vars, p.terms
-        self.window, self.reliable, self.support = window, reliable, support
+        self.poly, self.window, self.reliable, self.support = p, window, reliable, support
         return self
+
+    @property
+    def vars(self) -> tuple[VarId, ...]:
+        return self.poly.vars
+
+    @property
+    def terms(self) -> dict:
+        """The stored terms, one per monomial (see ``MultiLaurent``)."""
+        return self.poly.terms
 
     # ---------- constructors ----------
 
@@ -155,12 +162,8 @@ class TruncSeries:
 
     # ---------- bookkeeping ----------
 
-    def _poly(self) -> MultiLaurent:
-        """The stored terms as a polynomial (shared, not copied)."""
-        return MultiLaurent._raw(self.vars, self.terms)
-
     def with_vars(self, extra) -> TruncSeries:
-        p = self._poly().with_vars(extra)
+        p = self.poly.with_vars(extra)
         if p.vars == self.vars:
             return self
         bounds = dict.fromkeys(p.vars, (0, 0)) | self.support.bounds
@@ -170,22 +173,22 @@ class TruncSeries:
         )
 
     def relabel(self, mapping: dict) -> TruncSeries:
-        p = self._poly().relabel(mapping)
+        p = self.poly.relabel(mapping)
         return TruncSeries._trusted(p, self.window, self.reliable, self.support.relabel(mapping))
 
     def coeff(self, exps) -> RatQ:
         """The coefficient of the monomial with these variable exponents."""
-        return RatQ(self._poly().coeff(exps))
+        return RatQ(self.poly.coeff(exps))
 
     def scale(self, c) -> TruncSeries:
-        return TruncSeries._trusted(self._poly().scale(c), self.window, self.reliable, self.support)
+        return TruncSeries._trusted(self.poly.scale(c), self.window, self.reliable, self.support)
 
     # ---------- addition ----------
 
     def __add__(self, other: TruncSeries) -> TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        p = self._poly() + other._poly()
+        p = self.poly + other.poly
         window = self.window.intersect(other.window)
         reliable = self.reliable.intersect(other.reliable)
         support = _merge_supports_for_sum(self.support, other.support)
@@ -214,7 +217,7 @@ class TruncSeries:
         n = len(self.terms)
         return (
             f"TruncSeries[{', '.join(map(str, self.vars))}] "
-            f"({n} terms on {self.reliable.as_pair()} of {self.window.as_pair()})"
+            f"({n} monomials on {self.reliable.as_pair()} of {self.window.as_pair()})"
         )
 
     __repr__ = __str__
@@ -338,7 +341,7 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
             )
         cand = Window(lo, hi)
 
-    p = MultiLaurent.zero(vs) if empty else _in_box(a._poly().within(A) * b._poly().within(B), cand)
+    p = MultiLaurent.zero(vs) if empty else _in_box(a.poly.within(A) * b.poly.within(B), cand)
 
     bounds = {v: _iv_sum((a.support.bound(v), b.support.bound(v))) for v in vs}
     da, db = a.support.degree, b.support.degree
@@ -405,7 +408,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
     partial = num
     for k, (dom, _, fac) in enumerate(copies):
-        geo = MultiLaurent.binomial_inverse(fac.i, fac.j, fac.c, caps[k], dom)
+        geo = MultiLaurent._binomial_inverse(fac.i, fac.j, fac.a, fac.s, caps[k], dom)
         partial = (partial * geo).within(live(k + 1))
 
     box = {}
@@ -430,4 +433,4 @@ def compare_on_window(a: TruncSeries, b: TruncSeries, window: Window | None = No
             box = box.intersect(window)
     except ValueError:
         raise ValueError("empty reliable intersection; enlarge the windows")
-    return not _in_box(a._poly() - b._poly(), box)
+    return not _in_box(a.poly - b.poly, box)

@@ -138,7 +138,7 @@ def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) 
         for i in grassmannian_steps(j, 1):
             total = total.divided_difference(zs[i - 1], zs[i])
         if progress is not None:
-            progress(f"m={m} d_w0 chain {j}/{m}: {len(total.terms)} terms")
+            progress(f"m={m} d_w0 chain {j}/{m}: {len(total.terms)} monomials")
     if (n + n * (n - 1) // 2) % 2:
         total = -total
     for a, b in combinations(zs, 2):

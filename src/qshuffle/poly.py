@@ -1,42 +1,77 @@
-"""Sparse multivariate Laurent polynomials over Q[q, q^-1].
+"""Sparse multivariate Laurent polynomials over Q[q, q^-1], with every
+q-coefficient packed into one integer.
 
 Variables are ``VarId`` tuples (aux, color, index): either color
 variables z[c,i] attached to a root color c (aux ""), or named auxiliary
 variables (w, t, ...).  Their tuple order is the variable order: color
 variables by (c, i), then auxiliary ones by (name, index).  A
 ``MultiLaurent`` keeps a registry of its variables sorted in that order,
-and a dict mapping exponent keys (e_1, ..., e_n, e_q) to nonzero
-coefficients in the ``qring.coefficient`` format: q is one more exponent
-slot, the last one, so a term is a rational number times a monomial in
-z_1..z_n and q.  Negative exponents are allowed everywhere.  Only this
-module reads or builds those keys; ``within`` (a box filter), ``coeff``
-and ``binomial_inverse`` serve the modules above it.
+and a dict ``terms`` mapping z-exponent tuples (e_1, ..., e_n) to nonzero
+ints.  Negative exponents are allowed everywhere.
 
-Scalars enter as int, Fraction, ``LaurentQ`` or ``RatQ``: a
-``LaurentQ``'s terms already are {q exponent: coefficient} and are taken
-over unchanged.  A scalar outside Q[q, q^-1] (a ``RatQ`` with a
-nontrivial denominator) raises ``ValueError``, a non-scalar such as a
-float ``TypeError``.  Every per-term loop is int and tuple work.
+The int V of a monomial packs its whole q-coefficient by Kronecker
+substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
+coefficient sum_s c_s q^s / den is stored as
+
+    V = sum_s c_s 2^(K (s - qlo)),
+
+with integer digits c_s.  Each polynomial carries its ``K``, its lowest
+q exponent ``qlo``, one positive integer denominator ``den`` and a
+certified ``bound`` b >= max |c_s|, kept below 2^(K - 2).  Then the
+balanced base-2^K digits of V are the c_s, so V = 0 proves c = 0, and
+since the substitution is a ring homomorphism Z[q] -> Z, adding two
+coefficients is one int addition, multiplying by q^s a shift by K s bits
+and multiplying two coefficients one int multiplication.
+
+Every operation moves the bound: a sum adds the bounds; a binomial
+multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
+digits of x and y; a divided difference by 2 ceil(R / 2) for
+its longest run R, since a run and its mirror image can meet on one
+monomial; a product b1 b2 by the q-digit count and the term count of the
+operand with fewer terms; a substitution or exact division by the number
+of terms that can meet on one monomial.  When the bound would reach
+2^(K - 2), the operands are recertified first (their digits are read and
+the bound restarts from the true maximum), and repacked at a wider K if
+even that does not fit.  K is never guessed.  Packed arithmetic is exact
+at any K and only reading a value, a zero test included, needs the
+bound, so ``divided_difference`` learns its longest run in its loop and
+redoes the loop on a repacked copy in the rare case that it does not fit.
+
+Only this module reads or builds packed values.  Scalars enter as int,
+Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ`` (``coeff``,
+``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1] raises
+``ValueError``, a non-scalar such as a float ``TypeError``.  The kernel
+methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute`` and
+``_binomial_inverse`` take their q-monomials as exponents and
+coefficients; the public ones split a scalar once and call them.
 
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
 by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 ``NotDivisible`` otherwise and reads the quotient off term by term, as
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
-product is built from and which never fails.
-
-Every product is ``_shifted_sum``: the larger operand shifted by each
-term of the smaller one, the shifted copies summed.
+product is built from and which never fails.  Every product is
+``_shifted_sum``: the larger operand shifted by each term of the smaller
+one, the shifted copies summed.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, compress, count, permutations
+from math import lcm, prod
 from operator import add, ge, itemgetter, le, mul
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
+
+# bits per q-digit of a new polynomial; wider packings are powers of two
+_K_START = 16
+# the digit widths read in bulk, as memoryview formats of little-endian
+# signed ints
+_VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little" else {}
 
 
 class NotDivisible(ArithmeticError):
@@ -90,9 +125,9 @@ def grassmannian_steps(n: int, m: int) -> list[int]:
     return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
 
 
-def _offset(n: int, qe: int, exps=()) -> tuple:
-    """The key of q^qe prod z_slot^e over (slot, e) pairs, n variables."""
-    key = [0] * n + [qe]
+def _offset(n: int, exps) -> tuple:
+    """The key of prod z_slot^e over (slot, e) pairs, n variables."""
+    key = [0] * n
     for slot, e in exps:
         key[slot] += e
     return tuple(key)
@@ -101,97 +136,272 @@ def _offset(n: int, qe: int, exps=()) -> tuple:
 def _picker(idx):
     """A function returning the tuple (key[i] for i in idx)."""
     idx = tuple(idx)
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda key: (key[i],)
+    if len(idx) < 2:
+        return (lambda key: (key[idx[0]],)) if idx else (lambda key: ())
     return itemgetter(*idx)
 
 
+# ---------- packed q-coefficients ----------
+
+
+def _ints(qts):
+    """q-term dicts {s: a} over one positive denominator D: (D, the dicts
+    with the int coefficients a D)."""
+    den = 1
+    for qt in qts:
+        for a in qt.values():
+            if type(a) is not int:
+                den = lcm(den, a.denominator)
+    if den == 1:
+        return 1, qts
+    return den, [{s: int(a * den) for s, a in qt.items()} for qt in qts]
+
+
+def _pack(qt: dict, lo: int, K: int) -> int:
+    """The packed value of int q-terms {s: a}, every s >= lo."""
+    V = 0
+    for s, a in qt.items():
+        V += a << K * (s - lo)
+    return V
+
+
+def _encode(qts: dict):
+    """(terms, K, qlo, bound, den) of {z-key: q-term dict}, no dict empty."""
+    if not qts:
+        return {}, _K_START, 0, 0, 1
+    if len(qts) == 1:  # one monomial, often with one small int digit
+        ((key, qt),) = qts.items()
+        if len(qt) == 1:
+            ((s, a),) = qt.items()
+            if type(a) is int and not abs(a) >> (_K_START - 2):
+                return {key: a}, _K_START, s, abs(a), 1
+    den, ints = _ints(list(qts.values()))
+    lo = min([min(qt) for qt in ints])
+    bound = max([abs(a) for qt in ints for a in qt.values()])
+    K = _K_START
+    while bound >> (K - 2):
+        K *= 2
+    return {key: _pack(qt, lo, K) for key, qt in zip(qts, ints)}, K, lo, bound, den
+
+
+def _width(values, K: int) -> int:
+    """The number of q-digits the packed values span (values nonempty):
+    with every digit below 2^(K - 2) in size, the top digit of V is digit
+    bit_length(V) // K."""
+    return max(map(int.bit_length, values)) // K + 1
+
+
+def _bias(K: int, n: int) -> int:
+    """sum_{i < n} 2^(K - 1) 2^(K i).  Adding it to a packed value of n
+    digits turns each digit c into c + 2^(K - 1), which is nonnegative and
+    below 2^K; then taking it off again bit by bit (xor) leaves c modulo
+    2^K in each K-bit field."""
+    return ((1 << K * n) - 1) // ((1 << K) - 1) << (K - 1)
+
+
+def _digits(values, K: int, n: int):
+    """The digits of the packed values, n per value, as one flat sequence
+    of ints."""
+    size = n * K // 8
+    bias = _bias(K, n)
+    blob = b"".join([((v + bias) ^ bias).to_bytes(size, "little") for v in values])
+    if K in _VIEW:
+        return memoryview(blob).cast(_VIEW[K])
+    step = K // 8
+    return [int.from_bytes(blob[i:i + step], "little", signed=True) for i in range(0, len(blob), step)]
+
+
+def _true_bound(terms: dict, K: int) -> int:
+    """The largest |digit| of the packed values."""
+    if not terms:
+        return 0
+    d = _digits(terms.values(), K, _width(terms.values(), K))
+    return max(max(d), -min(d))
+
+
+def _repacked(terms: dict, K: int, wide: int) -> dict:
+    """The same terms packed at the wider K ``wide``: the digits fill
+    fields of ``wide`` bits, and ``_digits`` is undone."""
+    if not terms:
+        return {}
+    n = _width(terms.values(), K)
+    d = _digits(terms.values(), K, n)
+    if wide in _VIEW:
+        blob = array(_VIEW[wide], d).tobytes()
+    else:
+        blob = b"".join(x.to_bytes(wide // 8, "little", signed=True) for x in d)
+    size = n * wide // 8
+    bias = _bias(wide, n)
+    return {
+        key: (int.from_bytes(blob[i * size:(i + 1) * size], "little") ^ bias) - bias
+        for i, key in enumerate(terms)
+    }
+
+
+def _fit(polys, need):
+    """The polynomials in one packing wide enough that need(*bounds)
+    stays below 2^(K - 2), and that K, for callers whose certified bounds
+    or packings do not fit: the bounds restart from the true maxima, and
+    K doubles until the need fits with a quarter of K to spare."""
+    K = max(p.K for p in polys)
+    bounds = [_true_bound(p.terms, p.K) for p in polys]
+    if need(*bounds) >> (K - 2):
+        while need(*bounds) >> (K - 2 - K // 4):
+            K *= 2
+    return [
+        MultiLaurent._raw(p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den)
+        for p, b in zip(polys, bounds)
+    ], K
+
+
+def _times(terms: dict, M: int) -> dict:
+    return terms if M == 1 else {key: V * M for key, V in terms.items()}
+
+
 def _add_into(out: dict, terms) -> dict:
-    """Add (key, coefficient) pairs into out, dropping cancelled keys."""
+    """Add (key, packed value) pairs into out, dropping cancelled keys."""
     get = out.get
-    for key, c in terms:
-        s = get(key, 0) + c
+    for key, V in terms:
+        s = get(key, 0) + V
         if s:
-            out[key] = s if type(s) is int else coefficient(s)
+            out[key] = s
         else:
             del out[key]
     return out
 
 
-def _shifted(terms: dict, off: tuple, a) -> dict:
-    """a * x^off * terms for a nonzero rational a: a bijection on keys."""
-    if a == 1:
-        return {tuple(map(add, key, off)): c for key, c in terms.items()}
-    return {
-        tuple(map(add, key, off)): p if type(p := c * a) is int else coefficient(p)
-        for key, c in terms.items()
-    }
+def _shifted(terms: dict, off: tuple, X: int) -> dict:
+    """X * x^off * terms for a nonzero X: a bijection on keys."""
+    if X == 1:
+        return {tuple(map(add, key, off)): V for key, V in terms.items()}
+    return {tuple(map(add, key, off)): V * X for key, V in terms.items()}
 
 
 def _shifted_sum(terms: dict, shifts) -> dict:
-    """sum of a * x^off * terms over the (off, a) pairs: the first shift
+    """sum of X * x^off * terms over the (off, X) pairs: the first shift
     is a fresh dict, every later one is added straight into it."""
     if not shifts:
         return {}
-    off, a = shifts[0]
-    out = _shifted(terms, off, a)
+    off, X = shifts[0]
+    out = _shifted(terms, off, X)
     get = out.get
-    for off, a in shifts[1:]:
-        for key, c in terms.items():
+    for off, X in shifts[1:]:
+        for key, V in terms.items():
             key = tuple(map(add, key, off))
-            s = get(key, 0) + c * a
+            s = get(key, 0) + V * X
             if s:
-                out[key] = s if type(s) is int else coefficient(s)
+                out[key] = s
             else:
                 del out[key]
     return out
 
 
+def _divided(terms: dict, pi: int, pj: int):
+    """The terms of the divided difference in slots pi, pj, and the
+    longest run |a - b| met."""
+    out = {}
+    get = out.get
+    top = 0
+    for exps, V in terms.items():
+        a, b = exps[pi], exps[pj]
+        if a == b:
+            continue
+        if a < b:
+            a, b, V = b, a, -V
+        if a - b > top:
+            top = a - b
+        lst = list(exps)
+        for k in range(b, a):
+            lst[pi] = k
+            lst[pj] = a + b - 1 - k
+            key = tuple(lst)
+            s = get(key, 0) + V
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out, top
+
+
+def _common(a: MultiLaurent, b: MultiLaurent):
+    """The terms of a and b (one registry) in one packing, and that
+    packing (K, qlo, bound of a sum, den)."""
+    if not a.terms or not b.terms:
+        p = b if not a.terms else a
+        return (a.terms, b.terms), (p.K, p.qlo, p.bound, p.den)
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    ma, mb = den // a.den, den // b.den
+    K = a.K
+    if b.K != K or (a.bound * ma + b.bound * mb) >> (K - 2):
+        (a, b), K = _fit((a, b), lambda x, y: x * ma + y * mb)
+    lo = min(a.qlo, b.qlo)
+    ta = _times(a.terms, ma << K * (a.qlo - lo))
+    tb = _times(b.terms, mb << K * (b.qlo - lo))
+    return (ta, tb), (K, lo, a.bound * ma + b.bound * mb, den)
+
+
 class MultiLaurent:
     """A Laurent polynomial in several variables over Q[q, q^-1]."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "K", "qlo", "bound", "den")
 
     def __init__(self, vars=(), terms=None):
-        """Build from {z-exponent tuple: scalar}; each scalar is expanded
-        into its q-powers."""
+        """Build from {z-exponent tuple: scalar}."""
         vs = _sorted_vars(vars)
-        clean = {}
+        qts = {}
         if terms:
             nv = len(vs)
             for exps, c in terms.items():
                 exps = tuple(map(int_exponent, exps))
                 if len(exps) != nv:
                     raise ValueError("exponent tuple length mismatch")
-                _add_into(clean, ((exps + (s,), a) for s, a in _qterms(c).items()))
+                qt = _qterms(c)
+                if qt:
+                    qts[exps] = qt
         self.vars = vs
-        self.terms = clean
+        self.terms, self.K, self.qlo, self.bound, self.den = _encode(qts)
 
     @classmethod
-    def _raw(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
-        """Trusted constructor: terms already in the stored key format."""
+    def _raw(cls, vs: tuple[VarId, ...], terms: dict, K: int, qlo: int, bound: int, den: int) -> MultiLaurent:
+        """Trusted constructor: terms already packed at K from qlo."""
         self = cls.__new__(cls)
-        self.vars = vs
-        self.terms = terms
+        self.vars, self.terms, self.K, self.qlo, self.bound, self.den = vs, terms, K, qlo, bound, den
         return self
+
+    def _like(self, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
+        """Terms in this polynomial's packing, over the registry vs."""
+        p = MultiLaurent.__new__(MultiLaurent)
+        p.vars, p.terms, p.K, p.qlo, p.bound, p.den = vs, terms, self.K, self.qlo, self.bound, self.den
+        return p
+
+    def _room(self, mult: int) -> MultiLaurent:
+        """This polynomial, packed wide enough for its bound times mult."""
+        if not (self.bound * mult) >> (self.K - 2):
+            return self
+        return _fit((self,), lambda b: b * mult)[0][0]
+
+    def _laurent(self, V: int) -> LaurentQ:
+        """The q-coefficient a packed value of this polynomial stands for."""
+        digits = _digits((V,), self.K, _width((V,), self.K))
+        return LaurentQ._raw({self.qlo + i: Fraction(c, self.den) for i, c in enumerate(digits) if c})
 
     # ---------- constructors ----------
 
     @classmethod
     def zero(cls, vars=()) -> MultiLaurent:
-        return cls._raw(_sorted_vars(vars), {})
+        return cls._raw(_sorted_vars(vars), {}, _K_START, 0, 0, 1)
 
     @classmethod
     def constant(cls, c, vars=()) -> MultiLaurent:
         vs = _sorted_vars(vars)
-        z = (0,) * len(vs)
-        return cls._raw(vs, {z + (s,): a for s, a in _qterms(c).items()})
+        qt = _qterms(c)
+        return cls._raw(vs, *_encode({(0,) * len(vs): qt} if qt else {}))
 
     @classmethod
     def var_power(cls, v: VarId, e: int, c=1) -> MultiLaurent:
         e = int_exponent(e)
-        return cls._raw((v,), {(e, s): a for s, a in _qterms(c).items()})
+        qt = _qterms(c)
+        return cls._raw((v,), *_encode({(e,): qt} if qt else {}))
 
     @classmethod
     def monomial(cls, exps: dict, c=1) -> MultiLaurent:
@@ -204,25 +414,30 @@ class MultiLaurent:
         """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
         where ``dominant`` is the larger variable: sum(c^t z_vi^(-1-t) z_vj^t)
         for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n."""
+        a, s = _q_monomial(c, "binomial scalar")
+        return cls._binomial_inverse(vi, vj, a, s, n, dominant)
+
+    @classmethod
+    def _binomial_inverse(cls, vi: VarId, vj: VarId, a, s: int, n: int, dominant: VarId) -> MultiLaurent:
+        """``binomial_inverse`` for c = a q^s."""
         if vi == vj or dominant not in (vi, vj):
             raise ValueError("binomial inverse needs two distinct variables, one dominant")
-        a, s = _q_monomial(c, "binomial scalar")
         sign, o = 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
         first = vi < vj
-        return cls._raw(_sorted_vars((vi, vj)), {
-            ((-1 - t, t) if first else (t, -1 - t)) + (s * (t + o),): coefficient(sign * a ** (t + o))
+        return cls._raw(_sorted_vars((vi, vj)), *_encode({
+            ((-1 - t, t) if first else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
             for t in range(n + 1)
-        })
+        }))
 
     # ---------- registry helpers ----------
 
     def with_vars(self, extra) -> MultiLaurent:
         """Extend the registry by the given variables (exponent 0)."""
-        vs = _sorted_vars(self.vars + tuple(extra))
-        if vs == self.vars:
+        if all(map(self.vars.__contains__, extra)):
             return self
+        vs = _sorted_vars(self.vars + tuple(extra))
         pos = {v: i for i, v in enumerate(vs)}
         return self._reslot(vs, [pos[v] for v in self.vars])
 
@@ -236,26 +451,23 @@ class MultiLaurent:
         if any(key[i] for key in self.terms for i in idx):
             raise ValueError("cannot drop a variable the polynomial uses")
         keep = [i for i, v in enumerate(self.vars) if v not in drop]
-        pick = _picker(keep + [len(self.vars)])
-        return MultiLaurent._raw(
-            tuple(self.vars[i] for i in keep),
-            {pick(key): c for key, c in self.terms.items()},
-        )
+        pick = _picker(keep)
+        return self._like(tuple(self.vars[i] for i in keep), {pick(key): V for key, V in self.terms.items()})
 
     def _reslot(self, vs: tuple[VarId, ...], src) -> MultiLaurent:
         """Move the exponent of each old variable k to slot src[k] of the
         registry vs; every other slot gets exponent 0."""
-        n, old = len(vs), len(src)
-        # read each new slot from its old slot, or from a 0 appended after q
-        idx = [old + 1] * n + [old]
+        old = len(src)
+        # read each new slot from its old slot, or from a 0 appended to the key
+        idx = [old] * len(vs)
         for k, slot in enumerate(src):
             idx[slot] = k
         pick = _picker(idx)
-        if old + 1 in idx:
-            terms = {pick(key + (0,)): c for key, c in self.terms.items()}
+        if old in idx:
+            terms = {pick(key + (0,)): V for key, V in self.terms.items()}
         else:
-            terms = {pick(key): c for key, c in self.terms.items()}
-        return MultiLaurent._raw(vs, terms)
+            terms = {pick(key): V for key, V in self.terms.items()}
+        return self._like(vs, terms)
 
     def _align(self, other: MultiLaurent):
         if self.vars == other.vars:
@@ -284,23 +496,22 @@ class MultiLaurent:
 
     def coeff(self, exps) -> LaurentQ:
         """The q-coefficient of the monomial with these variable exponents."""
-        exps, n = tuple(exps), len(self.vars)
-        return LaurentQ({key[n]: c for key, c in self.terms.items() if key[:n] == exps})
+        V = self.terms.get(tuple(exps))
+        return self._laurent(V) if V else LaurentQ()
 
     def within(self, bounds: dict) -> MultiLaurent:
         """The terms whose exponent of every variable v lies in bounds[v] =
         (lo, hi); q is not tested."""
         los = [bounds[v][0] for v in self.vars]
         his = [bounds[v][1] for v in self.vars]
-        # map stops at the shorter sequence, before the q slot
-        return MultiLaurent._raw(self.vars, {
-            key: c for key, c in self.terms.items() if all(map(le, los, key)) and all(map(ge, his, key))
+        return self._like(self.vars, {
+            key: V for key, V in self.terms.items() if all(map(le, los, key)) and all(map(ge, his, key))
         })
 
     def total_degree_if_homogeneous(self):
         """The common total degree in the variables (q not counted) of all
         terms, or None."""
-        degs = {sum(exps) - exps[-1] for exps in self.terms}
+        degs = set(map(sum, self.terms))
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -312,12 +523,13 @@ class MultiLaurent:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._align(other)
-        return MultiLaurent._raw(a.vars, _add_into(dict(a.terms), b.terms.items()))
+        (ta, tb), frame = _common(a, b)
+        return MultiLaurent._raw(a.vars, _add_into(dict(ta), tb.items()), *frame)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiLaurent:
-        return MultiLaurent._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._like(self.vars, {e: -V for e, V in self.terms.items()})
 
     def __sub__(self, other) -> MultiLaurent:
         other = _as_poly(other)
@@ -335,17 +547,35 @@ class MultiLaurent:
             except TypeError:
                 return NotImplemented
         a, b = self._align(other)
-        small, big = a.terms, b.terms
-        if len(small) > len(big):
-            small, big = big, small
-        return MultiLaurent._raw(a.vars, _shifted_sum(big, list(small.items())))
+        if len(a.terms) > len(b.terms):  # a is the smaller operand
+            a, b = b, a
+        if not a.terms:
+            return MultiLaurent.zero(a.vars)
+        # a digit of a coefficient product sums at most w digit products, w
+        # the smaller operand's digit count, and a monomial collects at most
+        # one product per term of the smaller operand
+        w, n = _width(a.terms.values(), a.K), len(a.terms)
+        K = a.K
+        if b.K != K or (a.bound * b.bound * w * n) >> (K - 2):
+            (a, b), K = _fit((a, b), lambda x, y: x * y * w * n)
+        return MultiLaurent._raw(
+            a.vars, _shifted_sum(b.terms, list(a.terms.items())), K, a.qlo + b.qlo,
+            a.bound * b.bound * w * n, a.den * b.den,
+        )
 
     __rmul__ = __mul__
 
     def scale(self, c) -> MultiLaurent:
-        n = len(self.vars)
-        shifts = [(_offset(n, s), a) for s, a in _qterms(c).items()]
-        return MultiLaurent._raw(self.vars, _shifted_sum(self.terms, shifts))
+        qt = _qterms(c)
+        if not qt or not self.terms:
+            return MultiLaurent.zero(self.vars)
+        den, (qt,) = _ints([qt])
+        mult = sum(map(abs, qt.values()))
+        p = self._room(mult)
+        lo = min(qt)
+        return MultiLaurent._raw(
+            p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo, p.bound * mult, p.den * den
+        )
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
@@ -365,14 +595,24 @@ class MultiLaurent:
 
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""
+        return self._mul_binomial(vi, _qterms(a), vj, _qterms(b))
+
+    def _mul_binomial(self, vi: VarId, x: dict, vj: VarId, y: dict) -> MultiLaurent:
+        """Multiply by (x z_vi + y z_vj), the scalars x and y given as
+        {q exponent: coefficient}."""
         p = self.with_vars((vi, vj))
-        n = len(p.vars)
+        den, (x, y) = _ints((x, y))
+        mult = sum(map(abs, x.values())) + sum(map(abs, y.values()))
+        if not mult or not p.terms:
+            return MultiLaurent.zero(p.vars)
+        p = p._room(mult)
+        lo, n, K = min(chain(x, y)), len(p.vars), p.K
         shifts = [
-            (_offset(n, s, ((p.vars.index(v), 1),)), k)
-            for v, c in ((vi, a), (vj, b))
-            for s, k in _qterms(c).items()
+            (_offset(n, ((p.vars.index(v), 1),)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c
         ]
-        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts))
+        return MultiLaurent._raw(
+            p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den
+        )
 
     # ---------- substitution and relabeling ----------
 
@@ -388,7 +628,10 @@ class MultiLaurent:
             v, c = (v,), (c,)
         if len(v) != len(c) or len(set(v)) != len(v):
             raise ValueError("substitute needs distinct variables, one scalar each")
-        mono = [_q_monomial(x, "substitution scalar") for x in c]
+        return self._substitute(v, [_q_monomial(x, "substitution scalar") for x in c], target)
+
+    def _substitute(self, v, mono, target: VarId) -> MultiLaurent:
+        """``substitute`` with the scalars given as (a, s) pairs, a q^s."""
         pos = {u: i for i, u in enumerate(self.vars)}
         subs = {pos[u]: am for u, am in zip(v, mono) if u in pos}
         if not subs:
@@ -396,29 +639,57 @@ class MultiLaurent:
         if target in pos and target not in v:  # its own exponent joins the sum
             subs[pos[target]] = (1, 0)
         vs = _sorted_vars([u for u in self.vars if u not in v] + [target])
+        if not self.terms:
+            return MultiLaurent.zero(vs)
         n = len(self.vars)
-        # the new key reads each kept slot from the old key, the target
-        # slot from the appended exponent sum and q from the appended q
-        pick = _picker([n + 1 if u == target else pos[u] for u in vs] + [n + 2])
+        # the new key reads each kept slot from the old key and the target
+        # slot from the appended exponent sum
+        pick = _picker([n if u == target else pos[u] for u in vs])
         exponents = _picker(list(subs))
-        scales = [Fraction(a) for a, _ in subs.values()]  # powers may be negative
-        shifts = [s for _, s in subs.values()]
-        plain = all(a == 1 for a in scales)
+        terms = self.terms
+
+        def span(i):
+            col = list(map(itemgetter(i), terms))
+            return min(col), max(col)
+
+        # the lowest q shift, and a^e = p^(e - lo) r^(hi - e) p^lo / r^hi
+        # for a = p / r: an int factor per term, the constant num / den
+        low, shifts, scaled = 0, [], []
+        for k, (i, (a, s)) in enumerate(subs.items()):
+            shifts.append(s)
+            if s or a != 1:
+                lo, hi = span(i)
+                low += s * (hi if s < 0 else lo)
+                if a != 1:
+                    scaled.append((k, a.numerator, a.denominator, lo, hi))
+        mult = len(terms)
+        if (self.bound * mult) >> (self.K - 2):
+            # the keys meeting on one new key differ in the summed exponents
+            # only, and their sum is fixed: all but the widest are free
+            widths = sorted(hi - lo + 1 for lo, hi in map(span, subs))
+            mult = min(mult, prod(widths[:-1]))
+        num = den = 1
+        if scaled:
+            const = prod(Fraction(p) ** lo * Fraction(r) ** -hi for _, p, r, lo, hi in scaled)
+            num, den = const.numerator, const.denominator
+            mult *= abs(num) * prod(max(abs(p), r) ** (hi - lo) for _, p, r, lo, hi in scaled)
+        p = self._room(mult)
+        K = p.K
         out = {}
         get = out.get
-        for key, k in self.terms.items():
+        for key, V in p.terms.items():
             es = exponents(key)
-            new = pick(key + (sum(es), key[n] + sum(map(mul, es, shifts))))
-            if not plain:
-                for a, e in zip(scales, es):
-                    if e:
-                        k = coefficient(k * a**e)
-            s = get(new, 0) + k
+            new = pick(key + (sum(es),))
+            if scaled:
+                for k, a, r, lo, hi in scaled:
+                    V *= a ** (es[k] - lo) * r ** (hi - es[k])
+                V *= num
+            s = get(new, 0) + (V << K * (sum(map(mul, es, shifts)) - low))
             if s:
-                out[new] = s if type(s) is int else coefficient(s)
+                out[new] = s
             else:
                 del out[new]
-        return MultiLaurent._raw(vs, out)
+        return MultiLaurent._raw(vs, out, K, p.qlo + low, p.bound * mult, p.den * den)
 
     def relabel(self, mapping: dict) -> MultiLaurent:
         """Rename variables by an injective VarId -> VarId mapping."""
@@ -442,16 +713,16 @@ class MultiLaurent:
     def is_symmetric(self, color: int) -> bool:
         """Invariance under all adjacent swaps of the color's variables:
         each swap is a bijection on keys, so every swapped key must carry
-        the same coefficient."""
+        the same packed value."""
         slots = [i for i, v in enumerate(self.vars) if v.color == color]
         terms = self.terms
         get = terms.get
         for i, j in zip(slots, slots[1:]):
-            idx = list(range(len(self.vars) + 1))
+            idx = list(range(len(self.vars)))
             idx[i], idx[j] = j, i
             pick = _picker(idx)
-            for key, c in terms.items():
-                if key[i] != key[j] and get(pick(key)) != c:
+            for key, V in terms.items():
+                if key[i] != key[j] and get(pick(key)) != V:
                     return False
         return True
 
@@ -459,31 +730,42 @@ class MultiLaurent:
 
     def exact_div_binomial(self, vi: VarId, vj: VarId, c) -> MultiLaurent:
         """Exact quotient by (z_vi - c z_vj), c = a q^s a nonzero q-monomial
-        (ValueError otherwise); NotDivisible when it is no Laurent polynomial.
+        (ValueError otherwise); NotDivisible when it is no Laurent polynomial."""
+        a, s = _q_monomial(c, "binomial scalar")
+        return self._exact_div_binomial(vi, vj, a, s)
+
+    def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
+        """``exact_div_binomial`` for c = a q^s.
 
         The binomial divides F iff F(z_vi = c z_vj) = 0.  Then, with x = z_vi,
         y = z_vj and b the lowest exponent of x, F = sum x^b y^f (x^e - (c y)^e)
         over its terms x^(b + e) y^f, so each term contributes x^b y^f
         sum_{t < e} x^(e - 1 - t) (c y)^t to the quotient."""
-        a, s = _q_monomial(c, "binomial scalar")
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
-        if self.substitute(vi, c, vj):
-            raise NotDivisible(f"not divisible by {vi} - ({c}) {vj}")
+        if self._substitute((vi,), [(a, s)], vj):
+            raise NotDivisible(f"not divisible by {vi} - ({LaurentQ.q_power(s, a)}) {vj}")
         f = self.with_vars((vi, vj))
         n, pi, pj = len(f.vars), f.vars.index(vi), f.vars.index(vj)
-        b = min(key[pi] for key in f.terms)
-        # the offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and a^t
+        xs, ys = list(map(itemgetter(pi), f.terms)), list(map(itemgetter(pj), f.terms))
+        b, top = min(xs), max(xs) - min(xs)
+        # a quotient term sums the terms above it on its substitution line,
+        # each times a^t = p^t / r^t, t < top: over the denominator r^(top-1)
+        p, r = a.numerator, a.denominator
+        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** (top - 1)
+        f = f._room(mult)
+        K, lo = f.K, min(0, s * (top - 1))
+        # the offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
         steps = [
-            (_offset(n, s * t, ((pi, -1 - t), (pj, t))), a**t)
-            for t in range(max(key[pi] for key in f.terms) - b)
+            (_offset(n, ((pi, -1 - t), (pj, t))), p**t * r ** (top - 1 - t) << K * (s * t - lo))
+            for t in range(top)
         ]
         return MultiLaurent._raw(f.vars, _add_into({}, (
-            (tuple(map(add, key, off)), co if a == 1 else coefficient(co * at))
-            for key, co in f.terms.items() for off, at in steps[: key[pi] - b]
-        )))
+            (tuple(map(add, key, off)), V * X)
+            for key, V in f.terms.items() for off, X in steps[: key[pi] - b]
+        )), K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1))
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
         """The divided difference (F - s F) / (z_vi - z_vj), s swapping the
@@ -493,39 +775,29 @@ class MultiLaurent:
         if vi == vj:
             raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
-        pi = f.vars.index(vi)
-        pj = f.vars.index(vj)
-        out = {}
-        get = out.get
-        for exps, co in f.terms.items():
-            a, b = exps[pi], exps[pj]
-            if a == b:
-                continue
-            if a < b:
-                a, b, co = b, a, -co
-            lst = list(exps)
-            for k in range(b, a):
-                lst[pi] = k
-                lst[pj] = a + b - 1 - k
-                key = tuple(lst)
-                s = get(key, 0) + co
-                if s:
-                    out[key] = s if type(s) is int else coefficient(s)
-                else:
-                    del out[key]
-        return MultiLaurent._raw(f.vars, out)
+        pi, pj = f.vars.index(vi), f.vars.index(vj)
+        out, run = _divided(f.terms, pi, pj)
+        # a run and its mirror image can meet on one monomial
+        mult = run + (run & 1)
+        if (f.bound * mult) >> (f.K - 2):
+            # the loop is exact on packed values at any K, but its result
+            # could not be read: redo it on a copy with room
+            f = f._room(mult)
+            out, _ = _divided(f.terms, pi, pj)
+        return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den)
 
     # ---------- evaluation ----------
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
-        vals = [Fraction(coefficient(x)) for x in [assignment[v] for v in self.vars] + [q0]]
+        vals = [Fraction(coefficient(assignment[v])) for v in self.vars]
+        q0 = Fraction(coefficient(q0))
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            prod = Fraction(c)
+        for exps, V in self.terms.items():
+            term = self._laurent(V).eval_at(q0)
             for val, e in zip(vals, exps):
                 if e:
-                    prod *= val**e
-            total += prod
+                    term *= val**e
+            total += term
         return total
 
     # ---------- comparison and display ----------
@@ -537,36 +809,40 @@ class MultiLaurent:
             return False
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._align(other)
-        return a.terms == b.terms
+        (ta, tb), _ = _common(*self._align(other))
+        return ta == tb
 
     def __hash__(self):
-        # equal polynomials may differ in registry, and a constant equals its
-        # scalar: hash like the LaurentQ of its q-terms, or hash the nonzero
-        # (variable, exponent) pairs with the q exponent
-        if not any(any(key[:-1]) for key in self.terms):
-            return hash(self.coeff((0,) * len(self.vars)))
+        # equal polynomials may differ in registry and packing, and a
+        # constant equals its scalar: hash like the LaurentQ of its
+        # coefficient, or hash the nonzero (variable, exponent) pairs of
+        # each monomial with its LaurentQ
+        zero = (0,) * len(self.vars)
+        if all(key == zero for key in self.terms):
+            return hash(self.coeff(zero))
         return hash(frozenset(
-            (tuple((v, e) for v, e in zip(self.vars, exps) if e), exps[-1], c)
-            for exps, c in self.terms.items()
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), self._laurent(V))
+            for exps, V in self.terms.items()
         ))
 
     def term_lines(self) -> list[str]:
         """Canonical text rendering, one line per (coefficient, monomial).
 
         Terms come sorted by their z-exponents and then by the power of q,
-        as a stable term list like ``(1) q^0 | z[1,1]^2``.
+        as a stable term list like ``(1) q^0 | z[1,1]^2``.  The digits of
+        all monomials are read in one pass.
         """
+        if not self.terms:
+            return []
         names = [str(v) for v in self.vars]
-        n = len(names)
-        lines = []
-        prev = None
-        for exps in sorted(self.terms):
-            if exps[:n] != prev:  # the q-powers of one monomial are adjacent
-                prev = exps[:n]
-                mono = " ".join(f"{v}^{e}" for v, e in zip(names, prev) if e) or "1"
-            lines.append(f"({self.terms[exps]}) q^{exps[n]} | {mono}")
-        return lines
+        keys = sorted(self.terms)
+        n = _width(self.terms.values(), self.K)
+        digits = _digits([self.terms[key] for key in keys], self.K, n)
+        powers = [f") q^{self.qlo + i} | " for i in range(n)]
+        monos = [" ".join([f"{v}^{e}" for v, e in zip(names, key) if e]) or "1" for key in keys]
+        if self.den != 1:
+            digits = [coefficient(Fraction(c, self.den)) for c in digits]
+        return [f"({digits[at]}{powers[at % n]}{monos[at // n]}" for at in compress(count(), digits)]
 
     def __str__(self) -> str:
         if not self.terms:

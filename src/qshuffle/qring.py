@@ -11,7 +11,7 @@ Two coefficient rings are provided:
 The package's one coefficient format is defined here: a rational number
 stored as an ``int`` when integral, as a ``Fraction`` otherwise, and
 normalised only by ``coefficient``, which refuses floats (``TypeError``).
-``LaurentQ`` terms are kept in it; ``poly`` takes them over unchanged.
+``LaurentQ`` terms are kept in it; ``poly`` packs them into integers.
 The q-monomial decomposition c = a q^s of a scalar (``_q_monomial``) is
 here too, for ``poly`` and ``ratfun``.  Dividing by a q-monomial is
 exponent arithmetic: a one-term ``RatQ`` denominator a q^s shifts the

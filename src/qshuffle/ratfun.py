@@ -25,7 +25,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .poly import MultiLaurent, NotDivisible, VarId
-from .qring import RQ_ONE, RatQ, _q_monomial, coefficient
+from .qring import RQ_ONE, LaurentQ, RatQ, _q_monomial, coefficient
+
+_ONE = {0: 1}  # the scalar 1 as {q exponent: coefficient}
 
 
 class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
@@ -37,10 +39,11 @@ class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
 
     def __new__(cls, i: VarId, j: VarId, c):
         a, s = _q_monomial(c, "binomial scalar")
-        return cls._checked(i, j, s, a)
+        return cls.from_parts(i, j, s, a)
 
     @classmethod
-    def _checked(cls, i, j, s, a):
+    def from_parts(cls, i: VarId, j: VarId, s: int, a=1):
+        """The factor z_i - a q^s z_j, a a nonzero int or Fraction."""
         if i == j:
             raise ValueError("binomial needs two distinct variables")
         if i > j:
@@ -61,8 +64,8 @@ class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
         a*z_vi - b*z_vj = unit * (z_i - c z_j)."""
         (x, s), (y, t) = (_q_monomial(v, "binomial coefficient") for v in (a, b))
         if vi < vj:
-            return cls._checked(vi, vj, t - s, coefficient(Fraction(y, x))), RatQ.q_power(s, x)
-        return cls._checked(vj, vi, s - t, coefficient(Fraction(x, y))), RatQ.q_power(t, -y)
+            return cls.from_parts(vi, vj, t - s, coefficient(Fraction(y, x))), RatQ.q_power(s, x)
+        return cls.from_parts(vj, vi, s - t, coefficient(Fraction(x, y))), RatQ.q_power(t, -y)
 
     def relabel(self, mapping: dict):
         """Rename variables; returns (factor, unit) since the orientation
@@ -70,16 +73,15 @@ class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
         i, j, s, a = self
         ni, nj = mapping.get(i, i), mapping.get(j, j)
         if ni < nj:
-            return self._checked(ni, nj, s, a), RQ_ONE
-        return self._checked(nj, ni, -s, coefficient(Fraction(1, a))), RatQ.q_power(s, -a)
+            return self.from_parts(ni, nj, s, a), RQ_ONE
+        return self.from_parts(nj, ni, -s, coefficient(Fraction(1, a))), RatQ.q_power(s, -a)
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
-        return Fraction(assignment[self.i]) - self.c.eval_at(q0) * Fraction(
-            assignment[self.j]
-        )
+        c = LaurentQ.q_power(self.s, self.a).eval_at(q0)
+        return Fraction(assignment[self.i]) - c * Fraction(assignment[self.j])
 
     def __str__(self) -> str:
-        return f"({self.i} - ({self.c}) {self.j})"
+        return f"({self.i} - ({LaurentQ.q_power(self.s, self.a)}) {self.j})"
 
 
 def factor_product(factors, start: MultiLaurent | None = None) -> MultiLaurent:
@@ -89,7 +91,7 @@ def factor_product(factors, start: MultiLaurent | None = None) -> MultiLaurent:
     items = factors.items() if isinstance(factors, dict) else factors
     for f, mult in items:
         for _ in range(mult):
-            out = out.mul_binomial(RQ_ONE, f.i, -f.c, f.j)
+            out = out._mul_binomial(f.i, _ONE, f.j, {f.s: -f.a})
     return out
 
 
@@ -257,7 +259,7 @@ def _reduce(num: MultiLaurent, den: dict):
     for f in list(den):
         while den.get(f, 0) > 0:
             try:
-                num = num.exact_div_binomial(f.i, f.j, f.c)
+                num = num._exact_div_binomial(f.i, f.j, f.a, f.s)
             except NotDivisible:
                 break
             den[f] -= 1

@@ -45,7 +45,7 @@ from itertools import combinations, permutations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
-from .qring import RQ_ONE, RatQ, int_exponent, q_binomial
+from .qring import RatQ, int_exponent, q_binomial
 from .ratfun import (
     BinomialFactor,
     RatFun,
@@ -55,6 +55,10 @@ from .ratfun import (
     fractions_equal,
     relabel_fraction,
 )
+
+
+# the scalars 1 and -1 as {q exponent: coefficient}
+_ONE, _MINUS_ONE = {0: 1}, {0: -1}
 
 
 class ClosureViolation(Exception):
@@ -151,9 +155,10 @@ class ShuffleAlgebra:
         self.oracle = oracle
         self.oracle_checks = 0
         self._forms: dict[tuple, tuple] = {}
-        # q^(a,b) for every pair of colors, the scalar of every exchange factor
+        # (a,b) for every pair of colors: q^(a,b) is the scalar of every
+        # exchange factor, handed to the kernel as an exponent
         pairs = product(range(1, cartan.rank + 1), repeat=2)
-        self._q_pairing = {(a, b): RatQ.q_power(cartan.pairing(a, b)) for a, b in pairs}
+        self._pairing = {(a, b): cartan.pairing(a, b) for a, b in pairs}
 
     # ---------- basic elements ----------
 
@@ -189,18 +194,18 @@ class ShuffleAlgebra:
         form = self._forms.get(degree)
         if form is None:
             flat = self.flat_vars(degree)
-            den, vand, unit = {}, MultiLaurent.constant(1, flat), RatQ.one()
+            den, vand, shift = {}, MultiLaurent.constant(1, flat), 0
             for u, v in combinations(flat, 2):
-                p = self._q_pairing[u.color, v.color]
+                p = self._pairing[u.color, v.color]
                 if self.orientation == "product":
-                    f = BinomialFactor(u, v, p)
-                else:
-                    f, _ = BinomialFactor.make(p, u, RatQ.one(), v)
-                    unit = unit * p
+                    f = BinomialFactor.from_parts(u, v, p)
+                else:  # q^p z_u - z_v = q^p (z_u - q^-p z_v)
+                    f = BinomialFactor.from_parts(u, v, -p)
+                    shift += p
                 den[f] = den.get(f, 0) + 1
                 if u.color == v.color:
-                    vand = vand.mul_binomial(1, u, -1, v)
-            form = self._forms[degree] = (den, vand, unit)
+                    vand = vand._mul_binomial(u, _ONE, v, _MINUS_ONE)
+            form = self._forms[degree] = (den, vand, RatQ.q_power(shift))
         return form
 
     def canonical_denominator(self, degree) -> dict[BinomialFactor, int]:
@@ -230,8 +235,8 @@ class ShuffleAlgebra:
         every flattened pair, built as one fraction."""
         num, den = self._canonical_numerator(f), dict(self._form(f.degree)[0])
         for u, v in combinations(self.flat_vars(f.degree), 2):
-            num = num.mul_binomial(1, u, -self._q_pairing[u.color, v.color], v)
-            plain = BinomialFactor(u, v, RQ_ONE)
+            num = num._mul_binomial(u, _ONE, v, {self._pairing[u.color, v.color]: -1})
+            plain = BinomialFactor.from_parts(u, v, 0)
             den[plain] = den.get(plain, 0) + 1
         return RatFun(num, den)
 
@@ -289,8 +294,7 @@ class ShuffleAlgebra:
         num = f.numerator * g.numerator.relabel(gmap)
         for u in left:
             for v in right:
-                p = self._q_pairing[u.color, v.color]
-                num = num.mul_binomial(1, u, -p, v)
+                num = num._mul_binomial(u, _ONE, v, {self._pairing[u.color, v.color]: -1})
         if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
             num = -num
         for c, (nc, mc) in enumerate(zip(n, m), start=1):
@@ -311,7 +315,7 @@ class ShuffleAlgebra:
         canon, _, unit = self._form(total)
         for u, v in combinations(self.flat_vars(total), 2):
             if u.color == v.color:
-                plain = BinomialFactor(u, v, RQ_ONE)
+                plain = BinomialFactor.from_parts(u, v, 0)
                 den[plain] = den.get(plain, 0) + 1
         extra, den = cancel_common(canon, den)
         r = RatFun(num.scale(unit), den)
@@ -354,9 +358,9 @@ class ShuffleAlgebra:
                 if (u in fset) or (v not in fset):
                     continue
                 # u from the right factor precedes v from the left: inverted
-                p = self._q_pairing[u.color, v.color]
-                num = num.mul_binomial(p, u, -1, v)
-                fac = BinomialFactor(u, v, p)
+                p = self._pairing[u.color, v.color]
+                num = num._mul_binomial(u, {p: 1}, v, _MINUS_ONE)
+                fac = BinomialFactor.from_parts(u, v, p)
                 den[fac] = den.get(fac, 0) + 1
             terms.append((num, den))
         return fraction_sum(terms)
@@ -388,12 +392,12 @@ class ShuffleAlgebra:
         num, den = self._canonical_numerator(f), self._form(f.degree)[0]
         for c in range(1, self.cartan.rank + 1):
             cv = [v for v in self.flat_vars(f.degree) if v.color == c]
-            qq = self._q_pairing[c, c]
-            a, b = (qq, 1) if self.orientation == "product" else (1, qq)
+            qq = self._pairing[c, c]
+            a, b = (qq, 0) if self.orientation == "product" else (0, qq)
             for u, v in zip(cv, cv[1:]):
                 snum, sden = relabel_fraction(num, den, {u: v, v: u})
-                lhs = (snum.mul_binomial(a, u, -b, v), sden)
-                if not fractions_equal(lhs, (num.mul_binomial(b, u, -a, v), den)):
+                lhs = (snum._mul_binomial(u, {a: 1}, v, {b: -1}), sden)
+                if not fractions_equal(lhs, (num._mul_binomial(u, {b: 1}, v, {a: -1}), den)):
                     return False
         return True
 

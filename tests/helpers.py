@@ -45,10 +45,7 @@ def random_q_monomial(rng, exp_range=3) -> RatQ:
     return RatQ(LaurentQ.q_power(rng.randint(-exp_range, exp_range), c))
 
 
-def coefficients(terms: dict) -> dict:
-    """Stored polynomial terms {(e_1, ..., e_n, e_q): rational} grouped
-    into {(e_1, ..., e_n): RatQ}, the format the constructors accept."""
-    grouped = {}
-    for key, c in terms.items():
-        grouped.setdefault(key[:-1], {})[key[-1]] = c
-    return {e: RatQ(LaurentQ(qt)) for e, qt in grouped.items()}
+def coefficients(p) -> dict:
+    """The terms of a polynomial or series as {(e_1, ..., e_n): RatQ}, the
+    format the constructors accept."""
+    return {key: RatQ(p.coeff(key)) for key in p.terms}

@@ -25,6 +25,8 @@ from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
 
+from tuple_kernel import expanded
+
 
 def reference_term_value(m, k, sigma, q_inverted=False):
     """Reference summand, built factor by factor: each pole is divided in
@@ -216,8 +218,8 @@ def per_permutation_rhs(m, window, reading, q_inverted):
 
 
 def same_series(x, y):
-    return (x.vars, x.terms, x.window, x.reliable, x.support) == (
-        y.vars, y.terms, y.window, y.reliable, y.support
+    return (x.vars, expanded(x), x.window, x.reliable, x.support) == (
+        y.vars, expanded(y), y.window, y.reliable, y.support
     )
 
 
