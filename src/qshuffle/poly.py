@@ -42,8 +42,9 @@ Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ`` (``coeff``,
 ``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1] raises
 ``ValueError``, a non-scalar such as a float ``TypeError``.  The kernel
 methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute`` and
-``_binomial_inverse`` take their q-monomials as exponents and
-coefficients; the public ones split a scalar once and call them.
+``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s, so
+the other modules never build a scalar to pass one; the public methods
+take scalars and split each once.
 
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
@@ -595,9 +596,14 @@ class MultiLaurent:
 
     def mul_binomial(self, a, vi: VarId, b, vj: VarId) -> MultiLaurent:
         """Multiply by the binomial (a*z_vi + b*z_vj)."""
-        return self._mul_binomial(vi, _qterms(a), vj, _qterms(b))
+        return self._mul_qterms(vi, _qterms(a), vj, _qterms(b))
 
-    def _mul_binomial(self, vi: VarId, x: dict, vj: VarId, y: dict) -> MultiLaurent:
+    def _mul_binomial(self, vi: VarId, x: tuple, vj: VarId, y: tuple) -> MultiLaurent:
+        """``mul_binomial`` by two nonzero q-monomials given as (a, s) pairs,
+        a q^s."""
+        return self._mul_qterms(vi, {x[1]: x[0]}, vj, {y[1]: y[0]})
+
+    def _mul_qterms(self, vi: VarId, x: dict, vj: VarId, y: dict) -> MultiLaurent:
         """Multiply by (x z_vi + y z_vj), the scalars x and y given as
         {q exponent: coefficient}."""
         p = self.with_vars((vi, vj))

@@ -27,7 +27,6 @@ from itertools import permutations
 from .poly import MultiLaurent, NotDivisible, VarId
 from .qring import RQ_ONE, LaurentQ, RatQ, _q_monomial, coefficient
 
-_ONE = {0: 1}  # the scalar 1 as {q exponent: coefficient}
 
 
 class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
@@ -91,7 +90,7 @@ def factor_product(factors, start: MultiLaurent | None = None) -> MultiLaurent:
     items = factors.items() if isinstance(factors, dict) else factors
     for f, mult in items:
         for _ in range(mult):
-            out = out._mul_binomial(f.i, _ONE, f.j, {f.s: -f.a})
+            out = out._mul_binomial(f.i, (1, 0), f.j, (-f.a, f.s))
     return out
 
 

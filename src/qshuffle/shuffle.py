@@ -57,10 +57,6 @@ from .ratfun import (
 )
 
 
-# the scalars 1 and -1 as {q exponent: coefficient}
-_ONE, _MINUS_ONE = {0: 1}, {0: -1}
-
-
 class ClosureViolation(Exception):
     """A product left the canonical polynomial-numerator form."""
 
@@ -204,7 +200,7 @@ class ShuffleAlgebra:
                     shift += p
                 den[f] = den.get(f, 0) + 1
                 if u.color == v.color:
-                    vand = vand._mul_binomial(u, _ONE, v, _MINUS_ONE)
+                    vand = vand._mul_binomial(u, (1, 0), v, (-1, 0))
             form = self._forms[degree] = (den, vand, RatQ.q_power(shift))
         return form
 
@@ -235,7 +231,7 @@ class ShuffleAlgebra:
         every flattened pair, built as one fraction."""
         num, den = self._canonical_numerator(f), dict(self._form(f.degree)[0])
         for u, v in combinations(self.flat_vars(f.degree), 2):
-            num = num._mul_binomial(u, _ONE, v, {self._pairing[u.color, v.color]: -1})
+            num = num._mul_binomial(u, (1, 0), v, (-1, self._pairing[u.color, v.color]))
             plain = BinomialFactor.from_parts(u, v, 0)
             den[plain] = den.get(plain, 0) + 1
         return RatFun(num, den)
@@ -294,7 +290,7 @@ class ShuffleAlgebra:
         num = f.numerator * g.numerator.relabel(gmap)
         for u in left:
             for v in right:
-                num = num._mul_binomial(u, _ONE, v, {self._pairing[u.color, v.color]: -1})
+                num = num._mul_binomial(u, (1, 0), v, (-1, self._pairing[u.color, v.color]))
         if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
             num = -num
         for c, (nc, mc) in enumerate(zip(n, m), start=1):
@@ -359,7 +355,7 @@ class ShuffleAlgebra:
                     continue
                 # u from the right factor precedes v from the left: inverted
                 p = self._pairing[u.color, v.color]
-                num = num._mul_binomial(u, {p: 1}, v, _MINUS_ONE)
+                num = num._mul_binomial(u, (1, p), v, (-1, 0))
                 fac = BinomialFactor.from_parts(u, v, p)
                 den[fac] = den.get(fac, 0) + 1
             terms.append((num, den))
@@ -396,8 +392,8 @@ class ShuffleAlgebra:
             a, b = (qq, 0) if self.orientation == "product" else (0, qq)
             for u, v in zip(cv, cv[1:]):
                 snum, sden = relabel_fraction(num, den, {u: v, v: u})
-                lhs = (snum._mul_binomial(u, {a: 1}, v, {b: -1}), sden)
-                if not fractions_equal(lhs, (num._mul_binomial(u, {b: 1}, v, {a: -1}), den)):
+                lhs = (snum._mul_binomial(u, (1, a), v, (-1, b)), sden)
+                if not fractions_equal(lhs, (num._mul_binomial(u, (1, b), v, (-1, a)), den)):
                     return False
         return True
 

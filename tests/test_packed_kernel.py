@@ -35,7 +35,9 @@ T = aux_var("t")
 
 
 def assert_decodes_to(got, want):
-    """The packed polynomial got stands for the tuple-kernel one want."""
+    """The packed polynomial got stands for the tuple-kernel one want,
+    with no cancelled key stored and a bound that certifies its digits."""
+    assert all(got.terms.values())
     assert (got.vars, expanded(got)) == (want.vars, want.terms)
     assert got.bound < 1 << (got.K - 2)
 

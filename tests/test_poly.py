@@ -698,6 +698,7 @@ def product_pool(seed):
 
 
 def assert_same(got, want):
+    assert all(got.terms.values())  # no cancelled key is stored
     assert (got.vars, expanded(got)) == (want.vars, want.terms)
     # decoded coefficients are nonzero, and int whenever integral
     for c in expanded(got).values():
