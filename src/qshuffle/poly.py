@@ -76,7 +76,17 @@ _VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little"
 
 
 class NotDivisible(ArithmeticError):
-    """Raised when an exact polynomial division has a remainder."""
+    """Raised when an exact polynomial division has a remainder.
+
+    The kernel raises it with the divisor z_vi - a q^s z_vj as the args
+    (vi, vj, a, s) and formats them only when the text is read: a caller
+    that tries the next factor never pays for it."""
+
+    def __str__(self) -> str:
+        if len(self.args) != 4:
+            return super().__str__()
+        vi, vj, a, s = self.args
+        return f"not divisible by {vi} - ({LaurentQ.q_power(s, a)}) {vj}"
 
 
 class VarId(namedtuple("VarId", "aux color index")):
@@ -752,7 +762,7 @@ class MultiLaurent:
         if self.is_zero():
             return self
         if self._substitute((vi,), [(a, s)], vj):
-            raise NotDivisible(f"not divisible by {vi} - ({LaurentQ.q_power(s, a)}) {vj}")
+            raise NotDivisible(vi, vj, a, s)
         f = self.with_vars((vi, vj))
         n, pi, pj = len(f.vars), f.vars.index(vi), f.vars.index(vj)
         xs, ys = list(map(itemgetter(pi), f.terms)), list(map(itemgetter(pj), f.terms))

@@ -41,7 +41,7 @@ not the sum.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
@@ -436,7 +436,18 @@ class ShuffleAlgebra:
         """The quantum Serre alternator applied to the given modes.
 
         Sums (-1)^r [N r]_{q_alpha} over insertions of a_beta[s] into the
-        symmetrization of a_alpha[modes], N = 1 - a_{alphabeta}."""
+        symmetrization of a_alpha[modes], N = 1 - a_{alphabeta}: the word
+        a_alpha[m_t(1)] ... a_alpha[m_t(r)] a_beta[s] a_alpha[m_t(r+1)] ...
+        for every r and every permutation t of the modes.
+
+        The product is linear in its left factor, so the words are summed
+        as prefixes, in the style of Horner's rule: the prefixes that hold
+        the same multiset of alpha modes, with beta not yet placed or
+        placed, are added up before the next generator is multiplied on.
+        A prefix with r alpha letters takes beta with weight (-1)^r [N r];
+        a mode still to be placed k times is appended with weight k, one
+        for each of its copies.  A one-letter prefix is its generator, so
+        no product with the unit is made."""
         if alpha == beta:
             raise ValueError("Serre relation needs two distinct colors")
         a = self.cartan.a(alpha, beta)
@@ -445,24 +456,32 @@ class ShuffleAlgebra:
         if len(modes) != N:
             raise ValueError(f"expected {N} modes for colors ({alpha},{beta})")
         d = self.cartan.d(alpha)
-        degree = tuple(
-            N if c == alpha else 1 if c == beta else 0
-            for c in range(1, self.cartan.rank + 1)
-        )
-        cache: dict[tuple, MultiLaurent] = {}
-        acc = MultiLaurent.zero()
+        gens = {x: self.generator(alpha, x) for x in modes}
+        b = self.generator(beta, s)
+
+        def add(layer, rest, prefix, g, weight):
+            # prefix * g * weight into layer[rest]; None is the empty prefix
+            g = g if prefix is None else self.mul(prefix, g)
+            num = g.numerator.scale(weight)
+            if rest in layer:
+                num = layer[rest].numerator + num
+            layer[rest] = ShuffleElement(self.cartan, g.degree, num, check=False)
+
+        def appended(layer):
+            out = {}
+            for rest, prefix in layer.items():
+                for x in sorted(set(rest)):
+                    i = rest.index(x)
+                    add(out, rest[:i] + rest[i + 1 :], prefix, gens[x], rest.count(x))
+            return out
+
+        # prefixes by the alpha modes they still have to take, before beta
+        # and after it
+        before, placed = {tuple(sorted(modes)): None}, {}
         for r in range(N + 1):
-            coeff = RatQ(q_binomial(N, r).stretch(d))
-            if r % 2:
-                coeff = -coeff
-            for perm in permutations(modes):
-                word = (
-                    [(alpha, x) for x in perm[:r]]
-                    + [(beta, s)]
-                    + [(alpha, x) for x in perm[r:]]
-                )
-                key = tuple(word)
-                if key not in cache:
-                    cache[key] = self.word_image(word).numerator
-                acc = acc + cache[key].scale(coeff)
-        return ShuffleElement(self.cartan, degree, acc, check=False)
+            weight = RatQ(q_binomial(N, r).stretch(d))
+            for rest, prefix in before.items():
+                add(placed, rest, prefix, b, -weight if r % 2 else weight)
+            if r < N:
+                before, placed = appended(before), appended(placed)
+        return placed[()]

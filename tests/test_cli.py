@@ -53,6 +53,15 @@ def test_printed_orientation_closure_exit(capsys):
     assert code == 3
 
 
+def test_printed_serre_exits_three(capsys):
+    # the alternator's products leave the printed orientation's closure
+    argv = ["serre", "--orientation", "printed", "--cartan", "B2", "--alpha", "2", "--beta", "1"]
+    assert main(argv + ["--modes", "0,1,0", "--s", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("closure violation: ")
+
+
 def test_parse_errors_exit_two(capsys):
     assert main(["product", "b1:0"]) == 2
     assert main(["product", "--cartan", "Z9", "a1:0"]) == 2

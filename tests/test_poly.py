@@ -156,6 +156,22 @@ def test_exact_divide_example():
         (num + 1).exact_div_binomial(Z1, Z2, qp(2))
 
 
+def test_not_divisible_text_names_the_binomial():
+    # the kernel raises with the divisor's parts and formats them on demand
+    num = MultiLaurent.var_power(Z1, 2) + 1
+    cases = [
+        (qp(2), "not divisible by z[1,1] - (q^2) z[1,2]"),
+        (qp(-3, -1), "not divisible by z[1,1] - (-q^-3) z[1,2]"),
+        (qp(0, Fraction(-3, 2)), "not divisible by z[1,1] - (-3/2) z[1,2]"),
+        (RatQ.one(), "not divisible by z[1,1] - (1) z[1,2]"),
+    ]
+    for c, text in cases:
+        with pytest.raises(NotDivisible) as info:
+            num.exact_div_binomial(Z1, Z2, c)
+        assert str(info.value) == text
+    assert str(NotDivisible("remainder")) == "remainder"
+
+
 def test_exact_divide_laurent_support():
     # negative exponents are fine: (z1 - c z2) * z1^-3 z2^-1
     c = qp(-2, Fraction(3, 2))

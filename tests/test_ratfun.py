@@ -7,6 +7,7 @@ import pytest
 
 from qshuffle.poly import MultiLaurent, VarId, aux_var, zvar
 from qshuffle.qring import LaurentQ, RatQ
+from qshuffle import ratfun
 from qshuffle.ratfun import BinomialFactor, RatFun, factor_product, rat_sum, sym_group
 
 from helpers import random_fraction, random_q_monomial, random_q_point
@@ -330,3 +331,23 @@ def test_factor_product():
     f1 = BinomialFactor(Z1, Z2, qp(2))
     p = factor_product({f1: 2})
     assert p == (V(Z1) - V(Z2, 1, qp(2))) ** 2
+
+
+def test_reduce_formats_no_failed_division(monkeypatch):
+    # _reduce drops each NotDivisible it catches: none may print its divisor
+    z1, z2, z3 = zvar(1, 1), zvar(1, 2), zvar(1, 3)
+    strs = []
+    laurent_str = LaurentQ.__str__
+
+    def counted(self):
+        strs.append(self)
+        return laurent_str(self)
+
+    monkeypatch.setattr(LaurentQ, "__str__", counted)
+    # z1 - q z3 divides once; the second try and the other two factors fail
+    divides, f12, f23 = (BinomialFactor.from_parts(*p) for p in ((z1, z3, 1), (z1, z2, 2), (z2, z3, -1)))
+    num = MultiLaurent.var_power(z1, 1) - MultiLaurent.var_power(z3, 1, RatQ.q_power(1))
+    got_num, got_den = ratfun._reduce(num, {divides: 2, f12: 1, f23: 1})
+    assert got_num == MultiLaurent.constant(1)
+    assert got_den == {divides: 1, f12: 1, f23: 1}
+    assert strs == []

@@ -1,14 +1,15 @@
 """Shuffle product, canonical forms, Serre and wheel checks."""
 
 import random
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
-from itertools import combinations
-
+from qshuffle import shuffle
 from qshuffle.cartan import builtin_cartan
 from qshuffle.poly import MultiLaurent, aux_var, zvar
-from qshuffle.qring import RatQ
+from qshuffle.qring import LaurentQ, RatQ, q_binomial
 from qshuffle.ratfun import BinomialFactor, RatFun, factor_product
 from qshuffle.shuffle import (
     ClosureViolation,
@@ -215,19 +216,47 @@ def one_pass_wheel(alg, f, alpha, beta, i_indices, j_index):
     return f.numerator.substitute(chain, scalars, aux_var("t"))
 
 
+def classical_binomial(n, r):
+    """Ordinary binomials in place of ``q_binomial``: the Serre alternator
+    with these weights does not vanish."""
+    return LaurentQ({0: comb(n, r)})
+
+
+def serre_word_sums(alg, alpha, beta, modes, s):
+    """S_r for r = 0..N: the sum over the permutations of the modes of the
+    word with a_beta[s] after r alpha letters, every word multiplied out
+    letter by letter.  The word-by-word reference for ``serre_image``."""
+    images = {}
+    sums = []
+    for r in range(len(modes) + 1):
+        acc = MultiLaurent.zero()
+        for perm in permutations(modes):
+            word = tuple([(alpha, x) for x in perm[:r]] + [(beta, s)] + [(alpha, x) for x in perm[r:]])
+            if word not in images:
+                images[word] = alg.word_image(word).numerator
+            acc = acc + images[word]
+        sums.append(acc)
+    return sums
+
+
+def weighted_serre_sum(alg, alpha, sums, binomial=q_binomial):
+    """sum_r (-1)^r binomial(N, r) stretched by d_alpha, times S_r."""
+    N, d = len(sums) - 1, alg.cartan.d(alpha)
+    acc = MultiLaurent.zero()
+    for r, part in enumerate(sums):
+        c = RatQ(binomial(N, r).stretch(d))
+        acc = acc + part.scale(-c if r % 2 else c)
+    return acc
+
+
+def serre_degree(cartan, alpha, beta, n):
+    return tuple(n if c == alpha else 1 if c == beta else 0 for c in range(1, cartan.rank + 1))
+
+
 def classical_serre_element(alg, alpha, beta, modes, s):
     """The Serre alternator with ordinary binomials: a nonzero element."""
-    from itertools import permutations
-    from math import comb
-
-    n = len(modes)
-    acc = MultiLaurent.zero()
-    for r in range(n + 1):
-        for perm in permutations(modes):
-            word = [(alpha, x) for x in perm[:r]] + [(beta, s)] + [(alpha, x) for x in perm[r:]]
-            acc = acc + alg.word_image(word).numerator.scale((-1) ** r * comb(n, r))
-    degree = tuple(n if c == alpha else 1 if c == beta else 0 for c in range(1, alg.cartan.rank + 1))
-    return ShuffleElement.raw(alg.cartan, degree, acc)
+    acc = weighted_serre_sum(alg, alpha, serre_word_sums(alg, alpha, beta, modes, s), classical_binomial)
+    return ShuffleElement.raw(alg.cartan, serre_degree(alg.cartan, alpha, beta, len(modes)), acc)
 
 
 def test_one_pass_wheel_matches_chained_substitution():
@@ -308,17 +337,102 @@ def test_serre_needs_the_q_binomial():
     # dropping the q-stretch of the middle coefficient breaks the relation:
     # reconstruct the r-sum with plain binomial coefficients instead
     alg = ShuffleAlgebra(A2)
-    acc = MultiLaurent.zero()
-    from itertools import permutations
-    from math import comb
+    assert not classical_serre_element(alg, 1, 2, (1, -1), 0).is_zero()
 
-    modes = (1, -1)
-    for r in range(3):
-        coeff = RatQ.coerce((-1) ** r * comb(2, r))
-        for perm in permutations(modes):
-            word = [(1, x) for x in perm[:r]] + [(2, 0)] + [(1, x) for x in perm[r:]]
-            acc = acc + alg.word_image(word).numerator.scale(coeff)
-    assert not acc.is_zero()
+
+# ---------- the Serre alternator by prefix sums ----------
+
+SERRE_TYPES = ("A2", "A3", "B2", "B3", "C3", "D4", "G2")
+
+
+def serre_pairs(tag):
+    """Every ordered pair of colors of a builtin type with a_(alpha,beta) != 0."""
+    cartan = builtin_cartan(tag)
+    return [
+        (alpha, beta)
+        for alpha, beta in permutations(range(1, cartan.rank + 1), 2)
+        if cartan.a(alpha, beta)
+    ]
+
+
+def serre_mode_vectors(n):
+    """(modes, s) with all modes equal, all distinct, and one mode repeated
+    (all equal again when n = 2)."""
+    rest = tuple(range(-1, n - 2))
+    return [((1,) * n, 0), (tuple(range(-1, n - 1)), 1), (rest[-1:] + rest, -1)]
+
+
+@pytest.mark.parametrize("tag", SERRE_TYPES)
+def test_serre_image_matches_the_word_by_word_sum(tag, monkeypatch):
+    # the q-binomial alternators vanish on both sides; the classical weights
+    # make every case a nonzero control
+    alg = ShuffleAlgebra(builtin_cartan(tag))
+    cases = nonzero = 0
+    for alpha, beta in serre_pairs(tag):
+        n = 1 - alg.cartan.a(alpha, beta)
+        for modes, s in serre_mode_vectors(n):
+            sums = serre_word_sums(alg, alpha, beta, modes, s)
+            for binomial in (q_binomial, classical_binomial):
+                monkeypatch.setattr(shuffle, "q_binomial", binomial)
+                got = alg.serre_image(alpha, beta, modes, s)
+                want = weighted_serre_sum(alg, alpha, sums, binomial)
+                assert got.degree == serre_degree(alg.cartan, alpha, beta, n)
+                assert got.numerator == want, (alpha, beta, modes, s, binomial)
+                assert got.is_zero() == (binomial is q_binomial)
+                cases += 1
+                nonzero += not got.is_zero()
+    assert nonzero == cases // 2 >= 4
+
+
+def test_serre_image_products_are_counted():
+    # 17 products, each checked by the oracle, where the word-by-word sum
+    # made 48: no prefix is multiplied twice and none by the unit
+    alg = ShuffleAlgebra(B2, oracle=True)
+    assert alg.serre_image(2, 1, (0, 1, 1), 1).is_zero()
+    assert alg.oracle_checks == 17
+
+
+def mode_monomial(alpha, modes):
+    """m(z_alpha) = sum over tau in S_N of prod_i z_(alpha,i)^(modes_tau(i))."""
+    return sum(
+        (
+            MultiLaurent.monomial({zvar(alpha, i + 1): modes[t] for i, t in enumerate(tau)})
+            for tau in permutations(range(len(modes)))
+        ),
+        MultiLaurent.zero(),
+    )
+
+
+@pytest.mark.parametrize("tag", SERRE_TYPES)
+def test_serre_image_factors_through_the_zero_modes(tag, monkeypatch):
+    # serre_image(modes, s) = m(z_alpha) z_beta^s serre_image(0..0, 0) / N!:
+    # the alternator symmetrizes the modes, so vanishing at the zero modes
+    # is vanishing at every mode vector; the classical weights are the
+    # control, where both sides are nonzero
+    rng = random.Random(f"serre-zero-modes-{tag}")
+    alg = ShuffleAlgebra(builtin_cartan(tag))
+    nonzero = 0
+    for alpha, beta in serre_pairs(tag):
+        n = 1 - alg.cartan.a(alpha, beta)
+        modes, s = tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)
+        for binomial in (q_binomial, classical_binomial):
+            monkeypatch.setattr(shuffle, "q_binomial", binomial)
+            zero = alg.serre_image(alpha, beta, (0,) * n, 0).numerator
+            got = alg.serre_image(alpha, beta, modes, s).numerator
+            want = mode_monomial(alpha, modes) * MultiLaurent.var_power(zvar(beta, 1), s) * zero
+            assert got.scale(factorial(n)) == want, (alpha, beta, modes, s, binomial)
+            nonzero += not got.is_zero()
+    assert nonzero == len(serre_pairs(tag))
+
+
+@pytest.mark.parametrize("tag", SERRE_TYPES)
+def test_serre_image_leaves_the_printed_orientation(tag):
+    # the printed orientation never closes on an alternator's products
+    alg = ShuffleAlgebra(builtin_cartan(tag), orientation="printed")
+    for alpha, beta in serre_pairs(tag):
+        for modes, s in serre_mode_vectors(1 - alg.cartan.a(alpha, beta)):
+            with pytest.raises(ClosureViolation):
+                alg.serre_image(alpha, beta, modes, s)
 
 
 def test_closure_and_twisted_symmetry_random_words():
