@@ -28,6 +28,7 @@ point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def coefficient(c):
@@ -572,11 +573,29 @@ def q_binomial(n: int, p: int) -> LaurentQ:
     """The Gaussian binomial [n]!_q / ([p]!_q [n-p]!_q).
 
     Always a Laurent polynomial, invariant under q -> q^-1, and equal to
-    the ordinary binomial coefficient at q = 1.
+    the ordinary binomial coefficient at q = 1.  Read off the row of n,
+    built once; every call returns a new ``LaurentQ``.
     """
     if n < 0:
         raise ValueError("q_binomial requires n >= 0")
     if p < 0 or p > n:
-        return LQ_ZERO
-    # the quotient is exact in Z[q, q^-1]; a remainder would be a bug
-    return q_factorial(n).exact_div(q_factorial(p) * q_factorial(n - p))
+        return LaurentQ()
+    return LaurentQ._raw(dict(_q_binomial_row(n)[p]))
+
+
+@lru_cache(maxsize=32)
+def _q_binomial_row(n: int) -> tuple:
+    """[n p] for p = 0..n, each as a tuple of (exponent, coefficient)
+    pairs, by the Pascal rule [k p] = q^-p [k-1 p] + q^(k-p) [k-1 p-1].
+    All coefficients are positive, so no term cancels."""
+    row = [{0: 1}]
+    for k in range(1, n + 1):
+        new = []
+        for p in range(k + 1):
+            out = {}
+            for shift, part in ((-p, row[p] if p < k else {}), (k - p, row[p - 1] if p else {})):
+                for e, c in part.items():
+                    out[e + shift] = out.get(e + shift, 0) + c
+            new.append(out)
+        row = new
+    return tuple(tuple(sorted(qt.items())) for qt in row)

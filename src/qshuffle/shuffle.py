@@ -37,6 +37,18 @@ anything, and compares the sum N / lcd with V A / D by
 so it divides nothing either.  A printed-orientation product is read off
 that same sum, built once, so there the check verifies the read-off and
 not the sum.
+
+Everything in a product that depends only on the two degrees is built
+once per algebra, in a ``Plan`` keyed by the ordered pair (n, m) and kept
+as long as the algebra, like the canonical forms.  A plan holds
+structure, never operand values: the product's registry, the slots of
+f's and g's variables in it, the cross binomials, the sign and the
+divided-difference steps; and for the oracle, per interleaving, the slot
+maps, the unit the relabelled canonical denominators absorb, the exchange
+binomials and the cofactor against the lcd, then the lcd and what the
+check's ``cancel_common(lcd, D)`` leaves.  The oracle half is built from
+the interleavings and the canonical denominators alone, never from the
+product half.  A product runs its plan with kernel calls only.
 """
 
 from __future__ import annotations
@@ -45,13 +57,14 @@ from itertools import combinations, product
 
 from .cartan import CartanData
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
-from .qring import RatQ, int_exponent, q_binomial
+from .qring import RQ_ONE, RatQ, int_exponent, q_binomial
 from .ratfun import (
     BinomialFactor,
     RatFun,
     cancel_common,
+    cofactor,
+    den_lcm,
     factor_product,
-    fraction_sum,
     fractions_equal,
     relabel_fraction,
 )
@@ -90,6 +103,14 @@ class ShuffleElement:
         self.numerator = numerator
 
     @classmethod
+    def _over(cls, cartan, degree: tuple, numerator: MultiLaurent) -> ShuffleElement:
+        """Trusted constructor: ``degree`` a tuple of counts and
+        ``numerator.vars`` already the degree's flattened variables."""
+        self = cls.__new__(cls)
+        self.cartan, self.degree, self.numerator = cartan, degree, numerator
+        return self
+
+    @classmethod
     def raw(cls, cartan, degree, numerator) -> ShuffleElement:
         """Skip the symmetry validation (for probing invalid data)."""
         return cls(cartan, degree, numerator, check=False)
@@ -116,6 +137,26 @@ class ShuffleElement:
         return f"deg {self.degree}: {self.numerator}"
 
     __repr__ = __str__
+
+
+class Plan:
+    """The structure of the product of one ordered pair of degrees (n, m),
+    never an operand value: the product's degree ``total`` and two halves,
+    each built when a product first needs it.
+
+    ``product``, for ``_mul_polynomial``, is (vars, fslots, gslots, cross,
+    odd, steps): the product's registry, the slots of f's and g's
+    variables in it, the cross binomials as ``_mul_binomial`` arguments,
+    the sign and the divided-difference steps.  ``oracle``, for
+    ``_oracle_fraction`` and the check, is (vars, terms, lcd, check): the
+    registry; per interleaving, (fslots, gslots, unit, exchange, cofactor)
+    with the unit None for 1; the lcd; and the pair ``cancel_common(lcd,
+    D)`` against the product's canonical denominator D."""
+
+    __slots__ = ("total", "product", "oracle")
+
+    def __init__(self, total: tuple):
+        self.total, self.product, self.oracle = total, None, None
 
 
 def parse_word(text: str) -> list[tuple[int, int]]:
@@ -151,6 +192,8 @@ class ShuffleAlgebra:
         self.oracle = oracle
         self.oracle_checks = 0
         self._forms: dict[tuple, tuple] = {}
+        # one plan per ordered pair of degrees, kept as long as the forms
+        self._plans: dict[tuple, Plan] = {}
         # (a,b) for every pair of colors: q^(a,b) is the scalar of every
         # exchange factor, handed to the kernel as an exponent
         pairs = product(range(1, cartan.rank + 1), repeat=2)
@@ -252,27 +295,99 @@ class ShuffleAlgebra:
                 gmap.update((zvar(c, k), zvar(c, i)) for k, i in enumerate(rest, start=1))
             yield fmap, gmap, frozenset(fmap.values())
 
+    def _plan(self, n, m, oracle: bool) -> Plan:
+        """The plan of degrees (n, m), with the halves this product needs
+        built: the product half in the default orientation, the oracle
+        half when ``oracle``."""
+        plan = self._plans.get((n, m))
+        if plan is None:
+            plan = self._plans[n, m] = Plan(tuple(a + b for a, b in zip(n, m)))
+        if plan.product is None and self.orientation == "product":
+            plan.product = self._product_plan(n, m)
+        if plan.oracle is None and oracle:
+            plan.oracle = self._oracle_plan(n, m)
+        return plan
+
+    def _product_plan(self, n, m) -> tuple:
+        """The structure of ``_mul_polynomial`` for degrees (n, m)."""
+        total = tuple(a + b for a, b in zip(n, m))
+        flat = self.flat_vars(total)
+        start = [sum(total[:c]) for c in range(len(total))]
+        # f's z[c,k] goes to slot k of color c, g's z[c,k] to slot n_c + k
+        fslots = [start[v.color - 1] + v.index - 1 for v in self.flat_vars(n)]
+        gslots = [start[v.color - 1] + n[v.color - 1] + v.index - 1 for v in self.flat_vars(m)]
+        left, right = [flat[i] for i in fslots], [flat[i] for i in gslots]
+        cross = [(u, (1, 0), v, (-1, self._pairing[u.color, v.color])) for u in left for v in right]
+        odd = sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2 == 1
+        steps = [
+            (zvar(c, i), zvar(c, i + 1))
+            for c, (nc, mc) in enumerate(zip(n, m), start=1)
+            for i in grassmannian_steps(nc, mc)
+        ]
+        return tuple(flat), fslots, gslots, cross, odd, steps
+
+    def _oracle_plan(self, n, m) -> tuple:
+        """The structure of ``_oracle_fraction`` for degrees (n, m), from
+        the interleavings and the canonical denominators alone: per
+        interleaving the slot maps, the unit that the relabelled canonical
+        denominators and the canonical forms' own units absorb, the
+        exchange binomials and the cofactor against the lcd; the lcd; and
+        what ``cancel_common(lcd, D)`` leaves for the check against the
+        product's canonical denominator D."""
+        total = tuple(a + b for a, b in zip(n, m))
+        flat = self.flat_vars(total)
+        pos = {v: i for i, v in enumerate(flat)}
+        (fden, _, fu), (gden, _, gu) = self._form(n), self._form(m)
+        base = RQ_ONE / (fu * gu)
+        parts = []
+        for fmap, gmap, fset in self._interleavings(n, m):
+            den, unit = {}, base
+            for canon, mapping in ((fden, fmap), (gden, gmap)):
+                for fac, mult in canon.items():
+                    nf, u = fac.relabel(mapping)
+                    den[nf] = den.get(nf, 0) + mult
+                    if not u.is_one():
+                        unit = unit / u**mult
+            exchange = []
+            for u, v in combinations(flat, 2):
+                if (u in fset) or (v not in fset):
+                    continue
+                # u from the right factor precedes v from the left: inverted
+                p = self._pairing[u.color, v.color]
+                exchange.append((u, (1, p), v, (-1, 0)))
+                fac = BinomialFactor.from_parts(u, v, p)
+                den[fac] = den.get(fac, 0) + 1
+            slots = [[pos[mp[x]] for x in self.flat_vars(d)] for d, mp in ((n, fmap), (m, gmap))]
+            parts.append((slots, None if unit.is_one() else unit, exchange, den))
+        lcd = den_lcm(den for *_, den in parts)
+        terms = [(*slots, unit, exchange, cofactor(lcd, den)) for slots, unit, exchange, den in parts]
+        return tuple(flat), terms, lcd, cancel_common(lcd, self._form(total)[0])
+
     def mul(self, f: ShuffleElement, g: ShuffleElement) -> ShuffleElement:
         if f.cartan != self.cartan or g.cartan != self.cartan:
             raise ValueError("operands belong to a different Cartan datum")
-        total = tuple(a + b for a, b in zip(f.degree, g.degree))
         # one oracle sum per product: the printed product is read off it
-        oracle = self._oracle_fraction(f, g) if self.oracle or self.orientation == "printed" else None
+        summed = self.oracle or self.orientation == "printed"
+        plan = self._plan(f.degree, g.degree, summed)
+        oracle = self._oracle_fraction(f, g, plan.oracle) if summed else None
         if self.orientation == "product":
-            result = self._mul_polynomial(f, g, total)
+            result = self._mul_polynomial(f, g, plan)
         else:
-            result = self._mul_rational(oracle, total)
+            result = self._mul_rational(oracle, plan.total)
         if self.oracle:
-            # N / lcd == V A / (unit D), cross-multiplied: no division
-            canonical = (self._canonical_numerator(result), self._form(total)[0])
-            if not fractions_equal(oracle, canonical):
+            # N / lcd == V A / (unit D), cross-multiplied over the lcm of
+            # lcd and D: no division
+            lcd_rest, den_rest = plan.oracle[3]
+            if factor_product(den_rest, start=oracle[0]) != factor_product(
+                lcd_rest, start=self._canonical_numerator(result)
+            ):
                 raise ArithmeticError(
                     "shuffle product disagrees with the direct rational sum"
                 )
             self.oracle_checks += 1
         return result
 
-    def _mul_polynomial(self, f, g, total):
+    def _mul_polynomial(self, f, g, plan: Plan):
         """Default-orientation product by parabolic divided differences.
 
         With f's variables of color c in slots 1..n_c and g's in slots
@@ -282,24 +397,21 @@ class ShuffleAlgebra:
 
         where d_(n,m) is, per color, the divided difference of the
         Grassmannian permutation moving g's slots past f's (n_c m_c simple
-        steps) and eps = (-1)^#{a in f, b in g : color(a) > color(b)}."""
-        n, m = f.degree, g.degree
-        left = self.flat_vars(n)
-        right = [zvar(c + 1, n[c] + k + 1) for c in range(len(m)) for k in range(m[c])]
-        gmap = dict(zip(self.flat_vars(m), right))
-        num = f.numerator * g.numerator.relabel(gmap)
-        for u in left:
-            for v in right:
-                num = num._mul_binomial(u, (1, 0), v, (-1, self._pairing[u.color, v.color]))
-        if sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2:
+        steps) and eps = (-1)^#{a in f, b in g : color(a) > color(b)}.
+        The plan's product half holds the slots, the cross binomials, eps
+        and the steps."""
+        vs, fslots, gslots, cross, odd, steps = plan.product
+        num = f.numerator._reslot(vs, fslots) * g.numerator._reslot(vs, gslots)
+        for args in cross:
+            num = num._mul_binomial(*args)
+        if odd:
             num = -num
-        for c, (nc, mc) in enumerate(zip(n, m), start=1):
-            for i in grassmannian_steps(nc, mc):
-                num = num.divided_difference(zvar(c, i), zvar(c, i + 1))
+        for vi, vj in steps:
+            num = num.divided_difference(vi, vj)
         for c in range(1, self.cartan.rank + 1):
             if not num.is_symmetric(c):
                 raise ClosureViolation(f"product numerator not symmetric in color {c}")
-        return ShuffleElement(self.cartan, total, num, check=False)
+        return ShuffleElement._over(self.cartan, plan.total, num)
 
     def _mul_rational(self, oracle, total):
         """Orientation-agnostic product A = N unit D / (lcd V) from the
@@ -324,42 +436,40 @@ class ShuffleAlgebra:
         for c in range(1, self.cartan.rank + 1):
             if not num.is_symmetric(c):
                 raise ClosureViolation(f"product numerator not symmetric in color {c}")
-        return ShuffleElement(self.cartan, total, num, check=False)
+        return ShuffleElement._over(self.cartan, total, num)
 
     def mul_oracle_rational(self, f: ShuffleElement, g: ShuffleElement) -> RatFun:
         """Direct rational-function shuffle sum: relabel both factors into
         the combined variables, weight inverted mixed pairs by the exchange
         ratio, and reduce the sum once."""
-        return RatFun(*self._oracle_fraction(f, g))
+        plan = self._plan(f.degree, g.degree, True)
+        return RatFun(*self._oracle_fraction(f, g, plan.oracle))
 
-    def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement):
+    def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement, plan: tuple):
         """The interleaving sum of ``mul_oracle_rational`` as (N, lcd), N
-        over the product of the lcd factors, with no reduction.
+        over the product of the lcd factors, with no reduction; lcd is the
+        plan's own dict, which callers only read.
 
         Each term is the product of the relabelled canonical forms V A / D
         of f and g and, per inverted mixed pair (u from g before v from f),
         of (q^p z_u - z_v) / (z_u - q^p z_v); the terms are summed over the
-        lcm of their denominators."""
-        total = tuple(a + b for a, b in zip(f.degree, g.degree))
-        flat = self.flat_vars(total)
-        sides = [(self._canonical_numerator(x), self._form(x.degree)[0]) for x in (f, g)]
-        terms = []
-        for fmap, gmap, fset in self._interleavings(f.degree, g.degree):
-            (fnum, fden), (gnum, gden) = (
-                relabel_fraction(*side, mapping) for side, mapping in zip(sides, (fmap, gmap))
-            )
-            # disjoint: every factor pairs two variables of the same operand
-            num, den = fnum * gnum, {**fden, **gden}
-            for u, v in combinations(flat, 2):
-                if (u in fset) or (v not in fset):
-                    continue
-                # u from the right factor precedes v from the left: inverted
-                p = self._pairing[u.color, v.color]
-                num = num._mul_binomial(u, (1, p), v, (-1, 0))
-                fac = BinomialFactor.from_parts(u, v, p)
-                den[fac] = den.get(fac, 0) + 1
-            terms.append((num, den))
-        return fraction_sum(terms)
+        lcm of their denominators.  The plan holds everything but A: each
+        term places V A of f and of g by its slot maps, scales by its unit,
+        multiplies its exchange binomials and its cofactor against the
+        lcd in, and is added to the sum."""
+        vs, terms, lcd, _ = plan
+        a = self._form(f.degree)[1] * f.numerator
+        b = self._form(g.degree)[1] * g.numerator
+        total = None
+        for fslots, gslots, unit, exchange, cof in terms:
+            num = a._reslot(vs, fslots) * b._reslot(vs, gslots)
+            if unit is not None:
+                num = num.scale(unit)
+            for args in exchange:
+                num = num._mul_binomial(*args)
+            num = factor_product(cof, start=num)
+            total = num if total is None else total + num
+        return total, lcd
 
     # ---------- words ----------
 
@@ -465,7 +575,7 @@ class ShuffleAlgebra:
             num = g.numerator.scale(weight)
             if rest in layer:
                 num = layer[rest].numerator + num
-            layer[rest] = ShuffleElement(self.cartan, g.degree, num, check=False)
+            layer[rest] = ShuffleElement._over(self.cartan, g.degree, num)
 
         def appended(layer):
             out = {}

@@ -85,6 +85,33 @@ def test_q_binomial_against_pascal_oracle():
             assert q_binomial(n, p) == pascal_binomial(n, p)
 
 
+def test_q_binomial_matches_the_factorial_quotient():
+    # the table against the definition, out-of-range p included
+    for n in range(0, 11):
+        for p in range(-2, n + 3):
+            got = q_binomial(n, p)
+            if 0 <= p <= n:
+                assert got == q_factorial(n).exact_div(q_factorial(p) * q_factorial(n - p)), (n, p)
+            else:
+                assert got.is_zero(), (n, p)
+    with pytest.raises(ValueError):
+        q_binomial(-1, 0)
+
+
+def test_q_binomial_values_are_never_shared():
+    want = {(n, p): LaurentQ(dict(q_binomial(n, p).terms)) for n in range(7) for p in range(-1, n + 2)}
+    for (n, p) in want:
+        b = q_binomial(n, p)
+        assert b is not q_binomial(n, p)
+        # derived values are new objects
+        b.bar(), b.stretch(3), b + 1, b * b, -b, RatQ(b) * RatQ(b.stretch(2))
+        # even a caller that writes into the terms changes only its copy
+        b.terms[7] = 5
+        b.terms.pop(0, None)
+    for (n, p), w in want.items():
+        assert q_binomial(n, p) == w, (n, p)
+
+
 def test_q_binomial_symmetries():
     for n in range(0, 9):
         for p in range(0, n + 1):

@@ -11,9 +11,14 @@ checked against each other and against the independent rational oracle
 The oracle sums its interleaving terms unreduced and reduces once;
 ``reference_oracle_rational`` is the same sum with every term product
 reduced and the sum closed by ``rat_sum``, and both are compared in both
-orientations.  With the oracle on, ``mul`` compares the two sides by
-cross-multiplying, so it needs no exact division; the mutation controls
-show that the comparison still catches a wrong product.
+orientations.  The oracle runs a per-degree plan built once per algebra;
+``reference_oracle_fraction`` is the loop it replaced, which relabels the
+canonical forms of each interleaving and sums with ``fraction_sum``, and
+the plan must give the same unreduced numerator and lcd.  With the oracle
+on, ``mul`` compares the two sides by cross-multiplying, so it needs no
+exact division; the mutation controls show that the comparison still
+catches a wrong product, and a plan with a dropped exchange binomial is
+caught the same way.
 
 The printed orientation multiplies by cancelling the canonical
 denominator against the oracle sum's by factor count and reducing once.
@@ -27,12 +32,11 @@ from itertools import combinations
 
 import pytest
 
-from qshuffle import shuffle
 from qshuffle.cartan import builtin_cartan
 from qshuffle.cli import main
 from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, zvar
 from qshuffle.qring import RatQ
-from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
+from qshuffle.ratfun import BinomialFactor, RatFun, fraction_sum, rat_sum, relabel_fraction
 from qshuffle.shuffle import (
     ORIENTATIONS,
     ClosureViolation,
@@ -46,6 +50,7 @@ from tuple_kernel import MultiLaurent as Reference
 from tuple_kernel import expanded, from_packed, to_packed
 
 TYPES = ("A1", "A2", "B2", "C3", "B3", "D4", "G2")
+ALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
 
 
 def interleaving_product(alg, f, g):
@@ -101,6 +106,37 @@ def reference_oracle_rational(alg, f, g):
             )
         parts.append(term)
     return rat_sum(parts)
+
+
+def reference_oracle_fraction(alg, f, g):
+    """Reference unreduced oracle sum (N, lcd): per interleaving, relabel
+    the canonical forms V A / D of f and g, multiply them, multiply in the
+    exchange binomial of every inverted mixed pair and add its factor to
+    the denominator; sum the terms over their lcm with ``fraction_sum``."""
+    total = tuple(a + b for a, b in zip(f.degree, g.degree))
+    flat = alg.flat_vars(total)
+    sides = [(alg._canonical_numerator(x), alg._form(x.degree)[0]) for x in (f, g)]
+    terms = []
+    for fmap, gmap, fset in alg._interleavings(f.degree, g.degree):
+        (fnum, fden), (gnum, gden) = (
+            relabel_fraction(*side, mapping) for side, mapping in zip(sides, (fmap, gmap))
+        )
+        # disjoint: every factor pairs two variables of the same operand
+        num, den = fnum * gnum, {**fden, **gden}
+        for u, v in combinations(flat, 2):
+            if (u in fset) or (v not in fset):
+                continue
+            # u from the right factor precedes v from the left: inverted
+            p = alg.cartan.pairing(u.color, v.color)
+            num = num._mul_binomial(u, (1, p), v, (-1, 0))
+            fac = BinomialFactor.from_parts(u, v, p)
+            den[fac] = den.get(fac, 0) + 1
+        terms.append((num, den))
+    return fraction_sum(terms)
+
+
+def planned_oracle_fraction(alg, f, g):
+    return alg._oracle_fraction(f, g, alg._plan(f.degree, g.degree, True).oracle)
 
 
 def reference_mul_rational(alg, f, g):
@@ -293,9 +329,9 @@ def test_oracle_check_catches_mutated_products(name, mutate, monkeypatch):
     true = plain.mul(f, g)
     exact = plain._mul_polynomial
 
-    def mutated(f, g, total):
-        out = exact(f, g, total)
-        return ShuffleElement.raw(cartan, total, mutate(out.numerator))
+    def mutated(f, g, plan):
+        out = exact(f, g, plan)
+        return ShuffleElement.raw(cartan, out.degree, mutate(out.numerator))
 
     monkeypatch.setattr(plain, "_mul_polynomial", mutated)
     assert plain.mul(f, g) != true  # the mutation changes the product
@@ -399,13 +435,13 @@ def test_printed_oracle_product_sums_once(monkeypatch):
     # the printed product is read off the oracle sum and checked against
     # that same sum: one interleaving sum per product, not two
     sums = []
-    summed = shuffle.fraction_sum
+    summed = ShuffleAlgebra._oracle_fraction
 
-    def counted(terms):
+    def counted(self, f, g, plan):
         sums.append(1)
-        return summed(terms)
+        return summed(self, f, g, plan)
 
-    monkeypatch.setattr(shuffle, "fraction_sum", counted)
+    monkeypatch.setattr(ShuffleAlgebra, "_oracle_fraction", counted)
     alg = ShuffleAlgebra(builtin_cartan("A2"), "printed", oracle=True)
     el = alg.word_image([(1, 0), (2, 0)])
     assert len(sums) == 2
@@ -413,3 +449,155 @@ def test_printed_oracle_product_sums_once(monkeypatch):
     # the shared sum is left as it was: the check still passes and the
     # public oracle agrees with the product
     assert alg.to_rational(el) == alg.mul_oracle_rational(alg.generator(1, 0), alg.generator(2, 0))
+
+
+# ---------- per-degree plans ----------
+
+
+def assert_flat_registry(alg, el):
+    # the plans' slot maps read an element's variables in this order
+    assert el.numerator.vars == tuple(alg.flat_vars(el.degree)), el
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_planned_oracle_sum_matches_the_interleaving_loop(name, orientation):
+    # unreduced: a plan whose lcd carried an extra factor would still give
+    # the same reduced sum
+    cartan = builtin_cartan(name)
+    build = ShuffleAlgebra(cartan)
+    alg = ShuffleAlgebra(cartan, orientation=orientation)
+    rng = random.Random(f"planned-oracle-{name}-{orientation}")
+    for lf, lg in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)):
+        u = random_word(rng, cartan.rank, lf)
+        v = random_word(rng, cartan.rank, lg)
+        f, g = build.word_image(u), build.word_image(v)
+        num, lcd = planned_oracle_fraction(alg, f, g)
+        want_num, want_lcd = reference_oracle_fraction(alg, f, g)
+        label = (format_word(u), format_word(v))
+        assert lcd == want_lcd, label
+        assert num == want_num, label
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_warm_plans_give_what_cold_plans_give(name):
+    cartan = builtin_cartan(name)
+    warm = ShuffleAlgebra(cartan, oracle=True)
+    rng = random.Random(f"warm-plans-{name}")
+    for _ in range(4):
+        u = random_word(rng, cartan.rank, rng.randrange(1, 3))
+        v = random_word(rng, cartan.rank, rng.randrange(1, 3))
+        # the warm algebra builds the plan on other modes, same degrees
+        warm.mul(*(warm.word_image([(c, x + 1) for c, x in w]) for w in (u, v)))
+        f, g = warm.word_image(u), warm.word_image(v)
+        assert (f.degree, g.degree) in warm._plans
+        cold = ShuffleAlgebra(cartan, oracle=True)
+        got = warm.mul(f, g)
+        assert got == cold.mul(cold.word_image(u), cold.word_image(v)), (format_word(u), format_word(v))
+        assert_flat_registry(warm, got)
+
+
+@pytest.mark.parametrize("name", ("A2", "B2", "G2"))
+def test_callers_cannot_corrupt_the_plans(name):
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan, oracle=True)
+    f = alg.word_image([(1, 0), (2, 1)])
+    g = alg.word_image([(2, -1), (1, 1)])
+    first = alg.mul(f, g)
+    first_oracle = alg.mul_oracle_rational(f, g)
+    # every returned denominator is the caller's own dict
+    for degree in (f.degree, g.degree, first.degree):
+        den = alg.canonical_denominator(degree)
+        den[next(iter(den))] += 3
+        den[BinomialFactor.from_parts(zvar(1, 1), zvar(2, 1), 7)] = 1
+    for r in (alg.mul_oracle_rational(f, g), alg.to_rational(f), alg.to_rational(first)):
+        r.den.clear()
+    checks = alg.oracle_checks
+    assert alg.mul(f, g) == first
+    assert alg.oracle_checks == checks + 1
+    assert alg.mul_oracle_rational(f, g) == first_oracle
+    fresh = ShuffleAlgebra(cartan, oracle=True)
+    assert alg.to_rational(first) == fresh.to_rational(first) == first_oracle
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_elements_keep_the_flat_registry(name):
+    cartan = builtin_cartan(name)
+    alg = ShuffleAlgebra(cartan, oracle=True)
+    assert_flat_registry(alg, alg.unit())
+    for c in range(1, cartan.rank + 1):
+        assert_flat_registry(alg, alg.generator(c, -1))
+    degree = (2,) + (0,) * (cartan.rank - 1)
+    # a numerator over fewer variables, and over more with exponent 0
+    assert_flat_registry(alg, ShuffleElement.raw(cartan, degree, MultiLaurent.var_power(zvar(1, 1), 1)))
+    wide = MultiLaurent.var_power(zvar(1, 1), 1).with_vars([zvar(1, 2), zvar(1, 3)])
+    assert_flat_registry(alg, ShuffleElement.raw(cartan, degree, wide))
+    rng = random.Random(f"flat-registry-{name}")
+    for _ in range(3):
+        f = alg.word_image(random_word(rng, cartan.rank, rng.randrange(1, 3)))
+        g = alg.word_image(random_word(rng, cartan.rank, rng.randrange(1, 3)))
+        for el in (f, g, alg.mul(f, g)):
+            assert_flat_registry(alg, el)
+    assert_flat_registry(alg, alg.mul(alg.unit(), alg.unit()))
+    if cartan.rank > 1:  # a printed product that closes
+        printed = ShuffleAlgebra(cartan, orientation="printed")
+        assert_flat_registry(printed, printed.mul(alg.generator(1, 0), alg.generator(cartan.rank, 1)))
+
+
+def _drop_one_exchange_binomial(plan):
+    """Drop one exchange binomial from the first interleaving of the
+    plan's oracle half that has one."""
+    vs, terms, lcd, check = plan.oracle
+    terms = list(terms)
+    k = next(i for i, (_, _, _, exchange, _) in enumerate(terms) if exchange)
+    fslots, gslots, unit, exchange, cof = terms[k]
+    terms[k] = (fslots, gslots, unit, exchange[1:], cof)
+    plan.oracle = (vs, terms, lcd, check)
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "B2", "G2"))
+def test_a_broken_plan_is_caught(name):
+    cartan = builtin_cartan(name)
+    build = ShuffleAlgebra(cartan)
+    f = build.word_image([(1, 0), (cartan.rank, 1)])
+    g = build.generator(1, -1)
+    alg = ShuffleAlgebra(cartan, oracle=True)
+    alg.mul(f, g)
+    checks = alg.oracle_checks
+    _drop_one_exchange_binomial(alg._plans[f.degree, g.degree])
+    with pytest.raises(ArithmeticError):
+        alg.mul(f, g)
+    assert alg.oracle_checks == checks
+    # control: the product half is untouched, so without the oracle the
+    # product still comes out right
+    alg.oracle = False
+    assert alg.mul(f, g) == build.mul(f, g)
+    # the printed orientation reads its product off the broken sum
+    printed = ShuffleAlgebra(cartan, orientation="printed")
+    before = _outcome(ShuffleAlgebra.mul, printed, f, g)
+    _drop_one_exchange_binomial(printed._plans[f.degree, g.degree])
+    after = _outcome(ShuffleAlgebra.mul, printed, f, g)
+    assert after != before
+
+
+def test_plans_are_built_once_per_pair_of_degrees(monkeypatch):
+    builds = []
+    for half in ("_product_plan", "_oracle_plan"):
+        method = getattr(ShuffleAlgebra, half)
+
+        def counted(self, n, m, method=method, half=half):
+            builds.append((half, n, m))
+            return method(self, n, m)
+
+        monkeypatch.setattr(ShuffleAlgebra, half, counted)
+    alg = ShuffleAlgebra(builtin_cartan("B2"), oracle=True)
+    assert alg.serre_image(2, 1, (0, 1, 1), 1).is_zero()
+    # 17 products on 8 pairs of degrees: (0,k) x (0,1) for k = 1, 2,
+    # (0,k) x (1,0) for k = 1..3 and (1,k) x (0,1) for k = 0..2
+    assert alg.oracle_checks == 17
+    assert len(builds) == 16
+    assert len(set(builds)) == 16 and len(alg._plans) == 8
+    # a second alternator of the same shape builds nothing
+    assert alg.serre_image(2, 1, (-1, 2, 2), 0).is_zero()
+    assert alg.oracle_checks == 34
+    assert len(builds) == 16
