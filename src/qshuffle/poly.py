@@ -1,13 +1,32 @@
 """Sparse multivariate Laurent polynomials over Q[q, q^-1], with every
-q-coefficient packed into one integer.
+monomial and every q-coefficient packed into one integer.
 
 Variables are ``VarId`` tuples (aux, color, index): either color
 variables z[c,i] attached to a root color c (aux ""), or named auxiliary
 variables (w, t, ...).  Their tuple order is the variable order: color
 variables by (c, i), then auxiliary ones by (name, index).  A
-``MultiLaurent`` keeps a registry of its variables sorted in that order,
-and a dict ``terms`` mapping z-exponent tuples (e_1, ..., e_n) to nonzero
-ints.  Negative exponents are allowed everywhere.
+``MultiLaurent`` keeps a registry of its n variables sorted in that
+order, and a dict ``terms`` mapping int keys to nonzero ints.  Negative
+exponents are allowed everywhere.
+
+The key of the monomial with z-exponents (e_1, ..., e_n) is
+
+    sum_i (e_i + 2^(F - 2)) 2^(F (n - i)),
+
+one field of F bits per variable, the first variable highest.  Each
+polynomial carries its field width ``F`` and a certified bound ``E`` >=
+max |e_i|, kept below 2^(F - 2), so every field lies in (0, 2^(F - 1)):
+the int order of keys is the order of their exponent tuples, adding
+sum_i d_i 2^(F (n - i)) to a key multiplies the monomial by prod z_i^d_i,
+and the top bit of every field is a guard that stays 0, so ``within``
+tests a whole box with two subtractions and two masks per key.  Every
+operation moves E: a sum takes the larger bound, a product the sum of
+the bounds, a binomial multiply adds 1, a substitution multiplies it by
+the number of slots summed, an exact division adds its longest run; a
+divided difference, a change of registry, ``within`` and ``scale`` keep
+it.  When it would reach 2^(F - 2), the keys are repacked at twice the
+width first.  Keys leave this module only as exponent tuples, read in
+bulk (``exponents``).
 
 The int V of a monomial packs its whole q-coefficient by Kronecker
 substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
@@ -48,9 +67,9 @@ take scalars and split each once.
 
 The only division ever needed higher up is by two-variable binomials
 z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
-by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
+by substitution (the binomial divides P iff P(z_i = c z_j) = 0), raises
 ``NotDivisible`` otherwise and reads the quotient off term by term, as
-``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
+``divided_difference`` computes (P - s P)/(z_i - z_j), which the shuffle
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
 one, the shifted copies summed.
@@ -58,21 +77,22 @@ one, the shifted copies summed.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, compress, count, permutations
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, permutations, repeat
 from math import lcm, prod
-from operator import add, ge, itemgetter, le, mul
+from operator import add, lshift, mul, or_, rshift, xor
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 
-# bits per q-digit of a new polynomial; wider packings are powers of two
+# bits per q-digit and per key field of a new polynomial; wider packings
+# are powers of two
 _K_START = 16
-# the digit widths read in bulk, as memoryview formats of little-endian
-# signed ints
-_VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little" else {}
+_F_START = 16
+# the digit widths read in bulk, as struct codes of signed ints
+_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 class NotDivisible(ArithmeticError):
@@ -136,20 +156,60 @@ def grassmannian_steps(n: int, m: int) -> list[int]:
     return [i for k in range(1, m + 1) for i in range(n + k - 1, k - 1, -1)]
 
 
-def _offset(n: int, exps) -> tuple:
-    """The key of prod z_slot^e over (slot, e) pairs, n variables."""
-    key = [0] * n
-    for slot, e in exps:
-        key[slot] += e
-    return tuple(key)
+# ---------- packed keys ----------
 
 
-def _picker(idx):
-    """A function returning the tuple (key[i] for i in idx)."""
-    idx = tuple(idx)
-    if len(idx) < 2:
-        return (lambda key: (key[idx[0]],)) if idx else (lambda key: ())
-    return itemgetter(*idx)
+def _key(exps, F: int) -> int:
+    """The key of a z-exponent tuple, every |e| below 2^(F - 2)."""
+    key, B = 0, 1 << F - 2
+    for e in exps:
+        key = key << F | e + B
+    return key
+
+
+def _exponents(keys, F: int, n: int) -> list:
+    """The z-exponent tuples of keys of n fields, read in bulk: a key less
+    2^(F - 2) in each field packs the exponents as balanced digits."""
+    if not n:
+        return [()] * len(keys)
+    half = _bias(F, n) >> 1
+    return list(zip(*[iter(_digits([k - half for k in keys], F, n, "big"))] * n))
+
+
+def _rekeyed(terms: dict, F: int, wide: int, n: int) -> dict:
+    """The same terms with their keys in fields of ``wide`` bits."""
+    return dict(zip([_key(e, wide) for e in _exponents(terms, F, n)], terms.values()))
+
+
+@lru_cache(maxsize=1024)
+def _mover(F: int, src: tuple, m: int):
+    """The function moving field k of a key of len(src) fields to slot
+    src[k] of m slots, or dropping it where src[k] is None, with exponent
+    0 in every slot it does not fill.  Runs of fields that stay adjacent
+    move as one block: a shift and a mask."""
+    n, runs, k = len(src), [], 0
+    while k < n:
+        j = k
+        if src[k] is not None:
+            while j + 1 < n and src[j + 1] == src[j] + 1:
+                j += 1
+            runs.append((F * (n - 1 - j), (1 << F * (j - k + 1)) - 1, F * (m - 1 - src[j])))
+        k = j + 1
+    base = sum(1 << F * (m - 1 - s) + F - 2 for s in set(range(m)).difference(src))
+    if len(runs) == 1:
+        ((a, mask, b),) = runs
+        return lambda key: (key >> a & mask) << b | base
+    if len(runs) == 2:
+        (a, mask, b), (c, mask2, d) = runs
+        return lambda key: (key >> a & mask) << b | (key >> c & mask2) << d | base
+
+    def move(key):
+        out = base
+        for a, mask, b in runs:
+            out |= (key >> a & mask) << b
+        return out
+
+    return move
 
 
 # ---------- packed q-coefficients ----------
@@ -177,22 +237,28 @@ def _pack(qt: dict, lo: int, K: int) -> int:
 
 
 def _encode(qts: dict):
-    """(terms, K, qlo, bound, den) of {z-key: q-term dict}, no dict empty."""
+    """(terms, K, qlo, bound, den, F, E) of {z-exponent tuple: q-term
+    dict}, no dict empty."""
     if not qts:
-        return {}, _K_START, 0, 0, 1
+        return {}, _K_START, 0, 0, 1, _F_START, 0
+    E = max(map(abs, chain.from_iterable(qts)), default=0)
+    F = _F_START
+    while E >> (F - 2):
+        F *= 2
+    keys = [_key(exps, F) for exps in qts]
     if len(qts) == 1:  # one monomial, often with one small int digit
-        ((key, qt),) = qts.items()
+        (qt,) = qts.values()
         if len(qt) == 1:
             ((s, a),) = qt.items()
             if type(a) is int and not abs(a) >> (_K_START - 2):
-                return {key: a}, _K_START, s, abs(a), 1
+                return {keys[0]: a}, _K_START, s, abs(a), 1, F, E
     den, ints = _ints(list(qts.values()))
     lo = min([min(qt) for qt in ints])
     bound = max([abs(a) for qt in ints for a in qt.values()])
     K = _K_START
     while bound >> (K - 2):
         K *= 2
-    return {key: _pack(qt, lo, K) for key, qt in zip(qts, ints)}, K, lo, bound, den
+    return dict(zip(keys, [_pack(qt, lo, K) for qt in ints])), K, lo, bound, den, F, E
 
 
 def _width(values, K: int) -> int:
@@ -210,24 +276,32 @@ def _bias(K: int, n: int) -> int:
     return ((1 << K * n) - 1) // ((1 << K) - 1) << (K - 1)
 
 
-def _digits(values, K: int, n: int):
+def _digits(values, K: int, n: int, order="little"):
     """The digits of the packed values, n per value, as one flat sequence
-    of ints."""
+    of ints: lowest digit first, or highest first for order "big"."""
     size = n * K // 8
     bias = _bias(K, n)
-    blob = b"".join([((v + bias) ^ bias).to_bytes(size, "little") for v in values])
-    if K in _VIEW:
-        return memoryview(blob).cast(_VIEW[K])
+    blob = b"".join([((v + bias) ^ bias).to_bytes(size, order) for v in values])
+    if K in _CODE:
+        return struct.unpack(f"{'<>'[order == 'big']}{len(blob) * 8 // K}{_CODE[K]}", blob)
     step = K // 8
-    return [int.from_bytes(blob[i:i + step], "little", signed=True) for i in range(0, len(blob), step)]
+    return [int.from_bytes(blob[i:i + step], order, signed=True) for i in range(0, len(blob), step)]
 
 
 def _true_bound(terms: dict, K: int) -> int:
-    """The largest |digit| of the packed values."""
+    """A power of two 2^L >= every |digit| of the packed values, in one
+    pass of int operations: in the digits modulo 2^K, the fields whose top
+    bit is set (c < 0) are complemented to |c| - 1, and L is the bit length
+    of all fields of all values ORed together."""
     if not terms:
         return 0
-    d = _digits(terms.values(), K, _width(terms.values(), K))
-    return max(max(d), -min(d))
+    values = terms.values()
+    n = _width(values, K)
+    bias, field = _bias(K, n), (1 << K) - 1
+    mods = list(map(xor, map(bias.__add__, values), repeat(bias)))
+    signs = map(rshift, map(bias.__and__, mods), repeat(K - 1))
+    r = reduce(or_, map(xor, mods, map(field.__mul__, signs)))
+    return 1 << max((r >> K * i & field).bit_length() for i in range(n))
 
 
 def _repacked(terms: dict, K: int, wide: int) -> dict:
@@ -237,8 +311,8 @@ def _repacked(terms: dict, K: int, wide: int) -> dict:
         return {}
     n = _width(terms.values(), K)
     d = _digits(terms.values(), K, n)
-    if wide in _VIEW:
-        blob = array(_VIEW[wide], d).tobytes()
+    if wide in _CODE:
+        blob = struct.pack(f"<{len(d)}{_CODE[wide]}", *d)
     else:
         blob = b"".join(x.to_bytes(wide // 8, "little", signed=True) for x in d)
     size = n * wide // 8
@@ -256,11 +330,15 @@ def _fit(polys, need):
     K doubles until the need fits with a quarter of K to spare."""
     K = max(p.K for p in polys)
     bounds = [_true_bound(p.terms, p.K) for p in polys]
+    for p, b in zip(polys, bounds):  # a tighter certificate for the same value
+        p.bound = min(p.bound, b)
     if need(*bounds) >> (K - 2):
         while need(*bounds) >> (K - 2 - K // 4):
             K *= 2
     return [
-        MultiLaurent._raw(p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den)
+        MultiLaurent._raw(
+            p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den, p.F, p.E
+        )
         for p, b in zip(polys, bounds)
     ], K
 
@@ -281,24 +359,21 @@ def _add_into(out: dict, terms) -> dict:
     return out
 
 
-def _shifted(terms: dict, off: tuple, X: int) -> dict:
-    """X * x^off * terms for a nonzero X: a bijection on keys."""
-    if X == 1:
-        return {tuple(map(add, key, off)): V for key, V in terms.items()}
-    return {tuple(map(add, key, off)): V * X for key, V in terms.items()}
-
-
 def _shifted_sum(terms: dict, shifts) -> dict:
-    """sum of X * x^off * terms over the (off, X) pairs: the first shift
-    is a fresh dict, every later one is added straight into it."""
+    """sum of X * x^off * terms over the (off, X) pairs, off the key
+    offset: the first shift is a fresh dict, every later one is added
+    straight into it."""
     if not shifts:
         return {}
     off, X = shifts[0]
-    out = _shifted(terms, off, X)
+    if X == 1:
+        out = {key + off: V for key, V in terms.items()}
+    else:
+        out = {key + off: V * X for key, V in terms.items()}
     get = out.get
     for off, X in shifts[1:]:
         for key, V in terms.items():
-            key = tuple(map(add, key, off))
+            key += off
             s = get(key, 0) + V * X
             if s:
                 out[key] = s
@@ -307,39 +382,43 @@ def _shifted_sum(terms: dict, shifts) -> dict:
     return out
 
 
-def _divided(terms: dict, pi: int, pj: int):
-    """The terms of the divided difference in slots pi, pj, and the
-    longest run |a - b| met."""
+def _divided(terms: dict, si: int, sj: int, M: int):
+    """The terms of the divided difference in the fields at bits si and sj
+    (mask M), and the longest run met: x^a y^b, a > b, becomes the run
+    from x^b y^(a - 1) in steps of x / y."""
     out = {}
     get = out.get
     top = 0
-    for exps, V in terms.items():
-        a, b = exps[pi], exps[pj]
-        if a == b:
+    step = (1 << si) - (1 << sj)
+    for key, V in terms.items():
+        d = (key >> si & M) - (key >> sj & M)
+        if not d:
             continue
-        if a < b:
-            a, b, V = b, a, -V
-        if a - b > top:
-            top = a - b
-        lst = list(exps)
-        for k in range(b, a):
-            lst[pi] = k
-            lst[pj] = a + b - 1 - k
-            key = tuple(lst)
+        if d > 0:
+            key += (d - 1 << sj) - (d << si)
+        else:
+            d, V = -d, -V
+            key -= 1 << sj
+        if d > top:
+            top = d
+        for _ in range(d):
             s = get(key, 0) + V
             if s:
                 out[key] = s
             else:
                 del out[key]
+            key += step
     return out, top
 
 
 def _common(a: MultiLaurent, b: MultiLaurent):
     """The terms of a and b (one registry) in one packing, and that
-    packing (K, qlo, bound of a sum, den)."""
+    packing (K, qlo, bound of a sum, den, F, E)."""
     if not a.terms or not b.terms:
         p = b if not a.terms else a
-        return (a.terms, b.terms), (p.K, p.qlo, p.bound, p.den)
+        return (a.terms, b.terms), (p.K, p.qlo, p.bound, p.den, p.F, p.E)
+    if a.F != b.F:
+        a, b = a._keyed(0, b.F), b._keyed(0, a.F)
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     ma, mb = den // a.den, den // b.den
     K = a.K
@@ -348,13 +427,13 @@ def _common(a: MultiLaurent, b: MultiLaurent):
     lo = min(a.qlo, b.qlo)
     ta = _times(a.terms, ma << K * (a.qlo - lo))
     tb = _times(b.terms, mb << K * (b.qlo - lo))
-    return (ta, tb), (K, lo, a.bound * ma + b.bound * mb, den)
+    return (ta, tb), (K, lo, a.bound * ma + b.bound * mb, den, a.F, max(a.E, b.E))
 
 
 class MultiLaurent:
     """A Laurent polynomial in several variables over Q[q, q^-1]."""
 
-    __slots__ = ("vars", "terms", "K", "qlo", "bound", "den")
+    __slots__ = ("vars", "terms", "K", "qlo", "bound", "den", "F", "E")
 
     def __init__(self, vars=(), terms=None):
         """Build from {z-exponent tuple: scalar}."""
@@ -370,20 +449,32 @@ class MultiLaurent:
                 if qt:
                     qts[exps] = qt
         self.vars = vs
-        self.terms, self.K, self.qlo, self.bound, self.den = _encode(qts)
+        self.terms, self.K, self.qlo, self.bound, self.den, self.F, self.E = _encode(qts)
 
     @classmethod
-    def _raw(cls, vs: tuple[VarId, ...], terms: dict, K: int, qlo: int, bound: int, den: int) -> MultiLaurent:
-        """Trusted constructor: terms already packed at K from qlo."""
+    def _raw(cls, vs: tuple[VarId, ...], terms: dict, K: int, qlo: int, bound: int, den: int, F: int, E: int):
+        """Trusted constructor: values packed at K from qlo, keys in F-bit
+        fields with exponents at most E in size."""
         self = cls.__new__(cls)
-        self.vars, self.terms, self.K, self.qlo, self.bound, self.den = vs, terms, K, qlo, bound, den
+        self.vars, self.terms, self.K, self.qlo, self.bound, self.den, self.F, self.E = (
+            vs, terms, K, qlo, bound, den, F, E
+        )
         return self
 
     def _like(self, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
         """Terms in this polynomial's packing, over the registry vs."""
-        p = MultiLaurent.__new__(MultiLaurent)
-        p.vars, p.terms, p.K, p.qlo, p.bound, p.den = vs, terms, self.K, self.qlo, self.bound, self.den
-        return p
+        return MultiLaurent._raw(vs, terms, self.K, self.qlo, self.bound, self.den, self.F, self.E)
+
+    def _keyed(self, E: int, F: int = 0) -> MultiLaurent:
+        """This polynomial with key fields of at least F bits and wide
+        enough for the exponent bound E; E itself is the caller's."""
+        wide = max(self.F, F)
+        while E >> (wide - 2):
+            wide *= 2
+        if wide == self.F:
+            return self
+        terms = _rekeyed(self.terms, self.F, wide, len(self.vars))
+        return MultiLaurent._raw(self.vars, terms, self.K, self.qlo, self.bound, self.den, wide, self.E)
 
     def _room(self, mult: int) -> MultiLaurent:
         """This polynomial, packed wide enough for its bound times mult."""
@@ -400,7 +491,7 @@ class MultiLaurent:
 
     @classmethod
     def zero(cls, vars=()) -> MultiLaurent:
-        return cls._raw(_sorted_vars(vars), {}, _K_START, 0, 0, 1)
+        return cls._raw(_sorted_vars(vars), {}, _K_START, 0, 0, 1, _F_START, 0)
 
     @classmethod
     def constant(cls, c, vars=()) -> MultiLaurent:
@@ -450,35 +541,31 @@ class MultiLaurent:
             return self
         vs = _sorted_vars(self.vars + tuple(extra))
         pos = {v: i for i, v in enumerate(vs)}
-        return self._reslot(vs, [pos[v] for v in self.vars])
+        return self._reslot(vs, tuple(pos[v] for v in self.vars))
 
     def without_vars(self, drop) -> MultiLaurent:
         """Remove variables that no term uses from the registry; ValueError
         if a term has a nonzero exponent in one of them."""
         drop = set(drop)
-        idx = [i for i, v in enumerate(self.vars) if v in drop]
-        if not idx:
+        n, F = len(self.vars), self.F
+        shifts = [F * (n - 1 - i) for i, v in enumerate(self.vars) if v in drop]
+        if not shifts:
             return self
-        if any(key[i] for key in self.terms for i in idx):
+        # the dropped fields as a mask, and as they read with exponent 0
+        mask, zero = sum(((1 << F) - 1) << s for s in shifts), sum(1 << s + F - 2 for s in shifts)
+        if any(key & mask != zero for key in self.terms):
             raise ValueError("cannot drop a variable the polynomial uses")
-        keep = [i for i, v in enumerate(self.vars) if v not in drop]
-        pick = _picker(keep)
-        return self._like(tuple(self.vars[i] for i in keep), {pick(key): V for key, V in self.terms.items()})
+        keep = [v for v in self.vars if v not in drop]
+        return self._reslot(tuple(keep), tuple(keep.index(v) if v not in drop else None for v in self.vars))
 
-    def _reslot(self, vs: tuple[VarId, ...], src) -> MultiLaurent:
+    def _reslot(self, vs: tuple[VarId, ...], src: tuple) -> MultiLaurent:
         """Move the exponent of each old variable k to slot src[k] of the
-        registry vs; every other slot gets exponent 0."""
-        old = len(src)
-        # read each new slot from its old slot, or from a 0 appended to the key
-        idx = [old] * len(vs)
-        for k, slot in enumerate(src):
-            idx[slot] = k
-        pick = _picker(idx)
-        if old in idx:
-            terms = {pick(key + (0,)): V for key, V in self.terms.items()}
-        else:
-            terms = {pick(key): V for key, V in self.terms.items()}
-        return self._like(vs, terms)
+        registry vs, or drop it where src[k] is None; every other slot
+        gets exponent 0."""
+        if src == tuple(range(len(vs))):
+            return self._like(vs, self.terms)
+        move = _mover(self.F, src, len(vs))
+        return self._like(vs, {move(key): V for key, V in self.terms.items()})
 
     def _align(self, other: MultiLaurent):
         if self.vars == other.vars:
@@ -497,32 +584,47 @@ class MultiLaurent:
 
     def exp_range(self, v: VarId):
         """(min, max) exponent of v over all terms; (0, 0) if absent/zero."""
-        if not self.terms:
+        if not self.terms or v not in self.vars:
             return (0, 0)
-        if v not in self.vars:
-            return (0, 0)
-        i = self.vars.index(v)
-        es = [exps[i] for exps in self.terms]
-        return (min(es), max(es))
+        F = self.F
+        s, M = F * (len(self.vars) - 1 - self.vars.index(v)), (1 << F) - 1
+        es = [key >> s & M for key in self.terms]
+        return (min(es) - (1 << F - 2), max(es) - (1 << F - 2))
+
+    def exponents(self) -> list[tuple]:
+        """The z-exponent tuples of the stored monomials, in ``terms``
+        order."""
+        return _exponents(self.terms, self.F, len(self.vars))
 
     def coeff(self, exps) -> LaurentQ:
         """The q-coefficient of the monomial with these variable exponents."""
-        V = self.terms.get(tuple(exps))
-        return self._laurent(V) if V else LaurentQ()
+        exps = tuple(exps)
+        if len(exps) == len(self.vars) and all(abs(e) <= self.E for e in exps):
+            V = self.terms.get(_key(exps, self.F))
+            if V:
+                return self._laurent(V)
+        return LaurentQ()
 
     def within(self, bounds: dict) -> MultiLaurent:
         """The terms whose exponent of every variable v lies in bounds[v] =
-        (lo, hi); q is not tested."""
-        los = [bounds[v][0] for v in self.vars]
-        his = [bounds[v][1] for v in self.vars]
+        (lo, hi); q is not tested.  With the bounds clamped to the fields
+        and H the top bit of every field, a field of (key | H) - lo keeps
+        its top bit iff e >= lo, and one of (hi | H) - key iff e <= hi."""
+        F, B = self.F, 1 << self.F - 2
+        lo = hi = 0
+        for v in self.vars:
+            a, b = bounds[v]
+            lo, hi = lo << F | min(max(a, -B), B) + B, hi << F | min(max(b, -B), B - 1) + B
+        H = _bias(F, len(self.vars))
+        hi |= H
         return self._like(self.vars, {
-            key: V for key, V in self.terms.items() if all(map(le, los, key)) and all(map(ge, his, key))
+            key: V for key, V in self.terms.items() if (key | H) - lo & H == H and hi - key & H == H
         })
 
     def total_degree_if_homogeneous(self):
         """The common total degree in the variables (q not counted) of all
         terms, or None."""
-        degs = set(map(sum, self.terms))
+        degs = set(map(sum, self.exponents()))
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -562,6 +664,8 @@ class MultiLaurent:
             a, b = b, a
         if not a.terms:
             return MultiLaurent.zero(a.vars)
+        E = a.E + b.E
+        a, b = a._keyed(E, b.F), b._keyed(E, a.F)
         # a digit of a coefficient product sums at most w digit products, w
         # the smaller operand's digit count, and a monomial collects at most
         # one product per term of the smaller operand
@@ -569,9 +673,11 @@ class MultiLaurent:
         K = a.K
         if b.K != K or (a.bound * b.bound * w * n) >> (K - 2):
             (a, b), K = _fit((a, b), lambda x, y: x * y * w * n)
+        # the key offset of a term of a: its key less exponent 0's
+        zero = _bias(a.F, len(a.vars)) >> 1
         return MultiLaurent._raw(
-            a.vars, _shifted_sum(b.terms, list(a.terms.items())), K, a.qlo + b.qlo,
-            a.bound * b.bound * w * n, a.den * b.den,
+            a.vars, _shifted_sum(b.terms, [(key - zero, V) for key, V in a.terms.items()]), K,
+            a.qlo + b.qlo, a.bound * b.bound * w * n, a.den * b.den, a.F, E,
         )
 
     __rmul__ = __mul__
@@ -585,7 +691,7 @@ class MultiLaurent:
         p = self._room(mult)
         lo = min(qt)
         return MultiLaurent._raw(
-            p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo, p.bound * mult, p.den * den
+            p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo, p.bound * mult, p.den * den, p.F, p.E
         )
 
     def __pow__(self, n: int) -> MultiLaurent:
@@ -621,13 +727,13 @@ class MultiLaurent:
         mult = sum(map(abs, x.values())) + sum(map(abs, y.values()))
         if not mult or not p.terms:
             return MultiLaurent.zero(p.vars)
-        p = p._room(mult)
-        lo, n, K = min(chain(x, y)), len(p.vars), p.K
+        p = p._room(mult)._keyed(p.E + 1)
+        lo, n, K, F = min(chain(x, y)), len(p.vars), p.K, p.F
         shifts = [
-            (_offset(n, ((p.vars.index(v), 1),)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c
+            (1 << F * (n - 1 - p.vars.index(v)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c
         ]
         return MultiLaurent._raw(
-            p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den
+            p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den, F, p.E + 1
         )
 
     # ---------- substitution and relabeling ----------
@@ -657,55 +763,65 @@ class MultiLaurent:
         vs = _sorted_vars([u for u in self.vars if u not in v] + [target])
         if not self.terms:
             return MultiLaurent.zero(vs)
-        n = len(self.vars)
-        # the new key reads each kept slot from the old key and the target
-        # slot from the appended exponent sum
-        pick = _picker([n if u == target else pos[u] for u in vs])
-        exponents = _picker(list(subs))
-        terms = self.terms
-
-        def span(i):
-            col = list(map(itemgetter(i), terms))
-            return min(col), max(col)
-
+        E = self.E * len(subs)
+        p = self._keyed(E)
+        F, n, slot = p.F, len(p.vars), {u: i for i, u in enumerate(vs)}
+        M, B = (1 << F) - 1, 1 << F - 2
+        # the new key moves each kept field and puts the sum of the
+        # substituted ones into the target's, which the move leaves at B
+        move = _mover(F, tuple(None if i in subs else slot[u] for i, u in enumerate(p.vars)), len(vs))
+        at = F * (len(vs) - 1 - slot[target])
+        fix = len(subs) * B << at
+        # the substituted fields, exponent + B, one column per variable
+        cols = [[key >> s & M for key in p.terms] for s in [F * (n - 1 - i) for i in subs]]
         # the lowest q shift, and a^e = p^(e - lo) r^(hi - e) p^lo / r^hi
         # for a = p / r: an int factor per term, the constant num / den
         low, shifts, scaled = 0, [], []
-        for k, (i, (a, s)) in enumerate(subs.items()):
+        for k, (a, s) in enumerate(subs.values()):
             shifts.append(s)
             if s or a != 1:
-                lo, hi = span(i)
+                lo, hi = min(cols[k]), max(cols[k])
                 low += s * (hi if s < 0 else lo)
                 if a != 1:
                     scaled.append((k, a.numerator, a.denominator, lo, hi))
-        mult = len(terms)
-        if (self.bound * mult) >> (self.K - 2):
+        mult = len(p.terms)
+        if (p.bound * mult) >> (p.K - 2):
             # the keys meeting on one new key differ in the summed exponents
             # only, and their sum is fixed: all but the widest are free
-            widths = sorted(hi - lo + 1 for lo, hi in map(span, subs))
+            widths = sorted(max(col) - min(col) + 1 for col in cols)
             mult = min(mult, prod(widths[:-1]))
         num = den = 1
         if scaled:
-            const = prod(Fraction(p) ** lo * Fraction(r) ** -hi for _, p, r, lo, hi in scaled)
+            const = prod(Fraction(p) ** (lo - B) * Fraction(r) ** (B - hi) for _, p, r, lo, hi in scaled)
             num, den = const.numerator, const.denominator
             mult *= abs(num) * prod(max(abs(p), r) ** (hi - lo) for _, p, r, lo, hi in scaled)
-        p = self._room(mult)
+        p = p._room(mult)
         K = p.K
-        out = {}
-        get = out.get
-        for key, V in p.terms.items():
-            es = exponents(key)
-            new = pick(key + (sum(es),))
-            if scaled:
+        if scaled:
+            values = []
+            for V, es in zip(p.terms.values(), zip(*cols)):
                 for k, a, r, lo, hi in scaled:
                     V *= a ** (es[k] - lo) * r ** (hi - es[k])
-                V *= num
-            s = get(new, 0) + (V << K * (sum(map(mul, es, shifts)) - low))
+                values.append(V * num)
+        else:
+            values = p.terms.values()
+        # the q shift K (sum_k s_k e_k - low) and the new key of every term,
+        # column by column
+        qs = [-K * low] * len(p.terms)
+        for s, col in zip(shifts, cols):
+            if s:
+                qs = list(map(add, qs, [K * s * e for e in col]))
+        news = map(add, map(move, p.terms), [(t << at) - fix for t in map(sum, zip(*cols))])
+        out = {}
+        get = out.get
+        for new, V in zip(news, map(lshift, values, qs)):
+            s = get(new, 0) + V
             if s:
                 out[new] = s
             else:
                 del out[new]
-        return MultiLaurent._raw(vs, out, K, p.qlo + low, p.bound * mult, p.den * den)
+        # low is taken over biased exponents
+        return MultiLaurent._raw(vs, out, K, p.qlo + low - B * sum(shifts), p.bound * mult, p.den * den, F, E)
 
     def relabel(self, mapping: dict) -> MultiLaurent:
         """Rename variables by an injective VarId -> VarId mapping."""
@@ -714,7 +830,7 @@ class MultiLaurent:
             raise ValueError("relabeling must be injective on the registry")
         vs = _sorted_vars(new_of.values())
         pos = {u: i for i, u in enumerate(vs)}
-        return self._reslot(vs, [pos[new_of[v]] for v in self.vars])
+        return self._reslot(vs, tuple(pos[new_of[v]] for v in self.vars))
 
     # ---------- symmetry ----------
 
@@ -730,16 +846,26 @@ class MultiLaurent:
         """Invariance under all adjacent swaps of the color's variables:
         each swap is a bijection on keys, so every swapped key must carry
         the same packed value."""
-        slots = [i for i, v in enumerate(self.vars) if v.color == color]
+        n, F = len(self.vars), self.F
+        M = (1 << F) - 1
+        slots = [F * (n - 1 - i) for i, v in enumerate(self.vars) if v.color == color]
         terms = self.terms
         get = terms.get
-        for i, j in zip(slots, slots[1:]):
-            idx = list(range(len(self.vars)))
-            idx[i], idx[j] = j, i
-            pick = _picker(idx)
+        for si, sj in zip(slots, slots[1:]):
+            # swapping the fields adds d (2^si - 2^sj), d their difference:
+            # a bijection between the keys with d > 0 and those with d < 0,
+            # so it is enough to look the first up and count the others
+            step, balance = (1 << si) - (1 << sj), 0
             for key, V in terms.items():
-                if key[i] != key[j] and get(pick(key)) != V:
-                    return False
+                d = (key >> sj & M) - (key >> si & M)
+                if d > 0:
+                    if get(key + d * step) != V:
+                        return False
+                    balance += 1
+                elif d:
+                    balance -= 1
+            if balance:
+                return False
         return True
 
     # ---------- division ----------
@@ -753,35 +879,37 @@ class MultiLaurent:
     def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
         """``exact_div_binomial`` for c = a q^s.
 
-        The binomial divides F iff F(z_vi = c z_vj) = 0.  Then, with x = z_vi,
-        y = z_vj and b the lowest exponent of x, F = sum x^b y^f (x^e - (c y)^e)
-        over its terms x^(b + e) y^f, so each term contributes x^b y^f
-        sum_{t < e} x^(e - 1 - t) (c y)^t to the quotient."""
+        The binomial divides P iff P(z_vi = c z_vj) = 0.  With x = z_vi,
+        y = z_vj and b the lowest exponent of x, that is tested on
+        P(x = c y) x^b / (c y)^b, to which a term x^(b + e) y^f gives c^e x^b
+        y^(f + e).  Then P = sum x^b y^f (x^e - (c y)^e) over its terms, so
+        each term contributes x^b y^f sum_{t < e} x^(e - 1 - t) (c y)^t to
+        the quotient."""
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
-        if self._substitute((vi,), [(a, s)], vj):
-            raise NotDivisible(vi, vj, a, s)
         f = self.with_vars((vi, vj))
-        n, pi, pj = len(f.vars), f.vars.index(vi), f.vars.index(vj)
-        xs, ys = list(map(itemgetter(pi), f.terms)), list(map(itemgetter(pj), f.terms))
-        b, top = min(xs), max(xs) - min(xs)
-        # a quotient term sums the terms above it on its substitution line,
-        # each times a^t = p^t / r^t, t < top: over the denominator r^(top-1)
-        p, r = a.numerator, a.denominator
-        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** (top - 1)
-        f = f._room(mult)
-        K, lo = f.K, min(0, s * (top - 1))
-        # the offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
-        steps = [
-            (_offset(n, ((pi, -1 - t), (pj, t))), p**t * r ** (top - 1 - t) << K * (s * t - lo))
-            for t in range(top)
-        ]
+        (b, hi), (ylo, yhi) = f.exp_range(vi), f.exp_range(vj)
+        top, p, r = hi - b, a.numerator, a.denominator
+        # up to top + 1 terms meet on a monomial of the test, each times
+        # a^e = p^e / r^e, e <= top, over r^top; a quotient term sums the
+        # terms above it on its line, each times a^t, t < top, over r^(top-1)
+        meet = min(top + 1, yhi - ylo + 1)
+        f = f._room(meet * max(abs(p), r) ** top)._keyed(f.E + top)
+        n, F, K, lo = len(f.vars), f.F, f.K, min(0, s * top)
+        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
+        es = [(key >> si & M) - b - (1 << F - 2) for key in f.terms]
+        shift, powers = (1 << sj) - (1 << si), [p**e * r ** (top - e) << K * (s * e - lo) for e in range(top + 1)]
+        moved = map(add, f.terms, [e * shift for e in es])
+        if _add_into({}, zip(moved, map(mul, f.terms.values(), map(powers.__getitem__, es)))):
+            raise NotDivisible(vi, vj, a, s)
+        lo = min(0, s * (top - 1))
+        # the key offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
+        steps = [((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo)) for t in range(top)]
         return MultiLaurent._raw(f.vars, _add_into({}, (
-            (tuple(map(add, key, off)), V * X)
-            for key, V in f.terms.items() for off, X in steps[: key[pi] - b]
-        )), K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1))
+            (key + off, V * X) for (key, V), e in zip(f.terms.items(), es) for off, X in steps[:e]
+        )), K, f.qlo + lo, f.bound * meet * max(abs(p), r) ** (top - 1), f.den * r ** (top - 1), F, f.E + top)
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
         """The divided difference (F - s F) / (z_vi - z_vj), s swapping the
@@ -791,16 +919,17 @@ class MultiLaurent:
         if vi == vj:
             raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
-        pi, pj = f.vars.index(vi), f.vars.index(vj)
-        out, run = _divided(f.terms, pi, pj)
+        n, F = len(f.vars), f.F
+        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
+        out, run = _divided(f.terms, si, sj, M)
         # a run and its mirror image can meet on one monomial
         mult = run + (run & 1)
         if (f.bound * mult) >> (f.K - 2):
             # the loop is exact on packed values at any K, but its result
             # could not be read: redo it on a copy with room
             f = f._room(mult)
-            out, _ = _divided(f.terms, pi, pj)
-        return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den)
+            out, _ = _divided(f.terms, si, sj, M)
+        return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den, F, f.E)
 
     # ---------- evaluation ----------
 
@@ -808,7 +937,7 @@ class MultiLaurent:
         vals = [Fraction(coefficient(assignment[v])) for v in self.vars]
         q0 = Fraction(coefficient(q0))
         total = Fraction(0)
-        for exps, V in self.terms.items():
+        for exps, V in zip(self.exponents(), self.terms.values()):
             term = self._laurent(V).eval_at(q0)
             for val, e in zip(vals, exps):
                 if e:
@@ -833,20 +962,21 @@ class MultiLaurent:
         # constant equals its scalar: hash like the LaurentQ of its
         # coefficient, or hash the nonzero (variable, exponent) pairs of
         # each monomial with its LaurentQ
-        zero = (0,) * len(self.vars)
+        zero = _bias(self.F, len(self.vars)) >> 1
         if all(key == zero for key in self.terms):
-            return hash(self.coeff(zero))
+            return hash(self.coeff((0,) * len(self.vars)))
         return hash(frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), self._laurent(V))
-            for exps, V in self.terms.items()
+            for exps, V in zip(self.exponents(), self.terms.values())
         ))
 
     def term_lines(self) -> list[str]:
         """Canonical text rendering, one line per (coefficient, monomial).
 
-        Terms come sorted by their z-exponents and then by the power of q,
-        as a stable term list like ``(1) q^0 | z[1,1]^2``.  The digits of
-        all monomials are read in one pass.
+        Terms come sorted by their z-exponents (the order of their keys)
+        and then by the power of q, as a stable term list like ``(1) q^0 |
+        z[1,1]^2``.  The digits and the exponents of all monomials are read
+        in one pass each.
         """
         if not self.terms:
             return []
@@ -855,7 +985,13 @@ class MultiLaurent:
         n = _width(self.terms.values(), self.K)
         digits = _digits([self.terms[key] for key in keys], self.K, n)
         powers = [f") q^{self.qlo + i} | " for i in range(n)]
-        monos = [" ".join([f"{v}^{e}" for v, e in zip(names, key) if e]) or "1" for key in keys]
+        # each column's exponents as text, one string per distinct exponent
+        cols = []
+        for name, col in zip(names, zip(*_exponents(keys, self.F, len(self.vars)))):
+            text = {e: f"{name}^{e}" for e in set(col)}
+            text[0] = ""
+            cols.append(map(text.__getitem__, col))
+        monos = [" ".join(filter(None, parts)) or "1" for parts in zip(*cols)] if cols else ["1"] * len(keys)
         if self.den != 1:
             digits = [coefficient(Fraction(c, self.den)) for c in digits]
         return [f"({digits[at]}{powers[at % n]}{monos[at // n]}" for at in compress(count(), digits)]

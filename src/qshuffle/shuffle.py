@@ -202,18 +202,19 @@ class ShuffleAlgebra:
     # ---------- basic elements ----------
 
     def unit(self) -> ShuffleElement:
-        return ShuffleElement(
-            self.cartan, (0,) * self.cartan.rank, MultiLaurent.constant(1)
-        )
+        return ShuffleElement._over(self.cartan, (0,) * self.cartan.rank, MultiLaurent.constant(1))
 
     def generator(self, color: int, mode: int) -> ShuffleElement:
         self.cartan._check_index(color)
-        degree = tuple(
-            1 if c == color else 0 for c in range(1, self.cartan.rank + 1)
-        )
-        return ShuffleElement(
-            self.cartan, degree, MultiLaurent.var_power(zvar(color, 1), mode)
-        )
+        degree = tuple(1 if c == color else 0 for c in range(1, self.cartan.rank + 1))
+        # one variable, z[color,1]: the degree's registry, and symmetric
+        return ShuffleElement._over(self.cartan, degree, MultiLaurent.var_power(zvar(color, 1), mode))
+
+    def _own(self, *elements):
+        """ValueError unless every element has this algebra's Cartan datum,
+        whose pairing the caller is about to use."""
+        if any(el.cartan != self.cartan for el in elements):
+            raise ValueError("operands belong to a different Cartan datum")
 
     def flat_vars(self, degree) -> list[VarId]:
         return [
@@ -265,6 +266,7 @@ class ShuffleAlgebra:
         return num
 
     def to_rational(self, f: ShuffleElement) -> RatFun:
+        self._own(f)
         return RatFun(self._canonical_numerator(f), self._form(f.degree)[0])
 
     def to_symmetric_rational(self, f: ShuffleElement) -> RatFun:
@@ -314,8 +316,8 @@ class ShuffleAlgebra:
         flat = self.flat_vars(total)
         start = [sum(total[:c]) for c in range(len(total))]
         # f's z[c,k] goes to slot k of color c, g's z[c,k] to slot n_c + k
-        fslots = [start[v.color - 1] + v.index - 1 for v in self.flat_vars(n)]
-        gslots = [start[v.color - 1] + n[v.color - 1] + v.index - 1 for v in self.flat_vars(m)]
+        fslots = tuple(start[v.color - 1] + v.index - 1 for v in self.flat_vars(n))
+        gslots = tuple(start[v.color - 1] + n[v.color - 1] + v.index - 1 for v in self.flat_vars(m))
         left, right = [flat[i] for i in fslots], [flat[i] for i in gslots]
         cross = [(u, (1, 0), v, (-1, self._pairing[u.color, v.color])) for u in left for v in right]
         odd = sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2 == 1
@@ -357,15 +359,14 @@ class ShuffleAlgebra:
                 exchange.append((u, (1, p), v, (-1, 0)))
                 fac = BinomialFactor.from_parts(u, v, p)
                 den[fac] = den.get(fac, 0) + 1
-            slots = [[pos[mp[x]] for x in self.flat_vars(d)] for d, mp in ((n, fmap), (m, gmap))]
+            slots = [tuple(pos[mp[x]] for x in self.flat_vars(d)) for d, mp in ((n, fmap), (m, gmap))]
             parts.append((slots, None if unit.is_one() else unit, exchange, den))
         lcd = den_lcm(den for *_, den in parts)
         terms = [(*slots, unit, exchange, cofactor(lcd, den)) for slots, unit, exchange, den in parts]
         return tuple(flat), terms, lcd, cancel_common(lcd, self._form(total)[0])
 
     def mul(self, f: ShuffleElement, g: ShuffleElement) -> ShuffleElement:
-        if f.cartan != self.cartan or g.cartan != self.cartan:
-            raise ValueError("operands belong to a different Cartan datum")
+        self._own(f, g)
         # one oracle sum per product: the printed product is read off it
         summed = self.oracle or self.orientation == "printed"
         plan = self._plan(f.degree, g.degree, summed)
@@ -442,6 +443,7 @@ class ShuffleAlgebra:
         """Direct rational-function shuffle sum: relabel both factors into
         the combined variables, weight inverted mixed pairs by the exchange
         ratio, and reduce the sum once."""
+        self._own(f, g)
         plan = self._plan(f.degree, g.degree, True)
         return RatFun(*self._oracle_fraction(f, g, plan.oracle))
 
@@ -495,6 +497,7 @@ class ShuffleAlgebra:
         q^(c,c) z_v) in the product orientation and s(r) (z_u - q^(c,c)
         z_v) = r (q^(c,c) z_u - z_v) in the printed one.  Both sides are
         compared unreduced, by cross-multiplying."""
+        self._own(f)
         num, den = self._canonical_numerator(f), self._form(f.degree)[0]
         for c in range(1, self.cartan.rank + 1):
             cv = [v for v in self.flat_vars(f.degree) if v.color == c]
@@ -520,6 +523,7 @@ class ShuffleAlgebra:
             z[alpha, i_k] = q_alpha^(-2(k-1)) t,   z[beta, j] = q_alpha^(a) t.
 
         True when the degree cannot host a wheel (vacuous)."""
+        self._own(f)
         if alpha == beta:
             raise ValueError("wheel check needs two distinct colors")
         a = self.cartan.a(alpha, beta)

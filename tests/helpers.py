@@ -47,5 +47,6 @@ def random_q_monomial(rng, exp_range=3) -> RatQ:
 
 def coefficients(p) -> dict:
     """The terms of a polynomial or series as {(e_1, ..., e_n): RatQ}, the
-    format the constructors accept."""
-    return {key: RatQ(p.coeff(key)) for key in p.terms}
+    format the constructors accept, the keys read through ``exponents``."""
+    p = getattr(p, "poly", p)  # a series is read through its polynomial
+    return {key: RatQ(p.coeff(key)) for key in p.exponents()}

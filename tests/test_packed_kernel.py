@@ -239,9 +239,11 @@ def packed_as(p, K, qlo, den):
     for key, c in expanded(p).items():
         grouped.setdefault(key[:-1], {})[key[-1]] = c * den
     assert all(Fraction(c).denominator == 1 for qt in grouped.values() for c in qt.values())
-    terms = {key: sum(int(c) << K * (s - qlo) for s, c in qt.items()) for key, qt in grouped.items()}
+    terms = {
+        poly._key(key, p.F): sum(int(c) << K * (s - qlo) for s, c in qt.items()) for key, qt in grouped.items()
+    }
     bound = max((abs(int(c)) for qt in grouped.values() for c in qt.values()), default=0)
-    return MultiLaurent._raw(p.vars, terms, K, qlo, bound, den)
+    return MultiLaurent._raw(p.vars, terms, K, qlo, bound, den, p.F, p.E)
 
 
 def packings(p):

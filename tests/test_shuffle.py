@@ -548,6 +548,43 @@ def test_mul_rejects_foreign_cartan():
         alg.mul(alg.generator(1, 0), other.generator(1, 0))
 
 
+def foreign_product():
+    """An A2 product, the B2 algebra that must refuse it, and the A2
+    algebra that accepts it."""
+    alg = ShuffleAlgebra(A2)
+    return alg.mul(alg.generator(1, 0), alg.generator(2, 0)), ShuffleAlgebra(B2), alg
+
+
+def test_to_rational_rejects_foreign_cartan():
+    x, other, alg = foreign_product()
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        other.to_rational(x)
+    assert not alg.to_rational(x).is_zero()
+
+
+def test_mul_oracle_rational_rejects_foreign_cartan():
+    x, other, alg = foreign_product()
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        other.mul_oracle_rational(x, other.generator(1, 0))
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        other.mul_oracle_rational(other.generator(1, 0), x)
+    assert alg.mul_oracle_rational(x, alg.generator(1, 0)) == alg.to_rational(alg.mul(x, alg.generator(1, 0)))
+
+
+def test_twisted_symmetry_check_rejects_foreign_cartan():
+    x, other, alg = foreign_product()
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        other.twisted_symmetry_check(x)
+    assert alg.twisted_symmetry_check(x)
+
+
+def test_wheel_check_rejects_foreign_cartan():
+    x, other, alg = foreign_product()
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        other.wheel_check(x, 1, 2)
+    assert alg.wheel_check(x, 1, 2)
+
+
 def test_word_parsing():
     assert parse_word("a1:0 a2:-1 a1:3") == [(1, 0), (2, -1), (1, 3)]
     assert format_word([(1, 0), (2, -1)]) == "a1:0 a2:-1"

@@ -517,11 +517,13 @@ def _as_poly(x):
 
 def expanded(p) -> dict:
     """The terms of a packed polynomial (or series) with every power of q
-    its own key (e_1, ..., e_n, e_q), read through ``coeff``.  Asserts first
-    that no stored packed value is 0: the kernel drops cancelled keys, and
-    ``is_zero``, ``exp_range`` and the term counts rely on it."""
+    its own key (e_1, ..., e_n, e_q), read through ``exponents`` and
+    ``coeff``.  Asserts first that no stored packed value is 0: the kernel
+    drops cancelled keys, and ``is_zero``, ``exp_range`` and the term counts
+    rely on it."""
+    p = getattr(p, "poly", p)  # a series is read through its polynomial
     assert all(p.terms.values()), "a cancelled key is stored"
-    return {key + (s,): c for key in p.terms for s, c in RatQ.coerce(p.coeff(key)).num.terms.items()}
+    return {key + (s,): c for key in p.exponents() for s, c in RatQ.coerce(p.coeff(key)).num.terms.items()}
 
 
 def from_packed(p) -> MultiLaurent:
