@@ -1,78 +1,52 @@
 """Sparse multivariate Laurent polynomials over Q[q, q^-1], with every
 monomial and every q-coefficient packed into one integer.
 
-Variables are ``VarId`` tuples (aux, color, index): either color
-variables z[c,i] attached to a root color c (aux ""), or named auxiliary
-variables (w, t, ...).  Their tuple order is the variable order: color
-variables by (c, i), then auxiliary ones by (name, index).  A
-``MultiLaurent`` keeps a registry of its n variables sorted in that
-order, and a dict ``terms`` mapping int keys to nonzero ints.  Negative
-exponents are allowed everywhere.
+Variables are ``VarId`` tuples (aux, color, index): color variables
+z[c,i] (aux "") or named auxiliary ones (w, t, ...); their tuple order is
+the variable order.  A ``MultiLaurent`` keeps its n variables sorted in a
+registry and a dict ``terms`` from int keys to nonzero int values.
 
-The key of the monomial with z-exponents (e_1, ..., e_n) is
+The key of the monomial prod z_i^e_i is sum_i (e_i + 2^(F - 2))
+2^(F (n - i)): one F-bit field per variable, the first highest.  Each
+polynomial carries ``F`` and a certified bound ``E`` >= max |e_i| below
+2^(F - 2), so every field lies in (0, 2^(F - 1)).  Then int order is tuple
+order, multiplying by a monomial adds its key less the key of 1, and the
+top bit of each field is a guard that stays 0, so ``within`` tests a box
+with two subtractions and two masks per key.  A sum takes the larger E, a
+product the sum, a binomial multiply adds 1, a substitution multiplies it
+by the number of slots summed and an exact division adds its longest run;
+the other operations keep it.  When E would reach 2^(F - 2), the keys are
+repacked at twice the width first.  Keys leave this module only as
+exponent tuples, read in bulk (``exponents``).
 
-    sum_i (e_i + 2^(F - 2)) 2^(F (n - i)),
+The value of a monomial packs its q-coefficient sum_s c_s q^s / den by
+Kronecker substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp.
+2009) as V = sum_s c_s 2^(K (s - qlo)) with integer digits c_s.  Each
+polynomial carries ``K``, ``qlo``, one positive integer denominator ``den``
+and a certified ``bound`` >= max |c_s| below 2^(K - 2).  Then the balanced
+base-2^K digits of V are the c_s, so V = 0 proves c = 0, and since the
+substitution is a ring homomorphism, adding coefficients is one int
+addition, multiplying by q^s a shift and multiplying two coefficients one
+int multiplication.  Every operation moves the bound by the number of
+digits that can meet in one digit times their factors.  When it would
+reach 2^(K - 2), the operands are recertified first, their bound restarted
+from a power of two read off their values, and repacked at a wider K if
+even that does not fit.  Packed arithmetic is exact at any K; only reading
+a value, a zero test included, needs the bound, so ``divided_difference``
+learns its longest run in its loop and redoes the loop on a repacked copy
+in the rare case that it does not fit.
 
-one field of F bits per variable, the first variable highest.  Each
-polynomial carries its field width ``F`` and a certified bound ``E`` >=
-max |e_i|, kept below 2^(F - 2), so every field lies in (0, 2^(F - 1)):
-the int order of keys is the order of their exponent tuples, adding
-sum_i d_i 2^(F (n - i)) to a key multiplies the monomial by prod z_i^d_i,
-and the top bit of every field is a guard that stays 0, so ``within``
-tests a whole box with two subtractions and two masks per key.  Every
-operation moves E: a sum takes the larger bound, a product the sum of
-the bounds, a binomial multiply adds 1, a substitution multiplies it by
-the number of slots summed, an exact division adds its longest run; a
-divided difference, a change of registry, ``within`` and ``scale`` keep
-it.  When it would reach 2^(F - 2), the keys are repacked at twice the
-width first.  Keys leave this module only as exponent tuples, read in
-bulk (``exponents``).
+Only this module reads or builds packed keys and values.  Scalars enter as
+int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``; a scalar
+outside Q[q, q^-1] raises ``ValueError``, a non-scalar ``TypeError``.  The
+kernel methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute``
+and ``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s.
 
-The int V of a monomial packs its whole q-coefficient by Kronecker
-substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
-coefficient sum_s c_s q^s / den is stored as
-
-    V = sum_s c_s 2^(K (s - qlo)),
-
-with integer digits c_s.  Each polynomial carries its ``K``, its lowest
-q exponent ``qlo``, one positive integer denominator ``den`` and a
-certified ``bound`` b >= max |c_s|, kept below 2^(K - 2).  Then the
-balanced base-2^K digits of V are the c_s, so V = 0 proves c = 0, and
-since the substitution is a ring homomorphism Z[q] -> Z, adding two
-coefficients is one int addition, multiplying by q^s a shift by K s bits
-and multiplying two coefficients one int multiplication.
-
-Every operation moves the bound: a sum adds the bounds; a binomial
-multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
-digits of x and y; a divided difference by 2 ceil(R / 2) for
-its longest run R, since a run and its mirror image can meet on one
-monomial; a product b1 b2 by the q-digit count and the term count of the
-operand with fewer terms; a substitution or exact division by the number
-of terms that can meet on one monomial.  When the bound would reach
-2^(K - 2), the operands are recertified first (their digits are read and
-the bound restarts from the true maximum), and repacked at a wider K if
-even that does not fit.  K is never guessed.  Packed arithmetic is exact
-at any K and only reading a value, a zero test included, needs the
-bound, so ``divided_difference`` learns its longest run in its loop and
-redoes the loop on a repacked copy in the rare case that it does not fit.
-
-Only this module reads or builds packed values.  Scalars enter as int,
-Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ`` (``coeff``,
-``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1] raises
-``ValueError``, a non-scalar such as a float ``TypeError``.  The kernel
-methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute`` and
-``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s, so
-the other modules never build a scalar to pass one; the public methods
-take scalars and split each once.
-
-The only division ever needed higher up is by two-variable binomials
-z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
-by substitution (the binomial divides P iff P(z_i = c z_j) = 0), raises
-``NotDivisible`` otherwise and reads the quotient off term by term, as
-``divided_difference`` computes (P - s P)/(z_i - z_j), which the shuffle
-product is built from and which never fails.  Every product is
-``_shifted_sum``: the larger operand shifted by each term of the smaller
-one, the shifted copies summed.
+The only division needed higher up is by binomials z_i - c z_j, c a
+q-monomial: ``exact_div_binomial`` tests P(z_i = c z_j) = 0, raises
+``NotDivisible`` otherwise and reads the quotient off term by term.  The
+shuffle product is built from ``divided_difference``.  Every product is
+``_shifted_sum``: the larger operand shifted by each term of the smaller.
 """
 
 from __future__ import annotations
@@ -96,11 +70,9 @@ _CODE = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 class NotDivisible(ArithmeticError):
-    """Raised when an exact polynomial division has a remainder.
-
-    The kernel raises it with the divisor z_vi - a q^s z_vj as the args
-    (vi, vj, a, s) and formats them only when the text is read: a caller
-    that tries the next factor never pays for it."""
+    """Raised when an exact polynomial division has a remainder, with the
+    divisor z_vi - a q^s z_vj as the args (vi, vj, a, s), formatted only
+    when the text is read."""
 
     def __str__(self) -> str:
         if len(self.args) != 4:
@@ -110,13 +82,10 @@ class NotDivisible(ArithmeticError):
 
 
 class VarId(namedtuple("VarId", "aux color index")):
-    """A polynomial variable: z[color, index], or an auxiliary name.
-
-    Auxiliary variables carry color 0 and a nonempty ``aux`` name.  The
-    fields are stored as (aux, color, index), so the tuple order is the
+    """A polynomial variable: z[color, index], or an auxiliary name with
+    color 0.  Stored as (aux, color, index), so the tuple order is the
     variable order: color variables (aux "") by (color, index), then
-    auxiliary ones by (name, index).
-    """
+    auxiliary ones by (name, index)."""
 
     __slots__ = ()
 
@@ -168,8 +137,8 @@ def _key(exps, F: int) -> int:
 
 
 def _exponents(keys, F: int, n: int) -> list:
-    """The z-exponent tuples of keys of n fields, read in bulk: a key less
-    2^(F - 2) in each field packs the exponents as balanced digits."""
+    """The z-exponent tuples of keys of n fields, read in bulk as the
+    balanced digits of the keys less 2^(F - 2) in each field."""
     if not n:
         return [()] * len(keys)
     half = _bias(F, n) >> 1
@@ -196,20 +165,10 @@ def _mover(F: int, src: tuple, m: int):
             runs.append((F * (n - 1 - j), (1 << F * (j - k + 1)) - 1, F * (m - 1 - src[j])))
         k = j + 1
     base = sum(1 << F * (m - 1 - s) + F - 2 for s in set(range(m)).difference(src))
-    if len(runs) == 1:
-        ((a, mask, b),) = runs
-        return lambda key: (key >> a & mask) << b | base
-    if len(runs) == 2:
-        (a, mask, b), (c, mask2, d) = runs
+    if len(runs) <= 2:
+        (a, mask, b), (c, mask2, d) = (runs + [(0, 0, 0)] * 2)[:2]
         return lambda key: (key >> a & mask) << b | (key >> c & mask2) << d | base
-
-    def move(key):
-        out = base
-        for a, mask, b in runs:
-            out |= (key >> a & mask) << b
-        return out
-
-    return move
+    return lambda key: reduce(or_, [(key >> a & mask) << b for a, mask, b in runs], base)
 
 
 # ---------- packed q-coefficients ----------
@@ -237,21 +196,20 @@ def _pack(qt: dict, lo: int, K: int) -> int:
 
 
 def _encode(qts: dict):
-    """(terms, K, qlo, bound, den, F, E) of {z-exponent tuple: q-term
-    dict}, no dict empty."""
+    """(terms, K, qlo, bound, den, F, E) of {exponent tuple: q-terms}."""
     if not qts:
         return {}, _K_START, 0, 0, 1, _F_START, 0
     E = max(map(abs, chain.from_iterable(qts)), default=0)
     F = _F_START
     while E >> (F - 2):
         F *= 2
-    keys = [_key(exps, F) for exps in qts]
     if len(qts) == 1:  # one monomial, often with one small int digit
-        (qt,) = qts.values()
+        ((exps, qt),) = qts.items()
         if len(qt) == 1:
             ((s, a),) = qt.items()
             if type(a) is int and not abs(a) >> (_K_START - 2):
-                return {keys[0]: a}, _K_START, s, abs(a), 1, F, E
+                return {_key(exps, F): a}, _K_START, s, abs(a), 1, F, E
+    keys = [_key(exps, F) for exps in qts]
     den, ints = _ints(list(qts.values()))
     lo = min([min(qt) for qt in ints])
     bound = max([abs(a) for qt in ints for a in qt.values()])
@@ -262,17 +220,14 @@ def _encode(qts: dict):
 
 
 def _width(values, K: int) -> int:
-    """The number of q-digits the packed values span (values nonempty):
-    with every digit below 2^(K - 2) in size, the top digit of V is digit
-    bit_length(V) // K."""
+    """The number of q-digits the packed values span (values nonempty)."""
     return max(map(int.bit_length, values)) // K + 1
 
 
 def _bias(K: int, n: int) -> int:
-    """sum_{i < n} 2^(K - 1) 2^(K i).  Adding it to a packed value of n
-    digits turns each digit c into c + 2^(K - 1), which is nonnegative and
-    below 2^K; then taking it off again bit by bit (xor) leaves c modulo
-    2^K in each K-bit field."""
+    """sum_{i < n} 2^(K - 1) 2^(K i): added to a packed value of n digits
+    and taken off again bit by bit (xor), it leaves each digit modulo 2^K
+    in its field."""
     return ((1 << K * n) - 1) // ((1 << K) - 1) << (K - 1)
 
 
@@ -305,42 +260,31 @@ def _true_bound(terms: dict, K: int) -> int:
 
 
 def _repacked(terms: dict, K: int, wide: int) -> dict:
-    """The same terms packed at the wider K ``wide``: the digits fill
-    fields of ``wide`` bits, and ``_digits`` is undone."""
+    """The same terms with their digits in fields of ``wide`` bits."""
     if not terms:
         return {}
     n = _width(terms.values(), K)
-    d = _digits(terms.values(), K, n)
+    d, size, bias = _digits(terms.values(), K, n), n * wide // 8, _bias(wide, n)
     if wide in _CODE:
         blob = struct.pack(f"<{len(d)}{_CODE[wide]}", *d)
     else:
         blob = b"".join(x.to_bytes(wide // 8, "little", signed=True) for x in d)
-    size = n * wide // 8
-    bias = _bias(wide, n)
-    return {
-        key: (int.from_bytes(blob[i * size:(i + 1) * size], "little") ^ bias) - bias
-        for i, key in enumerate(terms)
-    }
+    return dict(zip(terms, [(int.from_bytes(blob[i:i + size], "little") ^ bias) - bias
+                            for i in range(0, len(blob), size)]))
 
 
 def _fit(polys, need):
-    """The polynomials in one packing wide enough that need(*bounds)
-    stays below 2^(K - 2), and that K, for callers whose certified bounds
-    or packings do not fit: the bounds restart from the true maxima, and
+    """The polynomials in one packing wide enough that need(*bounds) stays
+    below 2^(K - 2), and that K: the bounds are recertified, in place, and
     K doubles until the need fits with a quarter of K to spare."""
     K = max(p.K for p in polys)
-    bounds = [_true_bound(p.terms, p.K) for p in polys]
-    for p, b in zip(polys, bounds):  # a tighter certificate for the same value
-        p.bound = min(p.bound, b)
+    for p in polys:
+        p.bound = min(p.bound, _true_bound(p.terms, p.K))
+    bounds = [p.bound for p in polys]
     if need(*bounds) >> (K - 2):
         while need(*bounds) >> (K - 2 - K // 4):
             K *= 2
-    return [
-        MultiLaurent._raw(
-            p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den, p.F, p.E
-        )
-        for p, b in zip(polys, bounds)
-    ], K
+    return [p if K == p.K else p._like(p.vars, _repacked(p.terms, p.K, K), K) for p in polys], K
 
 
 def _times(terms: dict, M: int) -> dict:
@@ -360,16 +304,9 @@ def _add_into(out: dict, terms) -> dict:
 
 
 def _shifted_sum(terms: dict, shifts) -> dict:
-    """sum of X * x^off * terms over the (off, X) pairs, off the key
-    offset: the first shift is a fresh dict, every later one is added
-    straight into it."""
-    if not shifts:
-        return {}
-    off, X = shifts[0]
-    if X == 1:
-        out = {key + off: V for key, V in terms.items()}
-    else:
-        out = {key + off: V * X for key, V in terms.items()}
+    """sum of X * x^off * terms over the (off, X) pairs, off a key offset:
+    the first shift is a fresh dict, the others are added into it."""
+    out = {key + shifts[0][0]: V * shifts[0][1] for key, V in terms.items()} if shifts else {}
     get = out.get
     for off, X in shifts[1:]:
         for key, V in terms.items():
@@ -392,8 +329,6 @@ def _divided(terms: dict, si: int, sj: int, M: int):
     step = (1 << si) - (1 << sj)
     for key, V in terms.items():
         d = (key >> si & M) - (key >> sj & M)
-        if not d:
-            continue
         if d > 0:
             key += (d - 1 << sj) - (d << si)
         else:
@@ -439,15 +374,12 @@ class MultiLaurent:
         """Build from {z-exponent tuple: scalar}."""
         vs = _sorted_vars(vars)
         qts = {}
-        if terms:
-            nv = len(vs)
-            for exps, c in terms.items():
-                exps = tuple(map(int_exponent, exps))
-                if len(exps) != nv:
-                    raise ValueError("exponent tuple length mismatch")
-                qt = _qterms(c)
-                if qt:
-                    qts[exps] = qt
+        for exps, c in (terms or {}).items():
+            exps = tuple(map(int_exponent, exps))
+            if len(exps) != len(vs):
+                raise ValueError("exponent tuple length mismatch")
+            if qt := _qterms(c):
+                qts[exps] = qt
         self.vars = vs
         self.terms, self.K, self.qlo, self.bound, self.den, self.F, self.E = _encode(qts)
 
@@ -456,14 +388,14 @@ class MultiLaurent:
         """Trusted constructor: values packed at K from qlo, keys in F-bit
         fields with exponents at most E in size."""
         self = cls.__new__(cls)
-        self.vars, self.terms, self.K, self.qlo, self.bound, self.den, self.F, self.E = (
-            vs, terms, K, qlo, bound, den, F, E
-        )
+        self.vars, self.terms, self.K, self.qlo = vs, terms, K, qlo
+        self.bound, self.den, self.F, self.E = bound, den, F, E
         return self
 
-    def _like(self, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
-        """Terms in this polynomial's packing, over the registry vs."""
-        return MultiLaurent._raw(vs, terms, self.K, self.qlo, self.bound, self.den, self.F, self.E)
+    def _like(self, vs: tuple[VarId, ...], terms: dict, K=None, F=None) -> MultiLaurent:
+        """Terms in this polynomial's packing, over the registry vs; K or F
+        when they are packed at another width."""
+        return MultiLaurent._raw(vs, terms, K or self.K, self.qlo, self.bound, self.den, F or self.F, self.E)
 
     def _keyed(self, E: int, F: int = 0) -> MultiLaurent:
         """This polynomial with key fields of at least F bits and wide
@@ -473,8 +405,7 @@ class MultiLaurent:
             wide *= 2
         if wide == self.F:
             return self
-        terms = _rekeyed(self.terms, self.F, wide, len(self.vars))
-        return MultiLaurent._raw(self.vars, terms, self.K, self.qlo, self.bound, self.den, wide, self.E)
+        return self._like(self.vars, _rekeyed(self.terms, self.F, wide, len(self.vars)), F=wide)
 
     def _room(self, mult: int) -> MultiLaurent:
         """This polynomial, packed wide enough for its bound times mult."""
@@ -527,9 +458,8 @@ class MultiLaurent:
         sign, o = 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
-        first = vi < vj
         return cls._raw(_sorted_vars((vi, vj)), *_encode({
-            ((-1 - t, t) if first else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
+            ((-1 - t, t) if vi < vj else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
             for t in range(n + 1)
         }))
 
@@ -540,8 +470,7 @@ class MultiLaurent:
         if all(map(self.vars.__contains__, extra)):
             return self
         vs = _sorted_vars(self.vars + tuple(extra))
-        pos = {v: i for i, v in enumerate(vs)}
-        return self._reslot(vs, tuple(pos[v] for v in self.vars))
+        return self._reslot(vs, tuple(map(vs.index, self.vars)))
 
     def without_vars(self, drop) -> MultiLaurent:
         """Remove variables that no term uses from the registry; ValueError
@@ -570,9 +499,7 @@ class MultiLaurent:
     def _align(self, other: MultiLaurent):
         if self.vars == other.vars:
             return self, other
-        a = self.with_vars(other.vars)
-        b = other.with_vars(self.vars)
-        return a, b
+        return self.with_vars(other.vars), other.with_vars(self.vars)
 
     # ---------- predicates ----------
 
@@ -586,32 +513,27 @@ class MultiLaurent:
         """(min, max) exponent of v over all terms; (0, 0) if absent/zero."""
         if not self.terms or v not in self.vars:
             return (0, 0)
-        F = self.F
-        s, M = F * (len(self.vars) - 1 - self.vars.index(v)), (1 << F) - 1
-        es = [key >> s & M for key in self.terms]
-        return (min(es) - (1 << F - 2), max(es) - (1 << F - 2))
+        s, B = self.F * (len(self.vars) - 1 - self.vars.index(v)), 1 << self.F - 2
+        es = [key >> s & (B << 2) - 1 for key in self.terms]
+        return (min(es) - B, max(es) - B)
 
     def exponents(self) -> list[tuple]:
-        """The z-exponent tuples of the stored monomials, in ``terms``
-        order."""
+        """The z-exponent tuples of the stored monomials, in ``terms`` order."""
         return _exponents(self.terms, self.F, len(self.vars))
 
     def coeff(self, exps) -> LaurentQ:
         """The q-coefficient of the monomial with these variable exponents."""
         exps = tuple(exps)
-        if len(exps) == len(self.vars) and all(abs(e) <= self.E for e in exps):
-            V = self.terms.get(_key(exps, self.F))
-            if V:
-                return self._laurent(V)
-        return LaurentQ()
+        fits = len(exps) == len(self.vars) and all(abs(e) <= self.E for e in exps)
+        V = self.terms.get(_key(exps, self.F)) if fits else None
+        return self._laurent(V) if V else LaurentQ()
 
     def within(self, bounds: dict) -> MultiLaurent:
         """The terms whose exponent of every variable v lies in bounds[v] =
-        (lo, hi); q is not tested.  With the bounds clamped to the fields
-        and H the top bit of every field, a field of (key | H) - lo keeps
-        its top bit iff e >= lo, and one of (hi | H) - key iff e <= hi."""
-        F, B = self.F, 1 << self.F - 2
-        lo = hi = 0
+        (lo, hi): with the bounds clamped to the fields and H the top bit of
+        each, (key | H) - lo keeps a top bit iff e >= lo, (hi | H) - key iff
+        e <= hi."""
+        F, B, lo, hi = self.F, 1 << self.F - 2, 0, 0
         for v in self.vars:
             a, b = bounds[v]
             lo, hi = lo << F | min(max(a, -B), B) + B, hi << F | min(max(b, -B), B - 1) + B
@@ -625,9 +547,7 @@ class MultiLaurent:
         """The common total degree in the variables (q not counted) of all
         terms, or None."""
         degs = set(map(sum, self.exponents()))
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return degs.pop() if len(degs) == 1 else None
 
     # ---------- arithmetic ----------
 
@@ -646,9 +566,7 @@ class MultiLaurent:
 
     def __sub__(self, other) -> MultiLaurent:
         other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> MultiLaurent:
         return _as_poly(other) + (-self)
@@ -669,16 +587,13 @@ class MultiLaurent:
         # a digit of a coefficient product sums at most w digit products, w
         # the smaller operand's digit count, and a monomial collects at most
         # one product per term of the smaller operand
-        w, n = _width(a.terms.values(), a.K), len(a.terms)
-        K = a.K
+        w, n, K = _width(a.terms.values(), a.K), len(a.terms), a.K
         if b.K != K or (a.bound * b.bound * w * n) >> (K - 2):
             (a, b), K = _fit((a, b), lambda x, y: x * y * w * n)
-        # the key offset of a term of a: its key less exponent 0's
-        zero = _bias(a.F, len(a.vars)) >> 1
-        return MultiLaurent._raw(
-            a.vars, _shifted_sum(b.terms, [(key - zero, V) for key, V in a.terms.items()]), K,
-            a.qlo + b.qlo, a.bound * b.bound * w * n, a.den * b.den, a.F, E,
-        )
+        # the key offset of a term of a: its key less the key of 1
+        shifts = [(key - (_bias(a.F, len(a.vars)) >> 1), V) for key, V in a.terms.items()]
+        return MultiLaurent._raw(a.vars, _shifted_sum(b.terms, shifts), K, a.qlo + b.qlo,
+                                 a.bound * b.bound * w * n, a.den * b.den, a.F, E)
 
     __rmul__ = __mul__
 
@@ -688,23 +603,14 @@ class MultiLaurent:
             return MultiLaurent.zero(self.vars)
         den, (qt,) = _ints([qt])
         mult = sum(map(abs, qt.values()))
-        p = self._room(mult)
-        lo = min(qt)
-        return MultiLaurent._raw(
-            p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo, p.bound * mult, p.den * den, p.F, p.E
-        )
+        p, lo = self._room(mult), min(qt)
+        return MultiLaurent._raw(p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo,
+                                 p.bound * mult, p.den * den, p.F, p.E)
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
             raise ValueError("negative power of a MultiLaurent")
-        out = MultiLaurent.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return prod([self] * n, start=MultiLaurent.constant(1, self.vars))
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""
@@ -729,23 +635,16 @@ class MultiLaurent:
             return MultiLaurent.zero(p.vars)
         p = p._room(mult)._keyed(p.E + 1)
         lo, n, K, F = min(chain(x, y)), len(p.vars), p.K, p.F
-        shifts = [
-            (1 << F * (n - 1 - p.vars.index(v)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c
-        ]
-        return MultiLaurent._raw(
-            p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den, F, p.E + 1
-        )
+        shifts = [(1 << F * (n - 1 - p.vars.index(v)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c]
+        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo,
+                                 p.bound * mult, p.den * den, F, p.E + 1)
 
     # ---------- substitution and relabeling ----------
 
     def substitute(self, v, c, target: VarId) -> MultiLaurent:
-        """Substitute z_v -> c * z_target with c a nonzero q-monomial.
-
-        ``v`` may also be a tuple of variables and ``c`` the tuple of
-        their scalars: all of them are substituted in one pass, so the
-        exponent of z_target is the sum of theirs and the q shift of a
-        term is the dot product of their exponents with the scalars'
-        q-exponents."""
+        """Substitute z_v -> c * z_target with c a nonzero q-monomial; ``v``
+        may also be a tuple of variables and ``c`` the tuple of their
+        scalars, all substituted in one pass."""
         if isinstance(v, VarId):
             v, c = (v,), (c,)
         if len(v) != len(c) or len(set(v)) != len(v):
@@ -765,29 +664,24 @@ class MultiLaurent:
             return MultiLaurent.zero(vs)
         E = self.E * len(subs)
         p = self._keyed(E)
-        F, n, slot = p.F, len(p.vars), {u: i for i, u in enumerate(vs)}
-        M, B = (1 << F) - 1, 1 << F - 2
-        # the new key moves each kept field and puts the sum of the
-        # substituted ones into the target's, which the move leaves at B
-        move = _mover(F, tuple(None if i in subs else slot[u] for i, u in enumerate(p.vars)), len(vs))
-        at = F * (len(vs) - 1 - slot[target])
-        fix = len(subs) * B << at
-        # the substituted fields, exponent + B, one column per variable
-        cols = [[key >> s & M for key in p.terms] for s in [F * (n - 1 - i) for i in subs]]
+        F, n, B = p.F, len(p.vars), 1 << p.F - 2
+        # the substituted fields, each read as exponent + B; their exponent
+        # sum goes to the field of the target, or of the first of them, and
+        # the others to 0, and the keys that are left move to the registry vs
+        cols = [[key >> F * (n - 1 - i) & (1 << F) - 1 for key in p.terms] for i in subs]
+        acc = pos[target] if target in pos else next(iter(subs))
         # the lowest q shift, and a^e = p^(e - lo) r^(hi - e) p^lo / r^hi
         # for a = p / r: an int factor per term, the constant num / den
-        low, shifts, scaled = 0, [], []
-        for k, (a, s) in enumerate(subs.values()):
-            shifts.append(s)
+        low, scaled = 0, []
+        for col, (a, s) in zip(cols, subs.values()):
             if s or a != 1:
-                lo, hi = min(cols[k]), max(cols[k])
+                lo, hi = min(col), max(col)
                 low += s * (hi if s < 0 else lo)
                 if a != 1:
-                    scaled.append((k, a.numerator, a.denominator, lo, hi))
+                    scaled.append((col, a.numerator, a.denominator, lo, hi))
         mult = len(p.terms)
         if (p.bound * mult) >> (p.K - 2):
-            # the keys meeting on one new key differ in the summed exponents
-            # only, and their sum is fixed: all but the widest are free
+            # keys that meet differ only in the summed fields, of fixed sum
             widths = sorted(max(col) - min(col) + 1 for col in cols)
             mult = min(mult, prod(widths[:-1]))
         num = den = 1
@@ -796,32 +690,23 @@ class MultiLaurent:
             num, den = const.numerator, const.denominator
             mult *= abs(num) * prod(max(abs(p), r) ** (hi - lo) for _, p, r, lo, hi in scaled)
         p = p._room(mult)
-        K = p.K
-        if scaled:
-            values = []
-            for V, es in zip(p.terms.values(), zip(*cols)):
-                for k, a, r, lo, hi in scaled:
-                    V *= a ** (es[k] - lo) * r ** (hi - es[k])
-                values.append(V * num)
-        else:
-            values = p.terms.values()
-        # the q shift K (sum_k s_k e_k - low) and the new key of every term,
-        # column by column
-        qs = [-K * low] * len(p.terms)
-        for s, col in zip(shifts, cols):
+        K, values = p.K, _times(p.terms, num).values()
+        for col, a, r, lo, hi in scaled:
+            values = [V * a ** (e - lo) * r ** (hi - e) for V, e in zip(values, col)]
+        # the q shift K (sum_k s_k e_k - low) and the key of every term
+        qs, news = [-K * low] * len(p.terms), list(p.terms)
+        for col, (i, (a, s)) in zip(cols, subs.items()):
             if s:
                 qs = list(map(add, qs, [K * s * e for e in col]))
-        news = map(add, map(move, p.terms), [(t << at) - fix for t in map(sum, zip(*cols))])
-        out = {}
-        get = out.get
-        for new, V in zip(news, map(lshift, values, qs)):
-            s = get(new, 0) + V
-            if s:
-                out[new] = s
-            else:
-                del out[new]
+            if i != acc:
+                w = (1 << F * (n - 1 - acc)) - (1 << F * (n - 1 - i))
+                news = list(map(add, news, [(e - B) * w for e in col]))
+        out = _add_into({}, zip(news, map(lshift, values, qs)))
+        src = tuple(vs.index(target) if i == acc else None if i in subs else vs.index(u)
+                    for i, u in enumerate(p.vars))
         # low is taken over biased exponents
-        return MultiLaurent._raw(vs, out, K, p.qlo + low - B * sum(shifts), p.bound * mult, p.den * den, F, E)
+        qlo = p.qlo + low - B * sum(s for _, s in subs.values())
+        return MultiLaurent._raw(p.vars, out, K, qlo, p.bound * mult, p.den * den, F, E)._reslot(vs, src)
 
     def relabel(self, mapping: dict) -> MultiLaurent:
         """Rename variables by an injective VarId -> VarId mapping."""
@@ -829,32 +714,25 @@ class MultiLaurent:
         if len(set(new_of.values())) != len(new_of):
             raise ValueError("relabeling must be injective on the registry")
         vs = _sorted_vars(new_of.values())
-        pos = {u: i for i, u in enumerate(vs)}
-        return self._reslot(vs, tuple(pos[new_of[v]] for v in self.vars))
+        return self._reslot(vs, tuple(vs.index(new_of[v]) for v in self.vars))
 
     # ---------- symmetry ----------
 
     def symmetrize(self, color: int) -> MultiLaurent:
         """Sum of all k! relabelings permuting the color's variables."""
         cv = [v for v in self.vars if v.color == color]
-        total = MultiLaurent.zero(self.vars)
-        for perm in permutations(cv):
-            total = total + self.relabel(dict(zip(cv, perm)))
-        return total
+        perms = (self.relabel(dict(zip(cv, perm))) for perm in permutations(cv))
+        return sum(perms, MultiLaurent.zero(self.vars))
 
     def is_symmetric(self, color: int) -> bool:
-        """Invariance under all adjacent swaps of the color's variables:
-        each swap is a bijection on keys, so every swapped key must carry
-        the same packed value."""
-        n, F = len(self.vars), self.F
-        M = (1 << F) - 1
+        """Invariance under all adjacent swaps of the color's variables,
+        each a bijection on keys that must keep every packed value."""
+        n, F, M = len(self.vars), self.F, (1 << self.F) - 1
         slots = [F * (n - 1 - i) for i, v in enumerate(self.vars) if v.color == color]
-        terms = self.terms
-        get = terms.get
+        terms, get = self.terms, self.terms.get
         for si, sj in zip(slots, slots[1:]):
-            # swapping the fields adds d (2^si - 2^sj), d their difference:
-            # a bijection between the keys with d > 0 and those with d < 0,
-            # so it is enough to look the first up and count the others
+            # the swap adds d (2^si - 2^sj), d the fields' difference, and
+            # pairs the keys with d > 0 and d < 0: look up one, count both
             step, balance = (1 << si) - (1 << sj), 0
             for key, V in terms.items():
                 d = (key >> sj & M) - (key >> si & M)
@@ -877,56 +755,54 @@ class MultiLaurent:
         return self._exact_div_binomial(vi, vj, a, s)
 
     def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
-        """``exact_div_binomial`` for c = a q^s.
-
-        The binomial divides P iff P(z_vi = c z_vj) = 0.  With x = z_vi,
-        y = z_vj and b the lowest exponent of x, that is tested on
-        P(x = c y) x^b / (c y)^b, to which a term x^(b + e) y^f gives c^e x^b
-        y^(f + e).  Then P = sum x^b y^f (x^e - (c y)^e) over its terms, so
-        each term contributes x^b y^f sum_{t < e} x^(e - 1 - t) (c y)^t to
-        the quotient."""
+        """``exact_div_binomial`` for c = a q^s.  With x = z_vi, y = z_vj and
+        b the lowest exponent of x, the binomial divides P iff P(x = c y)
+        x^b / (c y)^b = 0, where a term x^(b + e) y^f goes to c^e x^b y^(f +
+        e).  Then each term contributes x^b y^f sum_{t < e} x^(e - 1 - t)
+        (c y)^t to the quotient."""
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
-        f = self.with_vars((vi, vj))
-        (b, hi), (ylo, yhi) = f.exp_range(vi), f.exp_range(vj)
-        top, p, r = hi - b, a.numerator, a.denominator
+        if vi not in self.vars or vj not in self.vars:  # then no two terms meet in the test
+            raise NotDivisible(vi, vj, a, s)
+        f = self._keyed(3 * self.E)  # the exponent of y grows by less than top <= 2E
+        n, F, p, r = len(f.vars), f.F, a.numerator, a.denominator
+        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
+        xs, ys = [key >> si & M for key in f.terms], [key >> sj & M for key in f.terms]
+        b, top = min(xs), max(xs) - min(xs)
         # up to top + 1 terms meet on a monomial of the test, each times
         # a^e = p^e / r^e, e <= top, over r^top; a quotient term sums the
         # terms above it on its line, each times a^t, t < top, over r^(top-1)
-        meet = min(top + 1, yhi - ylo + 1)
-        f = f._room(meet * max(abs(p), r) ** top)._keyed(f.E + top)
-        n, F, K, lo = len(f.vars), f.F, f.K, min(0, s * top)
-        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
-        es = [(key >> si & M) - b - (1 << F - 2) for key in f.terms]
-        shift, powers = (1 << sj) - (1 << si), [p**e * r ** (top - e) << K * (s * e - lo) for e in range(top + 1)]
+        meet = min(top + 1, max(ys) - min(ys) + 1)
+        f = f._room(meet * max(abs(p), r) ** top)
+        K, lo, es = f.K, min(0, s * top), [x - b for x in xs]
+        shift = (1 << sj) - (1 << si)
+        powers = [p**e * r ** (top - e) << K * (s * e - lo) for e in range(top + 1)]
         moved = map(add, f.terms, [e * shift for e in es])
         if _add_into({}, zip(moved, map(mul, f.terms.values(), map(powers.__getitem__, es)))):
             raise NotDivisible(vi, vj, a, s)
         lo = min(0, s * (top - 1))
         # the key offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
-        steps = [((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo)) for t in range(top)]
+        steps = [((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo))
+                 for t in range(top)]
         return MultiLaurent._raw(f.vars, _add_into({}, (
             (key + off, V * X) for (key, V), e in zip(f.terms.items(), es) for off, X in steps[:e]
         )), K, f.qlo + lo, f.bound * meet * max(abs(p), r) ** (top - 1), f.den * r ** (top - 1), F, f.E + top)
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
-        """The divided difference (F - s F) / (z_vi - z_vj), s swapping the
-        two variables.  Always a Laurent polynomial; computed term by term:
-        x^a y^b goes to sign(a - b) (x y)^lo sum_{k < |a - b|} x^k
-        y^(|a - b| - 1 - k) with lo = min(a, b), and to 0 when a = b."""
+        """The divided difference (P - s P) / (z_vi - z_vj), s swapping the
+        two variables, term by term: x^a y^b goes to sign(a - b) (x y)^lo
+        sum_{k < |a - b|} x^k y^(|a - b| - 1 - k), lo = min(a, b)."""
         if vi == vj:
             raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
         n, F = len(f.vars), f.F
         si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
         out, run = _divided(f.terms, si, sj, M)
-        # a run and its mirror image can meet on one monomial
-        mult = run + (run & 1)
+        mult = run + (run & 1)  # a run and its mirror image can meet
         if (f.bound * mult) >> (f.K - 2):
-            # the loop is exact on packed values at any K, but its result
-            # could not be read: redo it on a copy with room
+            # exact at any K, but unreadable: redo it on a copy with room
             f = f._room(mult)
             out, _ = _divided(f.terms, si, sj, M)
         return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den, F, f.E)
@@ -934,16 +810,9 @@ class MultiLaurent:
     # ---------- evaluation ----------
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
-        vals = [Fraction(coefficient(assignment[v])) for v in self.vars]
-        q0 = Fraction(coefficient(q0))
-        total = Fraction(0)
-        for exps, V in zip(self.exponents(), self.terms.values()):
-            term = self._laurent(V).eval_at(q0)
-            for val, e in zip(vals, exps):
-                if e:
-                    term *= val**e
-            total += term
-        return total
+        vals, q0 = [Fraction(coefficient(assignment[v])) for v in self.vars], Fraction(coefficient(q0))
+        return sum((self._laurent(V).eval_at(q0) * prod([val**e for val, e in zip(vals, exps) if e])
+                    for exps, V in zip(self.exponents(), self.terms.values())), Fraction(0))
 
     # ---------- comparison and display ----------
 
@@ -959,9 +828,8 @@ class MultiLaurent:
 
     def __hash__(self):
         # equal polynomials may differ in registry and packing, and a
-        # constant equals its scalar: hash like the LaurentQ of its
-        # coefficient, or hash the nonzero (variable, exponent) pairs of
-        # each monomial with its LaurentQ
+        # constant equals its scalar: hash its LaurentQ, or else the
+        # nonzero (variable, exponent) pairs of each monomial with its own
         zero = _bias(self.F, len(self.vars)) >> 1
         if all(key == zero for key in self.terms):
             return hash(self.coeff((0,) * len(self.vars)))
@@ -973,21 +841,18 @@ class MultiLaurent:
     def term_lines(self) -> list[str]:
         """Canonical text rendering, one line per (coefficient, monomial).
 
-        Terms come sorted by their z-exponents (the order of their keys)
-        and then by the power of q, as a stable term list like ``(1) q^0 |
-        z[1,1]^2``.  The digits and the exponents of all monomials are read
-        in one pass each.
-        """
+        Terms come sorted by their z-exponents (key order), then by the
+        power of q, like ``(1) q^0 | z[1,1]^2``; the digits and the
+        exponents of all monomials are read in one pass each."""
         if not self.terms:
             return []
-        names = [str(v) for v in self.vars]
         keys = sorted(self.terms)
         n = _width(self.terms.values(), self.K)
         digits = _digits([self.terms[key] for key in keys], self.K, n)
         powers = [f") q^{self.qlo + i} | " for i in range(n)]
         # each column's exponents as text, one string per distinct exponent
         cols = []
-        for name, col in zip(names, zip(*_exponents(keys, self.F, len(self.vars)))):
+        for name, col in zip(map(str, self.vars), zip(*_exponents(keys, self.F, len(self.vars)))):
             text = {e: f"{name}^{e}" for e in set(col)}
             text[0] = ""
             cols.append(map(text.__getitem__, col))
@@ -997,9 +862,7 @@ class MultiLaurent:
         return [f"({digits[at]}{powers[at % n]}{monos[at // n]}" for at in compress(count(), digits)]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "; ".join(self.term_lines())
+        return "; ".join(self.term_lines()) or "0"
 
     def __repr__(self) -> str:
         return f"MultiLaurent[{', '.join(map(str, self.vars))}]({self})"

@@ -1,14 +1,15 @@
-"""The packed kernel against the tuple kernel, and the certificate that
-makes packing exact.
+"""The packed kernel against the tuple kernel, and the certificates that
+make packing exact.
 
-``tuple_kernel`` keeps the polynomial kernel as it was before the
-q-coefficients were packed into integers.  The tests here run the same
-inputs through both kernels and compare the packed results decoded
+``tuple_kernel`` keeps the polynomial kernel as it was before monomials
+and q-coefficients were packed into integers.  The tests here run the
+same inputs through both kernels and compare the packed results decoded
 (``expanded``) with the tuple kernel's terms: over seeded pools with
 Fraction coefficients, over word images of every builtin Cartan type,
-and on two controls that do not vanish.  The certification tests force a
-narrow packing and watch it widen, and check that equality and hashing
-do not depend on the packing.
+over the pole sums for m <= 3 in both orientations, and on two controls
+that do not vanish.  The certification tests force narrow q-digits and
+narrow key fields and watch them widen, and check that key order,
+equality and hashing do not depend on the packing.
 """
 
 import random
@@ -36,10 +37,12 @@ T = aux_var("t")
 
 def assert_decodes_to(got, want):
     """The packed polynomial got stands for the tuple-kernel one want,
-    with no cancelled key stored and a bound that certifies its digits."""
+    with no cancelled key stored, a bound that certifies its digits and
+    an exponent bound that certifies its key fields."""
     assert all(got.terms.values())
     assert (got.vars, expanded(got)) == (want.vars, want.terms)
     assert got.bound < 1 << (got.K - 2)
+    assert max((abs(e) for key in got.exponents() for e in key), default=0) <= got.E < 1 << (got.F - 2)
 
 
 def spec_pool(seed):
@@ -145,27 +148,39 @@ def test_word_images_match_the_tuple_kernel(name):
         assert got.term_lines() == reference_word_image(alg, word).term_lines()
 
 
-def reference_pole_sum_numerator(m, coeff):
-    """``build_pole_sum(m, coeff=coeff).value.num`` from tuple-kernel
-    steps, orientation q."""
+def pole_sum_stages(kernel, m, coeff, q_inverted=False):
+    """The numerator of ``build_pole_sum(m, q_inverted, coeff)`` after each
+    of its steps, computed with ``kernel``'s polynomials: the sum of the
+    H_k, the cross binomials multiplied in, d_w0 applied, and the final
+    numerator before reduction."""
+    e = -1 if q_inverted else 1
     zs, n = _zs(m), m + 1
-    qm = RatQ.q_power(-m)
-    total = Reference.zero()
+    qm = RatQ.q_power(-e * m)
+    total, stages = kernel.zero(), []
     for k in range(m + 2):
-        h = Reference.constant(coeff(k))
+        h = kernel.constant(coeff(k))
         for i, z in enumerate(zs):
             h = h.mul_binomial(qm, W, -1, z) if i < k else h.mul_binomial(qm, z, -1, W)
         total = total + h
+    stages.append(total)
     for a, b in combinations(zs, 2):
-        total = total.mul_binomial(RatQ.q_power(2), b, -1, a)
+        total = total.mul_binomial(RatQ.q_power(2 * e), b, -1, a)
+    stages.append(total)
     for j in range(1, n):
         for i in grassmannian_steps(j, 1):
             total = total.divided_difference(zs[i - 1], zs[i])
+    stages.append(total)
     if (n + n * (n - 1) // 2) % 2:
         total = -total
     for a, b in combinations(zs, 2):
         total = total.mul_binomial(1, a, -1, b).mul_binomial(1, a, -1, b)
-    return total
+    return stages + [total]
+
+
+def reference_pole_sum_numerator(m, coeff, q_inverted=False):
+    """``build_pole_sum(m, q_inverted, coeff).value.num`` from tuple-kernel
+    steps, before reduction."""
+    return pole_sum_stages(Reference, m, coeff, q_inverted)[-1]
 
 
 def reference_reduce(num, den):
@@ -192,6 +207,25 @@ def test_classical_pole_sum_matches_the_tuple_kernel():
     # and the genuine q-binomials still cancel to zero in both kernels
     assert build_pole_sum(2).is_zero()
     assert not reference_pole_sum_numerator(2, lambda k: _binom(2, k, False))
+
+
+@pytest.mark.parametrize("q_inverted", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pole_sums_match_the_tuple_kernel(m, q_inverted):
+    # the genuine q-binomials, whose d_w0 image vanishes, and the classical
+    # binomials, whose reduced value does not
+    genuine = lambda k: _binom(m, k, q_inverted)  # noqa: E731
+    classical = lambda k: comb(m + 1, k)  # noqa: E731
+    for coeff in (genuine, classical):
+        stages = pole_sum_stages(MultiLaurent, m, coeff, q_inverted)
+        want = pole_sum_stages(Reference, m, coeff, q_inverted)
+        for got, ref in zip(stages, want):
+            assert_decodes_to(got, ref)
+        assert stages[0] and bool(stages[2]) == (coeff is classical)
+        value = build_pole_sum(m, q_inverted, coeff=coeff).value
+        num, den = reference_reduce(want[-1], pole_sum_denominator(m))
+        assert value.den == den
+        assert_decodes_to(value.num, num)
 
 
 def test_classical_serre_alternator_matches_the_tuple_kernel():
@@ -231,6 +265,103 @@ def test_a_narrow_packing_is_widened(monkeypatch):
     assert repacks and all(wide > K for K, wide in repacks)
     assert max(abs(c) for c in expanded(classical).values()) >= 1 << 6
     assert classical.K > 8
+
+
+def wide_exponent_results(kernel):
+    """Results whose exponents reach 64 and beyond from inputs below it: a
+    product, a power, a substitution summing three slots, an exact
+    division, and an A2 word image with modes of size up to 40."""
+    z1, z2, y1 = DIFF_VARS[:3]
+    f = kernel((z1, z2, y1), {(40, -30, 3): 1, (-35, 20, -41): Fraction(2, 3), (1, 2, 3): RatQ.q_power(5)})
+    g = kernel((z1, y1), {(33, -33): 3, (-20, 41): RatQ.q_power(-2, 7)})
+    out = [f * g, f * f * f, f.substitute((z1, z2, y1), (RatQ.q_power(1), 1, RatQ.q_power(-2)), T)]
+    out.append(f.mul_binomial(1, z1, RatQ.q_power(3, -1), z2).exact_div_binomial(z1, z2, RatQ.q_power(3)))
+    alg = ShuffleAlgebra(builtin_cartan("A2"))
+    word = [(1, 40), (2, -38), (1, 37)]
+    return out + [alg.word_image(word).numerator if kernel is MultiLaurent else reference_word_image(alg, word)]
+
+
+def test_a_narrow_key_field_is_widened(monkeypatch):
+    # 8-bit key fields hold exponents below 64: these results need more,
+    # so the kernel must repack its keys and still decode exactly
+    rekeys = []
+    rekeyed = poly._rekeyed
+
+    def counted(terms, F, wide, n):
+        rekeys.append((F, wide))
+        return rekeyed(terms, F, wide, n)
+
+    monkeypatch.setattr(poly, "_F_START", 8)
+    monkeypatch.setattr(poly, "_rekeyed", counted)
+    want = wide_exponent_results(Reference)
+    got = wide_exponent_results(MultiLaurent)
+    for g, w in zip(got, want):
+        assert_decodes_to(g, w)
+        assert g.term_lines() == w.term_lines()
+    assert rekeys and all(wide > F for F, wide in rekeys)
+    assert all(g.F > 8 for g in got) and max(abs(e) for g in got for key in g.exponents() for e in key) >= 1 << 6
+    # the control: without the widening the fields overflow and the keys
+    # no longer decode to the results
+    monkeypatch.setattr(MultiLaurent, "_keyed", lambda self, E, F=0: self)
+    try:
+        wrong = wide_exponent_results(MultiLaurent)
+    except Exception:  # an overflowed key may also break a later step
+        return
+    assert any(expanded(g) != w.terms for g, w in zip(wrong, want))
+
+
+def test_key_order_is_exponent_tuple_order():
+    # keys of random exponent tuples, negative exponents included, sort
+    # like the tuples and decode back to them, at every field width
+    rng = random.Random(1901)
+    for F in (8, 16, 32, 64, 128):
+        for n in (0, 1, 2, 3, 5, 8):
+            B = 1 << (F - 2)
+            rows = list({tuple(rng.randint(-B + 1, B - 1) for _ in range(n)) for _ in range(40)})
+            rows += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+            keys = [poly._key(row, F) for row in rows]
+            assert sorted(keys) == [poly._key(row, F) for row in sorted(rows)]
+            assert poly._exponents(keys, F, n) == rows
+            assert all(key >= 0 and not key & poly._bias(F, n) for key in keys)  # guard bits stay 0
+    # and the registry order of a polynomial's terms is their key order
+    vs = DIFF_VARS[:4]
+    p = MultiLaurent(vs, {tuple(rng.randint(-9, 9) for _ in vs): rng.randint(1, 5) for _ in range(60)})
+    assert [p.exponents()[list(p.terms).index(k)] for k in sorted(p.terms)] == sorted(p.exponents())
+
+
+def test_key_width_changes_no_value():
+    # equal polynomials with keys packed at different field widths are
+    # equal, hash alike and give the same results in arithmetic with each
+    # other, and ``within`` keeps the same terms
+    rng = random.Random(1902)
+    for vs, terms in spec_pool(1902)[:12]:
+        f, rf = both((vs, terms))
+        for F in (32, 64, 128):
+            wide = f._keyed(0, F)
+            assert wide.F == F and wide == f and f == wide and hash(wide) == hash(f)
+            assert wide.term_lines() == f.term_lines()
+            for g, rg in (both(spec) for spec in spec_pool(1903)[:4]):
+                assert_decodes_to(wide * g, rf * rg)
+                assert_decodes_to(g + wide, rg + rf)
+                assert (wide == g) == (rf == rg)
+            box = {v: sorted((rng.randint(-3, 3), rng.randint(-3, 3))) for v in vs}
+            assert wide.within(box) == f.within(box)
+
+
+def test_within_tests_whole_boxes_on_the_guard_bits():
+    # boxes inside, across and beyond the fields, empty ones included,
+    # against a filter on the exponent tuples
+    rng = random.Random(1903)
+    vs = DIFF_VARS[:3]
+    p = MultiLaurent(vs, {tuple(rng.randint(-6, 6) for _ in vs): rng.randint(-4, 4) or 1 for _ in range(80)})
+    rows = dict(zip(p.exponents(), p.terms.values()))
+    ends = [-(10**9), -(1 << 14), -7, -3, 0, 2, 5, 1 << 14, 10**9]
+    for _ in range(300):
+        box = {v: (rng.choice(ends + [rng.randint(-7, 7)]), rng.choice(ends + [rng.randint(-7, 7)])) for v in vs}
+        got = p.within(box)
+        want = {row for row in rows if all(box[v][0] <= e <= box[v][1] for v, e in zip(vs, row))}
+        assert set(got.exponents()) == want
+        assert all(got.terms[poly._key(row, p.F)] == rows[row] for row in want)
 
 
 def packed_as(p, K, qlo, den):
