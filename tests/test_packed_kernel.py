@@ -303,10 +303,7 @@ def test_a_narrow_key_field_is_widened(monkeypatch):
     # the control: without the widening the fields overflow and the keys
     # no longer decode to the results
     monkeypatch.setattr(MultiLaurent, "_keyed", lambda self, E, F=0: self)
-    try:
-        wrong = wide_exponent_results(MultiLaurent)
-    except Exception:  # an overflowed key may also break a later step
-        return
+    wrong = wide_exponent_results(MultiLaurent)
     assert any(expanded(g) != w.terms for g, w in zip(wrong, want))
 
 
