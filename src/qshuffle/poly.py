@@ -1,52 +1,76 @@
 """Sparse multivariate Laurent polynomials over Q[q, q^-1], with every
 monomial and every q-coefficient packed into one integer.
 
-Variables are ``VarId`` tuples (aux, color, index): color variables
-z[c,i] (aux "") or named auxiliary ones (w, t, ...); their tuple order is
-the variable order.  A ``MultiLaurent`` keeps its n variables sorted in a
-registry and a dict ``terms`` from int keys to nonzero int values.
+Variables are ``VarId`` tuples (aux, color, index): either color
+variables z[c,i] attached to a root color c (aux ""), or named auxiliary
+variables (w, t, ...).  Their tuple order is the variable order: color
+variables by (c, i), then auxiliary ones by (name, index).  A
+``MultiLaurent`` keeps a registry of its n variables sorted in that
+order, and a dict ``terms`` mapping int keys to nonzero ints.  Negative
+exponents are allowed everywhere.
 
-The key of the monomial prod z_i^e_i is sum_i (e_i + 2^(F - 2))
-2^(F (n - i)): one F-bit field per variable, the first highest.  Each
-polynomial carries ``F`` and a certified bound ``E`` >= max |e_i| below
-2^(F - 2), so every field lies in (0, 2^(F - 1)).  Then int order is tuple
-order, multiplying by a monomial adds its key less the key of 1, and the
-top bit of each field is a guard that stays 0, so ``within`` tests a box
-with two subtractions and two masks per key.  A sum takes the larger E, a
-product the sum, a binomial multiply adds 1, a substitution multiplies it
-by the number of slots summed and an exact division adds its longest run;
-the other operations keep it.  When E would reach 2^(F - 2), the keys are
-repacked at twice the width first.  Keys leave this module only as
-exponent tuples, read in bulk (``exponents``).
+The key of the monomial prod z_i^e_i packs its exponents into one F-bit
+field per variable, the first variable highest:
 
-The value of a monomial packs its q-coefficient sum_s c_s q^s / den by
-Kronecker substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp.
-2009) as V = sum_s c_s 2^(K (s - qlo)) with integer digits c_s.  Each
-polynomial carries ``K``, ``qlo``, one positive integer denominator ``den``
-and a certified ``bound`` >= max |c_s| below 2^(K - 2).  Then the balanced
-base-2^K digits of V are the c_s, so V = 0 proves c = 0, and since the
-substitution is a ring homomorphism, adding coefficients is one int
-addition, multiplying by q^s a shift and multiplying two coefficients one
-int multiplication.  Every operation moves the bound by the number of
-digits that can meet in one digit times their factors.  When it would
-reach 2^(K - 2), the operands are recertified first, their bound restarted
-from a power of two read off their values, and repacked at a wider K if
-even that does not fit.  Packed arithmetic is exact at any K; only reading
-a value, a zero test included, needs the bound, so ``divided_difference``
-learns its longest run in its loop and redoes the loop on a repacked copy
-in the rare case that it does not fit.
+    key = sum_i (e_i + 2^(F - 2)) 2^(F (n - i)).
 
-Only this module reads or builds packed keys and values.  Scalars enter as
-int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``; a scalar
-outside Q[q, q^-1] raises ``ValueError``, a non-scalar ``TypeError``.  The
+Each polynomial carries its ``F`` and a certified exponent bound ``E`` >=
+max |e_i|, kept below 2^(F - 2), so every field lies in (0, 2^(F - 1))
+and its top bit, the guard bit, stays 0.  Then int order is tuple order,
+multiplying by a monomial adds its key less the key of 1, and ``within``
+tests a whole box with two subtractions and two masks per key.  Every
+operation moves E: a sum takes the larger bound, a product the sum of
+the bounds, a binomial multiply adds 1, a substitution multiplies it by
+the number of fields summed, an exact division adds its longest run, and
+the others keep it.  When E would reach 2^(F - 2), the keys are repacked
+at twice the width first, so F is never guessed.  Keys leave this module
+only as exponent tuples, read in bulk (``exponents``).
+
+The int V of a monomial packs its whole q-coefficient by Kronecker
+substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
+coefficient sum_s c_s q^s / den is stored as
+
+    V = sum_s c_s 2^(K (s - qlo)),
+
+with integer digits c_s.  Each polynomial carries its ``K``, its lowest
+q exponent ``qlo``, one positive integer denominator ``den`` and a
+certified ``bound`` b >= max |c_s|, kept below 2^(K - 2).  Then the
+balanced base-2^K digits of V are the c_s, so V = 0 proves c = 0, and
+since the substitution is a ring homomorphism Z[q] -> Z, adding two
+coefficients is one int addition, multiplying by q^s a shift by K s bits
+and multiplying two coefficients one int multiplication.
+
+Every operation moves the bound: a sum adds the bounds; a binomial
+multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
+digits of x and y; a divided difference by 2 ceil(R / 2) for
+its longest run R, since a run and its mirror image can meet on one
+monomial; a product b1 b2 by the q-digit count and the term count of the
+operand with fewer terms; a substitution or exact division by the number
+of terms that can meet on one monomial.  When the bound would reach
+2^(K - 2), the operands are recertified first (their digits are read and
+the bound restarts from the true maximum), and repacked at a wider K if
+even that does not fit.  K is never guessed.  Packed arithmetic is exact
+at any K and only reading a value, a zero test included, needs the
+bound, so ``divided_difference`` learns its longest run in its loop and
+redoes the loop on a repacked copy in the rare case that it does not fit.
+
+Only this module reads or builds packed keys and values.  Scalars enter
+as int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``
+(``coeff``, ``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1]
+raises ``ValueError``, a non-scalar such as a float ``TypeError``.  The
 kernel methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute``
-and ``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s.
+and ``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s,
+so the other modules never build a scalar to pass one; the public
+methods take scalars and split each once.
 
-The only division needed higher up is by binomials z_i - c z_j, c a
-q-monomial: ``exact_div_binomial`` tests P(z_i = c z_j) = 0, raises
-``NotDivisible`` otherwise and reads the quotient off term by term.  The
-shuffle product is built from ``divided_difference``.  Every product is
-``_shifted_sum``: the larger operand shifted by each term of the smaller.
+The only division ever needed higher up is by two-variable binomials
+z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
+by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
+``NotDivisible`` otherwise and reads the quotient off term by term, as
+``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
+product is built from and which never fails.  Every product is
+``_shifted_sum``: the larger operand shifted by each term of the smaller
+one, the shifted copies summed.
 """
 
 from __future__ import annotations
@@ -55,9 +79,9 @@ import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, compress, count, permutations, repeat
+from itertools import chain, compress, count, permutations
 from math import lcm, prod
-from operator import add, lshift, mul, or_, rshift, xor
+from operator import add, lshift, or_
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 
@@ -70,9 +94,11 @@ _CODE = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 class NotDivisible(ArithmeticError):
-    """Raised when an exact polynomial division has a remainder, with the
-    divisor z_vi - a q^s z_vj as the args (vi, vj, a, s), formatted only
-    when the text is read."""
+    """Raised when an exact polynomial division has a remainder.
+
+    The kernel raises it with the divisor z_vi - a q^s z_vj as the args
+    (vi, vj, a, s) and formats them only when the text is read: a caller
+    that tries the next factor never pays for it."""
 
     def __str__(self) -> str:
         if len(self.args) != 4:
@@ -82,10 +108,13 @@ class NotDivisible(ArithmeticError):
 
 
 class VarId(namedtuple("VarId", "aux color index")):
-    """A polynomial variable: z[color, index], or an auxiliary name with
-    color 0.  Stored as (aux, color, index), so the tuple order is the
+    """A polynomial variable: z[color, index], or an auxiliary name.
+
+    Auxiliary variables carry color 0 and a nonempty ``aux`` name.  The
+    fields are stored as (aux, color, index), so the tuple order is the
     variable order: color variables (aux "") by (color, index), then
-    auxiliary ones by (name, index)."""
+    auxiliary ones by (name, index).
+    """
 
     __slots__ = ()
 
@@ -137,12 +166,13 @@ def _key(exps, F: int) -> int:
 
 
 def _exponents(keys, F: int, n: int) -> list:
-    """The z-exponent tuples of keys of n fields, read in bulk as the
-    balanced digits of the keys less 2^(F - 2) in each field."""
+    """The z-exponent tuples of keys of n fields: the fields less 2^(F - 2)
+    are the balanced base-2^F digits of the keys less the key of 1, read
+    in bulk, highest first."""
     if not n:
         return [()] * len(keys)
-    half = _bias(F, n) >> 1
-    return list(zip(*[iter(_digits([k - half for k in keys], F, n, "big"))] * n))
+    one = _bias(F, n) >> 1
+    return list(zip(*[iter(_digits([key - one for key in keys], F, n, "big"))] * n))
 
 
 def _rekeyed(terms: dict, F: int, wide: int, n: int) -> dict:
@@ -164,6 +194,7 @@ def _mover(F: int, src: tuple, m: int):
                 j += 1
             runs.append((F * (n - 1 - j), (1 << F * (j - k + 1)) - 1, F * (m - 1 - src[j])))
         k = j + 1
+    # the fields no old field fills, each reading exponent 0
     base = sum(1 << F * (m - 1 - s) + F - 2 for s in set(range(m)).difference(src))
     if len(runs) <= 2:
         (a, mask, b), (c, mask2, d) = (runs + [(0, 0, 0)] * 2)[:2]
@@ -196,7 +227,8 @@ def _pack(qt: dict, lo: int, K: int) -> int:
 
 
 def _encode(qts: dict):
-    """(terms, K, qlo, bound, den, F, E) of {exponent tuple: q-terms}."""
+    """(terms, K, qlo, bound, den, F, E) of {z-exponent tuple: q-term
+    dict}, no dict empty."""
     if not qts:
         return {}, _K_START, 0, 0, 1, _F_START, 0
     E = max(map(abs, chain.from_iterable(qts)), default=0)
@@ -209,25 +241,27 @@ def _encode(qts: dict):
             ((s, a),) = qt.items()
             if type(a) is int and not abs(a) >> (_K_START - 2):
                 return {_key(exps, F): a}, _K_START, s, abs(a), 1, F, E
-    keys = [_key(exps, F) for exps in qts]
     den, ints = _ints(list(qts.values()))
     lo = min([min(qt) for qt in ints])
     bound = max([abs(a) for qt in ints for a in qt.values()])
     K = _K_START
     while bound >> (K - 2):
         K *= 2
-    return dict(zip(keys, [_pack(qt, lo, K) for qt in ints])), K, lo, bound, den, F, E
+    return {_key(exps, F): _pack(qt, lo, K) for exps, qt in zip(qts, ints)}, K, lo, bound, den, F, E
 
 
 def _width(values, K: int) -> int:
-    """The number of q-digits the packed values span (values nonempty)."""
+    """The number of q-digits the packed values span (values nonempty):
+    with every digit below 2^(K - 2) in size, the top digit of V is digit
+    bit_length(V) // K."""
     return max(map(int.bit_length, values)) // K + 1
 
 
 def _bias(K: int, n: int) -> int:
-    """sum_{i < n} 2^(K - 1) 2^(K i): added to a packed value of n digits
-    and taken off again bit by bit (xor), it leaves each digit modulo 2^K
-    in its field."""
+    """sum_{i < n} 2^(K - 1) 2^(K i).  Adding it to a packed value of n
+    digits turns each digit c into c + 2^(K - 1), which is nonnegative and
+    below 2^K; then taking it off again bit by bit (xor) leaves c modulo
+    2^K in each K-bit field."""
     return ((1 << K * n) - 1) // ((1 << K) - 1) << (K - 1)
 
 
@@ -244,47 +278,48 @@ def _digits(values, K: int, n: int, order="little"):
 
 
 def _true_bound(terms: dict, K: int) -> int:
-    """A power of two 2^L >= every |digit| of the packed values, in one
-    pass of int operations: in the digits modulo 2^K, the fields whose top
-    bit is set (c < 0) are complemented to |c| - 1, and L is the bit length
-    of all fields of all values ORed together."""
+    """The largest |digit| of the packed values."""
     if not terms:
         return 0
-    values = terms.values()
-    n = _width(values, K)
-    bias, field = _bias(K, n), (1 << K) - 1
-    mods = list(map(xor, map(bias.__add__, values), repeat(bias)))
-    signs = map(rshift, map(bias.__and__, mods), repeat(K - 1))
-    r = reduce(or_, map(xor, mods, map(field.__mul__, signs)))
-    return 1 << max((r >> K * i & field).bit_length() for i in range(n))
+    d = _digits(terms.values(), K, _width(terms.values(), K))
+    return max(max(d), -min(d))
 
 
 def _repacked(terms: dict, K: int, wide: int) -> dict:
-    """The same terms with their digits in fields of ``wide`` bits."""
+    """The same terms packed at the wider K ``wide``: the digits fill
+    fields of ``wide`` bits, and ``_digits`` is undone."""
     if not terms:
         return {}
     n = _width(terms.values(), K)
-    d, size, bias = _digits(terms.values(), K, n), n * wide // 8, _bias(wide, n)
+    d = _digits(terms.values(), K, n)
     if wide in _CODE:
         blob = struct.pack(f"<{len(d)}{_CODE[wide]}", *d)
     else:
         blob = b"".join(x.to_bytes(wide // 8, "little", signed=True) for x in d)
-    return dict(zip(terms, [(int.from_bytes(blob[i:i + size], "little") ^ bias) - bias
-                            for i in range(0, len(blob), size)]))
+    size = n * wide // 8
+    bias = _bias(wide, n)
+    return {
+        key: (int.from_bytes(blob[i * size:(i + 1) * size], "little") ^ bias) - bias
+        for i, key in enumerate(terms)
+    }
 
 
 def _fit(polys, need):
-    """The polynomials in one packing wide enough that need(*bounds) stays
-    below 2^(K - 2), and that K: the bounds are recertified, in place, and
+    """The polynomials in one packing wide enough that need(*bounds)
+    stays below 2^(K - 2), and that K, for callers whose certified bounds
+    or packings do not fit: the bounds restart from the true maxima, and
     K doubles until the need fits with a quarter of K to spare."""
     K = max(p.K for p in polys)
-    for p in polys:
-        p.bound = min(p.bound, _true_bound(p.terms, p.K))
-    bounds = [p.bound for p in polys]
+    bounds = [_true_bound(p.terms, p.K) for p in polys]
     if need(*bounds) >> (K - 2):
         while need(*bounds) >> (K - 2 - K // 4):
             K *= 2
-    return [p if K == p.K else p._like(p.vars, _repacked(p.terms, p.K, K), K) for p in polys], K
+    return [
+        MultiLaurent._raw(
+            p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den, p.F, p.E
+        )
+        for p, b in zip(polys, bounds)
+    ], K
 
 
 def _times(terms: dict, M: int) -> dict:
@@ -305,8 +340,12 @@ def _add_into(out: dict, terms) -> dict:
 
 def _shifted_sum(terms: dict, shifts) -> dict:
     """sum of X * x^off * terms over the (off, X) pairs, off a key offset:
-    the first shift is a fresh dict, the others are added into it."""
-    out = {key + shifts[0][0]: V * shifts[0][1] for key, V in terms.items()} if shifts else {}
+    the first shift is a fresh dict, every later one is added straight
+    into it."""
+    if not shifts:
+        return {}
+    off, X = shifts[0]
+    out = {key + off: V * X for key, V in terms.items()}
     get = out.get
     for off, X in shifts[1:]:
         for key, V in terms.items():
@@ -320,9 +359,9 @@ def _shifted_sum(terms: dict, shifts) -> dict:
 
 
 def _divided(terms: dict, si: int, sj: int, M: int):
-    """The terms of the divided difference in the fields at bits si and sj
-    (mask M), and the longest run met: x^a y^b, a > b, becomes the run
-    from x^b y^(a - 1) in steps of x / y."""
+    """The terms of the divided difference in the fields at bits si and
+    sj (mask M), and the longest run |a - b| met: x^a y^b, a > b, becomes
+    the run from x^b y^(a - 1) in steps of x / y."""
     out = {}
     get = out.get
     top = 0
@@ -374,28 +413,35 @@ class MultiLaurent:
         """Build from {z-exponent tuple: scalar}."""
         vs = _sorted_vars(vars)
         qts = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(map(int_exponent, exps))
-            if len(exps) != len(vs):
-                raise ValueError("exponent tuple length mismatch")
-            if qt := _qterms(c):
-                qts[exps] = qt
+        if terms:
+            nv = len(vs)
+            for exps, c in terms.items():
+                exps = tuple(map(int_exponent, exps))
+                if len(exps) != nv:
+                    raise ValueError("exponent tuple length mismatch")
+                qt = _qterms(c)
+                if qt:
+                    qts[exps] = qt
         self.vars = vs
         self.terms, self.K, self.qlo, self.bound, self.den, self.F, self.E = _encode(qts)
 
     @classmethod
-    def _raw(cls, vs: tuple[VarId, ...], terms: dict, K: int, qlo: int, bound: int, den: int, F: int, E: int):
-        """Trusted constructor: values packed at K from qlo, keys in F-bit
-        fields with exponents at most E in size."""
+    def _raw(
+        cls, vs: tuple[VarId, ...], terms: dict, K: int, qlo: int, bound: int, den: int, F: int, E: int
+    ) -> MultiLaurent:
+        """Trusted constructor: values already packed at K from qlo, keys
+        in F-bit fields with every exponent at most E in size."""
         self = cls.__new__(cls)
-        self.vars, self.terms, self.K, self.qlo = vs, terms, K, qlo
-        self.bound, self.den, self.F, self.E = bound, den, F, E
+        self.vars, self.terms, self.K, self.qlo, self.bound, self.den = vs, terms, K, qlo, bound, den
+        self.F, self.E = F, E
         return self
 
-    def _like(self, vs: tuple[VarId, ...], terms: dict, K=None, F=None) -> MultiLaurent:
-        """Terms in this polynomial's packing, over the registry vs; K or F
-        when they are packed at another width."""
-        return MultiLaurent._raw(vs, terms, K or self.K, self.qlo, self.bound, self.den, F or self.F, self.E)
+    def _like(self, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
+        """Terms in this polynomial's packing, over the registry vs."""
+        p = MultiLaurent.__new__(MultiLaurent)
+        p.vars, p.terms, p.K, p.qlo, p.bound, p.den = vs, terms, self.K, self.qlo, self.bound, self.den
+        p.F, p.E = self.F, self.E
+        return p
 
     def _keyed(self, E: int, F: int = 0) -> MultiLaurent:
         """This polynomial with key fields of at least F bits and wide
@@ -405,7 +451,8 @@ class MultiLaurent:
             wide *= 2
         if wide == self.F:
             return self
-        return self._like(self.vars, _rekeyed(self.terms, self.F, wide, len(self.vars)), F=wide)
+        terms = _rekeyed(self.terms, self.F, wide, len(self.vars))
+        return MultiLaurent._raw(self.vars, terms, self.K, self.qlo, self.bound, self.den, wide, self.E)
 
     def _room(self, mult: int) -> MultiLaurent:
         """This polynomial, packed wide enough for its bound times mult."""
@@ -458,8 +505,9 @@ class MultiLaurent:
         sign, o = 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
+        first = vi < vj
         return cls._raw(_sorted_vars((vi, vj)), *_encode({
-            ((-1 - t, t) if vi < vj else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
+            ((-1 - t, t) if first else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
             for t in range(n + 1)
         }))
 
@@ -470,7 +518,8 @@ class MultiLaurent:
         if all(map(self.vars.__contains__, extra)):
             return self
         vs = _sorted_vars(self.vars + tuple(extra))
-        return self._reslot(vs, tuple(map(vs.index, self.vars)))
+        pos = {v: i for i, v in enumerate(vs)}
+        return self._reslot(vs, tuple(pos[v] for v in self.vars))
 
     def without_vars(self, drop) -> MultiLaurent:
         """Remove variables that no term uses from the registry; ValueError
@@ -481,11 +530,12 @@ class MultiLaurent:
         if not shifts:
             return self
         # the dropped fields as a mask, and as they read with exponent 0
-        mask, zero = sum(((1 << F) - 1) << s for s in shifts), sum(1 << s + F - 2 for s in shifts)
+        mask = sum(((1 << F) - 1) << s for s in shifts)
+        zero = sum(1 << s + F - 2 for s in shifts)
         if any(key & mask != zero for key in self.terms):
             raise ValueError("cannot drop a variable the polynomial uses")
         keep = [v for v in self.vars if v not in drop]
-        return self._reslot(tuple(keep), tuple(keep.index(v) if v not in drop else None for v in self.vars))
+        return self._reslot(tuple(keep), tuple(None if v in drop else keep.index(v) for v in self.vars))
 
     def _reslot(self, vs: tuple[VarId, ...], src: tuple) -> MultiLaurent:
         """Move the exponent of each old variable k to slot src[k] of the
@@ -499,7 +549,9 @@ class MultiLaurent:
     def _align(self, other: MultiLaurent):
         if self.vars == other.vars:
             return self, other
-        return self.with_vars(other.vars), other.with_vars(self.vars)
+        a = self.with_vars(other.vars)
+        b = other.with_vars(self.vars)
+        return a, b
 
     # ---------- predicates ----------
 
@@ -511,10 +563,12 @@ class MultiLaurent:
 
     def exp_range(self, v: VarId):
         """(min, max) exponent of v over all terms; (0, 0) if absent/zero."""
-        if not self.terms or v not in self.vars:
+        if not self.terms:
             return (0, 0)
-        s, B = self.F * (len(self.vars) - 1 - self.vars.index(v)), 1 << self.F - 2
-        es = [key >> s & (B << 2) - 1 for key in self.terms]
+        if v not in self.vars:
+            return (0, 0)
+        shift, B = self.F * (len(self.vars) - 1 - self.vars.index(v)), 1 << self.F - 2
+        es = [key >> shift & (B << 2) - 1 for key in self.terms]
         return (min(es) - B, max(es) - B)
 
     def exponents(self) -> list[tuple]:
@@ -524,19 +578,22 @@ class MultiLaurent:
     def coeff(self, exps) -> LaurentQ:
         """The q-coefficient of the monomial with these variable exponents."""
         exps = tuple(exps)
-        fits = len(exps) == len(self.vars) and all(abs(e) <= self.E for e in exps)
-        V = self.terms.get(_key(exps, self.F)) if fits else None
+        # a monomial outside the fields is not stored
+        if len(exps) != len(self.vars) or any(abs(e) > self.E for e in exps):
+            return LaurentQ()
+        V = self.terms.get(_key(exps, self.F))
         return self._laurent(V) if V else LaurentQ()
 
     def within(self, bounds: dict) -> MultiLaurent:
         """The terms whose exponent of every variable v lies in bounds[v] =
-        (lo, hi): with the bounds clamped to the fields and H the top bit of
-        each, (key | H) - lo keeps a top bit iff e >= lo, (hi | H) - key iff
-        e <= hi."""
+        (lo, hi); q is not tested.  With the bounds clamped to the fields
+        and H the guard bits, (key | H) - lo keeps a field's guard bit iff
+        e >= lo, and (hi | H) - key iff e <= hi."""
         F, B, lo, hi = self.F, 1 << self.F - 2, 0, 0
         for v in self.vars:
             a, b = bounds[v]
-            lo, hi = lo << F | min(max(a, -B), B) + B, hi << F | min(max(b, -B), B - 1) + B
+            lo = lo << F | min(max(a, -B), B) + B
+            hi = hi << F | min(max(b, -B), B - 1) + B
         H = _bias(F, len(self.vars))
         hi |= H
         return self._like(self.vars, {
@@ -547,7 +604,9 @@ class MultiLaurent:
         """The common total degree in the variables (q not counted) of all
         terms, or None."""
         degs = set(map(sum, self.exponents()))
-        return degs.pop() if len(degs) == 1 else None
+        if len(degs) == 1:
+            return degs.pop()
+        return None
 
     # ---------- arithmetic ----------
 
@@ -566,7 +625,9 @@ class MultiLaurent:
 
     def __sub__(self, other) -> MultiLaurent:
         other = _as_poly(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> MultiLaurent:
         return _as_poly(other) + (-self)
@@ -587,13 +648,16 @@ class MultiLaurent:
         # a digit of a coefficient product sums at most w digit products, w
         # the smaller operand's digit count, and a monomial collects at most
         # one product per term of the smaller operand
-        w, n, K = _width(a.terms.values(), a.K), len(a.terms), a.K
+        w, n = _width(a.terms.values(), a.K), len(a.terms)
+        K = a.K
         if b.K != K or (a.bound * b.bound * w * n) >> (K - 2):
             (a, b), K = _fit((a, b), lambda x, y: x * y * w * n)
-        # the key offset of a term of a: its key less the key of 1
-        shifts = [(key - (_bias(a.F, len(a.vars)) >> 1), V) for key, V in a.terms.items()]
-        return MultiLaurent._raw(a.vars, _shifted_sum(b.terms, shifts), K, a.qlo + b.qlo,
-                                 a.bound * b.bound * w * n, a.den * b.den, a.F, E)
+        # a term of a shifts b's keys by its key less the key of 1
+        one = _bias(a.F, len(a.vars)) >> 1
+        return MultiLaurent._raw(
+            a.vars, _shifted_sum(b.terms, [(key - one, V) for key, V in a.terms.items()]), K, a.qlo + b.qlo,
+            a.bound * b.bound * w * n, a.den * b.den, a.F, E,
+        )
 
     __rmul__ = __mul__
 
@@ -603,14 +667,23 @@ class MultiLaurent:
             return MultiLaurent.zero(self.vars)
         den, (qt,) = _ints([qt])
         mult = sum(map(abs, qt.values()))
-        p, lo = self._room(mult), min(qt)
-        return MultiLaurent._raw(p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo,
-                                 p.bound * mult, p.den * den, p.F, p.E)
+        p = self._room(mult)
+        lo = min(qt)
+        return MultiLaurent._raw(
+            p.vars, _times(p.terms, _pack(qt, lo, p.K)), p.K, p.qlo + lo, p.bound * mult, p.den * den, p.F, p.E
+        )
 
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
             raise ValueError("negative power of a MultiLaurent")
-        return prod([self] * n, start=MultiLaurent.constant(1, self.vars))
+        out = MultiLaurent.constant(1, self.vars)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""
@@ -635,16 +708,22 @@ class MultiLaurent:
             return MultiLaurent.zero(p.vars)
         p = p._room(mult)._keyed(p.E + 1)
         lo, n, K, F = min(chain(x, y)), len(p.vars), p.K, p.F
+        # multiplying by z_v adds 1 to the field of v
         shifts = [(1 << F * (n - 1 - p.vars.index(v)), _pack(c, lo, K)) for v, c in ((vi, x), (vj, y)) if c]
-        return MultiLaurent._raw(p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo,
-                                 p.bound * mult, p.den * den, F, p.E + 1)
+        return MultiLaurent._raw(
+            p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den, F, p.E + 1
+        )
 
     # ---------- substitution and relabeling ----------
 
     def substitute(self, v, c, target: VarId) -> MultiLaurent:
-        """Substitute z_v -> c * z_target with c a nonzero q-monomial; ``v``
-        may also be a tuple of variables and ``c`` the tuple of their
-        scalars, all substituted in one pass."""
+        """Substitute z_v -> c * z_target with c a nonzero q-monomial.
+
+        ``v`` may also be a tuple of variables and ``c`` the tuple of
+        their scalars: all of them are substituted in one pass, so the
+        exponent of z_target is the sum of theirs and the q shift of a
+        term is the dot product of their exponents with the scalars'
+        q-exponents."""
         if isinstance(v, VarId):
             v, c = (v,), (c,)
         if len(v) != len(c) or len(set(v)) != len(v):
@@ -665,9 +744,9 @@ class MultiLaurent:
         E = self.E * len(subs)
         p = self._keyed(E)
         F, n, B = p.F, len(p.vars), 1 << p.F - 2
-        # the substituted fields, each read as exponent + B; their exponent
-        # sum goes to the field of the target, or of the first of them, and
-        # the others to 0, and the keys that are left move to the registry vs
+        # the substituted fields, each read as exponent + B; their sum goes
+        # to the field of the target, or of the first of them, the others
+        # to exponent 0, and then the keys move to the registry vs
         cols = [[key >> F * (n - 1 - i) & (1 << F) - 1 for key in p.terms] for i in subs]
         acc = pos[target] if target in pos else next(iter(subs))
         # the lowest q shift, and a^e = p^(e - lo) r^(hi - e) p^lo / r^hi
@@ -681,19 +760,23 @@ class MultiLaurent:
                     scaled.append((col, a.numerator, a.denominator, lo, hi))
         mult = len(p.terms)
         if (p.bound * mult) >> (p.K - 2):
-            # keys that meet differ only in the summed fields, of fixed sum
+            # the keys meeting on one new key differ in the summed exponents
+            # only, and their sum is fixed: all but the widest are free
             widths = sorted(max(col) - min(col) + 1 for col in cols)
             mult = min(mult, prod(widths[:-1]))
         num = den = 1
         if scaled:
+            # lo and hi are biased exponents
             const = prod(Fraction(p) ** (lo - B) * Fraction(r) ** (B - hi) for _, p, r, lo, hi in scaled)
             num, den = const.numerator, const.denominator
             mult *= abs(num) * prod(max(abs(p), r) ** (hi - lo) for _, p, r, lo, hi in scaled)
         p = p._room(mult)
-        K, values = p.K, _times(p.terms, num).values()
+        K = p.K
+        values = _times(p.terms, num).values()
         for col, a, r, lo, hi in scaled:
             values = [V * a ** (e - lo) * r ** (hi - e) for V, e in zip(values, col)]
-        # the q shift K (sum_k s_k e_k - low) and the key of every term
+        # each term's q shift K (sum_k s_k e_k - low), and its key with the
+        # summed fields moved into the field acc
         qs, news = [-K * low] * len(p.terms), list(p.terms)
         for col, (i, (a, s)) in zip(cols, subs.items()):
             if s:
@@ -702,9 +785,10 @@ class MultiLaurent:
                 w = (1 << F * (n - 1 - acc)) - (1 << F * (n - 1 - i))
                 news = list(map(add, news, [(e - B) * w for e in col]))
         out = _add_into({}, zip(news, map(lshift, values, qs)))
-        src = tuple(vs.index(target) if i == acc else None if i in subs else vs.index(u)
-                    for i, u in enumerate(p.vars))
-        # low is taken over biased exponents
+        src = tuple(
+            vs.index(target) if i == acc else None if i in subs else vs.index(u) for i, u in enumerate(p.vars)
+        )
+        # low was taken over biased exponents
         qlo = p.qlo + low - B * sum(s for _, s in subs.values())
         return MultiLaurent._raw(p.vars, out, K, qlo, p.bound * mult, p.den * den, F, E)._reslot(vs, src)
 
@@ -714,22 +798,27 @@ class MultiLaurent:
         if len(set(new_of.values())) != len(new_of):
             raise ValueError("relabeling must be injective on the registry")
         vs = _sorted_vars(new_of.values())
-        return self._reslot(vs, tuple(vs.index(new_of[v]) for v in self.vars))
+        pos = {u: i for i, u in enumerate(vs)}
+        return self._reslot(vs, tuple(pos[new_of[v]] for v in self.vars))
 
     # ---------- symmetry ----------
 
     def symmetrize(self, color: int) -> MultiLaurent:
         """Sum of all k! relabelings permuting the color's variables."""
         cv = [v for v in self.vars if v.color == color]
-        perms = (self.relabel(dict(zip(cv, perm))) for perm in permutations(cv))
-        return sum(perms, MultiLaurent.zero(self.vars))
+        total = MultiLaurent.zero(self.vars)
+        for perm in permutations(cv):
+            total = total + self.relabel(dict(zip(cv, perm)))
+        return total
 
     def is_symmetric(self, color: int) -> bool:
-        """Invariance under all adjacent swaps of the color's variables,
-        each a bijection on keys that must keep every packed value."""
+        """Invariance under all adjacent swaps of the color's variables:
+        each swap is a bijection on keys, so every swapped key must carry
+        the same packed value."""
         n, F, M = len(self.vars), self.F, (1 << self.F) - 1
         slots = [F * (n - 1 - i) for i, v in enumerate(self.vars) if v.color == color]
-        terms, get = self.terms, self.terms.get
+        terms = self.terms
+        get = terms.get
         for si, sj in zip(slots, slots[1:]):
             # the swap adds d (2^si - 2^sj), d the fields' difference, and
             # pairs the keys with d > 0 and d < 0: look up one, count both
@@ -755,64 +844,81 @@ class MultiLaurent:
         return self._exact_div_binomial(vi, vj, a, s)
 
     def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
-        """``exact_div_binomial`` for c = a q^s.  With x = z_vi, y = z_vj and
-        b the lowest exponent of x, the binomial divides P iff P(x = c y)
-        x^b / (c y)^b = 0, where a term x^(b + e) y^f goes to c^e x^b y^(f +
-        e).  Then each term contributes x^b y^f sum_{t < e} x^(e - 1 - t)
-        (c y)^t to the quotient."""
+        """``exact_div_binomial`` for c = a q^s.
+
+        The binomial divides F iff F(z_vi = c z_vj) = 0.  Then, with x = z_vi,
+        y = z_vj and b the lowest exponent of x, F = sum x^b y^f (x^e - (c y)^e)
+        over its terms x^(b + e) y^f, so each term contributes x^b y^f
+        sum_{t < e} x^(e - 1 - t) (c y)^t to the quotient."""
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
-        if vi not in self.vars or vj not in self.vars:  # then no two terms meet in the test
-            raise NotDivisible(vi, vj, a, s)
-        f = self._keyed(3 * self.E)  # the exponent of y grows by less than top <= 2E
-        n, F, p, r = len(f.vars), f.F, a.numerator, a.denominator
-        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
-        xs, ys = [key >> si & M for key in f.terms], [key >> sj & M for key in f.terms]
+        f = self.with_vars((vi, vj))
+        n, pi, pj, M = len(f.vars), f.vars.index(vi), f.vars.index(vj), (1 << f.F) - 1
+        xs = [key >> f.F * (n - 1 - pi) & M for key in f.terms]
         b, top = min(xs), max(xs) - min(xs)
-        # up to top + 1 terms meet on a monomial of the test, each times
-        # a^e = p^e / r^e, e <= top, over r^top; a quotient term sums the
-        # terms above it on its line, each times a^t, t < top, over r^(top-1)
-        meet = min(top + 1, max(ys) - min(ys) + 1)
-        f = f._room(meet * max(abs(p), r) ** top)
-        K, lo, es = f.K, min(0, s * top), [x - b for x in xs]
-        shift = (1 << sj) - (1 << si)
-        powers = [p**e * r ** (top - e) << K * (s * e - lo) for e in range(top + 1)]
-        moved = map(add, f.terms, [e * shift for e in es])
-        if _add_into({}, zip(moved, map(mul, f.terms.values(), map(powers.__getitem__, es)))):
+        p, r = a.numerator, a.denominator
+        # F(z_vi = c z_vj) = 0 implies that it vanishes at every z = 1 and
+        # q = 2^K, where r^top c^-b F(z_vi = c z_vj), up to a power of 2, is
+        # one int: that is tested first, in one pass over the packed values
+        lo = min(0, s * top)
+        at_one = sum([V * p ** (x - b) * r ** (top - x + b) << f.K * (s * (x - b) - lo)
+                      for V, x in zip(f.terms.values(), xs)])
+        if at_one or self._substitute((vi,), [(a, s)], vj):
             raise NotDivisible(vi, vj, a, s)
-        lo = min(0, s * (top - 1))
+        ys = [key >> f.F * (n - 1 - pj) & M for key in f.terms]
+        # a quotient term sums the terms above it on its substitution line,
+        # each times a^t = p^t / r^t, t < top: over the denominator r^(top-1)
+        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** (top - 1)
+        # the exponent of y grows by less than top; xs - b stay the exponents
+        # of x over b in any packing
+        f = f._room(mult)._keyed(f.E + top)
+        K, F, lo = f.K, f.F, min(0, s * (top - 1))
+        si, sj = F * (n - 1 - pi), F * (n - 1 - pj)
         # the key offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
-        steps = [((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo))
-                 for t in range(top)]
+        steps = [
+            ((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo))
+            for t in range(top)
+        ]
         return MultiLaurent._raw(f.vars, _add_into({}, (
-            (key + off, V * X) for (key, V), e in zip(f.terms.items(), es) for off, X in steps[:e]
-        )), K, f.qlo + lo, f.bound * meet * max(abs(p), r) ** (top - 1), f.den * r ** (top - 1), F, f.E + top)
+            (key + off, V * X)
+            for (key, V), x in zip(f.terms.items(), xs) for off, X in steps[: x - b]
+        )), K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1), F, f.E + top)
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
-        """The divided difference (P - s P) / (z_vi - z_vj), s swapping the
-        two variables, term by term: x^a y^b goes to sign(a - b) (x y)^lo
-        sum_{k < |a - b|} x^k y^(|a - b| - 1 - k), lo = min(a, b)."""
+        """The divided difference (F - s F) / (z_vi - z_vj), s swapping the
+        two variables.  Always a Laurent polynomial; computed term by term:
+        x^a y^b goes to sign(a - b) (x y)^lo sum_{k < |a - b|} x^k
+        y^(|a - b| - 1 - k) with lo = min(a, b), and to 0 when a = b."""
         if vi == vj:
             raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
         n, F = len(f.vars), f.F
-        si, sj, M = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj)), (1 << F) - 1
-        out, run = _divided(f.terms, si, sj, M)
-        mult = run + (run & 1)  # a run and its mirror image can meet
+        si, sj = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj))
+        out, run = _divided(f.terms, si, sj, (1 << F) - 1)
+        # a run and its mirror image can meet on one monomial
+        mult = run + (run & 1)
         if (f.bound * mult) >> (f.K - 2):
-            # exact at any K, but unreadable: redo it on a copy with room
+            # the loop is exact on packed values at any K, but its result
+            # could not be read: redo it on a copy with room
             f = f._room(mult)
-            out, _ = _divided(f.terms, si, sj, M)
+            out, _ = _divided(f.terms, si, sj, (1 << F) - 1)
         return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den, F, f.E)
 
     # ---------- evaluation ----------
 
     def eval_at(self, q0: Fraction, assignment: dict) -> Fraction:
-        vals, q0 = [Fraction(coefficient(assignment[v])) for v in self.vars], Fraction(coefficient(q0))
-        return sum((self._laurent(V).eval_at(q0) * prod([val**e for val, e in zip(vals, exps) if e])
-                    for exps, V in zip(self.exponents(), self.terms.values())), Fraction(0))
+        vals = [Fraction(coefficient(assignment[v])) for v in self.vars]
+        q0 = Fraction(coefficient(q0))
+        total = Fraction(0)
+        for exps, V in zip(self.exponents(), self.terms.values()):
+            term = self._laurent(V).eval_at(q0)
+            for val, e in zip(vals, exps):
+                if e:
+                    term *= val**e
+            total += term
+        return total
 
     # ---------- comparison and display ----------
 
@@ -828,10 +934,11 @@ class MultiLaurent:
 
     def __hash__(self):
         # equal polynomials may differ in registry and packing, and a
-        # constant equals its scalar: hash its LaurentQ, or else the
-        # nonzero (variable, exponent) pairs of each monomial with its own
-        zero = _bias(self.F, len(self.vars)) >> 1
-        if all(key == zero for key in self.terms):
+        # constant equals its scalar: hash like the LaurentQ of its
+        # coefficient, or hash the nonzero (variable, exponent) pairs of
+        # each monomial with its LaurentQ
+        one = _bias(self.F, len(self.vars)) >> 1
+        if all(key == one for key in self.terms):
             return hash(self.coeff((0,) * len(self.vars)))
         return hash(frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), self._laurent(V))
@@ -841,16 +948,17 @@ class MultiLaurent:
     def term_lines(self) -> list[str]:
         """Canonical text rendering, one line per (coefficient, monomial).
 
-        Terms come sorted by their z-exponents (key order), then by the
-        power of q, like ``(1) q^0 | z[1,1]^2``; the digits and the
-        exponents of all monomials are read in one pass each."""
+        Terms come sorted by their z-exponents (key order) and then by the
+        power of q, as a stable term list like ``(1) q^0 | z[1,1]^2``.  The
+        digits and the exponents of all monomials are read in one pass
+        each, and each variable's powers are rendered once per exponent.
+        """
         if not self.terms:
             return []
         keys = sorted(self.terms)
         n = _width(self.terms.values(), self.K)
         digits = _digits([self.terms[key] for key in keys], self.K, n)
         powers = [f") q^{self.qlo + i} | " for i in range(n)]
-        # each column's exponents as text, one string per distinct exponent
         cols = []
         for name, col in zip(map(str, self.vars), zip(*_exponents(keys, self.F, len(self.vars)))):
             text = {e: f"{name}^{e}" for e in set(col)}
@@ -862,7 +970,9 @@ class MultiLaurent:
         return [f"({digits[at]}{powers[at % n]}{monos[at // n]}" for at in compress(count(), digits)]
 
     def __str__(self) -> str:
-        return "; ".join(self.term_lines()) or "0"
+        if not self.terms:
+            return "0"
+        return "; ".join(self.term_lines())
 
     def __repr__(self) -> str:
         return f"MultiLaurent[{', '.join(map(str, self.vars))}]({self})"

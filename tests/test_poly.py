@@ -156,6 +156,31 @@ def test_exact_divide_example():
         (num + 1).exact_div_binomial(Z1, Z2, qp(2))
 
 
+def test_exact_divide_substitutes_only_when_the_value_at_one_vanishes(monkeypatch):
+    # F(z1 = c z2) at every z = 1 is one int: when it is not 0 it decides,
+    # and when it is 0 the substitution must, as for z1 w - c z2 by
+    # z1 - c z2 (value c - c at 1, but c z2 w - c z2 after z1 = c z2)
+    calls = []
+    substitute = MultiLaurent._substitute
+
+    def counted(self, *args):
+        calls.append(args)
+        return substitute(self, *args)
+
+    monkeypatch.setattr(MultiLaurent, "_substitute", counted)
+    for c in (RatQ.one(), qp(2), qp(-1, Fraction(-3, 2))):
+        num = MultiLaurent((Z1, Z2, W), {(1, 0, 1): 1, (0, 1, 0): -c})
+        cases = [(num, 1), (num + MultiLaurent.var_power(Z1, 3), 0), (num.mul_binomial(1, Z1, -c, Z2), 1)]
+        for f, substituted in cases[:2]:
+            calls.clear()
+            with pytest.raises(NotDivisible):
+                f.exact_div_binomial(Z1, Z2, c)
+            assert len(calls) == substituted
+        calls.clear()
+        assert cases[2][0].exact_div_binomial(Z1, Z2, c) == num
+        assert len(calls) == 1
+
+
 def test_not_divisible_text_names_the_binomial():
     # the kernel raises with the divisor's parts and formats them on demand
     num = MultiLaurent.var_power(Z1, 2) + 1
