@@ -860,8 +860,8 @@ class MultiLaurent:
         b, top = min(xs), max(xs) - min(xs)
         p, r = a.numerator, a.denominator
         # F(z_vi = c z_vj) = 0 implies that it vanishes at every z = 1 and
-        # q = 2^K, where r^top c^-b F(z_vi = c z_vj), up to a power of 2, is
-        # one int: that is tested first, in one pass over the packed values
+        # q = 2^K, where r^top c^-b F(z_vi = c z_vj) is, up to a nonzero
+        # factor, one int summed over the packed values: tested first
         lo = min(0, s * top)
         at_one = sum([V * p ** (x - b) * r ** (top - x + b) << f.K * (s * (x - b) - lo)
                       for V, x in zip(f.terms.values(), xs)])
