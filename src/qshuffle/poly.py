@@ -75,7 +75,8 @@ one, the shifted copies summed.
 
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -89,8 +90,9 @@ from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 # are powers of two
 _K_START = 16
 _F_START = 16
-# the digit widths read in bulk, as struct codes of signed ints
-_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}
+# the digit widths read in bulk, as memoryview formats of little-endian
+# signed ints
+_VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little" else {}
 
 
 class NotDivisible(ArithmeticError):
@@ -168,11 +170,12 @@ def _key(exps, F: int) -> int:
 def _exponents(keys, F: int, n: int) -> list:
     """The z-exponent tuples of keys of n fields: the fields less 2^(F - 2)
     are the balanced base-2^F digits of the keys less the key of 1, read
-    in bulk, highest first."""
+    in bulk lowest first, so the reversed digits give each key's fields
+    highest first, in reverse key order."""
     if not n:
         return [()] * len(keys)
     one = _bias(F, n) >> 1
-    return list(zip(*[iter(_digits([key - one for key in keys], F, n, "big"))] * n))
+    return list(zip(*[iter(_digits([key - one for key in keys], F, n)[::-1])] * n))[::-1]
 
 
 def _rekeyed(terms: dict, F: int, wide: int, n: int) -> dict:
@@ -265,16 +268,16 @@ def _bias(K: int, n: int) -> int:
     return ((1 << K * n) - 1) // ((1 << K) - 1) << (K - 1)
 
 
-def _digits(values, K: int, n: int, order="little"):
+def _digits(values, K: int, n: int):
     """The digits of the packed values, n per value, as one flat sequence
-    of ints: lowest digit first, or highest first for order "big"."""
+    of ints."""
     size = n * K // 8
     bias = _bias(K, n)
-    blob = b"".join([((v + bias) ^ bias).to_bytes(size, order) for v in values])
-    if K in _CODE:
-        return struct.unpack(f"{'<>'[order == 'big']}{len(blob) * 8 // K}{_CODE[K]}", blob)
+    blob = b"".join([((v + bias) ^ bias).to_bytes(size, "little") for v in values])
+    if K in _VIEW:
+        return memoryview(blob).cast(_VIEW[K])
     step = K // 8
-    return [int.from_bytes(blob[i:i + step], order, signed=True) for i in range(0, len(blob), step)]
+    return [int.from_bytes(blob[i:i + step], "little", signed=True) for i in range(0, len(blob), step)]
 
 
 def _true_bound(terms: dict, K: int) -> int:
@@ -292,8 +295,8 @@ def _repacked(terms: dict, K: int, wide: int) -> dict:
         return {}
     n = _width(terms.values(), K)
     d = _digits(terms.values(), K, n)
-    if wide in _CODE:
-        blob = struct.pack(f"<{len(d)}{_CODE[wide]}", *d)
+    if wide in _VIEW:
+        blob = array(_VIEW[wide], d).tobytes()
     else:
         blob = b"".join(x.to_bytes(wide // 8, "little", signed=True) for x in d)
     size = n * wide // 8
