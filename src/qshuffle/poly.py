@@ -45,14 +45,14 @@ multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
 digits of x and y; a divided difference by 2 ceil(R / 2) for
 its longest run R, since a run and its mirror image can meet on one
 monomial; a product b1 b2 by the q-digit count and the term count of the
-operand with fewer terms; a substitution or exact division by the number
-of terms that can meet on one monomial.  When the bound would reach
-2^(K - 2), the operands are recertified first (their digits are read and
-the bound restarts from the true maximum), and repacked at a wider K if
-even that does not fit.  K is never guessed.  Packed arithmetic is exact
-at any K and only reading a value, a zero test included, needs the
-bound, so ``divided_difference`` learns its longest run in its loop and
-redoes the loop on a repacked copy in the rare case that it does not fit.
+operand with fewer terms; a placed sum (below) by the sum of the l1 norms
+of its weights; a substitution or exact division by the number of terms
+that can meet on one monomial.  When the bound would reach 2^(K - 2),
+the operands are recertified first (their digits are read and the bound
+restarts from the true maximum), and repacked at a wider K if even that
+does not fit.  K is never guessed.  ``divided_difference`` learns its
+longest run R in its loop, so when b 2 (E + 1), which bounds b 2 ceil(R /
+2), could reach 2^(K - 2), it reads R in one pass over the keys first.
 
 Only this module reads or builds packed keys and values.  Scalars enter
 as int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``
@@ -70,7 +70,11 @@ by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
-one, the shifted copies summed.
+one, the shifted copies summed.  ``_placed_sum`` runs a whole family of
+such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
+P's fields to new slots; the weights W, built once by ``placements``,
+share one frame and carry the sum of their l1 norms (absolute digits),
+and the sum's bound is P's bound times that sum.
 """
 
 from __future__ import annotations
@@ -260,6 +264,7 @@ def _width(values, K: int) -> int:
     return max(map(int.bit_length, values)) // K + 1
 
 
+@lru_cache(maxsize=1024)
 def _bias(K: int, n: int) -> int:
     """sum_{i < n} 2^(K - 1) 2^(K i).  Adding it to a packed value of n
     digits turns each digit c into c + 2^(K - 1), which is nonnegative and
@@ -307,12 +312,15 @@ def _repacked(terms: dict, K: int, wide: int) -> dict:
     }
 
 
-def _fit(polys, need):
-    """The polynomials in one packing wide enough that need(*bounds)
-    stays below 2^(K - 2), and that K, for callers whose certified bounds
-    or packings do not fit: the bounds restart from the true maxima, and
-    K doubles until the need fits with a quarter of K to spare."""
-    K = max(p.K for p in polys)
+def _fit(polys, need, K=0):
+    """The polynomials in one packing of at least K bits wide enough that
+    need(*bounds) stays below 2^(K - 2), and that K.  When the certified
+    bounds or packings do not fit, the bounds restart from the true
+    maxima, and K doubles until the need fits with a quarter of K to
+    spare."""
+    K = max(K, *(p.K for p in polys))
+    if all(p.K == K for p in polys) and not need(*(p.bound for p in polys)) >> (K - 2):
+        return polys, K
     bounds = [_true_bound(p.terms, p.K) for p in polys]
     if need(*bounds) >> (K - 2):
         while need(*bounds) >> (K - 2 - K // 4):
@@ -341,16 +349,18 @@ def _add_into(out: dict, terms) -> dict:
     return out
 
 
-def _shifted_sum(terms: dict, shifts) -> dict:
-    """sum of X * x^off * terms over the (off, X) pairs, off a key offset:
-    the first shift is a fresh dict, every later one is added straight
-    into it."""
-    if not shifts:
-        return {}
-    off, X = shifts[0]
-    out = {key + off: V * X for key, V in terms.items()}
+def _shifted_sum(terms: dict, shifts, out=None) -> dict:
+    """sum of X * x^off * terms over the (off, X) pairs, off a key offset,
+    added straight into out; without out, the first shift is a fresh
+    dict."""
+    if out is None:
+        if not shifts:
+            return {}
+        off, X = shifts[0]
+        out = {key + off: V * X for key, V in terms.items()}
+        shifts = shifts[1:]
     get = out.get
-    for off, X in shifts[1:]:
+    for off, X in shifts:
         for key, V in terms.items():
             key += off
             s = get(key, 0) + V * X
@@ -405,6 +415,28 @@ def _common(a: MultiLaurent, b: MultiLaurent):
     ta = _times(a.terms, ma << K * (a.qlo - lo))
     tb = _times(b.terms, mb << K * (b.qlo - lo))
     return (ta, tb), (K, lo, a.bound * ma + b.bound * mb, den, a.F, max(a.E, b.E))
+
+
+def placements(pairs, K: int = 0, F: int = 0) -> tuple:
+    """The parts of ``MultiLaurent._placed_sum``: the (src, W) pairs, every
+    W nonzero and over one registry, brought to one frame (K, qlo, den, F,
+    E) of at least K-bit digits and F-bit fields, each with its key offsets
+    and values as (src, W, shifts), and the sum of the W's l1 norms, the
+    sums of their absolute digits."""
+    ws = [w for _, w in pairs]
+    den = lcm(*[w.den for w in ws])
+    mults = [den // w.den for w in ws]
+    ws, K = _fit(ws, lambda *bounds: max(bounds) * max(mults), K)
+    E, lo = 0, ws[0].qlo
+    for w in ws:
+        F, E, lo = max(F, w.F), max(E, w.E), min(lo, w.qlo)
+    one, out, norm = _bias(F, len(ws[0].vars)) >> 1, [], 0
+    for (src, _), w, m in zip(pairs, ws, mults):
+        terms = _times(w._keyed(0, F).terms, m << K * (w.qlo - lo))
+        out.append((src, MultiLaurent._raw(w.vars, terms, K, lo, w.bound * m, den, F, E),
+                    [(key - one, X) for key, X in terms.items()]))
+        norm += sum(map(abs, _digits(terms.values(), K, _width(terms.values(), K))))
+    return tuple(out), norm
 
 
 class MultiLaurent:
@@ -664,6 +696,36 @@ class MultiLaurent:
 
     __rmul__ = __mul__
 
+    def _placed_sum(self, vs: tuple[VarId, ...], parts) -> MultiLaurent:
+        """The sum of pi_src(self) * W over the (src, W) pairs of parts =
+        (pairs, norm) from ``placements``, in one dict.  pi_src moves field
+        k of self to slot src[k] of the registry vs, src a permutation; src
+        None means self is over vs already.  Per pair, a monomial collects
+        at most one product c X per term X of W, c a coefficient of self,
+        and its digits are at most bound ||X||_1, so the sum's bound is
+        self.bound * norm.  An operand that needs a wider K or F repacks
+        the frame for this call."""
+        pairs, norm = parts
+        frame = pairs[0][1]
+        if not self.terms:
+            return MultiLaurent.zero(vs)
+        E = self.E + frame.E
+        p = self._keyed(E, frame.F)
+        F, K = p.F, max(p.K, frame.K)
+        if p.K != K or (p.bound * norm) >> (K - 2):
+            (p,), K = _fit((p,), lambda b: b * norm, K)
+        if (K, F) != (frame.K, frame.F):
+            pairs = placements([(src, W) for src, W, _ in pairs], K, F)[0]
+        n, out = len(vs), {}
+        for src, _, shifts in pairs:
+            if src is None:
+                moved = p.terms
+            else:
+                move = _mover(F, src, n)
+                moved = {move(key): V for key, V in p.terms.items()}
+            _shifted_sum(moved, shifts, out)
+        return MultiLaurent._raw(vs, out, K, p.qlo + frame.qlo, p.bound * norm, p.den * frame.den, F, E)
+
     def scale(self, c) -> MultiLaurent:
         qt = _qterms(c)
         if not qt or not self.terms:
@@ -897,17 +959,15 @@ class MultiLaurent:
         if vi == vj:
             raise ValueError("divided difference needs two distinct variables")
         f = self.with_vars((vi, vj))
-        n, F = len(f.vars), f.F
+        n, F, M = len(f.vars), f.F, (1 << f.F) - 1
         si, sj = F * (n - 1 - f.vars.index(vi)), F * (n - 1 - f.vars.index(vj))
-        out, run = _divided(f.terms, si, sj, (1 << F) - 1)
+        if (f.bound * 2 * (f.E + 1)) >> (f.K - 2):
+            # the longest run could overflow the digits: read it first
+            run = max([abs((key >> si & M) - (key >> sj & M)) for key in f.terms])
+            f = f._room(run + (run & 1))
+        out, run = _divided(f.terms, si, sj, M)
         # a run and its mirror image can meet on one monomial
-        mult = run + (run & 1)
-        if (f.bound * mult) >> (f.K - 2):
-            # the loop is exact on packed values at any K, but its result
-            # could not be read: redo it on a copy with room
-            f = f._room(mult)
-            out, _ = _divided(f.terms, si, sj, (1 << F) - 1)
-        return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * mult, f.den, F, f.E)
+        return MultiLaurent._raw(f.vars, out, f.K, f.qlo, f.bound * (run + (run & 1)), f.den, F, f.E)
 
     # ---------- evaluation ----------
 

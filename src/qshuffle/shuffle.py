@@ -32,23 +32,28 @@ rational-function summation over the interleavings is available as
 ``mul_oracle_rational`` and can be switched on for every product with
 ``ShuffleAlgebra(..., oracle=True)``.  The oracle check sums the
 interleaving terms over their common denominator lcd without reducing
-anything, and compares the sum N / lcd with V A / D by
-``ratfun.fractions_equal``, cross-multiplying over the lcm of lcd and D,
-so it divides nothing either.  A printed-orientation product is read off
-that same sum, built once, so there the check verifies the read-off and
-not the sum.
+anything, and compares the sum N / lcd with V A / D by cross-multiplying
+over the lcm of lcd and D, so it divides nothing either.  A
+printed-orientation product is read off that same sum, built once, so
+there the check verifies the read-off and not the sum.
 
 Everything in a product that depends only on the two degrees is built
 once per algebra, in a ``Plan`` keyed by the ordered pair (n, m) and kept
 as long as the algebra, like the canonical forms.  A plan holds
-structure, never operand values: the product's registry, the slots of
-f's and g's variables in it, the cross binomials, the sign and the
-divided-difference steps; and for the oracle, per interleaving, the slot
-maps, the unit the relabelled canonical denominators absorb, the exchange
-binomials and the cofactor against the lcd, then the lcd and what the
-check's ``cancel_common(lcd, D)`` leaves.  The oracle half is built from
-the interleavings and the canonical denominators alone, never from the
-product half.  A product runs its plan with kernel calls only.
+structure, never operand values: the product's registry and the slots of
+f's and g's variables in it, and plan polynomials, each certified once
+(``poly.placements``) and run by one ``MultiLaurent._placed_sum`` call.
+The product half is the sign times the cross binomials, X, with the
+divided-difference steps.  The oracle half has, per interleaving, the
+slot map from the identity placement to its own and the weight W = unit
+times the exchange binomials times the cofactor against the lcd; then
+the lcd, and the check's two polynomials from ``cancel_common(lcd, D)``.
+The oracle half is built from the interleavings and the canonical
+denominators alone, never from the product half.  A product runs its
+plan with kernel calls only: (A_f A_g) X placed, then the steps; the
+oracle sum is (V_f A_f)(V_g A_g), formed once, placed at every
+interleaving by its weight in one call; the check is N D_rest == A
+L_rest V / unit.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .cartan import CartanData
-from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
+from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, placements, zvar
 from .qring import RQ_ONE, RatQ, int_exponent, q_binomial
 from .ratfun import (
     BinomialFactor,
@@ -141,22 +146,28 @@ class ShuffleElement:
 
 class Plan:
     """The structure of the product of one ordered pair of degrees (n, m),
-    never an operand value: the product's degree ``total`` and two halves,
-    each built when a product first needs it.
+    never an operand value: the product's degree ``total``, its registry
+    ``vars``, the slots ``fslots`` and ``gslots`` of f's and g's
+    variables in it (f's variables of each color first, the identity
+    placement), and two halves, each built when a product first needs it.
 
-    ``product``, for ``_mul_polynomial``, is (vars, fslots, gslots, cross,
-    odd, steps): the product's registry, the slots of f's and g's
-    variables in it, the cross binomials as ``_mul_binomial`` arguments,
-    the sign and the divided-difference steps.  ``oracle``, for
-    ``_oracle_fraction`` and the check, is (vars, terms, lcd, check): the
-    registry; per interleaving, (fslots, gslots, unit, exchange, cofactor)
-    with the unit None for 1; the lcd; and the pair ``cancel_common(lcd,
-    D)`` against the product's canonical denominator D."""
+    ``product``, for ``_mul_polynomial``, is (cross, steps): the plan
+    polynomial X = eps prod (z_a - q^(a,b) z_b) over a in f and b in g, as
+    the parts of ``MultiLaurent._placed_sum``, and the divided-difference
+    steps.  ``oracle``, for ``_oracle_fraction`` and the check, is
+    (weights, lcd, check): per interleaving, the slot map from the
+    identity placement to its own (None for the identity) and its weight
+    W = unit prod exchange cofactor(lcd, den), as ``_placed_sum`` parts;
+    the lcd; and the check's two plan polynomials, prod D_rest (None when
+    it is 1) and prod L_rest V / unit, where (L_rest, D_rest) is
+    ``cancel_common(lcd, D)`` against the product's canonical denominator
+    D."""
 
-    __slots__ = ("total", "product", "oracle")
+    __slots__ = ("total", "vars", "fslots", "gslots", "product", "oracle")
 
-    def __init__(self, total: tuple):
-        self.total, self.product, self.oracle = total, None, None
+    def __init__(self, total: tuple, vs: tuple, fslots: tuple, gslots: tuple):
+        self.total, self.vars, self.fslots, self.gslots = total, vs, fslots, gslots
+        self.product, self.oracle = None, None
 
 
 def parse_word(text: str) -> list[tuple[int, int]]:
@@ -303,7 +314,12 @@ class ShuffleAlgebra:
         half when ``oracle``."""
         plan = self._plans.get((n, m))
         if plan is None:
-            plan = self._plans[n, m] = Plan(tuple(a + b for a, b in zip(n, m)))
+            total = tuple(a + b for a, b in zip(n, m))
+            start = [sum(total[:c]) for c in range(len(total))]
+            # f's z[c,k] goes to slot k of color c, g's z[c,k] to slot n_c + k
+            fslots = tuple(start[v.color - 1] + v.index - 1 for v in self.flat_vars(n))
+            gslots = tuple(start[v.color - 1] + n[v.color - 1] + v.index - 1 for v in self.flat_vars(m))
+            plan = self._plans[n, m] = Plan(total, tuple(self.flat_vars(total)), fslots, gslots)
         if plan.product is None and self.orientation == "product":
             plan.product = self._product_plan(n, m)
         if plan.oracle is None and oracle:
@@ -311,34 +327,32 @@ class ShuffleAlgebra:
         return plan
 
     def _product_plan(self, n, m) -> tuple:
-        """The structure of ``_mul_polynomial`` for degrees (n, m)."""
-        total = tuple(a + b for a, b in zip(n, m))
-        flat = self.flat_vars(total)
-        start = [sum(total[:c]) for c in range(len(total))]
-        # f's z[c,k] goes to slot k of color c, g's z[c,k] to slot n_c + k
-        fslots = tuple(start[v.color - 1] + v.index - 1 for v in self.flat_vars(n))
-        gslots = tuple(start[v.color - 1] + n[v.color - 1] + v.index - 1 for v in self.flat_vars(m))
-        left, right = [flat[i] for i in fslots], [flat[i] for i in gslots]
-        cross = [(u, (1, 0), v, (-1, self._pairing[u.color, v.color])) for u in left for v in right]
+        """The product half of the plan of degrees (n, m)."""
+        plan = self._plans[n, m]
+        vs = plan.vars
         odd = sum(n[c] * m[b] for c in range(len(n)) for b in range(c)) % 2 == 1
+        cross = MultiLaurent.constant(-1 if odd else 1, vs)
+        for u in (vs[i] for i in plan.fslots):
+            for v in (vs[i] for i in plan.gslots):
+                cross = cross._mul_binomial(u, (1, 0), v, (-1, self._pairing[u.color, v.color]))
         steps = [
             (zvar(c, i), zvar(c, i + 1))
             for c, (nc, mc) in enumerate(zip(n, m), start=1)
             for i in grassmannian_steps(nc, mc)
         ]
-        return tuple(flat), fslots, gslots, cross, odd, steps
+        return placements([(None, cross)]), steps
 
     def _oracle_plan(self, n, m) -> tuple:
-        """The structure of ``_oracle_fraction`` for degrees (n, m), from
-        the interleavings and the canonical denominators alone: per
-        interleaving the slot maps, the unit that the relabelled canonical
-        denominators and the canonical forms' own units absorb, the
-        exchange binomials and the cofactor against the lcd; the lcd; and
-        what ``cancel_common(lcd, D)`` leaves for the check against the
-        product's canonical denominator D."""
-        total = tuple(a + b for a, b in zip(n, m))
-        flat = self.flat_vars(total)
-        pos = {v: i for i, v in enumerate(flat)}
+        """The oracle half of the plan of degrees (n, m), from the
+        interleavings and the canonical denominators alone: per
+        interleaving the slot map and the weight, the unit that the
+        relabelled canonical denominators and the canonical forms' own
+        units absorb times the exchange binomials and the cofactor against
+        the lcd; the lcd; and the check's two polynomials."""
+        plan = self._plans[n, m]
+        vs, total = plan.vars, plan.total
+        pos = {v: i for i, v in enumerate(vs)}
+        identity = tuple(range(len(vs)))
         (fden, _, fu), (gden, _, gu) = self._form(n), self._form(m)
         base = RQ_ONE / (fu * gu)
         parts = []
@@ -350,38 +364,49 @@ class ShuffleAlgebra:
                     den[nf] = den.get(nf, 0) + mult
                     if not u.is_one():
                         unit = unit / u**mult
-            exchange = []
-            for u, v in combinations(flat, 2):
+            weight = MultiLaurent.constant(unit, vs)
+            for u, v in combinations(vs, 2):
                 if (u in fset) or (v not in fset):
                     continue
                 # u from the right factor precedes v from the left: inverted
                 p = self._pairing[u.color, v.color]
-                exchange.append((u, (1, p), v, (-1, 0)))
+                weight = weight._mul_binomial(u, (1, p), v, (-1, 0))
                 fac = BinomialFactor.from_parts(u, v, p)
                 den[fac] = den.get(fac, 0) + 1
-            slots = [tuple(pos[mp[x]] for x in self.flat_vars(d)) for d, mp in ((n, fmap), (m, gmap))]
-            parts.append((slots, None if unit.is_one() else unit, exchange, den))
+            # the identity placement's slot i goes to slot src[i]
+            src = [0] * len(vs)
+            for d, slots, mp in ((n, plan.fslots, fmap), (m, plan.gslots, gmap)):
+                for i, x in zip(slots, self.flat_vars(d)):
+                    src[i] = pos[mp[x]]
+            parts.append((None if tuple(src) == identity else tuple(src), weight, den))
         lcd = den_lcm(den for *_, den in parts)
-        terms = [(*slots, unit, exchange, cofactor(lcd, den)) for slots, unit, exchange, den in parts]
-        return tuple(flat), terms, lcd, cancel_common(lcd, self._form(total)[0])
+        weights = placements([(src, factor_product(cofactor(lcd, den), start=w)) for src, w, den in parts])
+        canon, vand, unit = self._form(total)
+        lcd_rest, den_rest = cancel_common(lcd, canon)
+        # D_rest is most often 1, and then the check skips its product
+        lhs = factor_product(den_rest, start=MultiLaurent.constant(1, vs))
+        rhs = factor_product(lcd_rest, start=vand.scale(RQ_ONE / unit))
+        check = (placements([(None, lhs)]) if den_rest else None, placements([(None, rhs)]))
+        return weights, lcd, check
 
     def mul(self, f: ShuffleElement, g: ShuffleElement) -> ShuffleElement:
         self._own(f, g)
         # one oracle sum per product: the printed product is read off it
         summed = self.oracle or self.orientation == "printed"
         plan = self._plan(f.degree, g.degree, summed)
-        oracle = self._oracle_fraction(f, g, plan.oracle) if summed else None
+        oracle = self._oracle_fraction(f, g, plan) if summed else None
         if self.orientation == "product":
             result = self._mul_polynomial(f, g, plan)
         else:
             result = self._mul_rational(oracle, plan.total)
         if self.oracle:
             # N / lcd == V A / (unit D), cross-multiplied over the lcm of
-            # lcd and D: no division
-            lcd_rest, den_rest = plan.oracle[3]
-            if factor_product(den_rest, start=oracle[0]) != factor_product(
-                lcd_rest, start=self._canonical_numerator(result)
-            ):
+            # lcd and D: N D_rest == A L_rest V / unit, no division
+            den_rest, lcd_rest = plan.oracle[2]
+            vs, num = plan.vars, oracle[0]
+            if den_rest is not None:
+                num = num._placed_sum(vs, den_rest)
+            if num != result.numerator._placed_sum(vs, lcd_rest):
                 raise ArithmeticError(
                     "shuffle product disagrees with the direct rational sum"
                 )
@@ -399,14 +424,12 @@ class ShuffleAlgebra:
         where d_(n,m) is, per color, the divided difference of the
         Grassmannian permutation moving g's slots past f's (n_c m_c simple
         steps) and eps = (-1)^#{a in f, b in g : color(a) > color(b)}.
-        The plan's product half holds the slots, the cross binomials, eps
-        and the steps."""
-        vs, fslots, gslots, cross, odd, steps = plan.product
-        num = f.numerator._reslot(vs, fslots) * g.numerator._reslot(vs, gslots)
-        for args in cross:
-            num = num._mul_binomial(*args)
-        if odd:
-            num = -num
+        The plan's product half holds eps times the cross binomials as one
+        polynomial, and the steps."""
+        cross, steps = plan.product
+        vs = plan.vars
+        num = f.numerator._reslot(vs, plan.fslots) * g.numerator._reslot(vs, plan.gslots)
+        num = num._placed_sum(vs, cross)
         for vi, vj in steps:
             num = num.divided_difference(vi, vj)
         for c in range(1, self.cartan.rank + 1):
@@ -444,10 +467,9 @@ class ShuffleAlgebra:
         the combined variables, weight inverted mixed pairs by the exchange
         ratio, and reduce the sum once."""
         self._own(f, g)
-        plan = self._plan(f.degree, g.degree, True)
-        return RatFun(*self._oracle_fraction(f, g, plan.oracle))
+        return RatFun(*self._oracle_fraction(f, g, self._plan(f.degree, g.degree, True)))
 
-    def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement, plan: tuple):
+    def _oracle_fraction(self, f: ShuffleElement, g: ShuffleElement, plan: Plan):
         """The interleaving sum of ``mul_oracle_rational`` as (N, lcd), N
         over the product of the lcd factors, with no reduction; lcd is the
         plan's own dict, which callers only read.
@@ -455,23 +477,15 @@ class ShuffleAlgebra:
         Each term is the product of the relabelled canonical forms V A / D
         of f and g and, per inverted mixed pair (u from g before v from f),
         of (q^p z_u - z_v) / (z_u - q^p z_v); the terms are summed over the
-        lcm of their denominators.  The plan holds everything but A: each
-        term places V A of f and of g by its slot maps, scales by its unit,
-        multiplies its exchange binomials and its cofactor against the
-        lcd in, and is added to the sum."""
-        vs, terms, lcd, _ = plan
-        a = self._form(f.degree)[1] * f.numerator
-        b = self._form(g.degree)[1] * g.numerator
-        total = None
-        for fslots, gslots, unit, exchange, cof in terms:
-            num = a._reslot(vs, fslots) * b._reslot(vs, gslots)
-            if unit is not None:
-                num = num.scale(unit)
-            for args in exchange:
-                num = num._mul_binomial(*args)
-            num = factor_product(cof, start=num)
-            total = num if total is None else total + num
-        return total, lcd
+        lcm of their denominators.  The plan holds everything but A: the
+        product (V_f A_f)(V_g A_g) is formed once in the identity
+        placement, and one ``_placed_sum`` moves it to each interleaving's
+        slots and multiplies it by that interleaving's weight."""
+        weights, lcd, _ = plan.oracle
+        vs = plan.vars
+        a = (self._form(f.degree)[1] * f.numerator)._reslot(vs, plan.fslots)
+        b = (self._form(g.degree)[1] * g.numerator)._reslot(vs, plan.gslots)
+        return (a * b)._placed_sum(vs, weights), lcd
 
     # ---------- words ----------
 

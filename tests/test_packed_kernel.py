@@ -41,7 +41,7 @@ def assert_decodes_to(got, want):
     an exponent bound that certifies its key fields."""
     assert all(got.terms.values())
     assert (got.vars, expanded(got)) == (want.vars, want.terms)
-    assert got.bound < 1 << (got.K - 2)
+    assert poly._true_bound(got.terms, got.K) <= got.bound < 1 << (got.K - 2)
     assert max((abs(e) for key in got.exponents() for e in key), default=0) <= got.E < 1 << (got.F - 2)
 
 
@@ -265,6 +265,38 @@ def test_a_narrow_packing_is_widened(monkeypatch):
     assert repacks and all(wide > K for K, wide in repacks)
     assert max(abs(c) for c in expanded(classical).values()) >= 1 << 6
     assert classical.K > 8
+
+
+def test_placed_sums_reach_their_bound():
+    # P's digits reach its bound b, and the weights 1 + q, placed by the
+    # three cyclic shifts, stack the symmetric term's products on one
+    # monomial, so a digit of the sum reaches b times the weights' summed
+    # l1 norms: the bound rule is tight
+    vs = (zvar(1, 1), zvar(1, 2), zvar(1, 3))
+    b = 1000
+    spec = {(1, 1, 1): LaurentQ({0: b, 1: b}), (2, 0, -1): 3, (0, -2, 5): RatQ.q_power(2, -7)}
+    weight = {(0, 0, 0): LaurentQ({0: 1, 1: 1})}
+    cycles = (None, (1, 2, 0), (2, 0, 1))
+    parts = poly.placements([(src, MultiLaurent(vs, weight)) for src in cycles])
+    rw = Reference(vs, weight)
+    # and an operand whose digits or exponents need a wider K or F than
+    # the weights' frame: the frame is repacked for the call
+    wide = {(1, 1, 1): LaurentQ({0: 10**6, 1: 1}), (20000, 0, -1): 3}
+    for P, rP in (both((vs, spec)), both((vs, wide))):
+        got = P._placed_sum(vs, parts)
+        want = sum((rP if src is None else rP._reslot(vs, src)) * rw for src in cycles)
+        assert_decodes_to(got, want)
+    assert (got.K, got.F) == (32, 32) and all((W.K, W.F) == (16, 16) for _, W, _ in parts[0])
+    # weights over different denominators and lowest powers of q share
+    # one frame
+    half = {(1, 0, 0): RatQ.q_power(-2, Fraction(1, 2))}
+    mixed = poly.placements([(None, MultiLaurent(vs, weight)), ((1, 2, 0), MultiLaurent(vs, half))])
+    assert_decodes_to(P._placed_sum(vs, mixed), rP * rw + rP._reslot(vs, (1, 2, 0)) * Reference(vs, half))
+    P = MultiLaurent(vs, spec)
+    assert P.bound == b
+    got = P._placed_sum(vs, parts)
+    assert poly._true_bound(got.terms, got.K) == got.bound == 6 * b
+    assert parts[1] == 6
 
 
 def wide_exponent_results(kernel):

@@ -17,8 +17,8 @@ canonical forms of each interleaving and sums with ``fraction_sum``, and
 the plan must give the same unreduced numerator and lcd.  With the oracle
 on, ``mul`` compares the two sides by cross-multiplying, so it needs no
 exact division; the mutation controls show that the comparison still
-catches a wrong product, and a plan with a dropped exchange binomial is
-caught the same way.
+catches a wrong product, and a plan whose weight for one interleaving
+lost an exchange binomial is caught the same way.
 
 The printed orientation multiplies by cancelling the canonical
 denominator against the oracle sum's by factor count and reducing once.
@@ -34,7 +34,7 @@ import pytest
 
 from qshuffle.cartan import builtin_cartan
 from qshuffle.cli import main
-from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, zvar
+from qshuffle.poly import MultiLaurent, NotDivisible, grassmannian_steps, placements, zvar
 from qshuffle.qring import RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, fraction_sum, rat_sum, relabel_fraction
 from qshuffle.shuffle import (
@@ -136,7 +136,7 @@ def reference_oracle_fraction(alg, f, g):
 
 
 def planned_oracle_fraction(alg, f, g):
-    return alg._oracle_fraction(f, g, alg._plan(f.degree, g.degree, True).oracle)
+    return alg._oracle_fraction(f, g, alg._plan(f.degree, g.degree, True))
 
 
 def reference_mul_rational(alg, f, g):
@@ -544,15 +544,22 @@ def test_elements_keep_the_flat_registry(name):
         assert_flat_registry(printed, printed.mul(alg.generator(1, 0), alg.generator(cartan.rank, 1)))
 
 
-def _drop_one_exchange_binomial(plan):
-    """Drop one exchange binomial from the first interleaving of the
-    plan's oracle half that has one."""
-    vs, terms, lcd, check = plan.oracle
-    terms = list(terms)
-    k = next(i for i, (_, _, _, exchange, _) in enumerate(terms) if exchange)
-    fslots, gslots, unit, exchange, cof = terms[k]
-    terms[k] = (fslots, gslots, unit, exchange[1:], cof)
-    plan.oracle = (vs, terms, lcd, check)
+def _drop_one_exchange_binomial(alg, f, g):
+    """Divide one exchange binomial (q^p z_u - z_v) = q^p (z_u - q^-p z_v)
+    out of the weight of the first interleaving of the plan's oracle half
+    that has an inverted pair, and certify the weights again."""
+    plan = alg._plans[f.degree, g.degree]
+    (pairs, _), lcd, check = plan.oracle
+    for k, (_, _, fset) in enumerate(alg._interleavings(f.degree, g.degree)):
+        inverted = [(u, v) for u, v in combinations(plan.vars, 2) if u not in fset and v in fset]
+        if inverted:
+            break
+    u, v = inverted[0]
+    c = RatQ.q_power(-alg.cartan.pairing(u.color, v.color))
+    pairs = [(src, weight) for src, weight, _ in pairs]
+    src, weight = pairs[k]
+    pairs[k] = (src, weight.exact_div_binomial(u, v, c).scale(c))
+    plan.oracle = (placements(pairs), lcd, check)
 
 
 @pytest.mark.parametrize("name", ("A1", "A2", "B2", "G2"))
@@ -564,7 +571,7 @@ def test_a_broken_plan_is_caught(name):
     alg = ShuffleAlgebra(cartan, oracle=True)
     alg.mul(f, g)
     checks = alg.oracle_checks
-    _drop_one_exchange_binomial(alg._plans[f.degree, g.degree])
+    _drop_one_exchange_binomial(alg, f, g)
     with pytest.raises(ArithmeticError):
         alg.mul(f, g)
     assert alg.oracle_checks == checks
@@ -575,7 +582,7 @@ def test_a_broken_plan_is_caught(name):
     # the printed orientation reads its product off the broken sum
     printed = ShuffleAlgebra(cartan, orientation="printed")
     before = _outcome(ShuffleAlgebra.mul, printed, f, g)
-    _drop_one_exchange_binomial(printed._plans[f.degree, g.degree])
+    _drop_one_exchange_binomial(printed, f, g)
     after = _outcome(ShuffleAlgebra.mul, printed, f, g)
     assert after != before
 
