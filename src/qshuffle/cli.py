@@ -38,8 +38,9 @@ class UsageError(Exception):
 # each step in m has cost the pole sum 18-37x more time: --m 6 runs past 15 min
 IDENTITIES_MAX_M = 5
 # the widest --window (hi - lo) per m; window_identity_report at these
-# widths takes at most about 30 s (README has the measured times)
-IDENTITIES_MAX_WINDOW = {1: 100, 2: 30, 3: 12, 4: 6, 5: 4}
+# widths takes at most about 30 s on symmetric windows and on windows
+# ending at 0, except m = 5 on -4:0 (README has the measured times)
+IDENTITIES_MAX_WINDOW = {1: 150, 2: 40, 3: 14, 4: 6, 5: 4}
 
 
 def load_cartan(text: str) -> CartanData:
@@ -296,13 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="A2",
         help="builtin tag (A1, A2, B2, ..., G2) or a JSON file path",
     )
-    common.add_argument(
-        "--orientation",
-        choices=("default", "printed"),
-        default="default",
-        help="denominator orientation of the canonical form",
-    )
     common.add_argument("--json", default=None, help="also write the report here")
+    # identities builds no shuffle product, so it takes no orientation
+    oriented = argparse.ArgumentParser(add_help=False, parents=[common])
+    oriented.add_argument("--orientation", choices=("default", "printed"), default="default",
+                          help="denominator orientation of the canonical form")
 
     parser = argparse.ArgumentParser(
         prog="qshuffle",
@@ -310,16 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("product", parents=[common], help="shuffle image of a word")
+    p = sub.add_parser("product", parents=[oriented], help="shuffle image of a word")
     p.add_argument("word", help="e.g. 'a1:0 a1:2 a2:-1'; empty for the unit")
 
-    p = sub.add_parser("serre", parents=[common], help="check one quantum Serre alternator")
+    p = sub.add_parser("serre", parents=[oriented], help="check one quantum Serre alternator")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--modes", required=True, help="comma-separated integers")
     p.add_argument("--s", type=int, required=True)
 
-    p = sub.add_parser("wheel", parents=[common], help="wheel vanishing for all color pairs")
+    p = sub.add_parser("wheel", parents=[oriented], help="wheel vanishing for all color pairs")
     p.add_argument("word")
 
     p = sub.add_parser("identities", parents=[common], help="pole-sum identity checks")
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exponent window lo:hi (write --window=-6:6 for a negative lo)",
     )
 
-    p = sub.add_parser("selftest", parents=[common], help="seeded random verification suite")
+    p = sub.add_parser("selftest", parents=[oriented], help="seeded random verification suite")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     return parser
 
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        orientation = "product" if args.orientation == "default" else "printed"
+        orientation = "printed" if vars(args).get("orientation") == "printed" else "product"
         alg = ShuffleAlgebra(load_cartan(args.cartan), orientation=orientation)
         if args.command == "product":
             report, code = cmd_product(alg, args.word)
@@ -363,9 +362,10 @@ def main(argv=None) -> int:
         "command": args.command,
         "version": __version__,
         "cartan": alg.cartan.to_json_dict(),
-        "orientation": args.orientation,
         **report,
     }
+    if "orientation" in args:
+        report["orientation"] = args.orientation
     try:
         emit(report, args.json)
     except OSError as exc:  # emit writes the file first: stdout is still empty

@@ -46,13 +46,14 @@ digits of x and y; a divided difference by 2 ceil(R / 2) for
 its longest run R, since a run and its mirror image can meet on one
 monomial; a product b1 b2 by the q-digit count and the term count of the
 operand with fewer terms; a placed sum (below) by the sum of the l1 norms
-of its weights; a substitution or exact division by the number of terms
-that can meet on one monomial.  When the bound would reach 2^(K - 2),
-the operands are recertified first (their digits are read and the bound
-restarts from the true maximum), and repacked at a wider K if even that
-does not fit.  K is never guessed.  ``divided_difference`` learns its
-longest run R in its loop, so when b 2 (E + 1), which bounds b 2 ceil(R /
-2), could reach 2^(K - 2), it reads R in one pass over the keys first.
+of its weights; a substitution, exact division or orbit fold
+(``fold_orbits``) by the number of terms that can meet on one monomial.
+When the bound would reach 2^(K - 2), the operands are recertified first
+(their digits are read and the bound restarts from the true maximum), and
+repacked at a wider K if even that does not fit.  K is never guessed.
+``divided_difference`` learns its longest run R in its loop, so when b 2
+(E + 1), which bounds b 2 ceil(R / 2), could reach 2^(K - 2), it reads R
+in one pass over the keys first.
 
 Only this module reads or builds packed keys and values.  Scalars enter
 as int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``
@@ -85,7 +86,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import add, lshift, or_
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
@@ -899,6 +900,22 @@ class MultiLaurent:
             if balance:
                 return False
         return True
+
+    def fold_orbits(self, vs) -> MultiLaurent:
+        """The terms with the exponents of the variables vs sorted within
+        each monomial, added on one key: the sum of each orbit under the
+        permutations of vs.  Up to min(terms, |vs|!) terms meet on a key."""
+        p = self.with_vars(vs)
+        n, F, M = len(p.vars), p.F, (1 << p.F) - 1
+        shifts = [F * (n - 1 - i) for i, v in enumerate(p.vars) if v in vs]
+        mult = min(len(p.terms), factorial(len(shifts)))
+        p = p._room(mult)
+        # the fields of vs, biased and so nonnegative, sort as their exponents
+        rest = ~sum(M << s for s in shifts)
+        return MultiLaurent._raw(p.vars, _add_into({}, (
+            (key & rest | reduce(or_, map(lshift, sorted([key >> s & M for s in shifts]), shifts), 0), V)
+            for key, V in p.terms.items()
+        )), p.K, p.qlo, p.bound * mult, p.den, F, p.E)
 
     # ---------- division ----------
 

@@ -103,16 +103,6 @@ class LaurentQ:
         # RatQ keeps every denominator equal to one as the shared LQ_ONE
         return self is LQ_ONE or self.terms == _ONE_TERMS
 
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.terms)
-
     def coeff(self, e: int):
         return self.terms.get(e, 0)
 
@@ -406,9 +396,6 @@ class RatQ:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
 
     # ---------- field operations ----------
 

@@ -79,10 +79,12 @@ def test_parse_errors_exit_two(capsys):
         ["serre", "--seed", "1", "--alpha", "1", "--beta", "2", "--modes", "0,0", "--s", "0"],
         ["identities", "--m", "1", "--seed", "1"],
         ["selftest", "--window=1:2"],
+        ["identities", "--m", "1", "--orientation", "printed"],
     ],
 )
 def test_options_outside_their_command_exit_two(capsys, argv):
-    # --window belongs to identities and --seed to selftest only
+    # --window belongs to identities, --seed to selftest only, and
+    # --orientation to the commands that build shuffle products
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from qshuffle.formal import Window, delta_series, expand_ratfun, series_mul
+from qshuffle.formal import Window, compare_on_window, delta_series, expand_ratfun, series_mul
 from qshuffle.identities import (
     PF_MUTATIONS,
     W,
@@ -188,6 +188,26 @@ def test_window_identity_m2():
     assert lo <= -3 and hi >= 3
 
 
+@pytest.mark.parametrize("qi", (False, True))
+def test_window_identity_m3(qi):
+    # the delta chain of four variables gives up the bottom of the box
+    rep = window_identity_report(3, Window(-4, 4), q_inverted=qi)
+    assert rep["readings"] == {"qminus": True, "qplus": False}
+    assert rep["compared"] == {"qminus": (-2, 4), "qplus": (-2, 4)}
+
+
+def test_window_fold_leaves_w_in_place():
+    # a right side with w and z_1 exchanged agrees with the left side on
+    # the orbits of (z, w), but not on the z-orbits the identity is about
+    for m, win in ((1, Window(-6, 6)), (2, Window(-3, 3))):
+        zs = _zs(m)
+        lhs, rhs = _lhs_series(m, win, False), _rhs_series(m, win, "qminus", False)
+        assert not (lhs - rhs).poly.fold_orbits(zs)
+        swapped = lhs - rhs.relabel({W: zs[0], zs[0]: W})
+        assert swapped.poly.fold_orbits(zs)
+        assert not swapped.poly.fold_orbits(zs + [W])
+
+
 def per_permutation_lhs(m, window, q_inverted):
     """Every relabeled summand expansion, added one by one."""
     zs = _zs(m)
@@ -223,14 +243,32 @@ def same_series(x, y):
     )
 
 
+def sum_over_perms(series, zs):
+    """Sum of the relabelings of series by every permutation of zs."""
+    total = None
+    for perm in permutations(zs):
+        part = series.relabel(dict(zip(zs, perm)))
+        total = part if total is None else total + part
+    return total
+
+
 @pytest.mark.parametrize("qi", (False, True))
 @pytest.mark.parametrize("m, win", ((1, Window(-6, 6)), (1, Window(-3, 2)), (2, Window(-3, 3))))
 def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     # relabeling commutes with expansion and with series_mul, so each side
-    # may be built once and symmetrized afterwards
-    assert same_series(_lhs_series(m, win, qi), per_permutation_lhs(m, win, qi))
+    # may be built once for the identity permutation: symmetrized, it is
+    # the per-permutation side, and the report's orbit-folded readings are
+    # the coefficientwise comparisons of the per-permutation sides
+    zs = _zs(m)
+    lhs = per_permutation_lhs(m, win, qi)
+    assert same_series(sum_over_perms(_lhs_series(m, win, qi), zs), lhs)
+    rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
-        assert same_series(_rhs_series(m, win, reading, qi), per_permutation_rhs(m, win, reading, qi))
+        rhs = per_permutation_rhs(m, win, reading, qi)
+        assert same_series(sum_over_perms(_rhs_series(m, win, reading, qi), zs), rhs)
+        box = lhs.reliable.intersect(rhs.reliable).intersect(win)
+        assert rep["compared"][reading] == box.as_pair()
+        assert rep["readings"][reading] == compare_on_window(lhs, rhs, box)
 
 
 def test_pole_sum_progress_lines():

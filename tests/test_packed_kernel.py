@@ -15,7 +15,7 @@ equality and hashing do not depend on the packing.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -114,6 +114,32 @@ def test_laurent_pool_products_match_the_tuple_kernel():
         assert_decodes_to(got, want)
         assert_decodes_to(got * got, want * want)
         assert_decodes_to(got.divided_difference(z1, z2), want.divided_difference(z1, z2))
+
+
+def test_orbit_folds_match_the_tuple_kernel():
+    # folded color variables beside unfolded ones (another color, w, t),
+    # folded variables the registry lacks, and negative exponents; a fold
+    # is zero exactly when the symmetrization over the folded variables is
+    z1, z2, z3, y1, w = DIFF_VARS[:5]
+    rng = random.Random(2101)
+    folds = ((z1, z2), (z1, z2, z3), (z2, w), (z1, z2, z3, y1), ())
+    for vs, spec in spec_pool(2101):
+        f, rf = both((vs, spec))
+        for folded in folds:
+            assert_decodes_to(f.fold_orbits(folded), rf.fold_orbits(folded))
+    zs = (z1, z2, z3)
+    for _ in range(20):
+        vs = zs + tuple(rng.sample((y1, w), rng.randint(0, 2)))
+        f, rf = both((vs, {tuple(rng.randint(-3, 3) for _ in vs): random_scalar(rng) for _ in range(6)}))
+        swap = dict(zip(zs, rng.sample(zs, 3)))
+        for g, rg in ((f, rf), (f - f.relabel(swap), rf - rf.relabel(swap))):
+            got = g.fold_orbits(zs)
+            assert_decodes_to(got, rg.fold_orbits(zs))
+            sym = rg.symmetrize(1)
+            assert {tuple(sorted(key[:3])) + key[3:] for key in sym.terms} == set(expanded(got))
+            # the symmetrization holds |Stab(e)| times the orbit sum at e
+            for key, c in expanded(got).items():
+                assert sym.terms[key] == c * prod(factorial(key[:3].count(e)) for e in set(key[:3]))
 
 
 def reference_word_image(alg, word):
@@ -297,6 +323,21 @@ def test_placed_sums_reach_their_bound():
     got = P._placed_sum(vs, parts)
     assert poly._true_bound(got.terms, got.K) == got.bound == 6 * b
     assert parts[1] == 6
+
+
+def test_orbit_folds_certify_their_bound():
+    # three cyclic shifts of one monomial carry digits of 12000, below
+    # 2^14, so they pack at K = 16; folded they meet on one key, and 36000
+    # fits no 16-bit digit: the fold must widen K before it adds
+    z1, z2, z3, _, w = DIFF_VARS[:5]
+    vs = (z1, z2, z3, w)
+    c = LaurentQ({0: 12000, 1: -12000})
+    spec = {(0, 1, 2, 5): c, (2, 0, 1, 5): c, (1, 2, 0, 5): c, (1, 2, 0, 4): c, (0, 0, -3, 3): 7}
+    f, rf = both((vs, spec))
+    assert f.K == 16
+    got = f.fold_orbits((z1, z2, z3))
+    assert_decodes_to(got, rf.fold_orbits((z1, z2, z3)))
+    assert got.K > 16 and poly._true_bound(got.terms, got.K) == 36000 <= got.bound
 
 
 def wide_exponent_results(kernel):

@@ -104,7 +104,7 @@ def test_factor_order():
 # canonicalized and flipped by RatQ division
 def reference_factor_key(f):
     a = f.c.num
-    e = a.min_exp()
+    e = min(a.terms)
     return (f.i, f.j, e, a.coeff(e))
 
 

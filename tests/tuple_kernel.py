@@ -384,6 +384,19 @@ class MultiLaurent:
                     return False
         return True
 
+    def fold_orbits(self, vs) -> MultiLaurent:
+        """The terms with the exponents of the variables vs sorted within
+        each key, added on one key."""
+        p = self.with_vars(vs)
+        slots = [i for i, v in enumerate(p.vars) if v in vs]
+        out = {}
+        for key, c in p.terms.items():
+            key = list(key)
+            for i, e in zip(slots, sorted(key[i] for i in slots)):
+                key[i] = e
+            _add_into(out, [(tuple(key), c)])
+        return MultiLaurent._raw(p.vars, out)
+
     # ---------- division ----------
 
     def exact_div_binomial(self, vi: VarId, vj: VarId, c) -> MultiLaurent:
