@@ -32,8 +32,9 @@ window until they cannot.  The arithmetic itself goes through
 ``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
 ``expand_ratfun`` multiplies by one truncated geometric series
 (``MultiLaurent.binomial_inverse``) per denominator factor, and
-``compare_on_window``, the tests' reference for the window identity,
-subtracts.  Every series starts as an
+``compare_on_window`` subtracts.  The tests build the window identity's
+delta chain, which ``identities`` writes in closed form, from
+``delta_series`` and ``series_mul``.  Every series starts as an
 ``expand_ratfun`` expansion: a polynomial is one with no denominator, a
 pole 1/(z-w) one with a single factor, and the formal delta the
 difference of a pole's two expansions.  Multiplying the two opposite

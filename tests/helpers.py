@@ -1,11 +1,13 @@
-"""Shared helpers for the test suite: seeded random generators and
-evaluation utilities.  Everything is deterministic given the Random
-instance passed in."""
+"""Shared helpers for the test suite: seeded random generators,
+evaluation utilities and the series-built delta chain.  Everything is
+deterministic given the Random instance passed in."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from qshuffle.formal import Window, delta_series, series_mul
+from qshuffle.identities import W
 from qshuffle.qring import LaurentQ, RatQ
 
 
@@ -50,3 +52,18 @@ def coefficients(p) -> dict:
     format the constructors accept, the keys read through ``exponents``."""
     p = getattr(p, "poly", p)  # a series is read through its polynomial
     return {key: RatQ(p.coeff(key)) for key in p.exponents()}
+
+
+def series_delta_chain(zs, window, reading, q_inverted=False):
+    """The right side of the window identity for the chain order zs, built
+    as m verified ``series_mul`` products of ``delta_series`` on a padded
+    window, m = len(zs) - 1: q^(e m) delta(w, c z_1) prod_i delta(z_i,
+    q^(2e) z_(i+1)).  Its coefficients are exact on its reliable box only;
+    the reference for ``identities._rhs_poly``."""
+    m, e = len(zs) - 1, -1 if q_inverted else 1
+    shift = -e * m if reading == "qminus" else e * m
+    wide = Window(window.lo - 2 * (m + 2), window.hi + 2 * (m + 2))
+    chain = delta_series(W, RatQ.q_power(shift), zs[0], wide)
+    for i in range(m):
+        chain = series_mul(chain, delta_series(zs[i], RatQ.q_power(2 * e), zs[i + 1], wide))
+    return chain.scale(RatQ.q_power(e * m))

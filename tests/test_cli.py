@@ -120,6 +120,16 @@ def test_identities_with_window(capsys):
     assert all(r["term_count"] == 6 for r in rep["results"])
 
 
+def test_identities_window_matching_both_readings_fails(capsys):
+    # no monomial of total degree -2 lies in 0:6, so both readings match
+    # and the window decides nothing: only ["qminus"] exits 0
+    code, out = run_cli(capsys, "identities", "--m", "1", "--window=0:6")
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["all_zero"] is True
+    assert rep["window_check"]["matched"] == ["qminus", "qplus"]
+
+
 def test_identities_m4_experiment(capsys):
     # beyond the proved range m <= 2: reported like criterion 2 does for m = 3
     code, out = run_cli(capsys, "identities", "--m", "4")

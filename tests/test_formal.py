@@ -26,12 +26,12 @@ from qshuffle.formal import (
     expand_ratfun,
     series_mul,
 )
-from qshuffle.identities import _rhs_series, term_value, window_identity_report
+from qshuffle.identities import _zs, term_value, window_identity_report
 from qshuffle.poly import MultiLaurent, _sorted_vars, aux_var, zvar
 from qshuffle.qring import RQ_ONE, LaurentQ, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
 
-from helpers import coefficients, random_q_monomial
+from helpers import coefficients, random_q_monomial, series_delta_chain
 from tuple_kernel import expanded
 
 Z1 = zvar(1, 1)
@@ -622,8 +622,8 @@ def test_degree_through_relabel_with_vars_sums_and_products():
     assert series_mul(d, mixed).support.degree is None
 
 
-# (window, reliable) of the right-hand side delta chains on the window
-# -3..3, the same for both readings and orientations; every variable's
+# (window, reliable) of the series-built delta chains (the tests'
+# reference for the window identity's right side) on the window -3..3, the same for both readings and orientations; every variable's
 # support bound is unbounded on both sides
 RHS_BOXES = {
     1: ((-9, 9), (-5, 9)),
@@ -637,7 +637,7 @@ def test_rhs_series_boxes_are_pinned(m):
     window, reliable = RHS_BOXES[m]
     for reading in ("qminus", "qplus"):
         for q_inverted in (False, True):
-            s = _rhs_series(m, Window(-3, 3), reading, q_inverted)
+            s = series_delta_chain(_zs(m), Window(-3, 3), reading, q_inverted)
             assert (s.window.as_pair(), s.reliable.as_pair()) == (window, reliable)
             assert s.vars == tuple(zvar(1, i) for i in range(1, m + 2)) + (W,)
             assert s.support.bounds == dict.fromkeys(s.vars, (None, None))

@@ -6,13 +6,13 @@ from math import comb, factorial
 
 import pytest
 
-from qshuffle.formal import Window, compare_on_window, delta_series, expand_ratfun, series_mul
+from qshuffle.formal import Window, compare_on_window, expand_ratfun
 from qshuffle.identities import (
     PF_MUTATIONS,
     W,
     _binom,
     _lhs_series,
-    _rhs_series,
+    _rhs_poly,
     _zs,
     build_pole_sum,
     partial_fraction_check,
@@ -25,6 +25,7 @@ from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
 
+from helpers import series_delta_chain
 from tuple_kernel import expanded
 
 
@@ -182,18 +183,53 @@ def test_window_identity_rhs_scale_control():
 def test_window_identity_m2():
     rep = window_identity_report(2, Window(-4, 4))
     assert rep["readings"] == {"qminus": True, "qplus": False}
-    lo, hi = rep["compared"]["qminus"]
-    # the delta chain gives up a little of the requested box; what is
-    # compared must still be a real two-sided range
-    assert lo <= -3 and hi >= 3
+    assert rep["compared"] == {"qminus": (-4, 4), "qplus": (-4, 4)}
 
 
 @pytest.mark.parametrize("qi", (False, True))
 def test_window_identity_m3(qi):
-    # the delta chain of four variables gives up the bottom of the box
     rep = window_identity_report(3, Window(-4, 4), q_inverted=qi)
     assert rep["readings"] == {"qminus": True, "qplus": False}
-    assert rep["compared"] == {"qminus": (-2, 4), "qplus": (-2, 4)}
+    assert rep["compared"] == {"qminus": (-4, 4), "qplus": (-4, 4)}
+
+
+def test_window_identity_m4_one_sided_window_is_decisive():
+    # the series-built chain is exact on -2:-1 only, where both readings
+    # agree with the left side; the closed form compares all of -2:0
+    rep = window_identity_report(4, Window(-2, 0))
+    assert rep["matched"] == ["qminus"]
+    assert rep["compared"] == {"qminus": (-2, 0), "qplus": (-2, 0)}
+
+
+def test_window_identity_without_monomials_matches_both_readings():
+    # no monomial of total degree -(m+1) has every exponent >= 0: both
+    # sides vanish on the window and it decides nothing
+    rep = window_identity_report(1, Window(0, 6))
+    assert rep["matched"] == ["qminus", "qplus"]
+
+
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize("reading", ("qminus", "qplus"))
+@pytest.mark.parametrize(
+    "m, win",
+    (
+        (1, Window(-6, 6)), (1, Window(-9, 0)), (1, Window(-2, 7)),
+        (2, Window(-4, 4)), (2, Window(-6, 0)), (2, Window(-3, 5)),
+        (3, Window(-3, 3)), (3, Window(-4, 0)),
+        (4, Window(-2, 2)), (4, Window(-1, 5)),
+    ),
+)
+def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
+    # the closed form against m verified series products, on the part of
+    # the window where the products are exact; symmetric and one-sided
+    # windows (at m = 4 a window ending at 0 leaves the products exact on
+    # exponents <= -1 only, where no monomial of degree -5 lies, so the
+    # one-sided m = 4 window reaches up instead)
+    ref = series_delta_chain(_zs(m), win, reading, qi)
+    box = ref.reliable.intersect(win)
+    expect = ref.poly.within(dict.fromkeys(ref.vars, box.as_pair()))
+    assert expect
+    assert _rhs_poly(m, box, reading, qi) == expect
 
 
 def test_window_fold_leaves_w_in_place():
@@ -201,7 +237,7 @@ def test_window_fold_leaves_w_in_place():
     # the orbits of (z, w), but not on the z-orbits the identity is about
     for m, win in ((1, Window(-6, 6)), (2, Window(-3, 3))):
         zs = _zs(m)
-        lhs, rhs = _lhs_series(m, win, False), _rhs_series(m, win, "qminus", False)
+        lhs, rhs = _lhs_series(m, win, False), series_delta_chain(zs, win, "qminus")
         assert not (lhs - rhs).poly.fold_orbits(zs)
         swapped = lhs - rhs.relabel({W: zs[0], zs[0]: W})
         assert swapped.poly.fold_orbits(zs)
@@ -222,19 +258,13 @@ def per_permutation_lhs(m, window, q_inverted):
 
 
 def per_permutation_rhs(m, window, reading, q_inverted):
-    """One delta chain per permutation, each built by its own products."""
-    e = -1 if q_inverted else 1
+    """One series-built delta chain per permutation."""
     zs = _zs(m)
-    shift = -e * m if reading == "qminus" else e * m
-    wide = Window(window.lo - 2 * (m + 2), window.hi + 2 * (m + 2))
     total = None
     for sigma in permutations(range(1, m + 2)):
-        rel = [zs[s - 1] for s in sigma]
-        chain = delta_series(W, RatQ.q_power(shift), rel[0], wide)
-        for i in range(m):
-            chain = series_mul(chain, delta_series(rel[i], RatQ.q_power(2 * e), rel[i + 1], wide))
+        chain = series_delta_chain([zs[s - 1] for s in sigma], window, reading, q_inverted)
         total = chain if total is None else total + chain
-    return total.scale(RatQ.q_power(e * m))
+    return total
 
 
 def same_series(x, y):
@@ -257,17 +287,21 @@ def sum_over_perms(series, zs):
 def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     # relabeling commutes with expansion and with series_mul, so each side
     # may be built once for the identity permutation: symmetrized, it is
-    # the per-permutation side, and the report's orbit-folded readings are
-    # the coefficientwise comparisons of the per-permutation sides
+    # the per-permutation side.  The report's orbit-folded readings are the
+    # coefficientwise comparisons of the per-permutation sides: on the whole
+    # window against the symmetrized closed form, and on the reliable box of
+    # the series-built chains against their per-permutation sum
     zs = _zs(m)
     lhs = per_permutation_lhs(m, win, qi)
     assert same_series(sum_over_perms(_lhs_series(m, win, qi), zs), lhs)
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
+        assert rep["compared"][reading] == win.as_pair()
+        closed = sum_over_perms(_rhs_poly(m, win, reading, qi), zs)
+        assert rep["readings"][reading] == (lhs.poly == closed)
         rhs = per_permutation_rhs(m, win, reading, qi)
-        assert same_series(sum_over_perms(_rhs_series(m, win, reading, qi), zs), rhs)
+        assert same_series(sum_over_perms(series_delta_chain(zs, win, reading, qi), zs), rhs)
         box = lhs.reliable.intersect(rhs.reliable).intersect(win)
-        assert rep["compared"][reading] == box.as_pair()
         assert rep["readings"][reading] == compare_on_window(lhs, rhs, box)
 
 
