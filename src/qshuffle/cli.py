@@ -168,6 +168,9 @@ def cmd_identities(m: int, window: Window | None):
     width = IDENTITIES_MAX_WINDOW[m]
     if window is not None and window.hi - window.lo > width:
         raise UsageError(f"identities --m {m} supports --window widths hi - lo up to {width}")
+    # a monomial of total degree -(m+1) lies in the window only if lo < 0 <= hi
+    if window is not None and not window.lo < 0 <= window.hi:
+        raise UsageError("identities --window decides only when lo < 0 <= hi")
     progress = progress_stderr if m >= 3 else None
     rep = verify_rational_vanishing(ms=(m,), progress=progress)
     report = {"m": m, "results": rep["results"], "all_zero": rep["all_zero"]}

@@ -26,10 +26,13 @@ are dominated by it) leaves a one-dimensional delta chain,
 and ``window_identity_report`` verifies this equality coefficientwise on
 a finite exponent window, checking that the q^-m reading of the w-delta
 matches and the q^+m reading does not.  Both sides are exact on the whole
-window (``expand_ratfun`` of each summand, the delta chain in closed form)
-and each is built once, for the identity permutation: a window is one
-interval for every variable, so the symmetrized sides agree on it exactly
-when the difference of the sides sums to zero over every orbit of the z's
+window and each is built once, for the identity permutation, as one
+polynomial: the left side sums the ``expand_ratfun`` expansions of the
+m + 2 summands, each built reduced (``term_value``), and the right side
+is the delta chain in closed form, one q-power per monomial packed
+directly in the left side's digit width.  A window is one interval for
+every variable, so the symmetrized sides agree on it exactly when the
+difference of the sides sums to zero over every orbit of the z's
 (``MultiLaurent.fold_orbits``).
 
 ``partial_fraction_check`` covers the two elementary rewriting steps the
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import factorial
 
-from .formal import TruncSeries, Window, expand_ratfun
+from .formal import Window, expand_ratfun
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
 from .qring import LaurentQ, RatQ, q_binomial
 from .ratfun import BinomialFactor, RatFun
@@ -78,7 +81,9 @@ def pole_sum_denominator(m: int) -> dict[BinomialFactor, int]:
 def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     """One summand as a single fraction, the reference ``build_pole_sum``
     is checked against: its numerator, its canonical pole factors and the
-    q-monomial unit they absorb go into one ``RatFun``."""
+    q-monomial unit they absorb go into one ``RatFun``.  It is built
+    reduced: the numerator's factors z_a - z_b are none of the poles,
+    whose q-powers are q^(+-m) and q^(+-2) with m >= 1."""
     if not 0 <= k <= m + 1:
         raise ValueError("k runs from 0 to m+1")
     e = -1 if q_inverted else 1
@@ -92,7 +97,7 @@ def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
         f, u = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
         den[f] = den.get(f, 0) + 1
         unit = unit * u
-    return RatFun(num.scale(RatQ.one() / unit), den)
+    return RatFun(num.scale(RatQ.one() / unit), den, _reduced=True)
 
 
 @dataclass
@@ -232,20 +237,22 @@ def partial_fraction_check(perturb: str | None = None) -> bool:
 # ---------- the windowed distribution identity ----------
 
 
-def _lhs_series(m: int, window: Window, q_inverted: bool) -> TruncSeries:
-    zs = _zs(m)
-    total = None
+def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
+    """The m + 2 summand expansions for the identity permutation, summed;
+    each is exact on the whole window."""
+    zs, total = _zs(m), MultiLaurent.zero()
     for k in range(m + 2):
-        order = zs[:k] + [W] + zs[k:]
-        part = expand_ratfun(term_value(m, k, tuple(range(1, m + 2)), q_inverted), order, window)
-        total = part if total is None else total + part
+        f = term_value(m, k, tuple(range(1, m + 2)), q_inverted)
+        total = total + expand_ratfun(f, zs[:k] + [W] + zs[k:], window).poly
     return total
 
 
-def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool) -> MultiLaurent:
+def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool, like=None) -> MultiLaurent:
     """The delta chain on the window: with delta(x, c y) = sum_i c^(-i-1) x^i
     y^(-i-1) its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and
-    z_(m+1) carries -i_m - 1, one q-power per monomial of degree -(m+1)."""
+    z_(m+1) carries -i_m - 1, one q-power per monomial of degree -(m+1).
+    ``like`` is the polynomial it will be compared with, whose packing it
+    takes where it can (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
     shift = -e * m if reading == "qminus" else e * m
     terms = {}
@@ -255,8 +262,8 @@ def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool) -> MultiLa
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
-            terms[(*ez, -i - 1, ew)] = LaurentQ.q_power(p)
-    return MultiLaurent(_zs(m) + [W], terms)  # the registry order z_1..z_(m+1), w
+            terms[(*ez, -i - 1, ew)] = (1, p)
+    return MultiLaurent._q_monomials((*_zs(m), W), terms, like)  # the registry order z_1..z_(m+1), w
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:
@@ -265,10 +272,10 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
 
     ``rhs_scale`` perturbs the overall delta coefficient (a control: with
     a wrong scale neither reading can match)."""
-    lhs = _lhs_series(m, window, q_inverted).poly
+    lhs = _lhs_poly(m, window, q_inverted)
     readings = {}
     for reading in ("qminus", "qplus"):
-        rhs = _rhs_poly(m, window, reading, q_inverted)
+        rhs = _rhs_poly(m, window, reading, q_inverted, lhs)
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
         readings[reading] = not (lhs - rhs).fold_orbits(_zs(m))

@@ -48,9 +48,13 @@ monomial; a product b1 b2 by the q-digit count and the term count of the
 operand with fewer terms; a placed sum (below) by the sum of the l1 norms
 of its weights; a substitution, exact division or orbit fold
 (``fold_orbits``) by the number of terms that can meet on one monomial.
-When the bound would reach 2^(K - 2), the operands are recertified first
-(their digits are read and the bound restarts from the true maximum), and
-repacked at a wider K if even that does not fit.  K is never guessed.
+When the bound would reach 2^(K - 2), the operands are recertified first,
+and repacked at a wider K if even that does not fit.  K is never guessed.
+The certificate (``_certificate``) reads no digit on its own: with
+whole-int masks over each value's digits as K-bit two's complement
+fields, it ORs the nonnegative digits of all values together, and the
+negative ones c complemented to -c - 1, which gives at least the largest
+|digit| and less than twice it.
 ``divided_difference`` learns its longest run R in its loop, so when b 2
 (E + 1), which bounds b 2 ceil(R / 2), could reach 2^(K - 2), it reads R
 in one pass over the keys first.
@@ -71,7 +75,9 @@ by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
-one, the shifted copies summed.  ``_placed_sum`` runs a whole family of
+one, the shifted copies summed; a term whose coefficient is a unit
+q-monomial +-q^s, whose packed value is +-2^t, shifts the values
+instead of multiplying them.  ``_placed_sum`` runs a whole family of
 such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
 P's fields to new slots; the weights W, built once by ``placements``,
 share one frame and carry the sum of their l1 norms (absolute digits),
@@ -95,6 +101,9 @@ from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 # are powers of two
 _K_START = 16
 _F_START = 16
+# the bits of a power of two past which _shifted_sum shifts the values
+# rather than multiplying them
+_SHIFT_AT = 512
 # the digit widths read in bulk, as memoryview formats of little-endian
 # signed ints
 _VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little" else {}
@@ -234,15 +243,20 @@ def _pack(qt: dict, lo: int, K: int) -> int:
     return V
 
 
+def _wide(x: int, start: int) -> int:
+    """The narrowest width start 2^k whose fields hold x below 2^(width - 2)."""
+    while x >> (start - 2):
+        start *= 2
+    return start
+
+
 def _encode(qts: dict):
     """(terms, K, qlo, bound, den, F, E) of {z-exponent tuple: q-term
     dict}, no dict empty."""
     if not qts:
         return {}, _K_START, 0, 0, 1, _F_START, 0
     E = max(map(abs, chain.from_iterable(qts)), default=0)
-    F = _F_START
-    while E >> (F - 2):
-        F *= 2
+    F = _wide(E, _F_START)
     if len(qts) == 1:  # one monomial, often with one small int digit
         ((exps, qt),) = qts.items()
         if len(qt) == 1:
@@ -252,9 +266,7 @@ def _encode(qts: dict):
     den, ints = _ints(list(qts.values()))
     lo = min([min(qt) for qt in ints])
     bound = max([abs(a) for qt in ints for a in qt.values()])
-    K = _K_START
-    while bound >> (K - 2):
-        K *= 2
+    K = _wide(bound, _K_START)
     return {_key(exps, F): _pack(qt, lo, K) for exps, qt in zip(qts, ints)}, K, lo, bound, den, F, E
 
 
@@ -286,12 +298,35 @@ def _digits(values, K: int, n: int):
     return [int.from_bytes(blob[i:i + step], "little", signed=True) for i in range(0, len(blob), step)]
 
 
-def _true_bound(terms: dict, K: int) -> int:
-    """The largest |digit| of the packed values."""
+def _or_fields(x: int, K: int) -> int:
+    """The OR of the K-bit fields of x."""
+    fields = x.bit_length() // K + 1
+    while fields > 1:
+        half = fields + 1 >> 1
+        x = x >> K * half | x & (1 << K * half) - 1
+        fields = half
+    return x
+
+
+def _certificate(terms: dict, K: int) -> int:
+    """At least the largest |digit| of the packed values and below twice
+    it, read with whole-int masks, one value at a time: of the value's
+    digits as K-bit two's complement fields (``_digits``), the
+    nonnegative ones are ORed together, and so are the negative ones c,
+    each complemented to -c - 1.  An OR is at least each of its fields
+    and below twice the largest."""
     if not terms:
         return 0
-    d = _digits(terms.values(), K, _width(terms.values(), K))
-    return max(max(d), -min(d))
+    bias, pos, neg = _bias(K, _width(terms.values(), K)), 0, 0
+    for V in terms.values():
+        u = V + bias ^ bias
+        s = u & bias  # the sign bits
+        r = s >> K - 1
+        t = u ^ (s << 1) - r  # the negative fields complemented
+        low = t & s - r
+        neg |= low
+        pos |= t ^ low
+    return max(_or_fields(pos, K), _or_fields(neg, K) + 1)
 
 
 def _repacked(terms: dict, K: int, wide: int) -> dict:
@@ -316,16 +351,15 @@ def _repacked(terms: dict, K: int, wide: int) -> dict:
 def _fit(polys, need, K=0):
     """The polynomials in one packing of at least K bits wide enough that
     need(*bounds) stays below 2^(K - 2), and that K.  When the certified
-    bounds or packings do not fit, the bounds restart from the true
-    maxima, and K doubles until the need fits with a quarter of K to
-    spare."""
+    bounds do not fit, they are recertified (``_certificate``), and K
+    doubles until the need fits with a quarter of K to spare."""
     K = max(K, *(p.K for p in polys))
-    if all(p.K == K for p in polys) and not need(*(p.bound for p in polys)) >> (K - 2):
-        return polys, K
-    bounds = [_true_bound(p.terms, p.K) for p in polys]
+    bounds = [p.bound for p in polys]
     if need(*bounds) >> (K - 2):
-        while need(*bounds) >> (K - 2 - K // 4):
-            K *= 2
+        bounds = [min(b, _certificate(p.terms, p.K)) for p, b in zip(polys, bounds)]
+        if need(*bounds) >> (K - 2):
+            while need(*bounds) >> (K - 2 - K // 4):
+                K *= 2
     return [
         MultiLaurent._raw(
             p.vars, p.terms if K == p.K else _repacked(p.terms, p.K, K), K, p.qlo, b, p.den, p.F, p.E
@@ -334,8 +368,12 @@ def _fit(polys, need, K=0):
     ], K
 
 
-def _times(terms: dict, M: int) -> dict:
-    return terms if M == 1 else {key: V * M for key, V in terms.items()}
+def _times(terms: dict, M: int, shift: int = 0) -> dict:
+    """The values times M 2^shift; the power of two is a shift, which
+    costs far less than multiplying by it."""
+    if M == 1:
+        return {key: V << shift for key, V in terms.items()} if shift else terms
+    return {key: V * M << shift for key, V in terms.items()}
 
 
 def _add_into(out: dict, terms) -> dict:
@@ -350,19 +388,33 @@ def _add_into(out: dict, terms) -> dict:
     return out
 
 
+def _long_shift(terms: dict, X: int):
+    """(the terms' items, X), with a factor X = +-2^t moved into the
+    values as a shift, read one at a time, leaving X = +-1; any other X
+    is left as it is."""
+    t = abs(X).bit_length() - 1
+    if abs(X) != 1 << t:
+        return terms.items(), X
+    return ((key, V << t) for key, V in terms.items()), X >> t
+
+
 def _shifted_sum(terms: dict, shifts, out=None) -> dict:
     """sum of X * x^off * terms over the (off, X) pairs, off a key offset,
     added straight into out; without out, the first shift is a fresh
-    dict."""
+    dict.  A factor X = +-2^t, a unit q-monomial, of more than _SHIFT_AT
+    bits is a shift: multiplying by it costs about t per limb of a value,
+    shifting about one."""
     if out is None:
         if not shifts:
             return {}
         off, X = shifts[0]
-        out = {key + off: V * X for key, V in terms.items()}
+        src, X = _long_shift(terms, X) if X.bit_length() > _SHIFT_AT else (terms.items(), X)
+        out = {key + off: V * X for key, V in src}
         shifts = shifts[1:]
     get = out.get
     for off, X in shifts:
-        for key, V in terms.items():
+        src, X = _long_shift(terms, X) if X.bit_length() > _SHIFT_AT else (terms.items(), X)
+        for key, V in src:
             key += off
             s = get(key, 0) + V * X
             if s:
@@ -413,8 +465,8 @@ def _common(a: MultiLaurent, b: MultiLaurent):
     if b.K != K or (a.bound * ma + b.bound * mb) >> (K - 2):
         (a, b), K = _fit((a, b), lambda x, y: x * ma + y * mb)
     lo = min(a.qlo, b.qlo)
-    ta = _times(a.terms, ma << K * (a.qlo - lo))
-    tb = _times(b.terms, mb << K * (b.qlo - lo))
+    ta = _times(a.terms, ma, K * (a.qlo - lo))
+    tb = _times(b.terms, mb, K * (b.qlo - lo))
     return (ta, tb), (K, lo, a.bound * ma + b.bound * mb, den, a.F, max(a.E, b.E))
 
 
@@ -433,7 +485,7 @@ def placements(pairs, K: int = 0, F: int = 0) -> tuple:
         F, E, lo = max(F, w.F), max(E, w.E), min(lo, w.qlo)
     one, out, norm = _bias(F, len(ws[0].vars)) >> 1, [], 0
     for (src, _), w, m in zip(pairs, ws, mults):
-        terms = _times(w._keyed(0, F).terms, m << K * (w.qlo - lo))
+        terms = _times(w._keyed(0, F).terms, m, K * (w.qlo - lo))
         out.append((src, MultiLaurent._raw(w.vars, terms, K, lo, w.bound * m, den, F, E),
                     [(key - one, X) for key, X in terms.items()]))
         norm += sum(map(abs, _digits(terms.values(), K, _width(terms.values(), K))))
@@ -541,11 +593,29 @@ class MultiLaurent:
         sign, o = 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
-        first = vi < vj
-        return cls._raw(_sorted_vars((vi, vj)), *_encode({
-            ((-1 - t, t) if first else (t, -1 - t)): {s * (t + o): coefficient(sign * a ** (t + o))}
-            for t in range(n + 1)
-        }))
+        vs = _sorted_vars((vi, vj))
+        exps = [(-1 - t, t) if vi < vj else (t, -1 - t) for t in range(n + 1)]
+        if a in (1, -1):  # unit coefficients, one shifted int each
+            a = int(a)
+            return cls._q_monomials(vs, {e: (sign * a ** (t + o), s * (t + o)) for t, e in enumerate(exps)})
+        qts = {e: {s * (t + o): coefficient(sign * a ** (t + o))} for t, e in enumerate(exps)}
+        return cls._raw(vs, *_encode(qts))
+
+    @classmethod
+    def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict, like=None) -> MultiLaurent:
+        """Trusted constructor of sum a q^s z^exps over the items exps: (a, s)
+        of terms, over the sorted registry vs, every a a nonzero int: each
+        value is one shifted int, so no q-term dict is built or packed.
+        With a polynomial ``like``, the digits and key fields are at least
+        as wide as its, so adding the two repacks neither."""
+        if not terms:
+            return cls.zero(vs)
+        E = max(map(abs, chain.from_iterable(terms)), default=0)
+        bound = max([abs(a) for a, _ in terms.values()])
+        K, F = (_K_START, _F_START) if like is None else (like.K, like.F)
+        K, F, lo = _wide(bound, K), _wide(E, F), min([s for _, s in terms.values()])
+        packed = {_key(exps, F): a << K * (s - lo) for exps, (a, s) in terms.items()}
+        return cls._raw(vs, packed, K, lo, bound, 1, F, E)
 
     # ---------- registry helpers ----------
 

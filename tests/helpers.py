@@ -1,13 +1,17 @@
 """Shared helpers for the test suite: seeded random generators,
-evaluation utilities and the series-built delta chain.  Everything is
-deterministic given the Random instance passed in."""
+evaluation utilities, the exact digit scan and the two reference builds
+of the delta chain.  Everything is deterministic given the Random
+instance passed in."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
+from qshuffle import poly
 from qshuffle.formal import Window, delta_series, series_mul
-from qshuffle.identities import W
+from qshuffle.identities import W, _zs
+from qshuffle.poly import MultiLaurent
 from qshuffle.qring import LaurentQ, RatQ
 
 
@@ -52,6 +56,32 @@ def coefficients(p) -> dict:
     format the constructors accept, the keys read through ``exponents``."""
     p = getattr(p, "poly", p)  # a series is read through its polynomial
     return {key: RatQ(p.coeff(key)) for key in p.exponents()}
+
+
+def exact_bound(terms: dict, K: int) -> int:
+    """The largest |digit| of packed values at K bits a digit, read digit
+    by digit: the reference for the kernel's bound certificate."""
+    if not terms:
+        return 0
+    d = poly._digits(terms.values(), K, poly._width(terms.values(), K))
+    return max(max(d), -min(d))
+
+
+def laurent_delta_chain(m, window, reading, q_inverted=False):
+    """The closed-form delta chain of ``identities._rhs_poly`` built
+    through the public constructor, one ``LaurentQ.q_power`` per monomial:
+    the reference for the packed build."""
+    e = -1 if q_inverted else 1
+    shift = -e * m if reading == "qminus" else e * m
+    terms = {}
+    for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
+        i, p = ew, e * m - shift * (ew + 1)
+        for ej in ez:
+            i += 1 + ej
+            p -= 2 * e * (i + 1)
+        if window.lo <= -i - 1 <= window.hi:
+            terms[(*ez, -i - 1, ew)] = LaurentQ.q_power(p)
+    return MultiLaurent(_zs(m) + [W], terms)
 
 
 def series_delta_chain(zs, window, reading, q_inverted=False):

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from qshuffle import cli
 from qshuffle.cli import IDENTITIES_MAX_M, IDENTITIES_MAX_WINDOW, main
+from qshuffle.formal import Window
+from qshuffle.identities import window_identity_report
 
 
 def run_cli(capsys, *argv):
@@ -120,14 +123,19 @@ def test_identities_with_window(capsys):
     assert all(r["term_count"] == 6 for r in rep["results"])
 
 
-def test_identities_window_matching_both_readings_fails(capsys):
-    # no monomial of total degree -2 lies in 0:6, so both readings match
-    # and the window decides nothing: only ["qminus"] exits 0
-    code, out = run_cli(capsys, "identities", "--m", "1", "--window=0:6")
-    assert code == 4
-    rep = json.loads(out)
-    assert rep["all_zero"] is True
-    assert rep["window_check"]["matched"] == ["qminus", "qplus"]
+def test_identities_window_matching_both_readings_fails(capsys, monkeypatch):
+    # no monomial of total degree -2 lies in 0:6 or in -6:-1, so both
+    # readings match and the window decides nothing: the library reports
+    # both, and the CLI exits 2 before it computes anything
+    for lo, hi in ((0, 6), (-6, -1)):
+        assert window_identity_report(1, Window(lo, hi))["matched"] == ["qminus", "qplus"]
+    for name in ("verify_rational_vanishing", "window_identity_report"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("work done on an undecidable window"))
+    for window in ("--window=0:6", "--window=-6:-1"):
+        code = main(["identities", "--m", "1", window])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: identities --window decides only when lo < 0 <= hi\n"
 
 
 def test_identities_m4_experiment(capsys):

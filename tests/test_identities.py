@@ -11,7 +11,7 @@ from qshuffle.identities import (
     PF_MUTATIONS,
     W,
     _binom,
-    _lhs_series,
+    _lhs_poly,
     _rhs_poly,
     _zs,
     build_pole_sum,
@@ -23,9 +23,9 @@ from qshuffle.identities import (
 )
 from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
-from qshuffle.ratfun import BinomialFactor, RatFun, rat_sum
+from qshuffle.ratfun import BinomialFactor, RatFun, _reduce, rat_sum
 
-from helpers import series_delta_chain
+from helpers import exact_bound, laurent_delta_chain, series_delta_chain
 from tuple_kernel import expanded
 
 
@@ -225,16 +225,48 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     assert _rhs_poly(m, box, reading, qi) == expect
 
 
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize("reading", ("qminus", "qplus"))
+@pytest.mark.parametrize(
+    "m, win",
+    (
+        (1, Window(-6, 6)), (1, Window(-9, 0)), (1, Window(0, 5)), (1, Window(-7, -1)),
+        (2, Window(-4, 4)), (2, Window(-6, 0)), (2, Window(-2, 5)),
+        (3, Window(-3, 3)), (3, Window(-4, 0)),
+        (4, Window(-2, 2)), (4, Window(-3, 0)),
+    ),
+)
+def test_packed_chain_matches_laurent_chain(m, win, reading, qi):
+    # the chain packed as shifted ints against the same chain built
+    # through LaurentQ scalars, symmetric and one-sided windows
+    got, want = _rhs_poly(m, win, reading, qi), laurent_delta_chain(m, win, reading, qi)
+    assert (got.vars, expanded(got)) == (want.vars, expanded(want))
+    assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_summands_are_built_reduced(m):
+    # the numerator's factors z_a - z_b are none of the q^(+-m) and
+    # q^(+-2) poles: reducing a summand divides nothing out
+    for qi in (False, True):
+        for sigma in (tuple(range(1, m + 2)), tuple(range(m + 1, 0, -1))):
+            for k in range(m + 2):
+                t = term_value(m, k, sigma, qi)
+                num, den = _reduce(t.num, t.den)
+                assert num is t.num and den == t.den, (k, sigma, qi)
+
+
 def test_window_fold_leaves_w_in_place():
     # a right side with w and z_1 exchanged agrees with the left side on
     # the orbits of (z, w), but not on the z-orbits the identity is about
     for m, win in ((1, Window(-6, 6)), (2, Window(-3, 3))):
         zs = _zs(m)
-        lhs, rhs = _lhs_series(m, win, False), series_delta_chain(zs, win, "qminus")
-        assert not (lhs - rhs).poly.fold_orbits(zs)
-        swapped = lhs - rhs.relabel({W: zs[0], zs[0]: W})
-        assert swapped.poly.fold_orbits(zs)
-        assert not swapped.poly.fold_orbits(zs + [W])
+        lhs, rhs = _lhs_poly(m, win, False), series_delta_chain(zs, win, "qminus")
+        box = dict.fromkeys(lhs.vars, rhs.reliable.intersect(win).as_pair())
+        assert not (lhs - rhs.poly).within(box).fold_orbits(zs)
+        swapped = (lhs - rhs.relabel({W: zs[0], zs[0]: W}).poly).within(box)
+        assert swapped.fold_orbits(zs)
+        assert not swapped.fold_orbits(zs + [W])
 
 
 def per_permutation_lhs(m, window, q_inverted):
@@ -286,7 +318,8 @@ def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     # the series-built chains against their per-permutation sum
     zs = _zs(m)
     lhs = per_permutation_lhs(m, win, qi)
-    assert same_series(sum_over_perms(_lhs_series(m, win, qi), zs), lhs)
+    assert (lhs.window, lhs.reliable) == (win, win)
+    assert sum_over_perms(_lhs_poly(m, win, qi), zs) == lhs.poly
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
         assert rep["compared"][reading] == win.as_pair()

@@ -26,6 +26,7 @@ from qshuffle.poly import MultiLaurent, NotDivisible, aux_var, grassmannian_step
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.shuffle import ShuffleAlgebra
 
+from helpers import exact_bound
 from test_poly import DIFF_VARS, random_scalar
 from test_scalars import laurent_pool
 from tuple_kernel import MultiLaurent as Reference
@@ -41,7 +42,7 @@ def assert_decodes_to(got, want):
     an exponent bound that certifies its key fields."""
     assert all(got.terms.values())
     assert (got.vars, expanded(got)) == (want.vars, want.terms)
-    assert poly._true_bound(got.terms, got.K) <= got.bound < 1 << (got.K - 2)
+    assert exact_bound(got.terms, got.K) <= got.bound < 1 << (got.K - 2)
     assert max((abs(e) for key in got.exponents() for e in key), default=0) <= got.E < 1 << (got.F - 2)
 
 
@@ -321,7 +322,7 @@ def test_placed_sums_reach_their_bound():
     P = MultiLaurent(vs, spec)
     assert P.bound == b
     got = P._placed_sum(vs, parts)
-    assert poly._true_bound(got.terms, got.K) == got.bound == 6 * b
+    assert exact_bound(got.terms, got.K) == got.bound == 6 * b
     assert parts[1] == 6
 
 
@@ -337,7 +338,97 @@ def test_orbit_folds_certify_their_bound():
     assert f.K == 16
     got = f.fold_orbits((z1, z2, z3))
     assert_decodes_to(got, rf.fold_orbits((z1, z2, z3)))
-    assert got.K > 16 and poly._true_bound(got.terms, got.K) == 36000 <= got.bound
+    assert got.K > 16 and exact_bound(got.terms, got.K) == 36000 <= got.bound
+
+
+def certificate_pool(rng, K):
+    """Packed value dicts at K bits a digit: random digits up to the
+    largest a bound admits, 2^(K - 2) - 1, values with a negative top
+    digit, values whose digits are all -1, and one-digit values."""
+    B = (1 << K - 2) - 1
+
+    def value(digits):
+        return sum(c << K * i for i, c in enumerate(digits))
+
+    pool = []
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((rng.randint(-B, B), rng.randint(-9, 9), B, -B, -1, 0)) for _ in range(n)]
+                for _ in range(rng.randint(1, 6))]
+        rows.append([rng.randint(-B, B) for _ in range(n - 1)] + [-rng.randint(1, B)])
+        pool.append({k: value(row) for k, row in enumerate(rows) if any(row)})
+    pool += [{0: value([-1] * n)} for n in (1, 2, 7)]
+    pool += [{k: value([rng.choice((-1, 0, 1)) for _ in range(5)] + [1]) for k in range(4)} for _ in range(5)]
+    pool += [{k: value([c]) for k, c in enumerate(cs)} for cs in ([1], [-1], [B], [-B], [2, -3], [-(1 << K - 3)])]
+    pool.append({0: value([B, 0, -1]), 1: value([0, -B])})
+    return pool
+
+
+@pytest.mark.parametrize("K", (8, 16, 32, 64, 128))
+def test_certificate_lies_within_twice_the_digits(K):
+    # against the exact digit scan: at least the largest |digit| and at
+    # most twice it, so a recertified bound never understates the digits
+    # and costs at most one bit of headroom; digits of size at most 1,
+    # as in a product of unit q-monomials, are certified exactly
+    for terms in certificate_pool(random.Random(2300 + K), K):
+        exact, cert = exact_bound(terms, K), poly._certificate(terms, K)
+        assert exact <= cert <= 2 * exact, (terms, exact, cert)
+        if exact == 1:
+            assert cert == 1, terms
+    assert poly._certificate({}, K) == 0
+
+
+def test_a_wider_packing_reads_no_digits_while_the_bounds_fit(monkeypatch):
+    # adding a polynomial packed at K = 32 to one at K = 16 repacks the
+    # narrower one; its certified bound fits at K = 32, so no digit is read
+    z1, z2 = DIFF_VARS[:2]
+    reads = []
+    certificate = poly._certificate
+    monkeypatch.setattr(poly, "_certificate", lambda terms, K: reads.append(K) or certificate(terms, K))
+    spec_wide = ((z1, z2), {(1, 0): LaurentQ({0: 10**6, 2: -3}), (0, 1): 5})
+    spec_narrow = ((z1, z2), {(1, 0): 7, (2, -1): RatQ.q_power(-4, 3)})
+    (f, rf), (g, rg) = both(spec_wide), both(spec_narrow)
+    assert (f.K, g.K) == (32, 16)
+    assert_decodes_to(f + g, rf + rg)
+    assert_decodes_to(g - f, rg - rf)
+    assert reads == []
+    # the control: bounds that no longer fit at K = 32 are recertified
+    loose = MultiLaurent._raw(f.vars, f.terms, f.K, f.qlo, (1 << 30) - 1, f.den, f.F, f.E)
+    assert_decodes_to(loose + g, rf + rg)
+    assert reads == [32, 16]
+
+
+def test_unit_binomial_inverses_match_the_tuple_kernel():
+    # unit scalars +-q^s pack each coefficient as one shifted int
+    z1, z2 = DIFF_VARS[:2]
+    for vi, vj in ((z1, z2), (z2, z1)):
+        for c in (RatQ.q_power(s, a) for s in (-3, 0, 2, 5) for a in (1, -1)):
+            for n in (0, 1, 6, 40):
+                for dom in (vi, vj):
+                    got = MultiLaurent.binomial_inverse(vi, vj, c, n, dom)
+                    assert_decodes_to(got, Reference.binomial_inverse(vi, vj, c, n, dom))
+
+
+def test_long_unit_factors_shift_the_values(monkeypatch):
+    # a factor +-q^s whose packed value +-2^(K (s - lo)) is longer than
+    # _SHIFT_AT bits is applied as a shift: both signs, as the first and
+    # as a later term of the smaller operand, among other factors
+    z1, z2, z3 = DIFF_VARS[:3]
+    shifts = []
+    long_shift = poly._long_shift
+    monkeypatch.setattr(poly, "_long_shift", lambda terms, X: shifts.append(X) or long_shift(terms, X))
+    f, rf = both(((z1, z2, z3), {
+        (1, 0, 2): LaurentQ({0: 3, 7: -5}), (0, 2, -1): RatQ.q_power(-3, Fraction(2, 3)),
+        (2, 1, 0): 1, (0, 0, 0): LaurentQ({1: 1, 60: 4}),
+    }))
+    for s in (40, 90):
+        for sign in (1, -1):
+            weight = {(1, 0): RatQ.q_power(2 * s, sign), (0, 1): RatQ.q_power(0, -sign), (1, 1): LaurentQ({s: 2, 0: 1})}
+            g, rg = both(((z1, z2), weight))
+            assert_decodes_to(f * g, rf * rg)
+            assert_decodes_to(g * f, rg * rf)
+    assert {X > 0 for X in shifts} == {True, False}
+    assert all(X.bit_length() > poly._SHIFT_AT for X in shifts)
 
 
 def wide_exponent_results(kernel):
