@@ -76,8 +76,8 @@ by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
 one, the shifted copies summed; a term whose coefficient is a unit
-q-monomial +-q^s, whose packed value is +-2^t, shifts the values
-instead of multiplying them.  ``_placed_sum`` runs a whole family of
+q-monomial +-q^s, packed as +-2^t with t over ``_SHIFT_AT``, shifts the
+values instead of multiplying them.  ``_placed_sum`` runs a whole family of
 such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
 P's fields to new slots; the weights W, built once by ``placements``,
 share one frame and carry the sum of their l1 norms (absolute digits),
