@@ -247,7 +247,7 @@ def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
     return total
 
 
-def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool, like=None) -> MultiLaurent:
+def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool, like: MultiLaurent) -> MultiLaurent:
     """The delta chain on the window: with delta(x, c y) = sum_i c^(-i-1) x^i
     y^(-i-1) its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and
     z_(m+1) carries -i_m - 1, one q-power per monomial of degree -(m+1).

@@ -54,7 +54,10 @@ The certificate (``_certificate``) reads no digit on its own: with
 whole-int masks over each value's digits as K-bit two's complement
 fields, it ORs the nonnegative digits of all values together, and the
 negative ones c complemented to -c - 1, which gives at least the largest
-|digit| and less than twice it.
+|digit| and less than twice it.  Only when the certificate does not fit
+either are the digits read exactly (``_true_bound``) before a repack,
+which reads them anyway, so a certificate up to twice too large never
+widens K on its own.
 ``divided_difference`` learns its longest run R in its loop, so when b 2
 (E + 1), which bounds b 2 ceil(R / 2), could reach 2^(K - 2), it reads R
 in one pass over the keys first.
@@ -75,9 +78,7 @@ by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
-one, the shifted copies summed; a term whose coefficient is a unit
-q-monomial +-q^s, packed as +-2^t with t over ``_SHIFT_AT``, shifts the
-values instead of multiplying them.  ``_placed_sum`` runs a whole family of
+one, the shifted copies summed.  ``_placed_sum`` runs a whole family of
 such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
 P's fields to new slots; the weights W, built once by ``placements``,
 share one frame and carry the sum of their l1 norms (absolute digits),
@@ -101,9 +102,6 @@ from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 # are powers of two
 _K_START = 16
 _F_START = 16
-# the bits of a power of two past which _shifted_sum shifts the values
-# rather than multiplying them
-_SHIFT_AT = 512
 # the digit widths read in bulk, as memoryview formats of little-endian
 # signed ints
 _VIEW = {8 * array(t).itemsize: t for t in "qlihb"} if sys.byteorder == "little" else {}
@@ -329,6 +327,14 @@ def _certificate(terms: dict, K: int) -> int:
     return max(_or_fields(pos, K), _or_fields(neg, K) + 1)
 
 
+def _true_bound(terms: dict, K: int) -> int:
+    """The largest |digit| of the packed values, read digit by digit."""
+    if not terms:
+        return 0
+    d = _digits(terms.values(), K, _width(terms.values(), K))
+    return max(max(d), -min(d))
+
+
 def _repacked(terms: dict, K: int, wide: int) -> dict:
     """The same terms packed at the wider K ``wide``: the digits fill
     fields of ``wide`` bits, and ``_digits`` is undone."""
@@ -351,12 +357,17 @@ def _repacked(terms: dict, K: int, wide: int) -> dict:
 def _fit(polys, need, K=0):
     """The polynomials in one packing of at least K bits wide enough that
     need(*bounds) stays below 2^(K - 2), and that K.  When the certified
-    bounds do not fit, they are recertified (``_certificate``), and K
-    doubles until the need fits with a quarter of K to spare."""
+    bounds do not fit, they are recertified (``_certificate``), and when
+    that does not fit either, read exactly (``_true_bound``): the
+    certificate may be twice the largest digit, and a repack would read
+    the digits anyway.  K then doubles until the need fits with a
+    quarter of K to spare."""
     K = max(K, *(p.K for p in polys))
     bounds = [p.bound for p in polys]
     if need(*bounds) >> (K - 2):
         bounds = [min(b, _certificate(p.terms, p.K)) for p, b in zip(polys, bounds)]
+    if need(*bounds) >> (K - 2):
+        bounds = [min(b, _true_bound(p.terms, p.K)) for p, b in zip(polys, bounds)]
         if need(*bounds) >> (K - 2):
             while need(*bounds) >> (K - 2 - K // 4):
                 K *= 2
@@ -388,33 +399,19 @@ def _add_into(out: dict, terms) -> dict:
     return out
 
 
-def _long_shift(terms: dict, X: int):
-    """(the terms' items, X), with a factor X = +-2^t moved into the
-    values as a shift, read one at a time, leaving X = +-1; any other X
-    is left as it is."""
-    t = abs(X).bit_length() - 1
-    if abs(X) != 1 << t:
-        return terms.items(), X
-    return ((key, V << t) for key, V in terms.items()), X >> t
-
-
 def _shifted_sum(terms: dict, shifts, out=None) -> dict:
     """sum of X * x^off * terms over the (off, X) pairs, off a key offset,
     added straight into out; without out, the first shift is a fresh
-    dict.  A factor X = +-2^t, a unit q-monomial, of more than _SHIFT_AT
-    bits is a shift: multiplying by it costs about t per limb of a value,
-    shifting about one."""
+    dict."""
     if out is None:
         if not shifts:
             return {}
         off, X = shifts[0]
-        src, X = _long_shift(terms, X) if X.bit_length() > _SHIFT_AT else (terms.items(), X)
-        out = {key + off: V * X for key, V in src}
+        out = {key + off: V * X for key, V in terms.items()}
         shifts = shifts[1:]
     get = out.get
     for off, X in shifts:
-        src, X = _long_shift(terms, X) if X.bit_length() > _SHIFT_AT else (terms.items(), X)
-        for key, V in src:
+        for key, V in terms.items():
             key += off
             s = get(key, 0) + V * X
             if s:

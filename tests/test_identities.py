@@ -222,7 +222,7 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     box = ref.reliable.intersect(win)
     expect = ref.poly.within(dict.fromkeys(ref.vars, box.as_pair()))
     assert expect
-    assert _rhs_poly(m, box, reading, qi) == expect
+    assert _rhs_poly(m, box, reading, qi, MultiLaurent.zero()) == expect
 
 
 @pytest.mark.parametrize("qi", (False, True))
@@ -238,10 +238,15 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
 )
 def test_packed_chain_matches_laurent_chain(m, win, reading, qi):
     # the chain packed as shifted ints against the same chain built
-    # through LaurentQ scalars, symmetric and one-sided windows
-    got, want = _rhs_poly(m, win, reading, qi), laurent_delta_chain(m, win, reading, qi)
-    assert (got.vars, expanded(got)) == (want.vars, expanded(want))
-    assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
+    # through LaurentQ scalars, symmetric and one-sided windows; packed
+    # like the left side, as the report packs it, and at the default width
+    want = laurent_delta_chain(m, win, reading, qi)
+    lhs = _lhs_poly(m, win, qi)
+    for like in (lhs, MultiLaurent.zero()):
+        got = _rhs_poly(m, win, reading, qi, like)
+        assert (got.vars, expanded(got)) == (want.vars, expanded(want))
+        assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
+        assert not got.terms or (got.K >= like.K and got.F >= like.F)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
@@ -323,7 +328,7 @@ def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
         assert rep["compared"][reading] == win.as_pair()
-        closed = sum_over_perms(_rhs_poly(m, win, reading, qi), zs)
+        closed = sum_over_perms(_rhs_poly(m, win, reading, qi, lhs.poly), zs)
         assert rep["readings"][reading] == (lhs.poly == closed)
         rhs = per_permutation_rhs(m, win, reading, qi)
         assert same_series(sum_over_perms(series_delta_chain(zs, win, reading, qi), zs), rhs)

@@ -398,6 +398,24 @@ def test_a_wider_packing_reads_no_digits_while_the_bounds_fit(monkeypatch):
     assert reads == [32, 16]
 
 
+def test_a_certificate_that_does_not_fit_is_read_exactly(monkeypatch):
+    # digits 4096 and 4095 certify as 8191: three times that does not fit
+    # at K = 16 but three times the largest digit does, so the exact read
+    # keeps K = 16 and repacks nothing; needs beyond the exact digits widen
+    z1, z2 = DIFF_VARS[:2]
+    repacks = []
+    repacked = poly._repacked
+    monkeypatch.setattr(poly, "_repacked", lambda terms, K, wide: repacks.append(wide) or repacked(terms, K, wide))
+    f = MultiLaurent((z1, z2), {(1, 0): LaurentQ({0: 4096, 1: 4095}), (0, 1): -5})
+    loose = MultiLaurent._raw(f.vars, f.terms, f.K, f.qlo, 8191, f.den, f.F, f.E)
+    assert (f.K, poly._certificate(f.terms, f.K), exact_bound(f.terms, f.K)) == (16, 8191, 4096)
+    (got,), K = poly._fit([loose], lambda b: 3 * b)
+    assert (K, got.bound, got.terms, repacks) == (16, 4096, f.terms, [])
+    (got,), K = poly._fit([loose], lambda b: 4 * b)
+    assert (K, got.bound, repacks) == (32, 4096, [32])
+    assert expanded(got) == expanded(f)
+
+
 def test_unit_binomial_inverses_match_the_tuple_kernel():
     # unit scalars +-q^s pack each coefficient as one shifted int
     z1, z2 = DIFF_VARS[:2]
@@ -407,28 +425,6 @@ def test_unit_binomial_inverses_match_the_tuple_kernel():
                 for dom in (vi, vj):
                     got = MultiLaurent.binomial_inverse(vi, vj, c, n, dom)
                     assert_decodes_to(got, Reference.binomial_inverse(vi, vj, c, n, dom))
-
-
-def test_long_unit_factors_shift_the_values(monkeypatch):
-    # a factor +-q^s whose packed value +-2^(K (s - lo)) is longer than
-    # _SHIFT_AT bits is applied as a shift: both signs, as the first and
-    # as a later term of the smaller operand, among other factors
-    z1, z2, z3 = DIFF_VARS[:3]
-    shifts = []
-    long_shift = poly._long_shift
-    monkeypatch.setattr(poly, "_long_shift", lambda terms, X: shifts.append(X) or long_shift(terms, X))
-    f, rf = both(((z1, z2, z3), {
-        (1, 0, 2): LaurentQ({0: 3, 7: -5}), (0, 2, -1): RatQ.q_power(-3, Fraction(2, 3)),
-        (2, 1, 0): 1, (0, 0, 0): LaurentQ({1: 1, 60: 4}),
-    }))
-    for s in (40, 90):
-        for sign in (1, -1):
-            weight = {(1, 0): RatQ.q_power(2 * s, sign), (0, 1): RatQ.q_power(0, -sign), (1, 1): LaurentQ({s: 2, 0: 1})}
-            g, rg = both(((z1, z2), weight))
-            assert_decodes_to(f * g, rf * rg)
-            assert_decodes_to(g * f, rg * rf)
-    assert {X > 0 for X in shifts} == {True, False}
-    assert all(X.bit_length() > poly._SHIFT_AT for X in shifts)
 
 
 def wide_exponent_results(kernel):
