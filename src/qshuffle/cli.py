@@ -39,7 +39,7 @@ class UsageError(Exception):
 # would run 45-50 s where --m 5 runs about 2 s (README has the measured times)
 IDENTITIES_MAX_M = 5
 # the widest --window (hi - lo) per m: at most about 30 s on symmetric windows
-# and on windows ending at 0 (README has the times)
+# and on windows ending at 0, except m = 5 on -4:0 (README has the times)
 IDENTITIES_MAX_WINDOW = {1: 150, 2: 40, 3: 14, 4: 6, 5: 4}
 
 
