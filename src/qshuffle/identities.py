@@ -37,7 +37,17 @@ difference of the sides sums to zero over every orbit of the z's
 
 ``partial_fraction_check`` covers the two elementary rewriting steps the
 reduction rests on, together with named mutations that must all break
-them.
+them.  Each side of a step is built as an unreduced (numerator,
+{factor: multiplicity}) pair from kernel parts: canonical factors
+(``BinomialFactor.from_parts``) whose units sign q^shift are read off by
+exponent arithmetic, a right side's simple fractions added over their lcm
+(``fraction_sum``), and the step is decided by cross-multiplying
+(``fractions_equal``), with no division and no reduction.
+
+So each identity is decided by one exact polynomial test: L_m by its
+numerator over the shared denominator being zero, the window identity by
+the orbit fold of the difference of its sides being empty, and each
+partial-fraction step by the cross-multiplied numerators being equal.
 """
 
 from __future__ import annotations
@@ -50,8 +60,8 @@ from math import factorial
 
 from .formal import Window, expand_ratfun
 from .poly import MultiLaurent, VarId, aux_var, grassmannian_steps, zvar
-from .qring import LaurentQ, RatQ, q_binomial
-from .ratfun import BinomialFactor, RatFun
+from .qring import LaurentQ, q_binomial
+from .ratfun import BinomialFactor, RatFun, fraction_sum, fractions_equal
 
 W = aux_var("w")
 
@@ -70,34 +80,51 @@ def pole_sum_denominator(m: int) -> dict[BinomialFactor, int]:
     zs = _zs(m)
     den = {}
     for z in zs:
-        den[BinomialFactor(z, W, RatQ.q_power(m))] = 1
-        den[BinomialFactor(z, W, RatQ.q_power(-m))] = 1
+        den[BinomialFactor.from_parts(z, W, m)] = 1
+        den[BinomialFactor.from_parts(z, W, -m)] = 1
     for a, b in combinations(zs, 2):
-        den[BinomialFactor(a, b, RatQ.q_power(2))] = 1
-        den[BinomialFactor(a, b, RatQ.q_power(-2))] = 1
+        den[BinomialFactor.from_parts(a, b, 2)] = 1
+        den[BinomialFactor.from_parts(a, b, -2)] = 1
     return den
+
+
+def _poles(poles):
+    """The product of the poles q^s z_vi - q^t z_vj, given as (s, vi, t, vj),
+    as ({canonical factor: multiplicity}, sign, shift): the product is sign
+    q^shift times the factors', each pole's unit read off by exponent
+    arithmetic (q^s z_vi - q^t z_vj = q^s (z_vi - q^(t-s) z_vj) for vi before
+    vj, and -q^t (z_vj - q^(s-t) z_vi) otherwise)."""
+    den, sign, shift = {}, 1, 0
+    for s, vi, t, vj in poles:
+        if vi < vj:
+            f = BinomialFactor.from_parts(vi, vj, t - s)
+            shift += s
+        else:
+            f = BinomialFactor.from_parts(vj, vi, s - t)
+            sign, shift = -sign, shift + t
+        den[f] = den.get(f, 0) + 1
+    return den, sign, shift
 
 
 def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     """One summand as a single fraction, the reference ``build_pole_sum``
     is checked against: its numerator, its canonical pole factors and the
-    q-monomial unit they absorb go into one ``RatFun``.  It is built
-    reduced: the numerator's factors z_a - z_b are none of the poles,
-    whose q-powers are q^(+-m) and q^(+-2) with m >= 1."""
+    q-monomial unit they absorb go into one ``RatFun``.  The unit is taken
+    into the q-binomial by exponent arithmetic and the numerator's factors
+    are multiplied on as (a, s) pairs.  It is built reduced: the
+    numerator's factors z_a - z_b are none of the poles, whose q-powers
+    are q^(+-m) and q^(+-2) with m >= 1."""
     if not 0 <= k <= m + 1:
         raise ValueError("k runs from 0 to m+1")
     e = -1 if q_inverted else 1
     rel = [_zs(m)[s - 1] for s in sigma]
-    num = MultiLaurent.constant(_binom(m, k, q_inverted))
+    poles = [(-e * m, z, 0, W) if pos < k else (-e * m, W, 0, z) for pos, z in enumerate(rel)]
+    den, sign, shift = _poles(poles + [(2 * e, a, 0, b) for a, b in combinations(rel, 2)])
+    qb = _binom(m, k, q_inverted).terms
+    num = MultiLaurent.constant(LaurentQ._raw({p - shift: sign * c for p, c in qb.items()}))
     for a, b in combinations(rel, 2):
-        num = num.mul_binomial(1, a, -1, b)
-    den, unit = {}, RatQ.one()
-    poles = [(-e * m, z, W) if pos < k else (-e * m, W, z) for pos, z in enumerate(rel)]
-    for p, a, b in poles + [(2 * e, a, b) for a, b in combinations(rel, 2)]:
-        f, u = BinomialFactor.make(RatQ.q_power(p), a, RatQ.one(), b)
-        den[f] = den.get(f, 0) + 1
-        unit = unit * u
-    return RatFun(num.scale(RatQ.one() / unit), den, _reduced=True)
+        num = num._mul_binomial(a, (1, 0), b, (-1, 0))
+    return RatFun(num, den, _reduced=True)
 
 
 @dataclass
@@ -131,17 +158,17 @@ def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) 
         raise ValueError("the pole sum needs m >= 1")
     e = -1 if q_inverted else 1
     zs, n = _zs(m), m + 1
-    qm = RatQ.q_power(-e * m)
+    qm, neg = (1, -e * m), (-1, 0)
     total = MultiLaurent.zero()
     for k in range(m + 2):
         h = MultiLaurent.constant(_binom(m, k, q_inverted) if coeff is None else coeff(k))
         for i, z in enumerate(zs):
-            h = h.mul_binomial(qm, W, -1, z) if i < k else h.mul_binomial(qm, z, -1, W)
+            h = h._mul_binomial(W, qm, z, neg) if i < k else h._mul_binomial(z, qm, W, neg)
         total = total + h
         if progress is not None:
             progress(f"m={m} k={k}: {(k + 1) * factorial(n)} terms folded in")
     for a, b in combinations(zs, 2):
-        total = total.mul_binomial(RatQ.q_power(2 * e), b, -1, a)
+        total = total._mul_binomial(b, (1, 2 * e), a, neg)
     for j in range(1, n):  # d_w0: move slot j+1 past slots 1..j, for j = 1..m
         for i in grassmannian_steps(j, 1):
             total = total.divided_difference(zs[i - 1], zs[i])
@@ -150,7 +177,7 @@ def build_pole_sum(m: int, q_inverted: bool = False, coeff=None, progress=None) 
     if (n + n * (n - 1) // 2) % 2:
         total = -total
     for a, b in combinations(zs, 2):
-        total = total.mul_binomial(1, a, -1, b).mul_binomial(1, a, -1, b)
+        total = total._mul_binomial(a, (1, 0), b, neg)._mul_binomial(a, (1, 0), b, neg)
     return PoleSum(m, q_inverted, RatFun(total, pole_sum_denominator(m)), (m + 2) * factorial(n))
 
 
@@ -185,53 +212,51 @@ PF_MUTATIONS = (
 )
 
 
+# the split constants c/(q^2 + 1) lie outside the Laurent coefficient
+# ring, so both sides of each step come multiplied by q^2 + 1
+_Q2P1 = LaurentQ({2: 1, 0: 1})
+
+
+def _pf_side(terms, poles, scalar=None):
+    """sum a q^s z_1^e_1 z_2^e_2 over the items (e_1, e_2): (a, s) of terms,
+    times ``scalar`` and over the poles q^s z_vi - q^t z_vj given as (s, vi,
+    t, vj), as an unreduced (numerator, {factor: multiplicity}) pair: the
+    poles' unit sign q^shift is divided into each (a, s)."""
+    den, sign, shift = _poles(poles)
+    num = MultiLaurent._q_monomials(tuple(_zs(1)), {x: (a * sign, s - shift) for x, (a, s) in terms.items()})
+    return (num if scalar is None else num.scale(scalar)), den
+
+
 def _pf_pair(perturb):
-    """(lhs, rhs) for both rewriting steps, optionally perturbed.
+    """(lhs, rhs) for both rewriting steps, optionally perturbed, each side
+    an unreduced (numerator, {factor: multiplicity}) pair; the right sides
+    are sums of simple fractions, added over their lcm (``fraction_sum``)."""
+    z1, z2 = _zs(1)
+    num = {(1, 0): (1, 0), (0, 1): (1 if perturb == "numerator-flip" else -1, 0)}
+    c1 = {"scale-sign": (1, 1), "scale-shift": (-1, 2)}.get(perturb, (-1, 1))
 
-    The split constants are c/(q^2 + 1), outside the Laurent coefficient
-    ring, so both sides of each step come multiplied by q^2 + 1: a side
-    vanishes iff it does times that nonzero scalar."""
-    z1, z2 = zvar(1, 1), zvar(1, 2)
-    one = RatQ.one()
-    q2 = RatQ.q_power(2)
-    num = MultiLaurent.var_power(z1, 1) - MultiLaurent.var_power(z2, 1)
-    if perturb == "numerator-flip":
-        num = MultiLaurent.var_power(z1, 1) + MultiLaurent.var_power(z2, 1)
+    # step one: (q^2 + 1)(z1 - z2)/((q^2 z2 - z1)(q^-1 z2 - q z1))
+    #         = -q/(q^2 z2 - z1) - q/(z2 - q^2 z1)
+    lhs1 = _pf_side(num, [(2, z2, 0, z1), (-1, z2, 1, z1)], _Q2P1)
+    p1b = (0, z2, 2, z1)
+    p1a = p1b if perturb == "pole-swap" else (2, z2, 0, z1)
+    rhs1 = fraction_sum(_pf_side({(0, 0): c1}, [p]) for p in (p1a, p1b))
 
-    q2p1 = LaurentQ({2: 1, 0: 1})
-
-    def inv(a, vi, b, vj):
-        f, unit = BinomialFactor.make(a, vi, b, vj)
-        return RatFun.inverse_factor(f) / unit
-
-    # step one: split (q^2 + 1)(z1 - z2)/((q^2 z2 - z1)(q^-1 z2 - q z1))
-    lhs1 = (RatFun(num) * inv(q2, z2, one, z1) * inv(
-        RatQ.q_power(-1), z2, RatQ.q_power(1), z1
-    )).scale(q2p1)
-    c1 = -RatQ.q_power(1)
-    if perturb == "scale-sign":
-        c1 = -c1
-    if perturb == "scale-shift":
-        c1 = c1 * RatQ.q_power(1)
-    p1a = inv(q2, z2, one, z1)
-    p1b = inv(one, z2, q2, z1)
-    if perturb == "pole-swap":
-        p1a = inv(one, z2, q2, z1)
-    rhs1 = (p1a + p1b).scale(c1)
-
-    # step two: split (q^2 + 1)(z1 - z2)/((q^2 z1 - z2)(q^-2 z1 - z2))
+    # step two: (q^2 + 1)(z1 - z2)/((q^2 z1 - z2)(q^-2 z1 - z2))
+    #         = q^2/(q^2 z1 - z2) + q^2/(z1 - q^2 z2)
     e = 3 if perturb == "exponent-bump" else 2
-    lhs2 = (RatFun(num) * inv(q2, z1, one, z2) * inv(RatQ.q_power(-e), z1, one, z2)).scale(q2p1)
-    rhs2 = (inv(q2, z1, one, z2) + inv(one, z1, q2, z2)).scale(q2)
+    lhs2 = _pf_side(num, [(2, z1, 0, z2), (-e, z1, 0, z2)], _Q2P1)
+    rhs2 = fraction_sum(_pf_side({(0, 0): (1, 2)}, [p]) for p in ((2, z1, 0, z2), (0, z1, 2, z2)))
     return [(lhs1, rhs1), (lhs2, rhs2)]
 
 
 def partial_fraction_check(perturb: str | None = None) -> bool:
     """Both rewriting steps hold; any mutation from PF_MUTATIONS breaks
-    at least one of them."""
+    at least one of them.  Each step is decided on its unreduced sides by
+    cross-multiplying (``fractions_equal``), with no division."""
     if perturb is not None and perturb not in PF_MUTATIONS:
         raise ValueError(f"unknown mutation {perturb!r}")
-    return all((lhs - rhs).is_zero() for lhs, rhs in _pf_pair(perturb))
+    return all(fractions_equal(lhs, rhs) for lhs, rhs in _pf_pair(perturb))
 
 
 # ---------- the windowed distribution identity ----------
@@ -247,23 +272,27 @@ def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
     return total
 
 
-def _rhs_poly(m: int, window: Window, reading: str, q_inverted: bool, like: MultiLaurent) -> MultiLaurent:
-    """The delta chain on the window: with delta(x, c y) = sum_i c^(-i-1) x^i
-    y^(-i-1) its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and
-    z_(m+1) carries -i_m - 1, one q-power per monomial of degree -(m+1).
-    ``like`` is the polynomial it will be compared with, whose packing it
-    takes where it can (``MultiLaurent._q_monomials``)."""
+def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent) -> dict:
+    """Both readings of the delta chain on the window, built in one pass
+    over the index box: with delta(x, c y) = sum_i c^(-i-1) x^i y^(-i-1)
+    its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and z_(m+1)
+    carries -i_m - 1, one q-power per monomial of degree -(m+1).  The
+    readings c = q^(-+m) of the w-delta differ in that q-power only, by
+    e m (e_w + 1) either way.  ``like`` is the polynomial they will be
+    compared with, whose packing they take where they can
+    (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
-    shift = -e * m if reading == "qminus" else e * m
-    terms = {}
+    minus, plus = {}, {}
     for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
-        i, p = ew, e * m - shift * (ew + 1)
+        i, p = ew, 0
         for ej in ez:
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
-            terms[(*ez, -i - 1, ew)] = (1, p)
-    return MultiLaurent._q_monomials((*_zs(m), W), terms, like)  # the registry order z_1..z_(m+1), w
+            minus[(*ez, -i - 1, ew)] = (1, p + e * m * (ew + 2))
+            plus[(*ez, -i - 1, ew)] = (1, p - e * m * ew)
+    vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w
+    return {"qminus": MultiLaurent._q_monomials(vs, minus, like), "qplus": MultiLaurent._q_monomials(vs, plus, like)}
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:
@@ -274,8 +303,7 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
     a wrong scale neither reading can match)."""
     lhs = _lhs_poly(m, window, q_inverted)
     readings = {}
-    for reading in ("qminus", "qplus"):
-        rhs = _rhs_poly(m, window, reading, q_inverted, lhs)
+    for reading, rhs in _rhs_polys(m, window, q_inverted, lhs).items():
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
         readings[reading] = not (lhs - rhs).fold_orbits(_zs(m))

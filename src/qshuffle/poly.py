@@ -44,9 +44,13 @@ Every operation moves the bound: a sum adds the bounds; a binomial
 multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
 digits of x and y; a divided difference by 2 ceil(R / 2) for
 its longest run R, since a run and its mirror image can meet on one
-monomial; a product b1 b2 by the q-digit count and the term count of the
-operand with fewer terms; a placed sum (below) by the sum of the l1 norms
-of its weights; a substitution, exact division or orbit fold
+monomial; a product takes b1 b2 w n, with w the q-digit count and n the
+term count of the operand a with fewer terms, and when that would not fit,
+b ||a||_1, b the other operand's bound and ||a||_1 the sum of a's absolute
+digits (its l1 norm), read in one pass: a monomial of the product collects
+at most one coefficient product per term of a, so each of its digits sums
+products of a digit of b with distinct digits of a; a placed sum (below)
+by the sum of the l1 norms of its weights; a substitution, exact division or orbit fold
 (``fold_orbits``) by the number of terms that can meet on one monomial.
 When the bound would reach 2^(K - 2), the operands are recertified first,
 and repacked at a wider K if even that does not fit.  K is never guessed.
@@ -748,18 +752,23 @@ class MultiLaurent:
             return MultiLaurent.zero(a.vars)
         E = a.E + b.E
         a, b = a._keyed(E, b.F), b._keyed(E, a.F)
-        # a digit of a coefficient product sums at most w digit products, w
-        # the smaller operand's digit count, and a monomial collects at most
-        # one product per term of the smaller operand
+        # a monomial collects at most one product per term of the smaller
+        # operand a, so each digit of the product sums products of a digit
+        # of b with distinct digits of a: at most ||a||_1 of them, the sum of
+        # a's absolute digits, which is at most its bound times w n, w its
+        # digit count; the digits are read only when that does not fit
         w, n = _width(a.terms.values(), a.K), len(a.terms)
+        norm = a.bound * w * n
+        if (b.bound * norm) >> (max(a.K, b.K) - 2):
+            norm = sum(map(abs, _digits(a.terms.values(), a.K, w)))
         K = a.K
-        if b.K != K or (a.bound * b.bound * w * n) >> (K - 2):
-            (a, b), K = _fit((a, b), lambda x, y: x * y * w * n)
+        if b.K != K or (b.bound * norm) >> (K - 2):
+            (a, b), K = _fit((a, b), lambda x, y: y * norm)
         # a term of a shifts b's keys by its key less the key of 1
         one = _bias(a.F, len(a.vars)) >> 1
         return MultiLaurent._raw(
             a.vars, _shifted_sum(b.terms, [(key - one, V) for key, V in a.terms.items()]), K, a.qlo + b.qlo,
-            a.bound * b.bound * w * n, a.den * b.den, a.F, E,
+            b.bound * norm, a.den * b.den, a.F, E,
         )
 
     __rmul__ = __mul__

@@ -490,11 +490,13 @@ class ShuffleAlgebra:
     # ---------- words ----------
 
     def word_image(self, word) -> ShuffleElement:
-        """Image of a word in the current modes, multiplied left to right."""
-        out = self.unit()
+        """Image of a word in the current modes, multiplied left to right
+        from its first generator; the empty word's image is the unit."""
+        out = None
         for color, mode in word:
-            out = self.mul(out, self.generator(color, mode))
-        return out
+            g = self.generator(color, mode)
+            out = g if out is None else self.mul(out, g)
+        return self.unit() if out is None else out
 
     def word_degree(self, word) -> tuple[int, ...]:
         deg = [0] * self.cartan.rank

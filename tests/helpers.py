@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random generators,
-evaluation utilities, the exact digit scan and the two reference builds
-of the delta chain.  Everything is deterministic given the Random
+evaluation utilities, the exact digit scan, the two reference builds
+of the delta chain and the reduced-fraction build of the partial-fraction
+steps.  Everything is deterministic given the Random
 instance passed in."""
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from itertools import product
 from qshuffle import poly
 from qshuffle.formal import Window, delta_series, series_mul
 from qshuffle.identities import W, _zs
-from qshuffle.poly import MultiLaurent
+from qshuffle.poly import MultiLaurent, zvar
 from qshuffle.qring import LaurentQ, RatQ
+from qshuffle.ratfun import BinomialFactor, RatFun
 
 
 def random_fraction(rng, lo=-9, hi=9, nonzero=False) -> Fraction:
@@ -68,7 +70,7 @@ def exact_bound(terms: dict, K: int) -> int:
 
 
 def laurent_delta_chain(m, window, reading, q_inverted=False):
-    """The closed-form delta chain of ``identities._rhs_poly`` built
+    """The closed-form delta chain of ``identities._rhs_polys`` built
     through the public constructor, one ``LaurentQ.q_power`` per monomial:
     the reference for the packed build."""
     e = -1 if q_inverted else 1
@@ -89,7 +91,7 @@ def series_delta_chain(zs, window, reading, q_inverted=False):
     as m verified ``series_mul`` products of ``delta_series`` on a padded
     window, m = len(zs) - 1: q^(e m) delta(w, c z_1) prod_i delta(z_i,
     q^(2e) z_(i+1)).  Its coefficients are exact on its reliable box only;
-    the reference for ``identities._rhs_poly``."""
+    the reference for ``identities._rhs_polys``."""
     m, e = len(zs) - 1, -1 if q_inverted else 1
     shift = -e * m if reading == "qminus" else e * m
     wide = Window(window.lo - 2 * (m + 2), window.hi + 2 * (m + 2))
@@ -97,3 +99,45 @@ def series_delta_chain(zs, window, reading, q_inverted=False):
     for i in range(m):
         chain = series_mul(chain, delta_series(zs[i], RatQ.q_power(2 * e), zs[i + 1], wide))
     return chain.scale(RatQ.q_power(e * m))
+
+
+def ratfun_pf_pair(perturb):
+    """(lhs, rhs) of both partial-fraction steps of
+    ``identities._pf_pair``, optionally perturbed, as reduced ``RatFun``s
+    built by ``RatFun`` products and sums, each pole divided in with its
+    ``RatQ`` unit: the reference for the unreduced build, whose steps hold
+    iff (lhs - rhs).is_zero() here.  Both sides come multiplied by
+    q^2 + 1, since the split constants are c/(q^2 + 1)."""
+    z1, z2 = zvar(1, 1), zvar(1, 2)
+    one = RatQ.one()
+    q2 = RatQ.q_power(2)
+    num = MultiLaurent.var_power(z1, 1) - MultiLaurent.var_power(z2, 1)
+    if perturb == "numerator-flip":
+        num = MultiLaurent.var_power(z1, 1) + MultiLaurent.var_power(z2, 1)
+
+    q2p1 = LaurentQ({2: 1, 0: 1})
+
+    def inv(a, vi, b, vj):
+        f, unit = BinomialFactor.make(a, vi, b, vj)
+        return RatFun.inverse_factor(f) / unit
+
+    # step one: split (q^2 + 1)(z1 - z2)/((q^2 z2 - z1)(q^-1 z2 - q z1))
+    lhs1 = (RatFun(num) * inv(q2, z2, one, z1) * inv(
+        RatQ.q_power(-1), z2, RatQ.q_power(1), z1
+    )).scale(q2p1)
+    c1 = -RatQ.q_power(1)
+    if perturb == "scale-sign":
+        c1 = -c1
+    if perturb == "scale-shift":
+        c1 = c1 * RatQ.q_power(1)
+    p1a = inv(q2, z2, one, z1)
+    p1b = inv(one, z2, q2, z1)
+    if perturb == "pole-swap":
+        p1a = inv(one, z2, q2, z1)
+    rhs1 = (p1a + p1b).scale(c1)
+
+    # step two: split (q^2 + 1)(z1 - z2)/((q^2 z1 - z2)(q^-2 z1 - z2))
+    e = 3 if perturb == "exponent-bump" else 2
+    lhs2 = (RatFun(num) * inv(q2, z1, one, z2) * inv(RatQ.q_power(-e), z1, one, z2)).scale(q2p1)
+    rhs2 = (inv(q2, z1, one, z2) + inv(one, z1, q2, z2)).scale(q2)
+    return [(lhs1, rhs1), (lhs2, rhs2)]

@@ -28,7 +28,7 @@ from qshuffle.identities import (
 )
 from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ, q_binomial
-from qshuffle.ratfun import BinomialFactor, RatFun
+from qshuffle.ratfun import BinomialFactor, RatFun, fractions_equal
 from qshuffle.shuffle import ClosureViolation, ShuffleAlgebra, ShuffleElement
 
 
@@ -134,18 +134,20 @@ def test_criterion_2_m3_experiment(pool):
 
 
 def test_criterion_3_partial_fractions(pool):
+    # each side is an unreduced (numerator, denominator) pair; the numeric
+    # pool evaluates it as the RatFun it stands for
     genuine = _pf_pair(None)
-    holds = all((l - r).is_zero() for l, r in genuine)
+    holds = all(fractions_equal(l, r) for l, r in genuine)
     for i, (l, r) in enumerate(genuine, start=1):
-        pool["zeros"].append(rat_diff_entry(f"partial fraction step {i}", l, r))
+        pool["zeros"].append(rat_diff_entry(f"partial fraction step {i}", RatFun(*l), RatFun(*r)))
     broken = []
     for mut in PF_MUTATIONS:
         pairs = _pf_pair(mut)
-        bad = [(l, r) for l, r in pairs if not (l - r).is_zero()]
+        bad = [(l, r) for l, r in pairs if not fractions_equal(l, r)]
         broken.append(bool(bad))
         if bad:
             pool["nonzeros"].append(
-                rat_diff_entry(f"partial fraction mutation {mut}", *bad[0])
+                rat_diff_entry(f"partial fraction mutation {mut}", RatFun(*bad[0][0]), RatFun(*bad[0][1]))
             )
     ok = holds and all(broken)
     emit(

@@ -12,7 +12,8 @@ from qshuffle.identities import (
     W,
     _binom,
     _lhs_poly,
-    _rhs_poly,
+    _pf_pair,
+    _rhs_polys,
     _zs,
     build_pole_sum,
     partial_fraction_check,
@@ -23,9 +24,9 @@ from qshuffle.identities import (
 )
 from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
-from qshuffle.ratfun import BinomialFactor, RatFun, _reduce, rat_sum
+from qshuffle.ratfun import BinomialFactor, RatFun, _reduce, fractions_equal, rat_sum
 
-from helpers import exact_bound, laurent_delta_chain, series_delta_chain
+from helpers import exact_bound, laurent_delta_chain, ratfun_pf_pair, series_delta_chain
 from tuple_kernel import expanded
 
 
@@ -158,6 +159,16 @@ def test_partial_fraction_mutations_fail(mut):
     assert not partial_fraction_check(mut)
 
 
+@pytest.mark.parametrize("perturb", (None,) + PF_MUTATIONS)
+def test_partial_fraction_sides_match_reduced_reference(perturb):
+    # each step's unreduced sides against the RatFun-arithmetic build,
+    # side by side as fractions and in the verdict, step by step
+    for step, ((l, r), (rl, rr)) in enumerate(zip(_pf_pair(perturb), ratfun_pf_pair(perturb)), start=1):
+        assert fractions_equal(l, (rl.num, rl.den)), (perturb, step)
+        assert fractions_equal(r, (rr.num, rr.den)), (perturb, step)
+        assert fractions_equal(l, r) == (rl - rr).is_zero(), (perturb, step)
+
+
 def test_partial_fraction_unknown_mutation():
     with pytest.raises(ValueError):
         partial_fraction_check("nonsense")
@@ -222,7 +233,7 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     box = ref.reliable.intersect(win)
     expect = ref.poly.within(dict.fromkeys(ref.vars, box.as_pair()))
     assert expect
-    assert _rhs_poly(m, box, reading, qi, MultiLaurent.zero()) == expect
+    assert _rhs_polys(m, box, qi, MultiLaurent.zero())[reading] == expect
 
 
 @pytest.mark.parametrize("qi", (False, True))
@@ -243,10 +254,19 @@ def test_packed_chain_matches_laurent_chain(m, win, reading, qi):
     want = laurent_delta_chain(m, win, reading, qi)
     lhs = _lhs_poly(m, win, qi)
     for like in (lhs, MultiLaurent.zero()):
-        got = _rhs_poly(m, win, reading, qi, like)
+        got = _rhs_polys(m, win, qi, like)[reading]
         assert (got.vars, expanded(got)) == (want.vars, expanded(want))
         assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
         assert not got.terms or (got.K >= like.K and got.F >= like.F)
+
+
+def test_wide_window_left_side_keeps_sixteen_bit_digits():
+    # the expansions multiply by unit q-monomials, whose absolute digit
+    # sum is their term count, so the certified bound stays near the
+    # digits: b1 b2 w n certified 799,959,802 here and packed at K = 32
+    lhs = _lhs_poly(1, Window(-100, 100), False)
+    assert lhs.K == 16
+    assert exact_bound(lhs.terms, lhs.K) <= lhs.bound < 1 << 14
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
@@ -328,7 +348,7 @@ def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
         assert rep["compared"][reading] == win.as_pair()
-        closed = sum_over_perms(_rhs_poly(m, win, reading, qi, lhs.poly), zs)
+        closed = sum_over_perms(_rhs_polys(m, win, qi, lhs.poly)[reading], zs)
         assert rep["readings"][reading] == (lhs.poly == closed)
         rhs = per_permutation_rhs(m, win, reading, qi)
         assert same_series(sum_over_perms(series_delta_chain(zs, win, reading, qi), zs), rhs)

@@ -416,6 +416,73 @@ def test_a_certificate_that_does_not_fit_is_read_exactly(monkeypatch):
     assert expanded(got) == expanded(f)
 
 
+def product_pairs(rng, K):
+    """Operand spec pairs whose digits need K bits, over z1, z2, z3: digits
+    of either sign near D = 2^(K/2 - 1), so that b1 b2 alone reaches
+    2^(K - 2); a pair whose digits cancel in the signed sum 1 - q; unit
+    q-monomials +-q^s spread over seven powers of q; and coefficients over
+    the denominator 3."""
+    D = 1 << K // 2 - 1
+
+    def laurent(den=1):
+        lo = rng.randint(-3, 3)
+        return LaurentQ({lo + i: Fraction(rng.choice((1, -1)) * rng.randint(D // 2, D), den)
+                         for i in range(rng.randint(1, 4))})
+
+    def spec(coeff, n):
+        return {tuple(rng.randint(-2, 2) for _ in range(3)): coeff() for _ in range(n)}
+
+    def unit():
+        return RatQ.q_power(rng.randint(-3, 3), rng.choice((1, -1)))
+
+    pairs = [({(1, 0, 0): LaurentQ({0: D, 1: -D})}, {(0, 1, 0): LaurentQ({0: D, 1: -D})})]
+    for _ in range(6):
+        pairs.append((spec(laurent, rng.randint(1, 6)), spec(laurent, rng.randint(1, 8))))
+        pairs.append((spec(unit, rng.randint(2, 6)), spec(laurent, rng.randint(2, 8))))
+        pairs.append((spec(lambda: laurent(3), rng.randint(1, 5)), spec(laurent, rng.randint(1, 6))))
+    return pairs
+
+
+@pytest.mark.parametrize("K", (16, 32, 64))
+def test_products_certify_their_bound(K):
+    # each digit of a product sums products of a digit of the larger
+    # operand b with distinct digits of the smaller one a, so b's bound
+    # times ||a||_1, the sum of a's absolute digits, certifies it; that is
+    # never looser than b1 b2 w n (w the digit count of a, n its term
+    # count), and is what the product takes when b1 b2 w n does not fit
+    vs = DIFF_VARS[:3]
+    looser = 0
+    for fs, gs in product_pairs(random.Random(2400 + K), K):
+        (f, rf), (g, rg) = both((vs, fs)), both((vs, gs))
+        assert max(f.K, g.K) == K
+        got = f * g
+        assert_decodes_to(got, rf * rg)
+        a, b = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+        w = poly._width(a.terms.values(), a.K)
+        norm = sum(map(abs, poly._digits(a.terms.values(), a.K, w)))
+        assert got.bound <= a.bound * b.bound * w * len(a.terms)
+        looser += got.bound < a.bound * b.bound * w * len(a.terms)
+    assert looser
+
+
+@pytest.mark.parametrize("K", (16, 32, 64))
+def test_unit_monomial_factors_keep_the_digit_width(K):
+    # the smaller operand, two unit q-monomials seven powers of q apart,
+    # has ||a||_1 = 2 where b1 b2 w n counts 2 * 7: digits of the larger
+    # operand up to 2^(K - 2) / 2 keep the product at K bits, where the
+    # digit count would have widened it
+    vs = DIFF_VARS[:3]
+    units = {(1, 0, 0): RatQ.q_power(-3), (0, 1, -1): RatQ.q_power(3, -1)}
+    top = ((1 << K - 2) - 1) // 2
+    other = {(0, 0, 0): LaurentQ({0: top, 1: -top}), (2, 0, -1): LaurentQ({2: 5, 4: -top}), (0, 1, 1): -1}
+    (f, rf), (g, rg) = both((vs, units)), both((vs, other))
+    assert (f.K, g.K, f.bound, g.bound, poly._width(f.terms.values(), f.K)) == (16, K, 1, top, 7)
+    assert (top * 7 * 2) >> (K - 2)
+    got = f * g
+    assert_decodes_to(got, rf * rg)
+    assert (got.K, got.bound) == (K, 2 * top)
+
+
 def test_unit_binomial_inverses_match_the_tuple_kernel():
     # unit scalars +-q^s pack each coefficient as one shifted int
     z1, z2 = DIFF_VARS[:2]

@@ -279,7 +279,7 @@ def test_q_monomial_division_takes_no_gcd(monkeypatch):
     assert printed.word_image(parse_word("a1:0 a2:1")).degree == (1, 1)
     checked = ShuffleAlgebra(builtin_cartan("B2"), oracle=True)
     checked.word_image(parse_word("a1:0 a2:1 a2:-1"))
-    assert checked.oracle_checks == 3
+    assert checked.oracle_checks == 2  # a word of three letters makes two products
     assert calls == []
     # control: a denominator of two terms still takes the gcd
     assert RatQ(LQ({2: 1, 0: -1}), LQ({1: 1, 0: -1})) == RatQ(LQ({1: 1, 0: 1}))
