@@ -277,10 +277,9 @@ def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent) -> 
     over the index box: with delta(x, c y) = sum_i c^(-i-1) x^i y^(-i-1)
     its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and z_(m+1)
     carries -i_m - 1, one q-power per monomial of degree -(m+1).  The
-    readings c = q^(-+m) of the w-delta differ in that q-power only, by
-    e m (e_w + 1) either way.  ``like`` is the polynomial they will be
-    compared with, whose packing they take where they can
-    (``MultiLaurent._q_monomials``)."""
+    readings c = q^(-+e m) of the w-delta add e m +- e m (e_w + 1) to that
+    q-power.  ``like`` is the polynomial they will be compared with, whose
+    packing they take where they can (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
     minus, plus = {}, {}
     for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
@@ -289,10 +288,12 @@ def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent) -> 
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
-            minus[(*ez, -i - 1, ew)] = (1, p + e * m * (ew + 2))
-            plus[(*ez, -i - 1, ew)] = (1, p - e * m * ew)
+            key = (*ez, -i - 1, ew)
+            minus[key] = (1, p + e * m * (ew + 2))
+            plus[key] = (1, p - e * m * ew)
     vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w
-    return {"qminus": MultiLaurent._q_monomials(vs, minus, like), "qplus": MultiLaurent._q_monomials(vs, plus, like)}
+    return {"qminus": MultiLaurent._q_monomials(vs, minus, like),
+            "qplus": MultiLaurent._q_monomials(vs, plus, like)}
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:

@@ -45,13 +45,14 @@ multiply by (x z_i + y z_j) multiplies it by the sum of the absolute
 digits of x and y; a divided difference by 2 ceil(R / 2) for
 its longest run R, since a run and its mirror image can meet on one
 monomial; a product takes b1 b2 w n, with w the q-digit count and n the
-term count of the operand a with fewer terms, and when that would not fit,
-b ||a||_1, b the other operand's bound and ||a||_1 the sum of a's absolute
-digits (its l1 norm), read in one pass: a monomial of the product collects
-at most one coefficient product per term of a, so each of its digits sums
-products of a digit of b with distinct digits of a; a placed sum (below)
-by the sum of the l1 norms of its weights; a substitution, exact division or orbit fold
-(``fold_orbits``) by the number of terms that can meet on one monomial.
+term count of the operand a with fewer terms, and when that would not
+fit, b ||a||_1, b the other operand's bound and ||a||_1 the sum of a's
+absolute digits (its l1 norm), read in one pass: a monomial of the
+product collects at most one coefficient product per term of a, so each
+of its digits sums products of a digit of b with distinct digits of a; a
+placed sum (below) by the sum of the l1 norms of its weights; a
+substitution, exact division or orbit fold (``fold_orbits``) by the
+number of terms that can meet on one monomial.
 When the bound would reach 2^(K - 2), the operands are recertified first,
 and repacked at a wider K if even that does not fit.  K is never guessed.
 The certificate (``_certificate``) reads no digit on its own: with
