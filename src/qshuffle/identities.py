@@ -272,28 +272,31 @@ def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
     return total
 
 
-def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent) -> dict:
-    """Both readings of the delta chain on the window, built in one pass
-    over the index box: with delta(x, c y) = sum_i c^(-i-1) x^i y^(-i-1)
-    its indices are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and z_(m+1)
-    carries -i_m - 1, one q-power per monomial of degree -(m+1).  The
-    readings c = q^(-+e m) of the w-delta add e m +- e m (e_w + 1) to that
-    q-power.  ``like`` is the polynomial they will be compared with, whose
-    packing they take where they can (``MultiLaurent._q_monomials``)."""
+def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent):
+    """The (reading, polynomial) pairs of both readings of the delta chain
+    on the window, from one pass over the index box: with delta(x, c y) =
+    sum_i c^(-i-1) x^i y^(-i-1) its indices are i_0 = e_w and i_j =
+    i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m - 1, one q-power per
+    monomial of degree -(m+1).  The readings c = q^(-+e m) of the w-delta
+    add e m +- e m (e_w + 1) to the part of that q-power the pass
+    computes.  Each reading is packed when it is asked for, so one is
+    held at a time: its values are as long as its q-powers are wide.
+    ``like`` is the polynomial they will be compared with, whose packing
+    they take where they can (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
-    minus, plus = {}, {}
+    terms = {}
     for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
         i, p = ew, 0
         for ej in ez:
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
-            key = (*ez, -i - 1, ew)
-            minus[key] = (1, p + e * m * (ew + 2))
-            plus[key] = (1, p - e * m * ew)
-    vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w
-    return {"qminus": MultiLaurent._q_monomials(vs, minus, like),
-            "qplus": MultiLaurent._q_monomials(vs, plus, like)}
+            terms[(*ez, -i - 1, ew)] = p
+    vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
+    for reading, c in (("qminus", 1), ("qplus", -1)):
+        yield reading, MultiLaurent._q_monomials(
+            vs, {x: (1, p + e * m * (1 + c * (x[-1] + 1))) for x, p in terms.items()}, like
+        )
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:
@@ -304,10 +307,11 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
     a wrong scale neither reading can match)."""
     lhs = _lhs_poly(m, window, q_inverted)
     readings = {}
-    for reading, rhs in _rhs_polys(m, window, q_inverted, lhs).items():
+    for reading, rhs in _rhs_polys(m, window, q_inverted, lhs):
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
         readings[reading] = not (lhs - rhs).fold_orbits(_zs(m))
+        del rhs  # the next reading is packed before the loop rebinds rhs
     matched = [r for r, ok in readings.items() if ok]
     return {
         "m": m,
