@@ -278,25 +278,28 @@ def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent):
     sum_i c^(-i-1) x^i y^(-i-1) its indices are i_0 = e_w and i_j =
     i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m - 1, one q-power per
     monomial of degree -(m+1).  The readings c = q^(-+e m) of the w-delta
-    add e m +- e m (e_w + 1) to the part of that q-power the pass
-    computes.  Each reading is packed when it is asked for, so one is
-    held at a time: its values are as long as its q-powers are wide.
-    ``like`` is the polynomial they will be compared with, whose packing
-    they take where they can (``MultiLaurent._q_monomials``)."""
+    add +- e m (e_w + 1) to the part of that q-power the pass computes,
+    e m included.  Each reading is packed when it is asked for, the last
+    once the pass's dict is dropped, so one is held at a time: its values
+    are as long as its q-powers are wide.  ``like`` is the polynomial they
+    will be compared with, whose packing they take where they can
+    (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
     terms = {}
     for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
-        i, p = ew, 0
+        i, p = ew, e * m
         for ej in ez:
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
             terms[(*ez, -i - 1, ew)] = p
     vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
-    for reading, c in (("qminus", 1), ("qplus", -1)):
-        yield reading, MultiLaurent._q_monomials(
-            vs, {x: (1, p + e * m * (1 + c * (x[-1] + 1))) for x, p in terms.items()}, like
-        )
+    for reading, c in (("qminus", e * m), ("qplus", -e * m)):
+        rhs = MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()}, like)
+        if reading == "qplus":
+            del terms
+        yield reading, rhs
+        del rhs
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:

@@ -21,10 +21,10 @@ multiplying by a monomial adds its key less the key of 1, and ``within``
 tests a whole box with two subtractions and two masks per key.  Every
 operation moves E: a sum takes the larger bound, a product the sum of
 the bounds, a binomial multiply adds 1, a substitution multiplies it by
-the number of fields summed, an exact division adds its longest run, and
-the others keep it.  When E would reach 2^(F - 2), the keys are repacked
-at twice the width first, so F is never guessed.  Keys leave this module
-only as exponent tuples, read in bulk (``exponents``).
+the number of fields summed, and the others keep it (an exact quotient
+lies in its dividend's exponent box).  When E would reach 2^(F - 2), the
+keys are repacked at twice the width first, so F is never guessed.  Keys
+leave this module only as exponent tuples, read in bulk (``exponents``).
 
 The int V of a monomial packs its whole q-coefficient by Kronecker
 substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
@@ -51,8 +51,9 @@ absolute digits (its l1 norm), read in one pass: a monomial of the
 product collects at most one coefficient product per term of a, so each
 of its digits sums products of a digit of b with distinct digits of a; a
 placed sum (below) by the sum of the l1 norms of its weights; a
-substitution, exact division or orbit fold (``fold_orbits``) by the
-number of terms that can meet on one monomial.
+substitution or orbit fold (``fold_orbits``) by the number of terms that
+can meet on one monomial; an exact division by its room, as
+``_exact_div_binomial`` takes it.
 When the bound would reach 2^(K - 2), the operands are recertified first,
 and repacked at a wider K if even that does not fit.  K is never guessed.
 The certificate (``_certificate``) reads no digit on its own: with
@@ -71,15 +72,16 @@ Only this module reads or builds packed keys and values.  Scalars enter
 as int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``
 (``coeff``, ``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1]
 raises ``ValueError``, a non-scalar such as a float ``TypeError``.  The
-kernel methods ``_mul_binomial``, ``_exact_div_binomial``, ``_substitute``
-and ``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s,
-so the other modules never build a scalar to pass one; the public
-methods take scalars and split each once.
+kernel methods ``_mul_binomial``, ``_exact_div_binomial`` and
+``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s, so
+the other modules never build a scalar to pass one; the public methods
+take scalars and split each once.
 
 The only division ever needed higher up is by two-variable binomials
-z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` decides it
-by substitution (the binomial divides F iff F(z_i = c z_j) = 0), raises
-``NotDivisible`` otherwise and reads the quotient off term by term, as
+z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` runs the sum
+g <- f + c g down each substitution line of F: the sums are the
+quotient's coefficients, F(z_i = c z_j) = 0 iff every line ends on 0,
+and otherwise it raises ``NotDivisible``.  Term by term,
 ``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
 product is built from and which never fails.  Every product is
 ``_shifted_sum``: the larger operand shifted by each term of the smaller
@@ -871,10 +873,7 @@ class MultiLaurent:
             v, c = (v,), (c,)
         if len(v) != len(c) or len(set(v)) != len(v):
             raise ValueError("substitute needs distinct variables, one scalar each")
-        return self._substitute(v, [_q_monomial(x, "substitution scalar") for x in c], target)
-
-    def _substitute(self, v, mono, target: VarId) -> MultiLaurent:
-        """``substitute`` with the scalars given as (a, s) pairs, a q^s."""
+        mono = [_q_monomial(x, "substitution scalar") for x in c]
         pos = {u: i for i, u in enumerate(self.vars)}
         subs = {pos[u]: am for u, am in zip(v, mono) if u in pos}
         if not subs:
@@ -1005,45 +1004,43 @@ class MultiLaurent:
     def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
         """``exact_div_binomial`` for c = a q^s.
 
-        The binomial divides F iff F(z_vi = c z_vj) = 0.  Then, with x = z_vi,
-        y = z_vj and b the lowest exponent of x, F = sum x^b y^f (x^e - (c y)^e)
-        over its terms x^(b + e) y^f, so each term contributes x^b y^f
-        sum_{t < e} x^(e - 1 - t) (c y)^t to the quotient."""
+        With x = z_vi and y = z_vj, F is sum_i f_i x^i y^(L - i) on each of
+        its lines (one monomial in the other variables, one degree L in x and
+        y), and its quotient sum_i g_i x^(i - 1) y^(L - i) has f_i = g_i - c
+        g_(i + 1): walked down a line, g <- f_i + c g gives the quotient and
+        ends on the remainder.  F(z_vi = c z_vj) sums the remainders times
+        distinct monomials, so the binomial divides F iff all are 0."""
         if vi == vj:
             raise ValueError("binomial needs two distinct variables")
         if self.is_zero():
             return self
         f = self.with_vars((vi, vj))
-        n, pi, pj, M = len(f.vars), f.vars.index(vi), f.vars.index(vj), (1 << f.F) - 1
-        xs = [key >> f.F * (n - 1 - pi) & M for key in f.terms]
-        b, top = min(xs), max(xs) - min(xs)
-        p, r = a.numerator, a.denominator
-        # F(z_vi = c z_vj) = 0 implies that it vanishes at every z = 1 and
-        # q = 2^K, where r^top c^-b F(z_vi = c z_vj) is, up to a nonzero
-        # factor, one int summed over the packed values: tested first
-        lo = min(0, s * top)
-        at_one = sum([V * p ** (x - b) * r ** (top - x + b) << f.K * (s * (x - b) - lo)
-                      for V, x in zip(f.terms.values(), xs)])
-        if at_one or self._substitute((vi,), [(a, s)], vj):
-            raise NotDivisible(vi, vj, a, s)
-        ys = [key >> f.F * (n - 1 - pj) & M for key in f.terms]
-        # a quotient term sums the terms above it on its substitution line,
-        # each times a^t = p^t / r^t, t < top: over the denominator r^(top-1)
-        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** (top - 1)
-        # the exponent of y grows by less than top; xs - b stay the exponents
-        # of x over b in any packing
-        f = f._room(mult)._keyed(f.E + top)
-        K, F, lo = f.K, f.F, min(0, s * (top - 1))
-        si, sj = F * (n - 1 - pi), F * (n - 1 - pj)
-        # the key offset of x^(b + e - 1 - t) (c y)^t from x^(b + e), and its factor
-        steps = [
-            ((t << sj) - (t + 1 << si), p**t * r ** (top - 1 - t) << K * (s * t - lo))
-            for t in range(top)
-        ]
-        return MultiLaurent._raw(f.vars, _add_into({}, (
-            (key + off, V * X)
-            for (key, V), x in zip(f.terms.items(), xs) for off, X in steps[: x - b]
-        )), K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1), F, f.E + top)
+        n, M = len(f.vars), (1 << f.F) - 1
+        si, sj = f.F * (n - 1 - f.vars.index(vi)), f.F * (n - 1 - f.vars.index(vj))
+        xs, ys = [key >> si & M for key in f.terms], [key >> sj & M for key in f.terms]
+        b, top, p, r = min(xs), max(xs) - min(xs), a.numerator, a.denominator
+        # the room: a quotient digit sums at most one term per point of its
+        # line, each times a^t = p^t / r^t, t < top, over the denominator
+        # r^(top - 1), and r times the remainder one power more
+        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** top
+        f = f._room(mult)
+        K, lo = f.K, min(0, s * top)  # values at qlo + lo: top shifts by q^s stay exact
+        up, down, scale, shift = K * max(s, 0), K * max(-s, 0), r**top, -K * lo
+        # a line's key is its point at x^b; x^i y^j steps to x^(i - 1) y^(j + 1)
+        step, lines, out = (1 << sj) - (1 << si), {}, {}
+        for key, V, x in zip(f.terms, f.terms.values(), xs):
+            lines.setdefault(key + (x - b) * step, {})[x - b] = V * scale << shift
+        for line, at in lines.items():
+            hi, foot, g = max(at), min(at), 0
+            key = line - (hi - 1) * step - (1 << sj)  # the quotient's x^(b + hi - 1)
+            for i in range(hi, foot, -1):  # the bracket is r times the int (f_i + c g) r^(top - 1)
+                g = (at.get(i, 0) + p * (g << up >> down)) // r
+                if g:
+                    out[key] = g
+                key += step
+            if at[foot] + p * (g << up >> down):
+                raise NotDivisible(vi, vj, a, s)
+        return MultiLaurent._raw(f.vars, out, K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1), f.F, f.E)
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
         """The divided difference (F - s F) / (z_vi - z_vj), s swapping the

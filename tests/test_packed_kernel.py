@@ -30,7 +30,7 @@ from helpers import exact_bound
 from test_poly import DIFF_VARS, random_scalar
 from test_scalars import laurent_pool
 from tuple_kernel import MultiLaurent as Reference
-from tuple_kernel import expanded
+from tuple_kernel import expanded, from_packed
 
 TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
 T = aux_var("t")
@@ -294,6 +294,78 @@ def test_a_narrow_packing_is_widened(monkeypatch):
     assert classical.K > 8
 
 
+def near_room_polys(rng, vi, vj, a, s):
+    """A divisor z_vi - a q^s z_vj's test inputs at 8-bit digits: for top
+    = 1, 2, a polynomial whose z_vi-exponents span top and whose digits D
+    put D (top + 1) max(|p|, r)^top, the division's room, just below 64
+    where it can, and a multiple of the divisor of the same span whose
+    cofactor's digits are D / (|p| + r)."""
+    p, r = Fraction(a).numerator, Fraction(a).denominator
+    others = [v for v in DIFF_VARS[:3] if v not in (vi, vj)]
+    vs = (vi, vj, *others)
+    out = []
+    for top in (1, 2):
+        digit = max(1, 63 // ((top + 1) * max(abs(p), r) ** top))
+
+        def random_spec(span, digit):
+            terms = {}
+            for x in (0, span, *(rng.randint(0, span) for _ in range(4))):
+                exps = (x - 1, rng.randint(-2, 2), *(rng.randint(-1, 1) for _ in others))
+                digits = (rng.choice((-digit, digit, rng.randint(-digit, digit))) for _ in range(3))
+                terms[exps] = LaurentQ(dict(zip((-1, 0, 2), digits)))
+            return vs, terms
+
+        out.append(MultiLaurent(*random_spec(top, digit)))
+        cofactor = MultiLaurent(*random_spec(top - 1, max(1, digit // (abs(p) + r))))
+        out.append(cofactor.mul_binomial(r, vi, RatQ.q_power(s, -p), vj))
+    return out
+
+
+def test_exact_division_takes_its_room_at_narrow_digits(monkeypatch):
+    # 8-bit q-digits hold coefficients below 64.  Dividing by z1 - (p / r)
+    # q^s z2 sums up to min(top + 1, span) terms on a digit, each times at
+    # most max(|p|, r)^(top - 1) over r^(top - 1), and the remainder, times
+    # r, one power more; with s < 0 the values sit top shifts by q^s low
+    monkeypatch.setattr(poly, "_K_START", 8)
+    rng = random.Random(2501)
+    z1, z2 = DIFF_VARS[:2]
+    widths, refused = set(), 0
+    for a in (Fraction(3, 2), Fraction(-1, 3), 5):
+        for s in (-2, -1, 0, 1, 2):
+            for vi, vj in ((z1, z2), (z2, z1)):
+                c = RatQ.q_power(s, a)
+                for f in near_room_polys(rng, vi, vj, a, s):
+                    try:
+                        want = from_packed(f).exact_div_binomial(vi, vj, c)
+                    except NotDivisible:
+                        with pytest.raises(NotDivisible):
+                            f.exact_div_binomial(vi, vj, c)
+                        refused += 1
+                        continue
+                    got = f.exact_div_binomial(vi, vj, c)
+                    assert_decodes_to(got, want)
+                    widths.add(got.K)
+    # some quotients keep the narrow digits, some are repacked
+    assert refused and 8 in widths and max(widths) > 8
+    # with s < 0, (1 + r q^-s) z1 - p z2 leaves F(z1 = c z2) = a q^s z2, a
+    # power of q below F's lowest: values placed one shift by q^s too high
+    # lose it to the last shift, and the remainder reads 0
+    for a in (Fraction(3, 2), Fraction(-1, 3), 5):
+        p, r = Fraction(a).numerator, Fraction(a).denominator
+        for s in (-1, -2):
+            f = MultiLaurent((z1, z2), {(1, 0): LaurentQ({0: 1, -s: r}), (0, 1): -p})
+            with pytest.raises(NotDivisible):
+                f.exact_div_binomial(z1, z2, RatQ.q_power(s, a))
+    # a remainder reads 0 at q = 2^K when a digit reaches 2^K, four times
+    # the room, so only a factor above 4 can show a room too small: with a
+    # = -7/2 the remainder 2 (23 + 3 q) - 7 (q - 30) = 256 - q is 0 at q =
+    # 2^8, while the digits 30 (top + 1) fit 8 bits without the factor 7
+    f = MultiLaurent((z1, z2), {(1, 0): LaurentQ({0: -30, 1: 1}), (0, 1): LaurentQ({0: 23, 1: 3})})
+    assert f.K == 8
+    with pytest.raises(NotDivisible):
+        f.exact_div_binomial(z1, z2, Fraction(-7, 2))
+
+
 def test_placed_sums_reach_their_bound():
     # P's digits reach its bound b, and the weights 1 + q, placed by the
     # three cyclic shifts, stack the symmetric term's products on one
@@ -497,12 +569,13 @@ def test_unit_binomial_inverses_match_the_tuple_kernel():
 def wide_exponent_results(kernel):
     """Results whose exponents reach 64 and beyond from inputs below it: a
     product, a power, a substitution summing three slots, an exact
-    division, and an A2 word image with modes of size up to 40."""
+    division of a product (a quotient lies in its dividend's exponent box),
+    and an A2 word image with modes of size up to 40."""
     z1, z2, y1 = DIFF_VARS[:3]
     f = kernel((z1, z2, y1), {(40, -30, 3): 1, (-35, 20, -41): Fraction(2, 3), (1, 2, 3): RatQ.q_power(5)})
     g = kernel((z1, y1), {(33, -33): 3, (-20, 41): RatQ.q_power(-2, 7)})
     out = [f * g, f * f * f, f.substitute((z1, z2, y1), (RatQ.q_power(1), 1, RatQ.q_power(-2)), T)]
-    out.append(f.mul_binomial(1, z1, RatQ.q_power(3, -1), z2).exact_div_binomial(z1, z2, RatQ.q_power(3)))
+    out.append((f * g).mul_binomial(1, z1, RatQ.q_power(3, -1), z2).exact_div_binomial(z1, z2, RatQ.q_power(3)))
     alg = ShuffleAlgebra(builtin_cartan("A2"))
     word = [(1, 40), (2, -38), (1, 37)]
     image = alg.word_image(word).numerator if kernel is MultiLaurent else reference_word_image(alg, word)

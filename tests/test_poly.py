@@ -156,29 +156,28 @@ def test_exact_divide_example():
         (num + 1).exact_div_binomial(Z1, Z2, qp(2))
 
 
-def test_exact_divide_substitutes_only_when_the_value_at_one_vanishes(monkeypatch):
-    # F(z1 = c z2) at every z = 1 is one int: when it is not 0 it decides,
-    # and when it is 0 the substitution must, as for z1 w - c z2 by
-    # z1 - c z2 (value c - c at 1, but c z2 w - c z2 after z1 = c z2)
+def test_exact_divide_decides_by_line_remainders_without_substituting(monkeypatch):
+    # each substitution line's remainder decides, with no substitution:
+    # z1 w - c z2 by z1 - c z2 has value c - c at z = 1 but two lines of
+    # one term each, and a divisible F plus a term on one of its lines
+    # leaves a remainder on that line only
     calls = []
-    substitute = MultiLaurent._substitute
+    substitute = MultiLaurent.substitute
 
     def counted(self, *args):
         calls.append(args)
         return substitute(self, *args)
 
-    monkeypatch.setattr(MultiLaurent, "_substitute", counted)
+    monkeypatch.setattr(MultiLaurent, "substitute", counted)
     for c in (RatQ.one(), qp(2), qp(-1, Fraction(-3, 2))):
         num = MultiLaurent((Z1, Z2, W), {(1, 0, 1): 1, (0, 1, 0): -c})
-        cases = [(num, 1), (num + MultiLaurent.var_power(Z1, 3), 0), (num.mul_binomial(1, Z1, -c, Z2), 1)]
-        for f, substituted in cases[:2]:
-            calls.clear()
+        divisible = num.mul_binomial(1, Z1, -c, Z2)
+        on_a_line = divisible + MultiLaurent((Z1, Z2, W), {(0, 2, 1): 1})
+        for f in (num, num + MultiLaurent.var_power(Z1, 3), on_a_line):
             with pytest.raises(NotDivisible):
                 f.exact_div_binomial(Z1, Z2, c)
-            assert len(calls) == substituted
-        calls.clear()
-        assert cases[2][0].exact_div_binomial(Z1, Z2, c) == num
-        assert len(calls) == 1
+        assert divisible.exact_div_binomial(Z1, Z2, c) == num
+    assert not calls
 
 
 def test_not_divisible_text_names_the_binomial():
@@ -338,26 +337,32 @@ def test_exact_division_needs_a_q_monomial():
 
 
 def test_divisible_iff_substitution_vanishes():
+    # substitution is the division's independent reference: three
+    # variables, Laurent exponents, both variable orders, rational a
     rng = random.Random(42)
-    hits = 0
-    for _ in range(200):
-        vs = [Z1, Z2]
-        f = random_poly(rng, vs, max_terms=3)
+    seen = set()
+    for _ in range(300):
+        vs = [Z1, Z2, Y1]
+        f = random_poly(rng, vs, max_terms=4)
         c = random_q_monomial(rng)
+        vi, vj = rng.sample(vs, 2)
         if rng.random() < 0.5:
-            f = f * (
-                MultiLaurent.var_power(Z1, 1)
-                - MultiLaurent.var_power(Z2, 1).scale(c)
-            )
-        vanishes = f.substitute(Z1, c, Z2).is_zero()
+            f = f * binom(vi, c, vj).scale(random_q_monomial(rng))
+        vanishes = f.substitute(vi, c, vj).is_zero()
         try:
-            f.exact_div_binomial(Z1, Z2, c)
+            f.exact_div_binomial(vi, vj, c)
             divisible = True
         except NotDivisible:
             divisible = False
         assert divisible == vanishes
-        hits += divisible
-    assert 0 < hits < 200  # both branches exercised
+        seen.add(("divisible", divisible))
+        seen.add(("vi first", vi < vj))
+        seen.add(("rational", any(a.denominator != 1 for a in c.num.terms.values())))
+        seen.add(("laurent", any(e < 0 for key in f.exponents() for e in key)))
+    assert seen == {
+        ("divisible", True), ("divisible", False), ("vi first", True), ("vi first", False),
+        ("rational", True), ("rational", False), ("laurent", True), ("laurent", False),
+    }
 
 
 def test_divided_difference_matches_swap_and_divide():
