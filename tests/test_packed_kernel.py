@@ -307,11 +307,11 @@ def near_room_polys(rng, vi, vj, a, s):
     for top in (1, 2):
         digit = max(1, 63 // ((top + 1) * max(abs(p), r) ** top))
 
-        def random_spec(span, digit):
+        def random_spec(span, size):
             terms = {}
             for x in (0, span, *(rng.randint(0, span) for _ in range(4))):
                 exps = (x - 1, rng.randint(-2, 2), *(rng.randint(-1, 1) for _ in others))
-                digits = (rng.choice((-digit, digit, rng.randint(-digit, digit))) for _ in range(3))
+                digits = (rng.choice((-size, size, rng.randint(-size, size))) for _ in range(3))
                 terms[exps] = LaurentQ(dict(zip((-1, 0, 2), digits)))
             return vs, terms
 
