@@ -35,11 +35,11 @@ class UsageError(Exception):
     pass
 
 
-# build_pole_sum(6) takes 21-26 s and about 750 MB per orientation, so --m 6
-# would run 45-50 s where --m 5 runs about 2 s (README has the measured times)
+# build_pole_sum(6) takes 16-20 s and about 750-764 MB per orientation, so
+# --m 6 would run 33-37 s where --m 5 runs under 1 s (README has the times)
 IDENTITIES_MAX_M = 5
-# the widest --window (hi - lo) per m: at most about 30 s on symmetric windows
-# and on windows ending at 0, except m = 5 on -4:0 (README has the times)
+# the widest --window (hi - lo) per m: under 30 s on symmetric windows and on
+# windows ending at 0, the dearest m = 5 on -4:0 at 23-28 s (README has the times)
 IDENTITIES_MAX_WINDOW = {1: 150, 2: 40, 3: 14, 4: 6, 5: 4}
 
 

@@ -29,11 +29,11 @@ matches and the q^+m reading does not.  Both sides are exact on the whole
 window and each is built once, for the identity permutation, as one
 polynomial: the left side sums the ``expand_ratfun`` expansions of the
 m + 2 summands, each built reduced (``term_value``), and the right side
-is the delta chain in closed form, one q-power per monomial packed
-directly in the left side's digit width.  A window is one interval for
-every variable, so the symmetrized sides agree on it exactly when the
-difference of the sides sums to zero over every orbit of the z's
-(``MultiLaurent.fold_orbits``).
+is the delta chain in closed form, one q-power per monomial.  A window is
+one interval for every variable, so the symmetrized sides agree on it
+exactly when the two sides have the same sum over every orbit of the z's
+(``MultiLaurent.fold_orbits``): the left side is folded once, and each
+reading's fold is compared with it.
 
 ``partial_fraction_check`` covers the two elementary rewriting steps the
 reduction rests on, together with named mutations that must all break
@@ -46,8 +46,8 @@ exponent arithmetic, a right side's simple fractions added over their lcm
 
 So each identity is decided by one exact polynomial test: L_m by its
 numerator over the shared denominator being zero, the window identity by
-the orbit fold of the difference of its sides being empty, and each
-partial-fraction step by the cross-multiplied numerators being equal.
+the orbit folds of its two sides being equal, and each partial-fraction
+step by the cross-multiplied numerators being equal.
 """
 
 from __future__ import annotations
@@ -272,17 +272,14 @@ def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
     return total
 
 
-def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent):
+def _rhs_polys(m: int, window: Window, q_inverted: bool):
     """The (reading, polynomial) pairs of both readings of the delta chain
     on the window, from one pass over the index box: with delta(x, c y) =
     sum_i c^(-i-1) x^i y^(-i-1) its indices are i_0 = e_w and i_j =
     i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m - 1, one q-power per
     monomial of degree -(m+1).  The readings c = q^(-+e m) of the w-delta
     add +- e m (e_w + 1) to the part of that q-power the pass computes,
-    e m included.  Each reading is packed when it is asked for, the last
-    once the pass's dict is dropped, so one is held at a time: its values
-    are as long as its q-powers are wide.  ``like`` is the polynomial they
-    will be compared with, whose packing they take where they can
+    e m included; each is packed as it is asked for
     (``MultiLaurent._q_monomials``)."""
     e = -1 if q_inverted else 1
     terms = {}
@@ -295,11 +292,7 @@ def _rhs_polys(m: int, window: Window, q_inverted: bool, like: MultiLaurent):
             terms[(*ez, -i - 1, ew)] = p
     vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
     for reading, c in (("qminus", e * m), ("qplus", -e * m)):
-        rhs = MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()}, like)
-        if reading == "qplus":
-            del terms
-        yield reading, rhs
-        del rhs
+        yield reading, MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()})
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:
@@ -308,13 +301,13 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
 
     ``rhs_scale`` perturbs the overall delta coefficient (a control: with
     a wrong scale neither reading can match)."""
-    lhs = _lhs_poly(m, window, q_inverted)
+    zs = _zs(m)
+    lhs = _lhs_poly(m, window, q_inverted).fold_orbits(zs)
     readings = {}
-    for reading, rhs in _rhs_polys(m, window, q_inverted, lhs):
+    for reading, rhs in _rhs_polys(m, window, q_inverted):
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
-        readings[reading] = not (lhs - rhs).fold_orbits(_zs(m))
-        del rhs  # the next reading is packed before the loop rebinds rhs
+        readings[reading] = lhs == rhs.fold_orbits(zs)
     matched = [r for r, ok in readings.items() if ok]
     return {
         "m": m,

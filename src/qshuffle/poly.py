@@ -606,18 +606,15 @@ class MultiLaurent:
         return cls._raw(vs, *_encode(qts))
 
     @classmethod
-    def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict, like=None) -> MultiLaurent:
+    def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
         """Trusted constructor of sum a q^s z^exps over the items exps: (a, s)
         of terms, over the sorted registry vs, every a a nonzero int: each
-        value is one shifted int, so no q-term dict is built or packed.
-        With a polynomial ``like``, the digits and key fields are at least
-        as wide as its, so adding the two repacks neither."""
+        value is one shifted int, so no q-term dict is built or packed."""
         if not terms:
             return cls.zero(vs)
         E = max(map(abs, chain.from_iterable(terms)), default=0)
         bound = max([abs(a) for a, _ in terms.values()])
-        K, F = (_K_START, _F_START) if like is None else (like.K, like.F)
-        K, F, lo = _wide(bound, K), _wide(E, F), min([s for _, s in terms.values()])
+        K, F, lo = _wide(bound, _K_START), _wide(E, _F_START), min([s for _, s in terms.values()])
         packed = {_key(exps, F): a << K * (s - lo) for exps, (a, s) in terms.items()}
         return cls._raw(vs, packed, K, lo, bound, 1, F, E)
 

@@ -346,9 +346,11 @@ class ShuffleAlgebra:
         """The oracle half of the plan of degrees (n, m), from the
         interleavings and the canonical denominators alone: per
         interleaving the slot map and the weight, the unit that the
-        relabelled canonical denominators and the canonical forms' own
-        units absorb times the exchange binomials and the cofactor against
-        the lcd; the lcd; and the check's two polynomials."""
+        canonical forms' own units absorb times the exchange binomials and
+        the cofactor against the lcd; the lcd; and the check's two
+        polynomials.  An interleaving keeps each operand's variable order
+        and variables sort by colour first, so no relabelled canonical
+        factor flips and none adds a unit."""
         plan = self._plans[n, m]
         vs, total = plan.vars, plan.total
         pos = {v: i for i, v in enumerate(vs)}
@@ -357,14 +359,12 @@ class ShuffleAlgebra:
         base = RQ_ONE / (fu * gu)
         parts = []
         for fmap, gmap, fset in self._interleavings(n, m):
-            den, unit = {}, base
+            den = {}
             for canon, mapping in ((fden, fmap), (gden, gmap)):
                 for fac, mult in canon.items():
-                    nf, u = fac.relabel(mapping)
+                    nf, _ = fac.relabel(mapping)
                     den[nf] = den.get(nf, 0) + mult
-                    if not u.is_one():
-                        unit = unit / u**mult
-            weight = MultiLaurent.constant(unit, vs)
+            weight = MultiLaurent.constant(base, vs)
             for u, v in combinations(vs, 2):
                 if (u in fset) or (v not in fset):
                     continue

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: seeded random generators,
 evaluation utilities, the exact digit scan, the two reference builds
-of the delta chain and the reduced-fraction build of the partial-fraction
-steps.  Everything is deterministic given the Random
-instance passed in."""
+of the delta chain, the difference rule for the window readings and
+the reduced-fraction build of the partial-fraction steps.  Everything
+is deterministic given the Random instance passed in."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from itertools import product
 
 from qshuffle import poly
 from qshuffle.formal import Window, delta_series, series_mul
-from qshuffle.identities import W, _zs
+from qshuffle.identities import W, _lhs_poly, _rhs_polys, _zs
 from qshuffle.poly import MultiLaurent, zvar
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
@@ -99,6 +99,20 @@ def series_delta_chain(zs, window, reading, q_inverted=False):
     for i in range(m):
         chain = series_mul(chain, delta_series(zs[i], RatQ.q_power(2 * e), zs[i + 1], wide))
     return chain.scale(RatQ.q_power(e * m))
+
+
+def difference_readings(m, window, q_inverted=False, rhs_scale=None) -> dict:
+    """The readings of ``identities.window_identity_report`` decided on the
+    difference of the sides: a reading matches when the orbit fold of
+    lhs - rhs is empty.  The reference for the report, which folds each
+    side on its own and compares the folds."""
+    zs, lhs = _zs(m), _lhs_poly(m, window, q_inverted)
+    readings = {}
+    for reading, rhs in _rhs_polys(m, window, q_inverted):
+        if rhs_scale is not None:
+            rhs = rhs.scale(rhs_scale)
+        readings[reading] = not (lhs - rhs).fold_orbits(zs)
+    return readings
 
 
 def ratfun_pf_pair(perturb):

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from qshuffle import poly
 from qshuffle.formal import Window, compare_on_window, expand_ratfun
 from qshuffle.identities import (
     PF_MUTATIONS,
@@ -26,7 +27,7 @@ from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, _reduce, fractions_equal, rat_sum
 
-from helpers import exact_bound, laurent_delta_chain, ratfun_pf_pair, series_delta_chain
+from helpers import difference_readings, exact_bound, laurent_delta_chain, ratfun_pf_pair, series_delta_chain
 from tuple_kernel import expanded
 
 
@@ -233,7 +234,7 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     box = ref.reliable.intersect(win)
     expect = ref.poly.within(dict.fromkeys(ref.vars, box.as_pair()))
     assert expect
-    assert dict(_rhs_polys(m, box, qi, MultiLaurent.zero()))[reading] == expect
+    assert dict(_rhs_polys(m, box, qi))[reading] == expect
 
 
 @pytest.mark.parametrize("qi", (False, True))
@@ -249,15 +250,34 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
 )
 def test_packed_chain_matches_laurent_chain(m, win, reading, qi):
     # the chain packed as shifted ints against the same chain built
-    # through LaurentQ scalars, symmetric and one-sided windows; packed
-    # like the left side, as the report packs it, and at the default width
+    # through LaurentQ scalars, symmetric and one-sided windows; unit
+    # digits at the starting width, key fields just wide enough
     want = laurent_delta_chain(m, win, reading, qi)
-    lhs = _lhs_poly(m, win, qi)
-    for like in (lhs, MultiLaurent.zero()):
-        got = dict(_rhs_polys(m, win, qi, like))[reading]
-        assert (got.vars, expanded(got)) == (want.vars, expanded(want))
-        assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
-        assert not got.terms or (got.K >= like.K and got.F >= like.F)
+    got = dict(_rhs_polys(m, win, qi))[reading]
+    assert (got.vars, expanded(got)) == (want.vars, expanded(want))
+    assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
+    assert (got.K, got.F) == (poly._K_START, poly._wide(got.E, poly._F_START))
+
+
+@pytest.mark.parametrize("qi", (False, True))
+@pytest.mark.parametrize(
+    "m, win",
+    (
+        (1, Window(-6, 6)), (1, Window(-9, 0)), (1, Window(0, 5)),
+        (2, Window(-4, 4)), (2, Window(-6, 0)), (2, Window(0, 4)),
+        (3, Window(-3, 3)), (3, Window(-4, 0)), (3, Window(1, 3)),
+        (4, Window(-2, 2)), (4, Window(-3, 0)), (4, Window(0, 2)),
+    ),
+)
+def test_folded_sides_decide_like_the_folded_difference(m, win, qi):
+    # the report compares the folds of the two sides; fold_orbits is
+    # linear, so each reading is the difference rule's, also when the
+    # right side is scaled (the control) and where both sides vanish
+    for scale in (None, RatQ.q_power(1), 2, -1):
+        rep = window_identity_report(m, win, qi, rhs_scale=scale)
+        assert rep["readings"] == difference_readings(m, win, qi, scale), scale
+        if scale is not None and win.lo < 0:
+            assert rep["matched"] == []
 
 
 def test_wide_window_left_side_keeps_sixteen_bit_digits():
@@ -348,7 +368,7 @@ def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
         assert rep["compared"][reading] == win.as_pair()
-        closed = sum_over_perms(dict(_rhs_polys(m, win, qi, lhs.poly))[reading], zs)
+        closed = sum_over_perms(dict(_rhs_polys(m, win, qi))[reading], zs)
         assert rep["readings"][reading] == (lhs.poly == closed)
         rhs = per_permutation_rhs(m, win, reading, qi)
         assert same_series(sum_over_perms(series_delta_chain(zs, win, reading, qi), zs), rhs)

@@ -28,7 +28,7 @@ factor at a time.  Both must give the same verdict and numerator.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -608,3 +608,29 @@ def test_plans_are_built_once_per_pair_of_degrees(monkeypatch):
     assert alg.serre_image(2, 1, (-1, 2, 2), 0).is_zero()
     assert alg.oracle_checks == 34
     assert len(builds) == 16
+
+
+def _degree_pairs(rank, top):
+    """Pairs (n, m) of nonzero degrees of the given rank with |n| + |m| <= top."""
+    degrees = [d for d in product(range(top + 1), repeat=rank) if 0 < sum(d) < top]
+    return [(n, m) for n in degrees for m in degrees if sum(n) + sum(m) <= top]
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_interleavings_never_flip_a_canonical_factor(orientation):
+    # an interleaving keeps each operand's variable order and variables
+    # sort by colour first, so the oracle plan relabels every canonical
+    # factor without a unit: every builtin type, degree pairs up to total
+    # degree 4
+    relabels = 0
+    for name in ALL_TYPES:
+        alg = ShuffleAlgebra(builtin_cartan(name), orientation=orientation)
+        for n, m in _degree_pairs(alg.cartan.rank, 4):
+            forms = alg.canonical_denominator(n), alg.canonical_denominator(m)
+            for fmap, gmap, _ in alg._interleavings(n, m):
+                for canon, mapping in zip(forms, (fmap, gmap)):
+                    for fac in canon:
+                        nf, unit = fac.relabel(mapping)
+                        assert unit.is_one() and nf.i < nf.j, (name, n, m, fac)
+                        relabels += 1
+    assert relabels == 3834
