@@ -30,8 +30,9 @@ it cannot bound the contributing exponents it raises
 would come from outside an operand's reliable box it shrinks the result
 window until they cannot.  The arithmetic itself goes through
 ``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
-``expand_ratfun`` multiplies by one truncated geometric series
-(``MultiLaurent.binomial_inverse``) per denominator factor, and
+``expand_ratfun`` applies one pruned geometric step
+(``MultiLaurent._geometric_step``) per denominator factor, which forms
+only the terms that can still reach the window, and
 ``compare_on_window`` subtracts.  The tests build the window identity's
 delta chain, which ``identities`` writes in closed form, from
 ``delta_series`` and ``series_mul``.  Every series starts as an
@@ -359,8 +360,11 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
     ``order`` lists variables from most to least dominant and must cover
     every variable of f.  Each denominator factor is expanded in the
-    geometric series dictated by its more dominant variable; the result
-    is exact on the whole window (reliable equals window).
+    geometric series dictated by its more dominant variable, capped at the
+    index past which no term can climb back into the window; the result
+    is exact on the whole window (reliable equals window).  Each factor is
+    one ``MultiLaurent._geometric_step``, which keeps only the terms that
+    the factors still to come can carry into the window.
     """
     order = list(order)
     if len(set(order)) != len(order):
@@ -410,8 +414,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
     partial = num
     for k, (dom, _, fac) in enumerate(copies):
-        geo = MultiLaurent._binomial_inverse(fac.i, fac.j, fac.a, fac.s, caps[k], dom)
-        partial = (partial * geo).within(live(k + 1))
+        partial = partial._geometric_step(fac.i, fac.j, (fac.a, fac.s), caps[k], dom, live(k + 1))
 
     box = {}
     for v in vs:

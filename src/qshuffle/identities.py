@@ -32,8 +32,9 @@ m + 2 summands, each built reduced (``term_value``), and the right side
 is the delta chain in closed form, one q-power per monomial.  A window is
 one interval for every variable, so the symmetrized sides agree on it
 exactly when the two sides have the same sum over every orbit of the z's
-(``MultiLaurent.fold_orbits``): the left side is folded once, and each
-reading's fold is compared with it.
+(``MultiLaurent.fold_orbits``): the left side is folded once, both
+readings of the right side are built folded in one pass, and each is
+compared with the left side's fold.
 
 ``partial_fraction_check`` covers the two elementary rewriting steps the
 reduction rests on, together with named mutations that must all break
@@ -274,25 +275,35 @@ def _lhs_poly(m: int, window: Window, q_inverted: bool) -> MultiLaurent:
 
 def _rhs_polys(m: int, window: Window, q_inverted: bool):
     """The (reading, polynomial) pairs of both readings of the delta chain
-    on the window, from one pass over the index box: with delta(x, c y) =
-    sum_i c^(-i-1) x^i y^(-i-1) its indices are i_0 = e_w and i_j =
-    i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m - 1, one q-power per
-    monomial of degree -(m+1).  The readings c = q^(-+e m) of the w-delta
-    add +- e m (e_w + 1) to the part of that q-power the pass computes,
-    e m included; each is packed as it is asked for
-    (``MultiLaurent._q_monomials``)."""
+    on the window, each folded over the orbits of the z's
+    (``MultiLaurent.fold_orbits``), from one pass over the index box: with
+    delta(x, c y) = sum_i c^(-i-1) x^i y^(-i-1) its indices are i_0 = e_w
+    and i_j = i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m - 1, one q-power
+    per monomial of degree -(m+1).  Each monomial's z-exponents are sorted
+    as it is made, so the pass adds up the orbit sums itself, as q-term
+    dicts packed once (``MultiLaurent._q_terms``).  The readings c = q^(-+e m) of the
+    w-delta add +- e m (e_w + 1) to the part of that q-power the pass
+    computes, e m included: the pass takes the q^-m one, and since w is not
+    folded, the q^+m one is it times q^(-2 e m (e_w + 1)), w scaled by
+    q^(-2 e m) and the whole by q^(-2 e m)."""
     e = -1 if q_inverted else 1
-    terms = {}
+    qts = {}
     for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
-        i, p = ew, e * m
+        i, p = ew, e * m * (ew + 2)
         for ej in ez:
             i += 1 + ej
             p -= 2 * e * (i + 1)
         if window.lo <= -i - 1 <= window.hi:
-            terms[(*ez, -i - 1, ew)] = p
-    vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
-    for reading, c in (("qminus", e * m), ("qplus", -e * m)):
-        yield reading, MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()})
+            ez.append(-i - 1)
+            ez.sort()
+            ez.append(ew)
+            qt = qts.setdefault(tuple(ez), {})
+            qt[p] = qt.get(p, 0) + 1
+    # the registry order z_1..z_(m+1), w: e_w comes last
+    qminus = MultiLaurent._q_terms((*_zs(m), W), qts)
+    yield "qminus", qminus
+    c = LaurentQ.q_power(-2 * e * m)
+    yield "qplus", qminus.substitute(W, c, W).scale(c)
 
 
 def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs_scale=None) -> dict:
@@ -301,13 +312,12 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
 
     ``rhs_scale`` perturbs the overall delta coefficient (a control: with
     a wrong scale neither reading can match)."""
-    zs = _zs(m)
-    lhs = _lhs_poly(m, window, q_inverted).fold_orbits(zs)
+    lhs = _lhs_poly(m, window, q_inverted).fold_orbits(_zs(m))
     readings = {}
     for reading, rhs in _rhs_polys(m, window, q_inverted):
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
-        readings[reading] = lhs == rhs.fold_orbits(zs)
+        readings[reading] = lhs == rhs
     matched = [r for r, ok in readings.items() if ok]
     return {
         "m": m,

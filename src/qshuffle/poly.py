@@ -20,8 +20,9 @@ and its top bit, the guard bit, stays 0.  Then int order is tuple order,
 multiplying by a monomial adds its key less the key of 1, and ``within``
 tests a whole box with two subtractions and two masks per key.  Every
 operation moves E: a sum takes the larger bound, a product the sum of
-the bounds, a binomial multiply adds 1, a substitution multiplies it by
-the number of fields summed, and the others keep it (an exact quotient
+the bounds, a binomial multiply adds 1, a geometric step n + 1 at most
+(its box caps the two exponents it moves), a substitution multiplies it
+by the number of fields summed, and the others keep it (an exact quotient
 lies in its dividend's exponent box).  When E would reach 2^(F - 2), the
 keys are repacked at twice the width first, so F is never guessed.  Keys
 leave this module only as exponent tuples, read in bulk (``exponents``).
@@ -51,9 +52,10 @@ absolute digits (its l1 norm), read in one pass: a monomial of the
 product collects at most one coefficient product per term of a, so each
 of its digits sums products of a digit of b with distinct digits of a; a
 placed sum (below) by the sum of the l1 norms of its weights; a
-substitution or orbit fold (``fold_orbits``) by the number of terms that
-can meet on one monomial; an exact division by its room, as
-``_exact_div_binomial`` takes it.
+geometric step, a substitution or an orbit fold (``fold_orbits``) by the
+number of terms that can meet on one monomial, the step's times the
+largest numerator of its series over their common denominator; an exact
+division by its room, as ``_exact_div_binomial`` takes it.
 When the bound would reach 2^(K - 2), the operands are recertified first,
 and repacked at a wider K if even that does not fit.  K is never guessed.
 The certificate (``_certificate``) reads no digit on its own: with
@@ -73,7 +75,7 @@ as int, Fraction, ``LaurentQ`` or ``RatQ`` and leave as ``LaurentQ``
 (``coeff``, ``term_lines``, ``eval_at``); a scalar outside Q[q, q^-1]
 raises ``ValueError``, a non-scalar such as a float ``TypeError``.  The
 kernel methods ``_mul_binomial``, ``_exact_div_binomial`` and
-``_binomial_inverse`` take their q-monomials as (a, s) pairs, a q^s, so
+``_geometric_step`` take their q-monomials as (a, s) pairs, a q^s, so
 the other modules never build a scalar to pass one; the public methods
 take scalars and split each once.
 
@@ -90,6 +92,12 @@ such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
 P's fields to new slots; the weights W, built once by ``placements``,
 share one frame and carry the sum of their l1 norms (absolute digits),
 and the sum's bound is P's bound times that sum.
+
+A Laurent expansion multiplies by truncated geometric series of 1/(z_i -
+c z_j) and keeps a box of exponents.  ``_geometric_step`` takes one such
+pole in one pass: each term forms only the series terms that land in the
+box, and their q-powers are shifts, so no series and no unpruned product
+is built; ``binomial_inverse`` is the step applied to 1.
 """
 
 from __future__ import annotations
@@ -101,7 +109,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations
 from math import factorial, lcm, prod
-from operator import add, lshift, or_
+from operator import add, itemgetter, lshift, or_
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 
@@ -586,24 +594,7 @@ class MultiLaurent:
         """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
         where ``dominant`` is the larger variable: sum(c^t z_vi^(-1-t) z_vj^t)
         for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n."""
-        a, s = _q_monomial(c, "binomial scalar")
-        return cls._binomial_inverse(vi, vj, a, s, n, dominant)
-
-    @classmethod
-    def _binomial_inverse(cls, vi: VarId, vj: VarId, a, s: int, n: int, dominant: VarId) -> MultiLaurent:
-        """``binomial_inverse`` for c = a q^s."""
-        if vi == vj or dominant not in (vi, vj):
-            raise ValueError("binomial inverse needs two distinct variables, one dominant")
-        sign, o = 1, 0
-        if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
-            vi, vj, a, s, sign, o = vj, vi, Fraction(1) / a, -s, -1, 1
-        vs = _sorted_vars((vi, vj))
-        exps = [(-1 - t, t) if vi < vj else (t, -1 - t) for t in range(n + 1)]
-        if a in (1, -1):  # unit coefficients, one shifted int each
-            a = int(a)
-            return cls._q_monomials(vs, {e: (sign * a ** (t + o), s * (t + o)) for t, e in enumerate(exps)})
-        qts = {e: {s * (t + o): coefficient(sign * a ** (t + o))} for t, e in enumerate(exps)}
-        return cls._raw(vs, *_encode(qts))
+        return cls.constant(1)._geometric_step(vi, vj, _q_monomial(c, "binomial scalar"), n, dominant)
 
     @classmethod
     def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
@@ -617,6 +608,13 @@ class MultiLaurent:
         K, F, lo = _wide(bound, _K_START), _wide(E, _F_START), min([s for _, s in terms.values()])
         packed = {_key(exps, F): a << K * (s - lo) for exps, (a, s) in terms.items()}
         return cls._raw(vs, packed, K, lo, bound, 1, F, E)
+
+    @classmethod
+    def _q_terms(cls, vs: tuple[VarId, ...], qts: dict) -> MultiLaurent:
+        """Trusted constructor of the polynomial with the q-terms {s: c} at
+        each z-exponent tuple of qts, over the sorted registry vs, every c
+        a nonzero int or Fraction: no scalar is built or split."""
+        return cls._raw(vs, *_encode(qts))
 
     # ---------- registry helpers ----------
 
@@ -856,6 +854,78 @@ class MultiLaurent:
             p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den, F, p.E + 1
         )
 
+    def _geometric_step(self, vi: VarId, vj: VarId, x: tuple, n: int, dominant: VarId, box=None) -> MultiLaurent:
+        """This polynomial times ``binomial_inverse(vi, vj, a q^s, n,
+        dominant)``, x = (a, s), keeping only the terms whose exponents lie
+        in ``box`` ({variable: (lo, hi)}, as ``within`` takes it; None keeps
+        every term).
+
+        With d the dominant variable and u the other, the series is sign
+        sum_(t <= n) (b q^sigma)^(t + o) z_d^(-1-t) z_u^t: b q^sigma = a q^s,
+        sign 1 and o = 0 for d = vi, and b q^sigma = 1/(a q^s), sign -1 and o
+        = 1 for d = vj.  A term with exponents e_d and e_u reaches the box
+        only for the t with e_d - 1 - t and e_u + t in their bounds, one
+        interval [t_lo, t_hi], so no other product is formed.  Over the
+        denominator r^N, b = p / r and N = o plus the largest t used, the
+        coefficient of t is sign p^(t + o) r^(N - t - o) q^(sigma (t + o)):
+        its q-power is a shift of the packed value, and for b = 1, as in
+        every pole of the window identity, the sign is the only factor, taken
+        once per term.  A monomial of the result collects at most one term
+        per t, and the t of its terms differ with their e_d, so at most the
+        smaller of the two counts."""
+        if vi == vj or dominant not in (vi, vj):
+            raise ValueError("binomial inverse needs two distinct variables, one dominant")
+        (b, sigma), sign, o = x, 1, 0
+        if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
+            vi, vj, b, sigma, sign, o = vj, vi, Fraction(1) / b, -sigma, -1, 1
+        f = self.with_vars((vi, vj))
+        E = f.E + n + 1
+        if box is not None:  # the new exponents of z_d and z_u lie in the box
+            E = min(E, max(f.E, *map(abs, box[vi] + box[vj])))
+        f = f._keyed(E)
+        nv, F = len(f.vars), f.F
+        M, B = (1 << F) - 1, 1 << F - 2
+        sd, su = F * (nv - 1 - f.vars.index(vi)), F * (nv - 1 - f.vars.index(vj))
+        (dlo, dhi), (ulo, uhi) = ((-E, E), (-E, E)) if box is None else (box[vi], box[vj])
+        if box is not None and nv > 2:  # the other variables keep their exponents
+            f = f.within({**box, vi: (-E, E), vj: (-E, E)})
+        # over biased fields: t >= e_d - dtop, t <= e_d - dlow, t >= ulow - e_u
+        # and t <= utop - e_u
+        dtop, dlow, ulow, utop = B + 1 + dhi, B + 1 + dlo, B + ulo, B + uhi
+        rows, eds = [], set()
+        for key in f.terms:
+            ed, eu = key >> sd & M, key >> su & M
+            t0, t1 = max(0, ed - dtop, ulow - eu), min(n, ed - dlow, utop - eu)
+            if t0 <= t1:
+                rows.append((key, t0, t1))
+                eds.add(ed)
+        if not rows:
+            return MultiLaurent.zero(f.vars)
+        tl, th = min(map(itemgetter(1), rows)), max(map(itemgetter(2), rows))
+        p, r, N, unit = b.numerator, b.denominator, th + o, b == 1
+        mult = min(th - tl + 1, len(eds)) * max(abs(p), r) ** N
+        f = f._room(mult)
+        K, terms, out = f.K, f.terms, {}
+        get = out.get
+        low = min(sigma * tl, sigma * th)
+        shifts = [K * (sigma * t - low) for t in range(th + 1)]
+        cs = None if unit else [sign * p ** (t + o) * r ** (N - t - o) for t in range(th + 1)]
+        first, step = 1 << sd, (1 << su) - (1 << sd)
+        for key, t0, t1 in rows:
+            V = -terms[key] if unit and sign < 0 else terms[key]
+            key += t0 * step - first
+            for t in range(t0, t1 + 1):
+                X = (V if unit else V * cs[t]) << shifts[t]
+                old = get(key)  # a first term is stored, not added to 0
+                if old is not None:
+                    X += old
+                if X:
+                    out[key] = X
+                else:
+                    del out[key]
+                key += step
+        return MultiLaurent._raw(f.vars, out, K, f.qlo + sigma * o + low, f.bound * mult, f.den * r**N, F, E)
+
     # ---------- substitution and relabeling ----------
 
     def substitute(self, v, c, target: VarId) -> MultiLaurent:
@@ -897,7 +967,8 @@ class MultiLaurent:
                 low += s * (hi if s < 0 else lo)
                 if a != 1:
                     scaled.append((col, a.numerator, a.denominator, lo, hi))
-        mult = len(p.terms)
+        # one summed field moves the keys one to one
+        mult = len(p.terms) if len(cols) > 1 else 1
         if (p.bound * mult) >> (p.K - 2):
             # the keys meeting on one new key differ in the summed exponents
             # only, and their sum is fixed: all but the widest are free

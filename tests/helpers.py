@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded random generators,
-evaluation utilities, the exact digit scan, the two reference builds
+evaluation utilities, the exact digit scan, the three reference builds
 of the delta chain, the difference rule for the window readings and
 the reduced-fraction build of the partial-fraction steps.  Everything
 is deterministic given the Random instance passed in."""
@@ -11,7 +11,7 @@ from itertools import product
 
 from qshuffle import poly
 from qshuffle.formal import Window, delta_series, series_mul
-from qshuffle.identities import W, _lhs_poly, _rhs_polys, _zs
+from qshuffle.identities import W, _lhs_poly, _zs
 from qshuffle.poly import MultiLaurent, zvar
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun
@@ -69,10 +69,32 @@ def exact_bound(terms: dict, K: int) -> int:
     return max(max(d), -min(d))
 
 
+def unfolded_rhs_polys(m, window, q_inverted=False):
+    """The (reading, polynomial) pairs of both readings of the delta chain
+    before any orbit is folded, from one pass over the index box: the
+    reference whose ``fold_orbits`` ``identities._rhs_polys`` builds in
+    its pass.  With delta(x, c y) = sum_i c^(-i-1) x^i y^(-i-1) the indices
+    are i_0 = e_w and i_j = i_(j-1) + 1 + e_j, and z_(m+1) carries -i_m -
+    1; the readings c = q^(-+e m) add +- e m (e_w + 1) to the q-power the
+    pass computes, and each is packed on its own."""
+    e = -1 if q_inverted else 1
+    terms = {}
+    for ew, *ez in product(range(window.lo, window.hi + 1), repeat=m + 1):
+        i, p = ew, e * m
+        for ej in ez:
+            i += 1 + ej
+            p -= 2 * e * (i + 1)
+        if window.lo <= -i - 1 <= window.hi:
+            terms[(*ez, -i - 1, ew)] = p
+    vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
+    for reading, c in (("qminus", e * m), ("qplus", -e * m)):
+        yield reading, MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()})
+
+
 def laurent_delta_chain(m, window, reading, q_inverted=False):
-    """The closed-form delta chain of ``identities._rhs_polys`` built
-    through the public constructor, one ``LaurentQ.q_power`` per monomial:
-    the reference for the packed build."""
+    """The closed-form delta chain of ``identities._rhs_polys``, unfolded,
+    built through the public constructor, one ``LaurentQ.q_power`` per
+    monomial: the reference for the packed build."""
     e = -1 if q_inverted else 1
     shift = -e * m if reading == "qminus" else e * m
     terms = {}
@@ -108,7 +130,7 @@ def difference_readings(m, window, q_inverted=False, rhs_scale=None) -> dict:
     side on its own and compares the folds."""
     zs, lhs = _zs(m), _lhs_poly(m, window, q_inverted)
     readings = {}
-    for reading, rhs in _rhs_polys(m, window, q_inverted):
+    for reading, rhs in unfolded_rhs_polys(m, window, q_inverted):
         if rhs_scale is not None:
             rhs = rhs.scale(rhs_scale)
         readings[reading] = not (lhs - rhs).fold_orbits(zs)

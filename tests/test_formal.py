@@ -519,8 +519,17 @@ def test_opposite_expansions_raise_in_both():
             mul(a, b)
 
 
-@pytest.mark.parametrize("m, win", ((1, Window(-6, 6)), (1, Window(-2, 3)), (2, Window(-3, 3))))
+@pytest.mark.parametrize(
+    "m, win",
+    (
+        (1, Window(-6, 6)), (1, Window(-2, 3)), (1, Window(-8, 0)),
+        (2, Window(-3, 3)), (2, Window(-5, 0)),
+        (3, Window(-2, 2)), (3, Window(-4, 0)),
+        (4, Window(-1, 1)), (4, Window(-3, 0)), (4, Window(0, 2)),
+    ),
+)
 def test_expand_ratfun_matches_reference_on_pole_sum_terms(m, win):
+    # symmetric and one-sided windows, both orientations, every k
     zs = [zvar(1, i) for i in range(1, m + 2)]
     for qi in (False, True):
         for k in range(m + 2):

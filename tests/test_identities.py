@@ -27,7 +27,14 @@ from qshuffle.poly import MultiLaurent, aux_var, zvar
 from qshuffle.qring import RatQ
 from qshuffle.ratfun import BinomialFactor, RatFun, _reduce, fractions_equal, rat_sum
 
-from helpers import difference_readings, exact_bound, laurent_delta_chain, ratfun_pf_pair, series_delta_chain
+from helpers import (
+    difference_readings,
+    exact_bound,
+    laurent_delta_chain,
+    ratfun_pf_pair,
+    series_delta_chain,
+    unfolded_rhs_polys,
+)
 from tuple_kernel import expanded
 
 
@@ -229,12 +236,14 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     # the window where the products are exact; symmetric and one-sided
     # windows (at m = 4 a window ending at 0 leaves the products exact on
     # exponents <= -1 only, where no monomial of degree -5 lies, so the
-    # one-sided m = 4 window reaches up instead)
+    # one-sided m = 4 window reaches up instead); the library builds the
+    # closed form folded over the z-orbits, the reference unfolded
     ref = series_delta_chain(_zs(m), win, reading, qi)
     box = ref.reliable.intersect(win)
     expect = ref.poly.within(dict.fromkeys(ref.vars, box.as_pair()))
     assert expect
-    assert dict(_rhs_polys(m, box, qi))[reading] == expect
+    assert dict(unfolded_rhs_polys(m, box, qi))[reading] == expect
+    assert dict(_rhs_polys(m, box, qi))[reading] == expect.fold_orbits(_zs(m))
 
 
 @pytest.mark.parametrize("qi", (False, True))
@@ -249,13 +258,15 @@ def test_closed_form_chain_matches_series_chain(m, win, reading, qi):
     ),
 )
 def test_packed_chain_matches_laurent_chain(m, win, reading, qi):
-    # the chain packed as shifted ints against the same chain built
-    # through LaurentQ scalars, symmetric and one-sided windows; unit
-    # digits at the starting width, key fields just wide enough
-    want = laurent_delta_chain(m, win, reading, qi)
+    # the chain packed as sums of shifted ints, folded over the z-orbits
+    # as it is built, against the same chain built through LaurentQ
+    # scalars and then folded, symmetric and one-sided windows; digits at
+    # the starting width, each at most the (m + 1)! terms of an orbit, key
+    # fields just wide enough
+    want = laurent_delta_chain(m, win, reading, qi).fold_orbits(_zs(m))
     got = dict(_rhs_polys(m, win, qi))[reading]
     assert (got.vars, expanded(got)) == (want.vars, expanded(want))
-    assert got.den == 1 and exact_bound(got.terms, got.K) == got.bound == (1 if got.terms else 0)
+    assert got.den == 1 and exact_bound(got.terms, got.K) <= got.bound <= (factorial(m + 1) if got.terms else 0)
     assert (got.K, got.F) == (poly._K_START, poly._wide(got.E, poly._F_START))
 
 
@@ -287,6 +298,19 @@ def test_wide_window_left_side_keeps_sixteen_bit_digits():
     lhs = _lhs_poly(1, Window(-100, 100), False)
     assert lhs.K == 16
     assert exact_bound(lhs.terms, lhs.K) <= lhs.bound < 1 << 14
+
+
+def test_window_expansions_form_no_product(monkeypatch):
+    # each pole of an expansion is one pruned step: no truncated series is
+    # built and no product with one is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unpruned product was formed")
+
+    want = {m: _lhs_poly(m, Window(-3, 3), False) for m in (1, 2)}
+    monkeypatch.setattr(MultiLaurent, "__mul__", refuse)
+    monkeypatch.setattr(MultiLaurent, "binomial_inverse", refuse)
+    for m in (1, 2):
+        assert _lhs_poly(m, Window(-3, 3), False) == want[m]
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
@@ -368,7 +392,9 @@ def test_symmetrized_sides_match_per_permutation_construction(m, win, qi):
     rep = window_identity_report(m, win, qi)
     for reading in ("qminus", "qplus"):
         assert rep["compared"][reading] == win.as_pair()
-        closed = sum_over_perms(dict(_rhs_polys(m, win, qi))[reading], zs)
+        unfolded = dict(unfolded_rhs_polys(m, win, qi))[reading]
+        assert dict(_rhs_polys(m, win, qi))[reading] == unfolded.fold_orbits(zs)
+        closed = sum_over_perms(unfolded, zs)
         assert rep["readings"][reading] == (lhs.poly == closed)
         rhs = per_permutation_rhs(m, win, reading, qi)
         assert same_series(sum_over_perms(series_delta_chain(zs, win, reading, qi), zs), rhs)

@@ -566,6 +566,80 @@ def test_unit_binomial_inverses_match_the_tuple_kernel():
                     assert_decodes_to(got, Reference.binomial_inverse(vi, vj, c, n, dom))
 
 
+def reference_step(f, vi, vj, c, n, dom, box):
+    """The geometric step as the product it replaces: the tuple kernel's
+    truncated series times f, then the box filter."""
+    got = Reference.binomial_inverse(vi, vj, c, n, dom) * from_packed(f)
+    return got if box is None else got.within(box)
+
+
+def step_boxes(vs, dom, sub):
+    """Boxes over the registry vs for a step with dom dominant: none, one
+    that keeps everything, one cutting each side of the dominant and of
+    the subordinate variable, one cutting a third variable, and one no
+    term reaches (a term's dominant exponent only falls, from at most 2)."""
+    wide = dict.fromkeys(vs, (-12, 12))
+    boxes = [None, wide, {**wide, dom: (-4, -1)}, {**wide, sub: (0, 2)}, {**wide, dom: (-2, 0), sub: (-1, 3)}]
+    boxes += [{**wide, v: (0, 1)} for v in vs if v not in (dom, sub)][:1]
+    return boxes + [{**wide, dom: (3, 9)}]
+
+
+def test_geometric_steps_match_the_product_then_the_box():
+    # the pruned step against binomial_inverse times the polynomial, then
+    # within: both orientations and variable orders, s < 0, s = 0 and
+    # s > 0, a = +-1 and Fraction a, boxes cutting each side, and empty
+    # results, on inputs with Laurent coefficients, with registries the
+    # step has to extend, and with a third variable that sets the
+    # exponent bound
+    rng = random.Random(2701)
+    z1, z2, z3 = DIFF_VARS[:3]
+    inputs = []
+    for vs in ((z1, z2, z3), (z1, z2), (z1, z3)):
+        terms = {tuple(rng.randint(-2, 2) for _ in vs): random_scalar(rng) for _ in range(6)}
+        inputs.append(MultiLaurent(vs, terms))
+    # a third variable's exponent beyond what the box leaves the step's two
+    inputs.append(inputs[0] + MultiLaurent((z1, z2, z3), {(0, 1, 9): RatQ.q_power(1, 2)}))
+    empty = 0
+    for a in (1, -1, Fraction(2, 3), Fraction(-5, 2)):
+        for s in (-2, 0, 3):
+            c = RatQ.q_power(s, a)
+            for vi, vj in ((z1, z2), (z2, z1)):
+                for dom, sub in ((vi, vj), (vj, vi)):
+                    for f in inputs:
+                        vs = tuple(sorted(set(f.vars) | {vi, vj}))
+                        for n in (0, 1, 4):
+                            for box in step_boxes(vs, dom, sub):
+                                got = f._geometric_step(vi, vj, (a, s), n, dom, box)
+                                assert_decodes_to(got, reference_step(f, vi, vj, c, n, dom, box))
+                                empty += not got.terms
+    assert empty >= 4 * 3 * 2 * 2 * 3 * 3
+
+
+def test_geometric_steps_take_their_room_at_narrow_digits(monkeypatch):
+    # 8-bit q-digits hold coefficients below 64.  A step sums up to n + 1
+    # terms on a digit, each times at most max(|p|, r)^(n + o): on the line
+    # (k, -k), k = 0..3, with s = 0 and n = 3, four terms meet on one digit,
+    # so digits of 20 stay at K = 8 with n = 0 and a unit only
+    monkeypatch.setattr(poly, "_K_START", 8)
+    rng = random.Random(2703)
+    z1, z2 = DIFF_VARS[:2]
+    widths = {}
+    for a in (1, -1, Fraction(3, 2)):
+        for s in (0, -1):
+            for n in (0, 3):
+                for dom in (z1, z2):
+                    terms = {(k, -k): LaurentQ({0: 20, 2: -20}) for k in range(4)}
+                    terms[(rng.randint(-2, 2), rng.randint(1, 2))] = LaurentQ({1: 19})
+                    f = MultiLaurent((z1, z2), terms)
+                    assert f.K == 8
+                    box = {z1: (-6, 6), z2: (-6, 6)}
+                    got = f._geometric_step(z1, z2, (a, s), n, dom, box)
+                    assert_decodes_to(got, reference_step(f, z1, z2, RatQ.q_power(s, a), n, dom, box))
+                    widths.setdefault((a, n), set()).add(got.K)
+    assert widths[1, 0] == widths[-1, 0] == {8}
+    assert min(widths[1, 3]) > 8 and min(widths[Fraction(3, 2), 3]) > 8
+
+
 def wide_exponent_results(kernel):
     """Results whose exponents reach 64 and beyond from inputs below it: a
     product, a power, a substitution summing three slots, an exact
