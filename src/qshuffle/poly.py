@@ -887,7 +887,7 @@ class MultiLaurent:
         M, B = (1 << F) - 1, 1 << F - 2
         sd, su = F * (nv - 1 - f.vars.index(vi)), F * (nv - 1 - f.vars.index(vj))
         (dlo, dhi), (ulo, uhi) = ((-E, E), (-E, E)) if box is None else (box[vi], box[vj])
-        if box is not None and nv > 2:  # the other variables keep their exponents
+        if box is not None and nv > 2:  # the step leaves the other exponents as they are
             f = f.within({**box, vi: (-E, E), vj: (-E, E)})
         # over biased fields: t >= e_d - dtop, t <= e_d - dlow, t >= ulow - e_u
         # and t <= utop - e_u

@@ -522,8 +522,8 @@ def test_opposite_expansions_raise_in_both():
 @pytest.mark.parametrize(
     "m, win",
     (
-        (1, Window(-6, 6)), (1, Window(-2, 3)), (1, Window(-8, 0)),
-        (2, Window(-3, 3)), (2, Window(-5, 0)),
+        (1, Window(-6, 6)), (1, Window(-2, 3)), (2, Window(-3, 3)),
+        (1, Window(-8, 0)), (2, Window(-5, 0)),
         (3, Window(-2, 2)), (3, Window(-4, 0)),
         (4, Window(-1, 1)), (4, Window(-3, 0)), (4, Window(0, 2)),
     ),
