@@ -30,9 +30,8 @@ it cannot bound the contributing exponents it raises
 would come from outside an operand's reliable box it shrinks the result
 window until they cannot.  The arithmetic itself goes through
 ``MultiLaurent``: ``series_mul`` multiplies the contributing terms,
-``expand_ratfun`` applies one pruned geometric step
-(``MultiLaurent._geometric_step``) per denominator factor, which forms
-only the terms that can still reach the window, and
+``expand_ratfun`` filters once, then takes one pruned geometric step
+(``MultiLaurent._geometric_step``) per denominator factor, and
 ``compare_on_window`` subtracts.  The tests build the window identity's
 delta chain, which ``identities`` writes in closed form, from
 ``delta_series`` and ``series_mul``.  Every series starts as an
@@ -360,11 +359,11 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
 
     ``order`` lists variables from most to least dominant and must cover
     every variable of f.  Each denominator factor is expanded in the
-    geometric series dictated by its more dominant variable, capped at the
-    index past which no term can climb back into the window; the result
-    is exact on the whole window (reliable equals window).  Each factor is
-    one ``MultiLaurent._geometric_step``, which keeps only the terms that
-    the factors still to come can carry into the window.
+    geometric series dictated by its more dominant variable; the result is
+    exact on the whole window (reliable equals window).  The numerator is
+    filtered once, to the terms the factors can still carry into the
+    window, and each factor is one ``MultiLaurent._geometric_step`` on the
+    next such box of its two variables; the caps only build these boxes.
     """
     order = list(order)
     if len(set(order)) != len(order):
@@ -372,9 +371,6 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
     missing = [v for v in f.vars() if v not in order]
     if missing:
         raise ValueError(f"expansion order misses variables: {missing}")
-    if f.is_zero():
-        p = MultiLaurent.zero(order)
-        return TruncSeries._trusted(p, window, window, Support(dict.fromkeys(p.vars, (0, 0)), None))
 
     pos = {v: k for k, v in enumerate(order)}
     num = f.num.with_vars(order)
@@ -386,9 +382,12 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         dom, sub = (fac.i, fac.j) if pos[fac.i] < pos[fac.j] else (fac.j, fac.i)
         copies += [(dom, sub, fac)] * mult
 
-    # cap the geometric index of each copy by walking down the dominance
-    # order: contributions below window.lo in the dominant variable of a
-    # copy can never climb back
+    # caps[k] bounds the geometric index of copy k, walking down the
+    # dominance order, and only builds the live boxes: no step is capped,
+    # since at copy k (dominant v) a term has e_v <= nmax[v] - (earlier
+    # D_v) + (earlier S_v caps) and its box keeps e_v - 1 - t >= window.lo
+    # + (later D_v) - (later S_v caps), so t <= total below (D_v the
+    # copies with dominant v, S_v those with v subordinate)
     nmax = {v: num.exp_range(v)[1] for v in vs}
     caps = [0] * len(copies)
     for v in order:
@@ -412,9 +411,10 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
             hi[sub] += caps[k]
         return {v: (window.lo - hi[v], window.hi - lo[v]) for v in vs}
 
-    partial = num
+    partial = num.within(live(0))  # the last live box is the window
     for k, (dom, _, fac) in enumerate(copies):
-        partial = partial._geometric_step(fac.i, fac.j, (fac.a, fac.s), caps[k], dom, live(k + 1))
+        nxt = live(k + 1)
+        partial = partial._geometric_step(fac.i, fac.j, (fac.a, fac.s), dom, {v: nxt[v] for v in (fac.i, fac.j)})
 
     box = {}
     for v in vs:
@@ -424,7 +424,7 @@ def expand_ratfun(f: RatFun, order, window: Window) -> TruncSeries:
         box[v] = (None if D else lo, (hi - D) if not S else None)
     deg = num.total_degree_if_homogeneous()
     degree = deg - len(copies) if deg is not None and vs else None
-    return TruncSeries._trusted(_in_box(partial, window), window, window, Support(box, degree))
+    return TruncSeries._trusted(partial, window, window, Support(box, degree))
 
 
 # ---------- comparison ----------

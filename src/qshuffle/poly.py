@@ -20,12 +20,12 @@ and its top bit, the guard bit, stays 0.  Then int order is tuple order,
 multiplying by a monomial adds its key less the key of 1, and ``within``
 tests a whole box with two subtractions and two masks per key.  Every
 operation moves E: a sum takes the larger bound, a product the sum of
-the bounds, a binomial multiply adds 1, a geometric step n + 1 at most
-(its box caps the two exponents it moves), a substitution multiplies it
-by the number of fields summed, and the others keep it (an exact quotient
-lies in its dividend's exponent box).  When E would reach 2^(F - 2), the
-keys are repacked at twice the width first, so F is never guessed.  Keys
-leave this module only as exponent tuples, read in bulk (``exponents``).
+the bounds, a binomial multiply adds 1, a geometric step takes the larger
+of E and its box's bounds, a substitution multiplies it by the number of
+fields summed, and the others keep it (an exact quotient lies in its
+dividend's exponent box).  When E would reach 2^(F - 2), the keys are
+repacked at twice the width first, so F is never guessed.  Keys leave
+this module only as exponent tuples, read in bulk (``exponents``).
 
 The int V of a monomial packs its whole q-coefficient by Kronecker
 substitution q -> 2^K (Kronecker 1882; Harvey, J. Symb. Comp. 2009): the
@@ -93,11 +93,11 @@ P's fields to new slots; the weights W, built once by ``placements``,
 share one frame and carry the sum of their l1 norms (absolute digits),
 and the sum's bound is P's bound times that sum.
 
-A Laurent expansion multiplies by truncated geometric series of 1/(z_i -
-c z_j) and keeps a box of exponents.  ``_geometric_step`` takes one such
-pole in one pass: each term forms only the series terms that land in the
-box, and their q-powers are shifts, so no series and no unpruned product
-is built; ``binomial_inverse`` is the step applied to 1.
+A Laurent expansion multiplies by geometric series of 1/(z_i - c z_j),
+each restricted to a box of its two variables.  ``_geometric_step`` takes
+one such pole in one pass: each term forms only the series terms that
+land in the box, and their q-powers are shifts, so no series and no
+unpruned product is built; ``binomial_inverse`` is the step applied to 1.
 """
 
 from __future__ import annotations
@@ -593,8 +593,10 @@ class MultiLaurent:
     def binomial_inverse(cls, vi: VarId, vj: VarId, c, n: int, dominant: VarId) -> MultiLaurent:
         """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
         where ``dominant`` is the larger variable: sum(c^t z_vi^(-1-t) z_vj^t)
-        for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n."""
-        return cls.constant(1)._geometric_step(vi, vj, _q_monomial(c, "binomial scalar"), n, dominant)
+        for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n: the
+        geometric step applied to 1 on the box that holds exactly these terms."""
+        box = {dominant: (-1 - n, -1), (vj if dominant == vi else vi): (0, n)}
+        return cls.constant(1)._geometric_step(vi, vj, _q_monomial(c, "binomial scalar"), dominant, box)
 
     @classmethod
     def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
@@ -854,19 +856,19 @@ class MultiLaurent:
             p.vars, _shifted_sum(p.terms, shifts), K, p.qlo + lo, p.bound * mult, p.den * den, F, p.E + 1
         )
 
-    def _geometric_step(self, vi: VarId, vj: VarId, x: tuple, n: int, dominant: VarId, box=None) -> MultiLaurent:
-        """This polynomial times ``binomial_inverse(vi, vj, a q^s, n,
-        dominant)``, x = (a, s), keeping only the terms whose exponents lie
-        in ``box`` ({variable: (lo, hi)}, as ``within`` takes it; None keeps
-        every term).
+    def _geometric_step(self, vi: VarId, vj: VarId, x: tuple, dominant: VarId, box: dict) -> MultiLaurent:
+        """This polynomial times the whole expansion of 1/(z_vi - a q^s z_vj)
+        where ``dominant`` is the larger variable, x = (a, s), restricted to
+        the exponents of ``box`` = {vi: (lo, hi), vj: (lo, hi)}; the other
+        exponents pass through.
 
         With d the dominant variable and u the other, the series is sign
-        sum_(t <= n) (b q^sigma)^(t + o) z_d^(-1-t) z_u^t: b q^sigma = a q^s,
+        sum_(t >= 0) (b q^sigma)^(t + o) z_d^(-1-t) z_u^t: b q^sigma = a q^s,
         sign 1 and o = 0 for d = vi, and b q^sigma = 1/(a q^s), sign -1 and o
         = 1 for d = vj.  A term with exponents e_d and e_u reaches the box
         only for the t with e_d - 1 - t and e_u + t in their bounds, one
-        interval [t_lo, t_hi], so no other product is formed.  Over the
-        denominator r^N, b = p / r and N = o plus the largest t used, the
+        finite interval [t_lo, t_hi], so no other product is formed.  Over
+        the denominator r^N, b = p / r and N = o plus the largest t used, the
         coefficient of t is sign p^(t + o) r^(N - t - o) q^(sigma (t + o)):
         its q-power is a shift of the packed value, and for b = 1, as in
         every pole of the window identity, the sign is the only factor, taken
@@ -878,24 +880,21 @@ class MultiLaurent:
         (b, sigma), sign, o = x, 1, 0
         if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
             vi, vj, b, sigma, sign, o = vj, vi, Fraction(1) / b, -sigma, -1, 1
+        (dlo, dhi), (ulo, uhi) = box[vi], box[vj]
         f = self.with_vars((vi, vj))
-        E = f.E + n + 1
-        if box is not None:  # the new exponents of z_d and z_u lie in the box
-            E = min(E, max(f.E, *map(abs, box[vi] + box[vj])))
+        # the new exponents of z_d and z_u lie in the box
+        E = max(f.E, abs(dlo), abs(dhi), abs(ulo), abs(uhi))
         f = f._keyed(E)
         nv, F = len(f.vars), f.F
         M, B = (1 << F) - 1, 1 << F - 2
         sd, su = F * (nv - 1 - f.vars.index(vi)), F * (nv - 1 - f.vars.index(vj))
-        (dlo, dhi), (ulo, uhi) = ((-E, E), (-E, E)) if box is None else (box[vi], box[vj])
-        if box is not None and nv > 2:  # the step leaves the other exponents as they are
-            f = f.within({**box, vi: (-E, E), vj: (-E, E)})
         # over biased fields: t >= e_d - dtop, t <= e_d - dlow, t >= ulow - e_u
         # and t <= utop - e_u
         dtop, dlow, ulow, utop = B + 1 + dhi, B + 1 + dlo, B + ulo, B + uhi
         rows, eds = [], set()
         for key in f.terms:
             ed, eu = key >> sd & M, key >> su & M
-            t0, t1 = max(0, ed - dtop, ulow - eu), min(n, ed - dlow, utop - eu)
+            t0, t1 = max(0, ed - dtop, ulow - eu), min(ed - dlow, utop - eu)
             if t0 <= t1:
                 rows.append((key, t0, t1))
                 eds.add(ed)

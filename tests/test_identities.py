@@ -302,15 +302,34 @@ def test_wide_window_left_side_keeps_sixteen_bit_digits():
 
 def test_window_expansions_form_no_product(monkeypatch):
     # each pole of an expansion is one pruned step: no truncated series is
-    # built and no product with one is formed
+    # built and no product with one is formed; each summand's expansion
+    # filters once, its numerator, and no step filters
     def refuse(*args, **kwargs):
         raise AssertionError("an unpruned product was formed")
+
+    within, step = MultiLaurent.within, MultiLaurent._geometric_step
+    calls, in_step = [], []
+
+    def counted_within(self, bounds):
+        calls.append(bool(in_step))
+        return within(self, bounds)
+
+    def counted_step(self, *args):
+        in_step.append(1)
+        try:
+            return step(self, *args)
+        finally:
+            in_step.pop()
 
     want = {m: _lhs_poly(m, Window(-3, 3), False) for m in (1, 2)}
     monkeypatch.setattr(MultiLaurent, "__mul__", refuse)
     monkeypatch.setattr(MultiLaurent, "binomial_inverse", refuse)
+    monkeypatch.setattr(MultiLaurent, "within", counted_within)
+    monkeypatch.setattr(MultiLaurent, "_geometric_step", counted_step)
     for m in (1, 2):
+        calls.clear()
         assert _lhs_poly(m, Window(-3, 3), False) == want[m]
+        assert calls == [False] * (m + 2)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
