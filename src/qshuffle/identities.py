@@ -114,9 +114,11 @@ def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     into the q-binomial by exponent arithmetic and the numerator's factors
     are multiplied on as (a, s) pairs.  It is built reduced: the
     numerator's factors z_a - z_b are none of the poles, whose q-powers
-    are q^(+-m) and q^(+-2) with m >= 1."""
-    if not 0 <= k <= m + 1:
-        raise ValueError("k runs from 0 to m+1")
+    are q^(+-m) and q^(+-2) with m >= 1.  ValueError unless m >= 1, sigma
+    orders 1..m+1 and 0 <= k <= m+1."""
+    sigma = tuple(sigma)
+    if m < 1 or not 0 <= k <= m + 1 or sorted(sigma) != [*range(1, m + 2)] or {*map(type, sigma)} != {int}:
+        raise ValueError("the summand needs m >= 1, k from 0 to m+1 and sigma a permutation of 1..m+1")
     e = -1 if q_inverted else 1
     rel = [_zs(m)[s - 1] for s in sigma]
     poles = [(-e * m, z, 0, W) if pos < k else (-e * m, W, 0, z) for pos, z in enumerate(rel)]
@@ -311,7 +313,9 @@ def window_identity_report(m: int, window: Window, q_inverted: bool = False, rhs
     sum on the whole window; exactly the q^-m reading should survive.
 
     ``rhs_scale`` perturbs the overall delta coefficient (a control: with
-    a wrong scale neither reading can match)."""
+    a wrong scale neither reading can match).  ValueError unless m >= 1."""
+    if m < 1:
+        raise ValueError("the window identity needs m >= 1")
     lhs = _lhs_poly(m, window, q_inverted).fold_orbits(_zs(m))
     readings = {}
     for reading, rhs in _rhs_polys(m, window, q_inverted):

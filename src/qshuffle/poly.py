@@ -20,11 +20,11 @@ and its top bit, the guard bit, stays 0.  Then int order is tuple order,
 multiplying by a monomial adds its key less the key of 1, and ``within``
 tests a whole box with two subtractions and two masks per key.  Every
 operation moves E: a sum takes the larger bound, a product the sum of
-the bounds, a binomial multiply adds 1, a geometric step takes the larger
-of E and its box's bounds, a substitution multiplies it by the number of
-fields summed, and the others keep it (an exact quotient lies in its
-dividend's exponent box).  When E would reach 2^(F - 2), the keys are
-repacked at twice the width first, so F is never guessed.  Keys leave
+the bounds, a binomial multiply adds 1, a pole walk on a box takes the
+larger of E and the box's bounds, a substitution multiplies it by the
+number of fields summed, and the others keep it (an exact quotient lies
+in its dividend's exponent box).  When E would reach 2^(F - 2), the keys
+are repacked at twice the width first, so F is never guessed.  Keys leave
 this module only as exponent tuples, read in bulk (``exponents``).
 
 The int V of a monomial packs its whole q-coefficient by Kronecker
@@ -52,10 +52,9 @@ absolute digits (its l1 norm), read in one pass: a monomial of the
 product collects at most one coefficient product per term of a, so each
 of its digits sums products of a digit of b with distinct digits of a; a
 placed sum (below) by the sum of the l1 norms of its weights; a
-geometric step, a substitution or an orbit fold (``fold_orbits``) by the
-number of terms that can meet on one monomial, the step's times the
-largest numerator of its series over their common denominator; an exact
-division by its room, as ``_exact_div_binomial`` takes it.
+substitution or an orbit fold (``fold_orbits``) by the number of terms
+that can meet on one monomial; a pole walk (below) by its room, as
+``_walk`` takes it.
 When the bound would reach 2^(K - 2), the operands are recertified first,
 and repacked at a wider K if even that does not fit.  K is never guessed.
 The certificate (``_certificate``) reads no digit on its own: with
@@ -79,25 +78,24 @@ kernel methods ``_mul_binomial``, ``_exact_div_binomial`` and
 the other modules never build a scalar to pass one; the public methods
 take scalars and split each once.
 
-The only division ever needed higher up is by two-variable binomials
-z_i - c z_j with c a monomial in q.  ``exact_div_binomial`` runs the sum
-g <- f + c g down each substitution line of F: the sums are the
-quotient's coefficients, F(z_i = c z_j) = 0 iff every line ends on 0,
-and otherwise it raises ``NotDivisible``.  Term by term,
-``divided_difference`` computes (F - s F)/(z_i - z_j), which the shuffle
-product is built from and which never fails.  Every product is
-``_shifted_sum``: the larger operand shifted by each term of the smaller
-one, the shifted copies summed.  ``_placed_sum`` runs a whole family of
-such products into one dict, sum_(src, W) pi_src(P) W, where pi_src moves
-P's fields to new slots; the weights W, built once by ``placements``,
-share one frame and carry the sum of their l1 norms (absolute digits),
-and the sum's bound is P's bound times that sum.
+Term by term, ``divided_difference`` computes (F - s F)/(z_i - z_j),
+which the shuffle product is built from and which never fails.  Every
+product is ``_shifted_sum``: the larger operand shifted by each term of
+the smaller one, the shifted copies summed.  ``_placed_sum`` runs a whole
+family of such products into one dict, sum_(src, W) pi_src(P) W, where
+pi_src moves P's fields to new slots; the weights W, built once by
+``placements``, share one frame and carry the sum of their l1 norms
+(absolute digits), and the sum's bound is P's bound times that sum.
 
-A Laurent expansion multiplies by geometric series of 1/(z_i - c z_j),
-each restricted to a box of its two variables.  ``_geometric_step`` takes
-one such pole in one pass: each term forms only the series terms that
-land in the box, and their q-powers are shifts, so no series and no
-unpruned product is built; ``binomial_inverse`` is the step applied to 1.
+Every pole 1/(z_i - c z_j) has c a monomial in q, and one kernel,
+``_walk``, meets it as an exact division and as a geometric series: on
+each substitution line of F (one monomial in the other variables, one
+degree in z_i and z_j), F/(z_i - c z_j) expanded in z_i is the sum g <- f
++ c g run down from the line's top power of z_i, over ints, each q^s a
+shift.  ``exact_div_binomial`` stops at each line's foot: the sums above
+it are the quotient, and F(z_i = c z_j) = 0 iff every line ends on 0.
+``_geometric_step`` keeps the sums in a box of its two variables and walks
+on below the foot, so no series and no unpruned product is built.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations
 from math import factorial, lcm, prod
-from operator import add, itemgetter, lshift, or_
+from operator import add, lshift, or_
 
 from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
 
@@ -857,73 +855,99 @@ class MultiLaurent:
         )
 
     def _geometric_step(self, vi: VarId, vj: VarId, x: tuple, dominant: VarId, box: dict) -> MultiLaurent:
-        """This polynomial times the whole expansion of 1/(z_vi - a q^s z_vj)
-        where ``dominant`` is the larger variable, x = (a, s), restricted to
-        the exponents of ``box`` = {vi: (lo, hi), vj: (lo, hi)}; the other
-        exponents pass through.
-
-        With d the dominant variable and u the other, the series is sign
-        sum_(t >= 0) (b q^sigma)^(t + o) z_d^(-1-t) z_u^t: b q^sigma = a q^s,
-        sign 1 and o = 0 for d = vi, and b q^sigma = 1/(a q^s), sign -1 and o
-        = 1 for d = vj.  A term with exponents e_d and e_u reaches the box
-        only for the t with e_d - 1 - t and e_u + t in their bounds, one
-        finite interval [t_lo, t_hi], so no other product is formed.  Over
-        the denominator r^N, b = p / r and N = o plus the largest t used, the
-        coefficient of t is sign p^(t + o) r^(N - t - o) q^(sigma (t + o)):
-        its q-power is a shift of the packed value, and for b = 1, as in
-        every pole of the window identity, the sign is the only factor, taken
-        once per term.  A monomial of the result collects at most one term
-        per t, and the t of its terms differ with their e_d, so at most the
-        smaller of the two counts."""
+        """This polynomial times 1/(z_vi - c z_vj), c = a q^s given as x =
+        (a, s), expanded where ``dominant`` is the larger variable and
+        restricted to ``box`` = {vi: (lo, hi), vj: (lo, hi)}: with z_vj
+        dominant, the walk of -c^-1 / (z_vj - c^-1 z_vi)."""
         if vi == vj or dominant not in (vi, vj):
             raise ValueError("binomial inverse needs two distinct variables, one dominant")
-        (b, sigma), sign, o = x, 1, 0
-        if dominant == vj:  # 1/(z_vi - c z_vj) = -(1/c) / (z_vj - (1/c) z_vi)
-            vi, vj, b, sigma, sign, o = vj, vi, Fraction(1) / b, -sigma, -1, 1
-        (dlo, dhi), (ulo, uhi) = box[vi], box[vj]
-        f = self.with_vars((vi, vj))
-        # the new exponents of z_d and z_u lie in the box
-        E = max(f.E, abs(dlo), abs(dhi), abs(ulo), abs(uhi))
+        if dominant == vi:
+            return self._walk(vi, vj, x, box)
+        return self._walk(vj, vi, (x[0] if x[0] * x[0] == 1 else 1 / Fraction(x[0]), -x[1]), box, 1)
+
+    def _walk(self, vi: VarId, vj: VarId, x: tuple, box, o: int = 0) -> MultiLaurent:
+        """(-c)^o F / (z_vi - c z_vj), F this polynomial and c = a q^s given
+        as x = (a, s), expanded with z_vi the larger variable: on each line
+        of F (one monomial in the other variables, one degree L in X = z_vi
+        and Y = z_vj, f_k the coefficient of X^k Y^(L - k)) it puts G_k =
+        sum_(i >= k) c^(i - k) f_i on X^(k - 1) Y^(L - k), walked down from
+        the top as G <- f_k + c G.  With ``box`` None a walk ends at its
+        line's foot, its lowest term: the G above it are the quotient, and
+        F(z_vi = c z_vj) sums the foot's G times distinct monomials, so the
+        binomial divides F iff all are 0 (NotDivisible otherwise).  With
+        ``box`` = {vi: (lo, hi), vj: (lo, hi)} it keeps the G in the box and
+        goes on below the foot; the other exponents pass through.
+
+        Over ints, with a = p / r, g <- (f r^N + p q^s g) / r is r^(N - 1) G:
+        N is the most steps a foot lies below its top, or one more than a
+        kept G does, plus o, for which -p r^(N - 1) q^s replaces r^N.  Each
+        q^s is a shift; with s < 0 the values sit as many shifts low as the
+        longest walk takes, so none drops a digit.  A digit sums at most one
+        term per power of X in F, and at most N + 1, each times at most
+        max(|p|, r)^N: that is the room."""
+        if vi == vj:
+            raise ValueError("binomial needs two distinct variables")
+        (a, s), f = x, self.with_vars((vi, vj))
+        E = f.E if box is None else max(f.E, *map(abs, box[vi] + box[vj]))  # new exponents lie in the box
         f = f._keyed(E)
         nv, F = len(f.vars), f.F
         M, B = (1 << F) - 1, 1 << F - 2
-        sd, su = F * (nv - 1 - f.vars.index(vi)), F * (nv - 1 - f.vars.index(vj))
-        # over biased fields: t >= e_d - dtop, t <= e_d - dlow, t >= ulow - e_u
-        # and t <= utop - e_u
-        dtop, dlow, ulow, utop = B + 1 + dhi, B + 1 + dlo, B + ulo, B + uhi
-        rows, eds = [], set()
+        si, sj = F * (nv - 1 - f.vars.index(vi)), F * (nv - 1 - f.vars.index(vj))
+        # a line's key is its point at X^0 over biased fields, where X^k Y^(y0 - k)
+        # steps to X^(k - 1) Y^(y0 - k + 1); its top and foot are its terms' extreme k
+        step, tops, feet, xs = (1 << sj) - (1 << si), {}, {}, set()
         for key in f.terms:
-            ed, eu = key >> sd & M, key >> su & M
-            t0, t1 = max(0, ed - dtop, ulow - eu), min(ed - dlow, utop - eu)
-            if t0 <= t1:
-                rows.append((key, t0, t1))
-                eds.add(ed)
-        if not rows:
-            return MultiLaurent.zero(f.vars)
-        tl, th = min(map(itemgetter(1), rows)), max(map(itemgetter(2), rows))
-        p, r, N, unit = b.numerator, b.denominator, th + o, b == 1
-        mult = min(th - tl + 1, len(eds)) * max(abs(p), r) ** N
-        f = f._room(mult)
-        K, terms, out = f.K, f.terms, {}
-        get = out.get
-        low = min(sigma * tl, sigma * th)
-        shifts = [K * (sigma * t - low) for t in range(th + 1)]
-        cs = None if unit else [sign * p ** (t + o) * r ** (N - t - o) for t in range(th + 1)]
-        first, step = 1 << sd, (1 << su) - (1 << sd)
-        for key, t0, t1 in rows:
-            V = -terms[key] if unit and sign < 0 else terms[key]
-            key += t0 * step - first
-            for t in range(t0, t1 + 1):
-                X = (V if unit else V * cs[t]) << shifts[t]
-                old = get(key)  # a first term is stored, not added to 0
-                if old is not None:
-                    X += old
-                if X:
-                    out[key] = X
+            k = key >> si & M
+            line = key + k * step
+            xs.add(k)
+            if tops.get(line, -1) < k:
+                tops[line] = k
+            if box is None and feet.get(line, M) > k:
+                feet[line] = k
+        # each line walks from its top hi down to lo, keeping G_k up to top
+        if box is not None:  # G_k lands on X^(k - 1) Y^(y0 - k)
+            xlo, xhi, ylo, yhi = box[vi][0] + 1 + B, box[vi][1] + 1 + B, box[vj][1] + B, box[vj][0] + B
+        plan = []
+        for line, hi in tops.items():
+            if box is None:
+                lo, top = feet[line], hi
+            else:
+                y0 = line >> sj & M
+                lo, top = y0 - ylo, y0 - yhi
+                if lo < xlo:
+                    lo = xlo
+                if top > xhi:
+                    top = xhi
+                if lo > top or lo > hi:
+                    continue
+            plan.append((line, hi, lo, top))
+        if not plan:  # a zero quotient keeps its registry
+            return self if box is None else MultiLaurent.zero(f.vars)
+        # the longest walk takes n shifts; the foot's G is no quotient digit
+        n = max([hi - lo for _, hi, lo, _ in plan])
+        N = n + (o + 1 if box else 0)
+        p, r = a.numerator, a.denominator
+        mult = min(len(xs), N + 1) * max(abs(p), r) ** N
+        if f._room(mult) is not f:
+            return f._room(mult)._walk(vi, vj, x, box, o)
+        K, R, unit = f.K, p * r ** (N - 1) if o else r**N, p == r == 1
+        up, down = (K * s, 0) if s > 0 else (0, -K * s)
+        pre, first, out, get = down * n, 1 << si, {}, f.terms.get
+        for line, hi, lo, top in plan:
+            g, key = 0, line - hi * step
+            for k in range(hi, lo - 1, -1):
+                if unit:
+                    g = h = (get(key, 0) << pre) + (g << up >> down)
                 else:
-                    del out[key]
+                    h = (get(key, 0) * R << pre) + p * (g << up >> down)
+                    g = h // r
+                if g and k <= top:  # o = 1 takes the sign of -p r^(N - 1) here
+                    out[key - first] = -g if o else g
                 key += step
-        return MultiLaurent._raw(f.vars, out, K, f.qlo + sigma * o + low, f.bound * mult, f.den * r**N, F, E)
+            if box is None and h:  # r^N times the remainder
+                raise NotDivisible(vi, vj, a, s)
+        qlo = f.qlo + s * o + (s * n if s < 0 else 0)
+        return MultiLaurent._raw(f.vars, out, K, qlo, f.bound * mult, f.den * r ** (N - 1), F, E)
 
     # ---------- substitution and relabeling ----------
 
@@ -1069,45 +1093,8 @@ class MultiLaurent:
         return self._exact_div_binomial(vi, vj, a, s)
 
     def _exact_div_binomial(self, vi: VarId, vj: VarId, a, s: int) -> MultiLaurent:
-        """``exact_div_binomial`` for c = a q^s.
-
-        With x = z_vi and y = z_vj, F is sum_i f_i x^i y^(L - i) on each of
-        its lines (one monomial in the other variables, one degree L in x and
-        y), and its quotient sum_i g_i x^(i - 1) y^(L - i) has f_i = g_i - c
-        g_(i + 1): walked down a line, g <- f_i + c g gives the quotient and
-        ends on the remainder.  F(z_vi = c z_vj) sums the remainders times
-        distinct monomials, so the binomial divides F iff all are 0."""
-        if vi == vj:
-            raise ValueError("binomial needs two distinct variables")
-        if self.is_zero():
-            return self
-        f = self.with_vars((vi, vj))
-        n, M = len(f.vars), (1 << f.F) - 1
-        si, sj = f.F * (n - 1 - f.vars.index(vi)), f.F * (n - 1 - f.vars.index(vj))
-        xs, ys = [key >> si & M for key in f.terms], [key >> sj & M for key in f.terms]
-        b, top, p, r = min(xs), max(xs) - min(xs), a.numerator, a.denominator
-        # the room: a quotient digit sums at most one term per point of its
-        # line, each times a^t = p^t / r^t, t < top, over the denominator
-        # r^(top - 1), and r times the remainder one power more
-        mult = min(top + 1, max(ys) - min(ys) + 1) * max(abs(p), r) ** top
-        f = f._room(mult)
-        K, lo = f.K, min(0, s * top)  # values at qlo + lo: top shifts by q^s stay exact
-        up, down, scale, shift = K * max(s, 0), K * max(-s, 0), r**top, -K * lo
-        # a line's key is its point at x^b; x^i y^j steps to x^(i - 1) y^(j + 1)
-        step, lines, out = (1 << sj) - (1 << si), {}, {}
-        for key, V, x in zip(f.terms, f.terms.values(), xs):
-            lines.setdefault(key + (x - b) * step, {})[x - b] = V * scale << shift
-        for line, at in lines.items():
-            hi, foot, g = max(at), min(at), 0
-            key = line - (hi - 1) * step - (1 << sj)  # the quotient's x^(b + hi - 1)
-            for i in range(hi, foot, -1):  # the bracket is r times the int (f_i + c g) r^(top - 1)
-                g = (at.get(i, 0) + p * (g << up >> down)) // r
-                if g:
-                    out[key] = g
-                key += step
-            if at[foot] + p * (g << up >> down):
-                raise NotDivisible(vi, vj, a, s)
-        return MultiLaurent._raw(f.vars, out, K, f.qlo + lo, f.bound * mult, f.den * r ** (top - 1), f.F, f.E)
+        """``exact_div_binomial`` for c = a q^s: the walk to each line's foot."""
+        return self._walk(vi, vj, (a, s), None)
 
     def divided_difference(self, vi: VarId, vj: VarId) -> MultiLaurent:
         """The divided difference (F - s F) / (z_vi - z_vj), s swapping the

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .poly import MultiLaurent, NotDivisible, VarId
-from .qring import RQ_ONE, LaurentQ, RatQ, _q_monomial, coefficient
+from .qring import RQ_ONE, LaurentQ, RatQ, _q_monomial, coefficient, int_exponent
 
 
 
@@ -42,7 +42,14 @@ class BinomialFactor(namedtuple("BinomialFactor", "i j s a")):
 
     @classmethod
     def from_parts(cls, i: VarId, j: VarId, s: int, a=1):
-        """The factor z_i - a q^s z_j, a a nonzero int or Fraction."""
+        """The factor z_i - a q^s z_j, a a nonzero int or Fraction and s an
+        int, else the error ``BinomialFactor(i, j, c)`` raises."""
+        if type(a) is not int:
+            a = coefficient(a)
+        if not a:
+            raise ValueError("binomial scalar must be a nonzero q-monomial")
+        if type(s) is not int:
+            int_exponent(s, "binomial q-exponent")
         if i == j:
             raise ValueError("binomial needs two distinct variables")
         if i > j:

@@ -158,6 +158,25 @@ def test_m_validation():
         term_value(1, 3, (1, 2))
 
 
+def test_entry_points_refuse_m_below_one_and_non_permutations():
+    # m = 0 once returned a report with both readings matched, and m = -1
+    # failed on unpacking; a short sigma once built a one-variable summand
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            window_identity_report(m, Window(-2, 2))
+        with pytest.raises(ValueError):
+            term_value(m, 0, ())
+    for sigma in ((1,), (1, 3), (1, 1), (2, 2), (0, 1), (1, 2, 3), (1.0, 2)):
+        with pytest.raises(ValueError):
+            term_value(1, 0, sigma)
+    with pytest.raises(ValueError):
+        term_value(2, 1, (3, 1, 1))
+    # any order of 1..m+1, given as any iterable, is a summand
+    for sigma in permutations((1, 2, 3)):
+        assert term_value(2, 1, iter(sigma)) == term_value(2, 1, list(sigma))
+    assert window_identity_report(1, Window(-2, 2))["matched"] == ["qminus"]
+
+
 def test_partial_fractions_hold():
     assert partial_fraction_check()
 

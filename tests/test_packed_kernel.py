@@ -297,9 +297,10 @@ def test_a_narrow_packing_is_widened(monkeypatch):
 def near_room_polys(rng, vi, vj, a, s):
     """A divisor z_vi - a q^s z_vj's test inputs at 8-bit digits: for top
     = 1, 2, a polynomial whose z_vi-exponents span top and whose digits D
-    put D (top + 1) max(|p|, r)^top, the division's room, just below 64
-    where it can, and a multiple of the divisor of the same span whose
-    cofactor's digits are D / (|p| + r)."""
+    put D (top + 1) max(|p|, r)^top, the walk's room when the polynomial
+    has every power of z_vi in the span, just below 64 where it can, and a
+    multiple of the divisor of the same span whose cofactor's digits are D
+    / (|p| + r)."""
     p, r = Fraction(a).numerator, Fraction(a).denominator
     others = [v for v in DIFF_VARS[:3] if v not in (vi, vj)]
     vs = (vi, vj, *others)
@@ -322,10 +323,12 @@ def near_room_polys(rng, vi, vj, a, s):
 
 
 def test_exact_division_takes_its_room_at_narrow_digits(monkeypatch):
-    # 8-bit q-digits hold coefficients below 64.  Dividing by z1 - (p / r)
-    # q^s z2 sums up to min(top + 1, span) terms on a digit, each times at
-    # most max(|p|, r)^(top - 1) over r^(top - 1), and the remainder, times
-    # r, one power more; with s < 0 the values sit top shifts by q^s low
+    # 8-bit q-digits hold coefficients below 64.  The walk dividing by z1 -
+    # (p / r) q^s z2 sums at most one term per power of z1 on a digit, and
+    # at most N + 1, N the most steps a foot lies below its line's top,
+    # each times at most max(|p|, r)^N before the division by r (the
+    # quotient over r^(N - 1), the remainder times r^N); with s < 0 the
+    # values sit N shifts by q^s low
     monkeypatch.setattr(poly, "_K_START", 8)
     rng = random.Random(2501)
     z1, z2 = DIFF_VARS[:2]
@@ -605,6 +608,9 @@ def test_geometric_steps_match_the_product_then_the_box():
         inputs.append(MultiLaurent(vs, terms))
     # a third variable's exponent beyond every bound the box sets
     inputs.append(inputs[0] + MultiLaurent((z1, z2, z3), {(0, 1, 13): RatQ.q_power(1, 2)}))
+    # one sparse line, whose walk carries a nonzero sum through every
+    # position above the boxes that keep only its bottom
+    inputs.append(MultiLaurent((z1, z2), {(12, 0): 1, (0, 12): LaurentQ({-1: Fraction(2, 3), 2: -1})}))
     empty = 0
     for a in (1, -1, Fraction(2, 3), Fraction(-5, 2)):
         for s in (-2, 0, 3):
@@ -625,12 +631,45 @@ def test_geometric_steps_match_the_product_then_the_box():
     assert empty >= 4 * 3 * 2 * 2 * 4
 
 
+def test_the_step_and_the_division_undo_the_binomial():
+    # F (z_i - c z_j) expanded over z_i - c z_j, either variable dominant,
+    # and restricted to F's box on z_i and z_j, is F, and so is its exact
+    # quotient: the walk past each line's foot and the walk to it agree, for
+    # int, Fraction and Laurent coefficients, registries of two and three
+    # variables, every sign of s and a unit, negative or Fraction a
+    rng = random.Random(2901)
+    z1, z2, z3 = DIFF_VARS[:3]
+    pools = {
+        "int": lambda: rng.choice([-3, -1, 1, 2, 5]),
+        "Fraction": lambda: Fraction(rng.choice([-3, -1, 1, 4]), rng.choice([1, 2, 3, 7])),
+        "LaurentQ": lambda: LaurentQ({rng.randint(-2, 2): rng.choice([-2, 1, 3]), 3: Fraction(1, 2)}),
+    }
+    inputs = [
+        MultiLaurent(vs, {tuple(rng.randint(-3, 3) for _ in vs): scalar() for _ in range(6)})
+        for vs in ((z1, z2), (z1, z2, z3))
+        for scalar in pools.values()
+    ]
+    for a in (1, -1, Fraction(2, 3), Fraction(-5, 2)):
+        for s in (-2, 0, 3):
+            c = RatQ.q_power(s, a)
+            for vi, vj in ((z1, z2), (z2, z1)):
+                for f in inputs:
+                    g = f.mul_binomial(1, vi, -c, vj)
+                    box = {v: f.exp_range(v) for v in (vi, vj)}
+                    for dom in (vi, vj):
+                        assert_decodes_to(g._geometric_step(vi, vj, (a, s), dom, box), from_packed(f))
+                    assert_decodes_to(g._exact_div_binomial(vi, vj, a, s), from_packed(f))
+
+
 def test_geometric_steps_take_their_room_at_narrow_digits(monkeypatch):
-    # 8-bit q-digits hold coefficients below 64.  A step sums up to one term
-    # per t on a digit, each times at most max(|p|, r)^(t + o): on the line
-    # (k, -k), k = 0..3, with s = 0 and the wide box, four terms meet on
-    # one digit, so digits of 20 stay at K = 8 only on a box that the top
-    # dominant exponent alone reaches, at t = 0, and a unit only
+    # 8-bit q-digits hold coefficients below 64.  A step's walk sums at most
+    # one term per power of the dominant variable on a digit, and at most
+    # N + 1, N one more than the most steps a kept sum lies below its line's
+    # top (two more with z2 dominant), each times at most max(|p|, r)^N: on
+    # the line (k, -k), k = 0..3, with s = 0 and the wide box, four terms
+    # meet on one digit, so digits of 20 stay at K = 8 only on a box that
+    # only the first sum of the top dominant exponent reaches, and a unit
+    # only
     monkeypatch.setattr(poly, "_K_START", 8)
     rng = random.Random(2703)
     z1, z2 = DIFF_VARS[:2]

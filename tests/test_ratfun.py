@@ -47,6 +47,33 @@ def test_factor_takes_every_scalar_type():
             BinomialFactor(Z1, Z2, bad)
 
 
+def test_factor_from_parts_refuses_malformed_parts():
+    # the errors BinomialFactor(i, j, c) raises for the same scalar; a zero
+    # scalar once built z1 - 0 z2, which no numerator reduced against
+    for s, a in ((0, 0), (2, Fraction(0))):
+        with pytest.raises(ValueError):
+            BinomialFactor(Z1, Z2, qp(s, a))
+        with pytest.raises(ValueError):
+            BinomialFactor.from_parts(Z1, Z2, s, a)
+    for bad in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            BinomialFactor(Z1, Z2, bad)
+        with pytest.raises(TypeError):
+            BinomialFactor.from_parts(Z1, Z2, 0, bad)
+    for s in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError):
+            BinomialFactor.from_parts(Z1, Z2, s)
+    # well-formed parts build the factor BinomialFactor(i, j, c) builds
+    for s, a in ((0, 1), (-3, -2), (2, Fraction(2, 3)), (1, Fraction(4, 2))):
+        f = BinomialFactor.from_parts(Z1, Z2, s, a)
+        assert f == BinomialFactor(Z1, Z2, qp(s, a)) and str(f) == str(BinomialFactor(Z1, Z2, qp(s, a)))
+        assert type(f.a) is type(BinomialFactor(Z1, Z2, qp(s, a)).a)
+    # the factor the zero scalar built, as a denominator and expanded
+    num = MultiLaurent.var_power(Z1, 3)
+    with pytest.raises(ValueError):
+        RatFun(num, {BinomialFactor.from_parts(Z1, Z2, 0, 0): 1})
+
+
 def test_factor_canonicalization():
     f, unit = BinomialFactor.make(1, Z1, qp(2), Z2)
     assert (f.i, f.j, f.c) == (Z1, Z2, qp(2))
