@@ -35,11 +35,11 @@ class UsageError(Exception):
     pass
 
 
-# build_pole_sum(6) takes 16-17 s and about 750-762 MB per orientation, so
-# --m 6 would run about 33 s where --m 5 runs under 1 s (README has the times)
+# build_pole_sum(6) takes 16-21 s and about 750-763 MB per orientation, so
+# --m 6 would run about 33-42 s where --m 5 runs under 1 s (README has the times)
 IDENTITIES_MAX_M = 5
 # the widest --window (hi - lo) per m: under 30 s on symmetric windows and on
-# windows ending at 0, the dearest m = 5 on -4:0 at 0.8 s (README has the times)
+# windows ending at 0, the dearest m = 5 on -4:0 at 0.4 s (README has the times)
 IDENTITIES_MAX_WINDOW = {1: 150, 2: 40, 3: 14, 4: 6, 5: 4}
 
 

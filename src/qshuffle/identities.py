@@ -117,7 +117,7 @@ def term_value(m: int, k: int, sigma, q_inverted: bool = False) -> RatFun:
     are q^(+-m) and q^(+-2) with m >= 1.  ValueError unless m >= 1, sigma
     orders 1..m+1 and 0 <= k <= m+1."""
     sigma = tuple(sigma)
-    if m < 1 or not 0 <= k <= m + 1 or sorted(sigma) != [*range(1, m + 2)] or {*map(type, sigma)} != {int}:
+    if m < 1 or not 0 <= k <= m + 1 or {*map(type, sigma)} != {int} or sorted(sigma) != [*range(1, m + 2)]:
         raise ValueError("the summand needs m >= 1, k from 0 to m+1 and sigma a permutation of 1..m+1")
     e = -1 if q_inverted else 1
     rel = [_zs(m)[s - 1] for s in sigma]

@@ -928,8 +928,7 @@ class MultiLaurent:
         N = n + (o + 1 if box else 0)
         p, r = a.numerator, a.denominator
         mult = min(len(xs), N + 1) * max(abs(p), r) ** N
-        if f._room(mult) is not f:
-            return f._room(mult)._walk(vi, vj, x, box, o)
+        f = f._room(mult)  # keys, qlo and den stay, so the plan holds
         K, R, unit = f.K, p * r ** (N - 1) if o else r**N, p == r == 1
         up, down = (K * s, 0) if s > 0 else (0, -K * s)
         pre, first, out, get = down * n, 1 << si, {}, f.terms.get

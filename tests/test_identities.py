@@ -166,7 +166,7 @@ def test_entry_points_refuse_m_below_one_and_non_permutations():
             window_identity_report(m, Window(-2, 2))
         with pytest.raises(ValueError):
             term_value(m, 0, ())
-    for sigma in ((1,), (1, 3), (1, 1), (2, 2), (0, 1), (1, 2, 3), (1.0, 2)):
+    for sigma in ((1,), (1, 3), (1, 1), (2, 2), (0, 1), (1, 2, 3), (1.0, 2), ("a", 1)):
         with pytest.raises(ValueError):
             term_value(1, 0, sigma)
     with pytest.raises(ValueError):
