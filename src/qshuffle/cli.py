@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         if args.command == "product":
             report, code = cmd_product(alg, args.word)
         elif args.command == "serre":
-            modes = [int(x) for x in args.modes.split(",") if x.strip() != ""]
+            modes = [int(x) for x in args.modes.split(",")]  # an empty entry is an error
             report, code = cmd_serre(alg, args.alpha, args.beta, modes, args.s)
         elif args.command == "wheel":
             report, code = cmd_wheel(alg, args.word)

@@ -226,7 +226,7 @@ def _pf_side(terms, poles, scalar=None):
     t, vj), as an unreduced (numerator, {factor: multiplicity}) pair: the
     poles' unit sign q^shift is divided into each (a, s)."""
     den, sign, shift = _poles(poles)
-    num = MultiLaurent._q_monomials(tuple(_zs(1)), {x: (a * sign, s - shift) for x, (a, s) in terms.items()})
+    num = MultiLaurent._q_terms(tuple(_zs(1)), {x: {s - shift: a * sign} for x, (a, s) in terms.items()})
     return (num if scalar is None else num.scale(scalar)), den
 
 

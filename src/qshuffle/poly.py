@@ -109,7 +109,7 @@ from itertools import chain, compress, count, permutations
 from math import factorial, lcm, prod
 from operator import add, lshift, or_
 
-from .qring import LaurentQ, _q_monomial, _qterms, coefficient, int_exponent
+from .qring import LaurentQ, _power, _q_monomial, _qterms, coefficient, int_exponent
 
 # bits per q-digit and per key field of a new polynomial; wider packings
 # are powers of two
@@ -146,11 +146,14 @@ class VarId(namedtuple("VarId", "aux color index")):
     __slots__ = ()
 
     def __new__(cls, color: int, index: int, aux: str = ""):
+        # exactly int, so neither a float nor a bool names a variable
+        if type(color) is not int or type(index) is not int or index < 1:
+            raise ValueError("color and index are ints, the index 1-based positive")
         if aux:
             if color != 0:
                 raise ValueError("auxiliary variables must have color 0")
-        elif color < 1 or index < 1:
-            raise ValueError("color and index are 1-based positive")
+        elif color < 1:
+            raise ValueError("color is 1-based positive")
         return super().__new__(cls, aux, color, index)
 
     def __getnewargs__(self):
@@ -263,22 +266,28 @@ def _wide(x: int, start: int) -> int:
 
 def _encode(qts: dict):
     """(terms, K, qlo, bound, den, F, E) of {z-exponent tuple: q-term
-    dict}, no dict empty."""
+    dict}, no dict empty: one pass over the q-terms finds the lowest q
+    power, the largest |coefficient| and the common denominator, and one
+    over the monomials packs each key with its value."""
     if not qts:
         return {}, _K_START, 0, 0, 1, _F_START, 0
     E = max(map(abs, chain.from_iterable(qts)), default=0)
-    F = _wide(E, _F_START)
-    if len(qts) == 1:  # one monomial, often with one small int digit
-        ((exps, qt),) = qts.items()
-        if len(qt) == 1:
-            ((s, a),) = qt.items()
-            if type(a) is int and not abs(a) >> (_K_START - 2):
-                return {_key(exps, F): a}, _K_START, s, abs(a), 1, F, E
-    den, ints = _ints(list(qts.values()))
-    lo = min([min(qt) for qt in ints])
-    bound = max([abs(a) for qt in ints for a in qt.values()])
-    K = _wide(bound, _K_START)
-    return {_key(exps, F): _pack(qt, lo, K) for exps, qt in zip(qts, ints)}, K, lo, bound, den, F, E
+    lo, top, den = None, 0, 1
+    for qt in qts.values():
+        for s, a in qt.items():
+            if lo is None or s < lo:
+                lo = s
+            if type(a) is not int:
+                den = lcm(den, a.denominator)
+            if abs(a) > top:
+                top = abs(a)
+    bound = int(top * den)  # the largest |digit|
+    K, F, terms = _wide(bound, _K_START), _wide(E, _F_START), {}
+    for exps, qt in qts.items():
+        if den != 1:
+            qt = {s: int(a * den) for s, a in qt.items()}
+        terms[_key(exps, F)] = _pack(qt, lo, K)
+    return terms, K, lo, bound, den, F, E
 
 
 def _width(values, K: int) -> int:
@@ -588,28 +597,6 @@ class MultiLaurent:
         return cls(vs, {tuple(exps[v] for v in vs): c})
 
     @classmethod
-    def binomial_inverse(cls, vi: VarId, vj: VarId, c, n: int, dominant: VarId) -> MultiLaurent:
-        """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
-        where ``dominant`` is the larger variable: sum(c^t z_vi^(-1-t) z_vj^t)
-        for vi, -sum(c^(-1-t) z_vj^(-1-t) z_vi^t) for vj, over t <= n: the
-        geometric step applied to 1 on the box that holds exactly these terms."""
-        box = {dominant: (-1 - n, -1), (vj if dominant == vi else vi): (0, n)}
-        return cls.constant(1)._geometric_step(vi, vj, _q_monomial(c, "binomial scalar"), dominant, box)
-
-    @classmethod
-    def _q_monomials(cls, vs: tuple[VarId, ...], terms: dict) -> MultiLaurent:
-        """Trusted constructor of sum a q^s z^exps over the items exps: (a, s)
-        of terms, over the sorted registry vs, every a a nonzero int: each
-        value is one shifted int, so no q-term dict is built or packed."""
-        if not terms:
-            return cls.zero(vs)
-        E = max(map(abs, chain.from_iterable(terms)), default=0)
-        bound = max([abs(a) for a, _ in terms.values()])
-        K, F, lo = _wide(bound, _K_START), _wide(E, _F_START), min([s for _, s in terms.values()])
-        packed = {_key(exps, F): a << K * (s - lo) for exps, (a, s) in terms.items()}
-        return cls._raw(vs, packed, K, lo, bound, 1, F, E)
-
-    @classmethod
     def _q_terms(cls, vs: tuple[VarId, ...], qts: dict) -> MultiLaurent:
         """Trusted constructor of the polynomial with the q-terms {s: c} at
         each z-exponent tuple of qts, over the sorted registry vs, every c
@@ -682,7 +669,7 @@ class MultiLaurent:
 
     def coeff(self, exps) -> LaurentQ:
         """The q-coefficient of the monomial with these variable exponents."""
-        exps = tuple(exps)
+        exps = tuple(map(int_exponent, exps))
         # a monomial outside the fields is not stored
         if len(exps) != len(self.vars) or any(abs(e) > self.E for e in exps):
             return LaurentQ()
@@ -816,14 +803,7 @@ class MultiLaurent:
     def __pow__(self, n: int) -> MultiLaurent:
         if n < 0:
             raise ValueError("negative power of a MultiLaurent")
-        out = MultiLaurent.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, MultiLaurent.constant(1, self.vars))
 
     def var_shift(self, v: VarId, delta: int, c=None) -> MultiLaurent:
         """Multiply by c * v^delta (c defaults to 1)."""

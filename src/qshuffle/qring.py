@@ -48,6 +48,18 @@ def int_exponent(e, what="exponent") -> int:
     raise ValueError(f"{what} {e!r} is not an integer")
 
 
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, one the unit of base's
+    ring: the loop every ``__pow__`` of the library runs."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 _ONE_TERMS = {0: 1}
 
 
@@ -158,14 +170,7 @@ class LaurentQ:
     def __pow__(self, n: int) -> LaurentQ:
         if n < 0:
             raise ValueError("negative power of a LaurentQ; use RatQ")
-        out = LaurentQ.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentQ.one())
 
     # ---------- q-symmetries ----------
 
@@ -454,14 +459,7 @@ class RatQ:
     def __pow__(self, n: int) -> RatQ:
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatQ.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatQ.one())
 
     # ---------- q-symmetries ----------
 

@@ -172,14 +172,11 @@ class RatFun:
             except TypeError:
                 return NotImplemented
         other = _as_ratfun(other)
-        # both operands are reduced and distinct binomials are coprime
-        # primes, so a factor can only cancel against the other operand's
-        # numerator (the rule of fractions.Fraction)
-        num, oden = _reduce(self.num, other.den)
-        onum, den = _reduce(other.num, self.den)
-        for f, m in oden.items():
+        # the product over both denominators, reduced once
+        den = dict(self.den)
+        for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
-        return RatFun(num * onum, den, _reduced=True)
+        return RatFun(self.num * other.num, den)
 
     __rmul__ = __mul__
 

@@ -13,7 +13,7 @@ from qshuffle import poly
 from qshuffle.formal import Window, delta_series, series_mul
 from qshuffle.identities import W, _lhs_poly, _zs
 from qshuffle.poly import MultiLaurent, zvar
-from qshuffle.qring import LaurentQ, RatQ
+from qshuffle.qring import LaurentQ, RatQ, _q_monomial
 from qshuffle.ratfun import BinomialFactor, RatFun
 
 
@@ -60,6 +60,14 @@ def coefficients(p) -> dict:
     return {key: RatQ(p.coeff(key)) for key in p.exponents()}
 
 
+def series_head(vi, vj, c, n, dominant) -> MultiLaurent:
+    """The first n + 1 terms of 1/(z_vi - c z_vj), c a q-monomial, expanded
+    where ``dominant`` is the larger variable: the geometric step applied
+    to 1 on the box that holds exactly these terms."""
+    box = {dominant: (-1 - n, -1), (vj if dominant == vi else vi): (0, n)}
+    return MultiLaurent.constant(1)._geometric_step(vi, vj, _q_monomial(c, "binomial scalar"), dominant, box)
+
+
 def exact_bound(terms: dict, K: int) -> int:
     """The largest |digit| of packed values at K bits a digit, read digit
     by digit: the reference for the kernel's bound certificate."""
@@ -88,7 +96,7 @@ def unfolded_rhs_polys(m, window, q_inverted=False):
             terms[(*ez, -i - 1, ew)] = p
     vs = (*_zs(m), W)  # the registry order z_1..z_(m+1), w: e_w comes last
     for reading, c in (("qminus", e * m), ("qplus", -e * m)):
-        yield reading, MultiLaurent._q_monomials(vs, {x: (1, p + c * (x[-1] + 1)) for x, p in terms.items()})
+        yield reading, MultiLaurent._q_terms(vs, {x: {p + c * (x[-1] + 1): 1} for x, p in terms.items()})
 
 
 def laurent_delta_chain(m, window, reading, q_inverted=False):

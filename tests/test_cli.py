@@ -70,6 +70,9 @@ def test_parse_errors_exit_two(capsys):
     assert main(["product", "--cartan", "Z9", "a1:0"]) == 2
     assert main(["identities", "--m", "0"]) == 2
     assert main(["serre", "--alpha", "1", "--beta", "1", "--modes", "0,0", "--s", "0"]) == 2
+    # an empty mode entry is an error, not a dropped mode
+    for modes in ("0,,0", "0,0,"):
+        assert main(["serre", "--alpha", "1", "--beta", "2", "--modes", modes, "--s", "0"]) == 2
     assert main(["identities", "--m", "1", "--window", "6"]) == 2
 
 

@@ -342,7 +342,6 @@ def test_window_expansions_form_no_product(monkeypatch):
 
     want = {m: _lhs_poly(m, Window(-3, 3), False) for m in (1, 2)}
     monkeypatch.setattr(MultiLaurent, "__mul__", refuse)
-    monkeypatch.setattr(MultiLaurent, "binomial_inverse", refuse)
     monkeypatch.setattr(MultiLaurent, "within", counted_within)
     monkeypatch.setattr(MultiLaurent, "_geometric_step", counted_step)
     for m in (1, 2):

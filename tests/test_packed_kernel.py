@@ -26,7 +26,7 @@ from qshuffle.poly import MultiLaurent, NotDivisible, aux_var, grassmannian_step
 from qshuffle.qring import LaurentQ, RatQ
 from qshuffle.shuffle import ShuffleAlgebra
 
-from helpers import exact_bound
+from helpers import exact_bound, series_head
 from test_poly import DIFF_VARS, random_scalar
 from test_scalars import laurent_pool
 from tuple_kernel import MultiLaurent as Reference
@@ -103,6 +103,31 @@ def test_pool_operations_match_the_tuple_kernel():
             assert_decodes_to(f - g, rf - rg)
             assert_decodes_to(f * g, rf * rg)
             assert (f == g) == (rf == rg)
+
+
+@pytest.mark.parametrize(
+    "vs, qts, frame",
+    [
+        # the lowest q power in a later monomial sets qlo
+        (DIFF_VARS[:2], {(1, 0): {2: 3, 4: -1}, (0, 1): {-3: 5}}, (16, 16, -3, 1)),
+        # Fraction coefficients over one common denominator, 12
+        (DIFF_VARS[:2], {(1, 0): {0: Fraction(1, 6)}, (0, 2): {1: Fraction(-3, 4), 2: 2}}, (16, 16, 0, 12)),
+        # a digit of 2^14 needs K = 32, an exponent of 2^14 F = 32
+        (DIFF_VARS[:2], {(0, 0): {0: 1 << 14}, (1, 1): {1: -1}}, (32, 16, 0, 1)),
+        (DIFF_VARS[:2], {(1 << 14, -1): {0: 1}, (0, 3): {2: 7}}, (16, 32, 0, 1)),
+        # the empty registry, and a lone negative digit
+        ((), {(): {5: Fraction(2, 3), -1: 7}}, (16, 16, -1, 3)),
+        (DIFF_VARS[:2], {(2, -1): {3: -5}}, (16, 16, 3, 1)),
+    ],
+)
+def test_the_encoder_at_its_edges(vs, qts, frame):
+    # q-term dicts packed by _q_terms and scalars packed by the
+    # constructor give one packing, and decode to the tuple kernel's terms
+    scalars = {exps: LaurentQ(qt) for exps, qt in qts.items()}
+    want = Reference(vs, scalars)
+    for got in (MultiLaurent._q_terms(vs, qts), MultiLaurent(vs, scalars)):
+        assert_decodes_to(got, want)
+        assert (got.K, got.F, got.qlo, got.den) == frame
 
 
 def test_laurent_pool_products_match_the_tuple_kernel():
@@ -565,7 +590,7 @@ def test_unit_binomial_inverses_match_the_tuple_kernel():
         for c in (RatQ.q_power(s, a) for s in (-3, 0, 2, 5) for a in (1, -1)):
             for n in (0, 1, 6, 40):
                 for dom in (vi, vj):
-                    got = MultiLaurent.binomial_inverse(vi, vj, c, n, dom)
+                    got = series_head(vi, vj, c, n, dom)
                     assert_decodes_to(got, Reference.binomial_inverse(vi, vj, c, n, dom))
 
 
@@ -594,12 +619,12 @@ def step_boxes(dom, sub):
 
 
 def test_geometric_steps_match_the_product_then_the_box():
-    # the pruned step against binomial_inverse times the polynomial, then
-    # within on the step's two variables: both orientations and variable
-    # orders, s < 0, s = 0 and s > 0, a = +-1 and Fraction a, boxes cutting
-    # each side, and empty results, on inputs with Laurent coefficients,
-    # with registries the step has to extend, and with a third variable,
-    # whose exponents pass through untouched
+    # the pruned step against the tuple kernel's series times the
+    # polynomial, then within on the step's two variables: both orientations
+    # and variable orders, s < 0, s = 0 and s > 0, a = +-1 and Fraction a,
+    # boxes cutting each side, and empty results, on inputs with Laurent
+    # coefficients, with registries the step has to extend, and with a third
+    # variable, whose exponents pass through untouched
     rng = random.Random(2701)
     z1, z2, z3 = DIFF_VARS[:3]
     inputs = []

@@ -12,7 +12,7 @@ from qshuffle.qring import LaurentQ, RatQ, coefficient
 from qshuffle.ratfun import RatFun
 from qshuffle.shuffle import ClosureViolation, ShuffleAlgebra, parse_word
 
-from helpers import random_fraction, random_laurent, random_q_monomial, random_q_point
+from helpers import random_fraction, random_laurent, random_q_monomial, random_q_point, series_head
 from tuple_kernel import MultiLaurent as Reference
 from tuple_kernel import expanded, from_packed
 
@@ -61,7 +61,12 @@ def test_varid_order_is_the_reference_order():
         assert MultiLaurent.zero(pool).vars == tuple(sorted(set(pool), key=reference_sort_key))
 
 
-@pytest.mark.parametrize("args", [(0, 1), (1, 0), (1, 1, "w")])
+@pytest.mark.parametrize(
+    "args",
+    # a color or index must be exactly an int (no float, no bool), and an
+    # auxiliary index is 1-based too
+    [(0, 1), (1, 0), (1, 1, "w"), (1.5, 1), (True, 1), (1, True), (0, 1.5, "w"), (0, 0, "w")],
+)
 def test_varid_rejects_bad_fields(args):
     with pytest.raises(ValueError):
         VarId(*args)
@@ -602,6 +607,11 @@ def test_non_integer_exponents_raise():
         MultiLaurent.var_power(Z1, 1.5)
     with pytest.raises(ValueError):
         MultiLaurent.monomial({Z1: 2, Z2: 0.5})
+    # coeff reads exponents as the constructors do: 2.5 used to read 0 and
+    # 2.0 to raise TypeError from the key packing
+    for exps in ((2.5,), (2.0,)):
+        with pytest.raises(ValueError):
+            MultiLaurent.var_power(Z1, 2).coeff(exps)
     assert MultiLaurent([Z1], {(2,): 1}) == MultiLaurent.var_power(Z1, 2)
 
 
@@ -633,15 +643,15 @@ def test_binomial_inverse_is_a_truncated_geometric_series():
                     (vi, MultiLaurent.monomial({vi: -1 - n, vj: n + 1}, c ** (n + 1))),
                     (vj, MultiLaurent.monomial({vi: n + 1, vj: -1 - n}, c ** (-1 - n))),
                 ):
-                    inv = MultiLaurent.binomial_inverse(vi, vj, c, n, dom)
+                    inv = series_head(vi, vj, c, n, dom)
                     assert len(inv.terms) == n + 1
                     assert inv * binom(vi, c, vj) == MultiLaurent.constant(1) - tail
     with pytest.raises(ValueError):
-        MultiLaurent.binomial_inverse(Z1, Z2, LaurentQ({0: 1, 1: 1}), 2, Z1)
+        series_head(Z1, Z2, LaurentQ({0: 1, 1: 1}), 2, Z1)
     with pytest.raises(ValueError):
-        MultiLaurent.binomial_inverse(Z1, Z1, qp(1), 2, Z1)
+        series_head(Z1, Z1, qp(1), 2, Z1)
     with pytest.raises(ValueError):
-        MultiLaurent.binomial_inverse(Z1, Z2, qp(1), 2, W)
+        series_head(Z1, Z2, qp(1), 2, W)
 
 
 # ---------- every product against the two-loop references ----------

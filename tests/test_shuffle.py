@@ -313,6 +313,11 @@ def test_wheel_argument_validation():
         alg.wheel_check(w, 1, 2, i_indices=(1, 3))
     with pytest.raises(ValueError):
         alg.wheel_check(w, 1, 2, j_index=2)
+    # an index of the wrong type names no variable
+    with pytest.raises(ValueError):
+        alg.wheel_check(w, 1, 2, i_indices=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        alg.wheel_check(w, 1, 2, j_index=1.0)
 
 
 def test_serre_relations_vanish_spot():
